@@ -37,7 +37,7 @@ from .core import (
     check_morphism,
     check_multiplicative,
 )
-from .errors import AlgebraError
+from .errors import AlgebraError, InputError
 from .fixtures import FIXTURE_NAMES, builtin
 from .linalg import Matrix
 from .serialize import (
@@ -186,10 +186,6 @@ def _write_output(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _square_map(spec_basis, matrix: Matrix) -> LinearMap:
-    return LinearMap.square(spec_basis, matrix)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     text = _read_input(args.algebra)
     spec = parse_algebra(text)
@@ -224,6 +220,8 @@ _SPACE_BUILDERS = {
 
 
 def _cmd_spaces(args: argparse.Namespace) -> int:
+    if args.koszul and args.space != "D":
+        raise InputError(f"--koszul applies only to --space D, not {args.space}")
     text = _read_input(args.algebra)
     spec = parse_algebra(text)
     space = _SPACE_BUILDERS[args.space](spec, TwistPower(args.s, args.r), args.koszul)
@@ -260,7 +258,7 @@ def _cmd_twist(args: argparse.Namespace) -> int:
     text = _read_input(args.algebra)
     map_text = _read_input(args.map)
     spec = parse_algebra(text)
-    l = _square_map(spec.basis, parse_map(map_text))
+    l = LinearMap.square(spec.basis, parse_map(map_text))
     result = yau_twist(spec, l)
     _write_output(args.output, emit_algebra(result.twisted))
     doc = _assemble(
@@ -331,7 +329,7 @@ def _cmd_rb(args: argparse.Namespace) -> int:
     inputs = {"algebra": _digest(text), "map": _digest(map_text)}
     if args.induce:
         alg = parse_superalgebra(text)
-        result = rota_baxter_induce(alg, _square_map(alg.basis, matrix), weight)
+        result = rota_baxter_induce(alg, LinearMap.square(alg.basis, matrix), weight)
         _write_output(args.output, emit_algebra(result.spec))
         doc = _assemble(
             "rb",
@@ -341,7 +339,7 @@ def _cmd_rb(args: argparse.Namespace) -> int:
         )
     else:
         spec = parse_algebra(text)
-        report = rota_baxter_check(spec, _square_map(spec.basis, matrix), weight, args.literal)
+        report = rota_baxter_check(spec, LinearMap.square(spec.basis, matrix), weight, args.literal)
         doc = _assemble(
             "rb",
             inputs,
@@ -355,7 +353,7 @@ def _cmd_avg(args: argparse.Namespace) -> int:
     text = _read_input(args.algebra)
     map_text = _read_input(args.map)
     spec = parse_algebra(text)
-    report = averaging_check(spec, _square_map(spec.basis, parse_map(map_text)))
+    report = averaging_check(spec, LinearMap.square(spec.basis, parse_map(map_text)))
     doc = _assemble(
         "avg",
         {"algebra": _digest(text), "map": _digest(map_text)},
@@ -570,3 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
+    PRODUCT_TAGS,
     CheckReport,
     LinearMap,
     StructureTensor,
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
-    Violation,
+    _named,
+    _sweep,
     check_bihom,
     check_morphism,
     check_superalgebra,
@@ -30,8 +33,9 @@ from .errors import (
     InputError,
     NotAutomorphismError,
     ParityError,
+    SingularMapError,
 )
-from .linalg import Matrix, RationalLike, add_vectors, frac, invert, solve_in_span, unit_vector
+from .linalg import Matrix, RationalLike, Vector, frac, invert, solve_in_span, unit_vector
 
 _ZERO = Fraction(0)
 
@@ -123,21 +127,22 @@ def _require_shape(m: LinearMap, n: int, label: str) -> None:
         raise InputError(f"{label} must be {n}x{n}, got {m.matrix.rows}x{m.matrix.cols}")
 
 
-def _require_even(m: LinearMap, label: str) -> None:
+def _require_even(m: LinearMap, n: int, label: str) -> None:
+    """Raise unless ``m`` is an n x n even map."""
+    _require_shape(m, n, label)
     if not m.is_even:
         raise ParityError(f"{label} must be an even map")
 
 
+def _tensor_of(n: int, product: Callable[[int, int], Vector]) -> StructureTensor:
+    """The tensor whose product of e_i and e_j is ``product(i, j)``."""
+    return StructureTensor.build(
+        n, {(i, j, k): v for i in range(n) for j in range(n) for k, v in enumerate(product(i, j))}
+    )
+
+
 def _twisted_tensor(tensor: StructureTensor, l: Matrix, linv: Matrix) -> StructureTensor:
-    n = tensor.dim
-    constants: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            w = l.apply(tensor.bilinear(linv.col(i), linv.col(j)))
-            for k in range(n):
-                if w[k]:
-                    constants[(i, j, k)] = w[k]
-    return StructureTensor.build(n, constants)
+    return _tensor_of(tensor.dim, lambda i, j: l.apply(tensor.bilinear(linv.col(i), linv.col(j))))
 
 
 def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
@@ -149,15 +154,13 @@ def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
     """
     xi = spec.require_xi()
     n = spec.dimension
-    _require_shape(l, n, "twist map")
-    _require_even(l, "twist map")
+    _require_even(l, n, "twist map")
     linv = invert(l.matrix)
 
     new_gamma = LinearMap.square(spec.basis, l.matrix @ spec.gamma.matrix @ linv)
     new_xi = LinearMap.square(spec.basis, l.matrix @ xi.matrix @ linv)
-    twisted = TrialgebraSpec(
-        name=spec.name,
-        basis=spec.basis,
+    twisted = replace(
+        spec,
         left=_twisted_tensor(spec.left, l.matrix, linv),
         right=_twisted_tensor(spec.right, l.matrix, linv),
         perp=_twisted_tensor(spec.perp, l.matrix, linv),
@@ -165,15 +168,10 @@ def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
         xi=new_xi,
     )
 
-    match = True
-    lcol = [l.matrix.col(i) for i in range(n)]
-    for tag, original in spec.products():
-        twisted_tensor = twisted.tensor(tag)
-        for i in range(n):
-            for j in range(n):
-                coords = linv.apply(twisted_tensor.bilinear(lcol[i], lcol[j]))
-                if coords != original.basis_product(i, j):
-                    match = False
+    # Primed products are the twisted ones: l^-1(l(e_i) o' l(e_j)) = e_i o e_j.
+    ops = {**_named(spec), **_named(twisted, "'"), "l": l.matrix, "linv": linv}
+    rows = tuple((tag, ("linv", (tag + "'", ("l", 0), ("l", 1))), (tag, 0, 1)) for tag in PRODUCT_TAGS)
+    match = _sweep(n, 2, ops, rows).passed
 
     return TwistResult(
         twisted=twisted,
@@ -193,11 +191,10 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
         raise NotAutomorphismError("phi is not a morphism of the spec onto itself")
     try:
         invert(phi.matrix)
-    except Exception as exc:
+    except SingularMapError as exc:
         raise NotAutomorphismError("phi is not invertible") from exc
     result = yau_twist(spec, l)
-    linv = invert(l.matrix)
-    conjugated = LinearMap.square(spec.basis, l.matrix @ phi.matrix @ linv)
+    conjugated = LinearMap.square(spec.basis, l.matrix @ phi.matrix @ invert(l.matrix))
     return check_morphism(result.twisted, result.twisted, conjugated)
 
 
@@ -283,9 +280,18 @@ def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearM
     )
 
 
-def _require_commutes(lam: Matrix, other: Matrix, label: str) -> None:
-    if lam @ other != other @ lam:
-        raise CommutationError(f"operator does not commute with {label}")
+def _require_commutes(lam: Matrix, gamma: Matrix, xi: Matrix) -> None:
+    for label, other in (("gamma", gamma), ("xi", xi)):
+        if lam @ other != other @ lam:
+            raise CommutationError(f"operator does not commute with {label}")
+
+
+def _rota_baxter_row(axiom_id: str, outer: str, inner: str, c: Fraction) -> tuple:
+    """lam(d) o lam(v) = lam(lam(d) o' v + d o' lam(v) + c*(d o' v)), with o the
+    outer and o' the inner product."""
+    lam_d, lam_v = ("lam", 0), ("lam", 1)
+    inner_sum = ("+", (inner, lam_d, 1), (inner, 0, lam_v), ("*", c, (inner, 0, 1)))
+    return (axiom_id, (outer, lam_d, lam_v), ("lam", inner_sum))
 
 
 def rota_baxter_check(
@@ -304,35 +310,15 @@ def rota_baxter_check(
     xi = spec.require_xi()
     n = spec.dimension
     c = frac(weight)
-    _require_shape(lam, n, "lambda")
-    _require_even(lam, "lambda")
-    _require_commutes(lam.matrix, spec.gamma.matrix, "gamma")
-    _require_commutes(lam.matrix, xi.matrix, "xi")
+    _require_even(lam, n, "lambda")
+    _require_commutes(lam.matrix, spec.gamma.matrix, xi.matrix)
 
-    lcol = [lam.matrix.col(i) for i in range(n)]
-    units = [unit_vector(n, i) for i in range(n)]
-
-    def rhs_inner(tensor: StructureTensor, i: int, j: int):
-        inner = add_vectors(tensor.bilinear(lcol[i], units[j]), tensor.bilinear(units[i], lcol[j]))
-        return lam.matrix.apply(add_vectors(inner, tuple(c * x for x in tensor.basis_product(i, j))))
-
-    violations: list[Violation] = []
     if literal:
-        cases = [
-            ("rb-literal-right", spec.right, spec.left),
-            ("rb-literal-left", spec.left, spec.right),
-            ("rb-literal-perp", spec.perp, spec.perp),
-        ]
+        crossed = {"left": "right", "right": "left", "perp": "perp"}
+        rows = [_rota_baxter_row(f"rb-literal-{tag}", tag, crossed[tag], c) for tag in PRODUCT_TAGS]
     else:
-        cases = [(f"rb-{tag}", tensor, tensor) for tag, tensor in spec.products()]
-    for axiom_id, outer, inner in cases:
-        for i in range(n):
-            for j in range(n):
-                lhs = outer.bilinear(lcol[i], lcol[j])
-                rhs = rhs_inner(inner, i, j)
-                if lhs != rhs:
-                    violations.append(Violation(axiom_id, (i, j), lhs, rhs))
-    return CheckReport.collect(violations)
+        rows = [_rota_baxter_row(f"rb-{tag}", tag, tag, c) for tag in PRODUCT_TAGS]
+    return _sweep(n, 2, {**_named(spec), "lam": lam.matrix}, rows)
 
 
 def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLike) -> InduceResult:
@@ -349,50 +335,25 @@ def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLi
     """
     n = alg.dimension
     c = frac(weight)
-    _require_shape(lam, n, "lambda")
-    _require_even(lam, "lambda")
-    _require_commutes(lam.matrix, alg.gamma.matrix, "gamma")
-    _require_commutes(lam.matrix, alg.xi.matrix, "xi")
+    _require_even(lam, n, "lambda")
+    _require_commutes(lam.matrix, alg.gamma.matrix, alg.xi.matrix)
     if not check_superalgebra(alg).passed:
         raise InputError("input superalgebra fails BiHom-associativity")
 
-    star = alg.star
-    lcol = [lam.matrix.col(i) for i in range(n)]
-    units = [unit_vector(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = star.bilinear(lcol[i], lcol[j])
-            inner = add_vectors(star.bilinear(lcol[i], units[j]), star.bilinear(units[i], lcol[j]))
-            rhs = lam.matrix.apply(
-                add_vectors(inner, tuple(c * x for x in star.basis_product(i, j)))
-            )
-            if lhs != rhs:
-                raise InputError(
-                    f"lambda is not a Rota-Baxter operator of weight {c} (fails at pair {(i, j)})"
-                )
-
-    left: dict[tuple[int, int, int], Fraction] = {}
-    right: dict[tuple[int, int, int], Fraction] = {}
-    perp: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            lv = star.bilinear(units[i], lcol[j])
-            rv = star.bilinear(lcol[i], units[j])
-            pv = star.basis_product(i, j)
-            for k in range(n):
-                if lv[k]:
-                    left[(i, j, k)] = lv[k]
-                if rv[k]:
-                    right[(i, j, k)] = rv[k]
-                if pv[k] and c:
-                    perp[(i, j, k)] = c * pv[k]
+    row = _rota_baxter_row("rb-star", "star", "star", c)
+    report = _sweep(n, 2, {"star": alg.star, "lam": lam.matrix}, (row,))
+    if not report.passed:
+        raise InputError(
+            f"lambda is not a Rota-Baxter operator of weight {c} "
+            f"(fails at pair {report.violations[0].indices})"
+        )
 
     spec = TrialgebraSpec(
         name=f"rb({alg.name})",
         basis=alg.basis,
-        left=StructureTensor.build(n, left),
-        right=StructureTensor.build(n, right),
-        perp=StructureTensor.build(n, perp),
+        left=_tensor_of(n, lambda i, j: alg.star.bilinear(unit_vector(n, i), lam.matrix.col(j))),
+        right=_tensor_of(n, lambda i, j: alg.star.bilinear(lam.matrix.col(i), unit_vector(n, j))),
+        perp=alg.star.scale(c),
         gamma=alg.gamma,
         xi=alg.xi,
     )
@@ -402,32 +363,21 @@ def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLi
 def averaging_check(spec: TrialgebraSpec, lam: LinearMap) -> CheckReport:
     """Check the averaging identities lam(lam(d) o r) = lam(d) o lam(r) = lam(d o lam(r))
     for each product, plus commutation of lam with both structure maps."""
-    xi = spec.require_xi()
+    spec.require_xi()
     n = spec.dimension
-    _require_shape(lam, n, "lambda")
-    _require_even(lam, "lambda")
+    _require_even(lam, n, "lambda")
 
-    violations: list[Violation] = []
-    for label, other in (("gamma", spec.gamma.matrix), ("xi", xi.matrix)):
-        lhs_m = lam.matrix @ other
-        rhs_m = other @ lam.matrix
-        for j in range(n):
-            if lhs_m.col(j) != rhs_m.col(j):
-                violations.append(Violation(f"avg-{label}-commute", (j,), lhs_m.col(j), rhs_m.col(j)))
-
-    lcol = [lam.matrix.col(i) for i in range(n)]
-    units = [unit_vector(n, i) for i in range(n)]
-    for tag, tensor in spec.products():
-        for i in range(n):
-            for j in range(n):
-                t1 = lam.matrix.apply(tensor.bilinear(lcol[i], units[j]))
-                t2 = tensor.bilinear(lcol[i], lcol[j])
-                t3 = lam.matrix.apply(tensor.bilinear(units[i], lcol[j]))
-                if t1 != t2:
-                    violations.append(Violation(f"avg-{tag}-1", (i, j), t1, t2))
-                if t2 != t3:
-                    violations.append(Violation(f"avg-{tag}-2", (i, j), t2, t3))
-    return CheckReport.collect(violations)
+    ops = {**_named(spec), "lam": lam.matrix}
+    commute = tuple(
+        (f"avg-{label}-commute", ("lam", (label, 0)), (label, ("lam", 0))) for label in ("gamma", "xi")
+    )
+    rows = []
+    for tag in PRODUCT_TAGS:
+        t1 = ("lam", (tag, ("lam", 0), 1))
+        t2 = (tag, ("lam", 0), ("lam", 1))
+        t3 = ("lam", (tag, 0, ("lam", 1)))
+        rows += [(f"avg-{tag}-1", t1, t2), (f"avg-{tag}-2", t2, t3)]
+    return _sweep(n, 1, ops, commute).merge(_sweep(n, 2, ops, rows))
 
 
 def swap_construct(spec: TrialgebraSpec) -> SwapResult:
@@ -489,19 +439,13 @@ def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
         xi=xi,
     )
 
-    gx = spec.gamma.matrix @ xi.matrix
-    violations: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = star.bilinear(bracket.basis_product(i, j), gx.col(k))
-                rhs = add_vectors(
-                    bracket.bilinear(star.basis_product(i, k), xi.matrix.col(j)),
-                    bracket.bilinear(spec.gamma.matrix.col(i), star.basis_product(j, k)),
-                )
-                if lhs != rhs:
-                    violations.append(Violation("leibniz", (i, j, k), lhs, rhs))
-    return CommutatorResult(pair=pair, leibniz=CheckReport.collect(violations))
+    row = (
+        "leibniz",
+        ("star", ("bracket", 0, 1), ("gamma", ("xi", 2))),
+        ("+", ("bracket", ("star", 0, 2), ("xi", 1)), ("bracket", ("gamma", 0), ("star", 1, 2))),
+    )
+    ops = {"star": star, "bracket": bracket, "gamma": spec.gamma.matrix, "xi": xi.matrix}
+    return CommutatorResult(pair=pair, leibniz=_sweep(n, 3, ops, (row,)))
 
 
 def total_product_construct(spec: TrialgebraSpec) -> TotalProductResult:

@@ -14,9 +14,11 @@ so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from functools import cache, partial, reduce
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, Union
 
 from .errors import InputError, ModeError, ParityError
 from .linalg import (
@@ -27,6 +29,8 @@ from .linalg import (
     canonical_span,
     frac,
     nullspace_basis,
+    scale_vector,
+    unit_vector,
     zero_vector,
 )
 
@@ -381,9 +385,106 @@ def product_eval(spec: TrialgebraSpec, tag: ProductTag, x: Sequence[Fraction], y
     return spec.tensor(tag).bilinear(x, y)
 
 
-def _check(axiom_id: str, indices: tuple[int, ...], lhs: Vector, rhs: Vector, out: list[Violation]) -> None:
-    if lhs != rhs:
-        out.append(Violation(axiom_id, indices, lhs, rhs))
+# An identity side is a term over the slots of a basis tuple: a slot number
+# k (the basis vector at position k of the tuple), (product, a, b),
+# (map, a), ("+", a, b, ...) or ("*", c, a) for a rational scale c.
+_Term = Union[int, tuple]
+_Row = tuple[str, _Term, _Term]
+_Ops = dict[str, Union[StructureTensor, Matrix]]
+
+
+def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
+    """The products and structure maps of a spec by row name, suffixed with ``mark``."""
+    ops: _Ops = {tag + mark: t for tag, t in spec.products()}
+    ops["gamma" + mark] = spec.gamma.matrix
+    if spec.xi is not None:
+        ops["xi" + mark] = spec.xi.matrix
+    return ops
+
+
+def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
+    """Report every basis tuple of the given arity on which the two sides of
+    a row (axiom_id, lhs, rhs) differ.
+
+    Each distinct subterm is one step, run once per tuple after the steps of
+    its arguments; basis products and map columns are cached for the sweep.
+    """
+    units = [unit_vector(n, i) for i in range(n)]
+    # A tuple's values are its basis indices, their basis vectors, then one
+    # per step; a step is a function and the positions of its arguments.
+    position: dict[_Term, int] = {}
+    steps: list[tuple[Callable[..., Vector], tuple[int, ...]]] = []
+
+    def place(term: _Term) -> int:
+        if isinstance(term, int):
+            return arity + term
+        if term not in position:
+            head, *parts = term
+            op = ops.get(head)
+            on_slots = op is not None and all(isinstance(a, int) for a in parts)
+            if head == "+":
+                fn: Callable[..., Vector] = lambda *vs: reduce(add_vectors, vs)
+            elif head == "*":
+                fn, parts = partial(scale_vector, parts[0]), parts[1:]
+            elif isinstance(op, Matrix):
+                fn = cache(op.col) if on_slots else op.apply
+            else:
+                fn = cache(op.basis_product) if on_slots else op.bilinear
+            args = tuple(parts) if on_slots else tuple(place(a) for a in parts)
+            position[term] = 2 * arity + len(steps)
+            steps.append((fn, args))
+        return position[term]
+
+    checks = [(axiom_id, place(lhs), place(rhs)) for axiom_id, lhs, rhs in rows]
+    violations: list[Violation] = []
+    for idx in itertools.product(range(n), repeat=arity):
+        vals = [*idx, *(units[i] for i in idx)]
+        for fn, args in steps:
+            vals.append(fn(*[vals[a] for a in args]))
+        for axiom_id, lhs, rhs in checks:
+            if vals[lhs] != vals[rhs]:
+                violations.append(Violation(axiom_id, idx, vals[lhs], vals[rhs]))
+    return CheckReport.collect(violations)
+
+
+# The structure map m is multiplicative: m(d o q) = m(d) o m(q) for each product o.
+_MULTIPLICATIVE: dict[str, tuple[_Row, ...]] = {
+    m: tuple((f"{m}-{tag}", (m, (tag, 0, 1)), (tag, (m, 0), (m, 1))) for tag in PRODUCT_TAGS)
+    for m in ("gamma", "xi")
+}
+
+# Slots 0, 1, 2 are d, q, y; < is left, > right, . perp.
+_BIHOM_TRIPLES: tuple[_Row, ...] = (
+    # (d<q)<xi(y) = gamma(d)<(q>y) = gamma(d)<(q.y)
+    ("ii-a", ("left", ("left", 0, 1), ("xi", 2)), ("left", ("gamma", 0), ("right", 1, 2))),
+    ("ii-b", ("left", ("gamma", 0), ("right", 1, 2)), ("left", ("gamma", 0), ("perp", 1, 2))),
+    # (d<q)<xi(y) = gamma(d)>(q<y)
+    ("iii", ("left", ("left", 0, 1), ("xi", 2)), ("right", ("gamma", 0), ("left", 1, 2))),
+    # (d<q)>gamma(y) = xi(d)>(q>y) = (d.q)>xi(y)
+    ("iv-a", ("right", ("left", 0, 1), ("gamma", 2)), ("right", ("xi", 0), ("right", 1, 2))),
+    ("iv-b", ("right", ("xi", 0), ("right", 1, 2)), ("right", ("perp", 0, 1), ("xi", 2))),
+    # (d.q)<xi(y) = gamma(d).(q<y)
+    ("v", ("left", ("perp", 0, 1), ("xi", 2)), ("perp", ("gamma", 0), ("left", 1, 2))),
+    # (d<q).xi(y) = gamma(d).(q>y)
+    ("vi", ("perp", ("left", 0, 1), ("xi", 2)), ("perp", ("gamma", 0), ("right", 1, 2))),
+    # (d>q).xi(y) = gamma(d)>(q.y)
+    ("vii", ("perp", ("right", 0, 1), ("xi", 2)), ("right", ("gamma", 0), ("perp", 1, 2))),
+)
+
+# Slots 0, 1, 2 are d, q, y; each identity reads (d o1 q) o2 g(y) = g(d) o3 (q o4 y).
+_HOM_TRIPLES: tuple[_Row, ...] = (
+    ("h01", ("left", ("left", 0, 1), ("gamma", 2)), ("left", ("gamma", 0), ("right", 1, 2))),
+    ("h02", ("right", ("left", 0, 1), ("gamma", 2)), ("right", ("gamma", 0), ("right", 1, 2))),
+    ("h03", ("left", ("left", 0, 1), ("gamma", 2)), ("left", ("gamma", 0), ("perp", 1, 2))),
+    ("h04", ("perp", ("left", 0, 1), ("gamma", 2)), ("perp", ("gamma", 0), ("right", 1, 2))),
+    ("h05", ("right", ("perp", 0, 1), ("gamma", 2)), ("right", ("gamma", 0), ("right", 1, 2))),
+    ("h06", ("left", ("left", 0, 1), ("gamma", 2)), ("left", ("gamma", 0), ("left", 1, 2))),
+    ("h07", ("left", ("right", 0, 1), ("gamma", 2)), ("right", ("gamma", 0), ("left", 1, 2))),
+    ("h08", ("right", ("right", 0, 1), ("gamma", 2)), ("right", ("gamma", 0), ("right", 1, 2))),
+    ("h09", ("left", ("perp", 0, 1), ("gamma", 2)), ("perp", ("gamma", 0), ("left", 1, 2))),
+    ("h10", ("perp", ("right", 0, 1), ("gamma", 2)), ("right", ("gamma", 0), ("perp", 1, 2))),
+    ("h11", ("perp", ("perp", 0, 1), ("gamma", 2)), ("perp", ("gamma", 0), ("perp", 1, 2))),
+)
 
 
 def check_bihom(spec: TrialgebraSpec) -> CheckReport:
@@ -394,50 +495,11 @@ def check_bihom(spec: TrialgebraSpec) -> CheckReport:
     outer-left argument and xi the outer-right argument; chained equalities
     are split into consecutive pairwise checks (suffixes ``-a`` and ``-b``).
     """
-    xi = spec.require_xi()
+    spec.require_xi()
     n = spec.dimension
-    g = spec.gamma.matrix
-    x = xi.matrix
-    violations: list[Violation] = []
-
-    gx = g @ x
-    xg = x @ g
-    for j in range(n):
-        _check("i", (j,), gx.col(j), xg.col(j), violations)
-
-    left, right, perp = spec.left, spec.right, spec.perp
-    lp = [[left.basis_product(i, j) for j in range(n)] for i in range(n)]
-    rp = [[right.basis_product(i, j) for j in range(n)] for i in range(n)]
-    pp = [[perp.basis_product(i, j) for j in range(n)] for i in range(n)]
-    gcol = [g.col(i) for i in range(n)]
-    xcol = [x.col(i) for i in range(n)]
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t = (i, j, k)
-                ii_lhs = left.bilinear(lp[i][j], xcol[k])        # (d<q)<xi(y)
-                ii_mid = left.bilinear(gcol[i], rp[j][k])        # gamma(d)<(q>y)
-                ii_rhs = left.bilinear(gcol[i], pp[j][k])        # gamma(d)<(q.y)
-                _check("ii-a", t, ii_lhs, ii_mid, violations)
-                _check("ii-b", t, ii_mid, ii_rhs, violations)
-
-                _check("iii", t, ii_lhs, right.bilinear(gcol[i], lp[j][k]), violations)
-
-                iv_lhs = right.bilinear(lp[i][j], gcol[k])       # (d<q)>gamma(y)
-                iv_mid = right.bilinear(xcol[i], rp[j][k])       # xi(d)>(q>y)
-                iv_rhs = right.bilinear(pp[i][j], xcol[k])       # (d.q)>xi(y)
-                _check("iv-a", t, iv_lhs, iv_mid, violations)
-                _check("iv-b", t, iv_mid, iv_rhs, violations)
-
-                _check("v", t, left.bilinear(pp[i][j], xcol[k]),
-                       perp.bilinear(gcol[i], lp[j][k]), violations)
-                _check("vi", t, perp.bilinear(lp[i][j], xcol[k]),
-                       perp.bilinear(gcol[i], rp[j][k]), violations)
-                _check("vii", t, perp.bilinear(rp[i][j], xcol[k]),
-                       right.bilinear(gcol[i], pp[j][k]), violations)
-
-    return CheckReport.collect(violations)
+    ops = _named(spec)
+    commute = _sweep(n, 1, ops, (("i", ("gamma", ("xi", 0)), ("xi", ("gamma", 0))),))
+    return commute.merge(_sweep(n, 3, ops, _BIHOM_TRIPLES))
 
 
 def check_hom(spec: TrialgebraSpec) -> CheckReport:
@@ -447,88 +509,22 @@ def check_hom(spec: TrialgebraSpec) -> CheckReport:
     and the eleven triple identities, all twisted by gamma alone.
     """
     n = spec.dimension
-    g = spec.gamma.matrix
-    violations: list[Violation] = []
-
-    left, right, perp = spec.left, spec.right, spec.perp
-    lp = [[left.basis_product(i, j) for j in range(n)] for i in range(n)]
-    rp = [[right.basis_product(i, j) for j in range(n)] for i in range(n)]
-    pp = [[perp.basis_product(i, j) for j in range(n)] for i in range(n)]
-    gcol = [g.col(i) for i in range(n)]
-
-    for tag, prods in (("left", lp), ("right", rp), ("perp", pp)):
-        tensor = spec.tensor(tag)  # type: ignore[arg-type]
-        for i in range(n):
-            for j in range(n):
-                _check(f"gamma-{tag}", (i, j), g.apply(prods[i][j]),
-                       tensor.bilinear(gcol[i], gcol[j]), violations)
-
-    triples = (
-        ("h01", left, lp, left, rp),    # (d<q)<g(y) = g(d)<(q>y)
-        ("h02", right, lp, right, rp),  # (d<q)>g(y) = g(d)>(q>y)
-        ("h03", left, lp, left, pp),    # (d<q)<g(y) = g(d)<(q.y)
-        ("h04", perp, lp, perp, rp),    # (d<q).g(y) = g(d).(q>y)
-        ("h05", right, pp, right, rp),  # (d.q)>g(y) = g(d)>(q>y)
-        ("h06", left, lp, left, lp),    # (d<q)<g(y) = g(d)<(q<y)
-        ("h07", left, rp, right, lp),   # (d>q)<g(y) = g(d)>(q<y)
-        ("h08", right, rp, right, rp),  # (d>q)>g(y) = g(d)>(q>y)
-        ("h09", left, pp, perp, lp),    # (d.q)<g(y) = g(d).(q<y)
-        ("h10", perp, rp, right, pp),   # (d>q).g(y) = g(d)>(q.y)
-        ("h11", perp, pp, perp, pp),    # (d.q).g(y) = g(d).(q.y)
-    )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for axiom_id, outer, inner_l, router, inner_r in triples:
-                    _check(
-                        axiom_id,
-                        (i, j, k),
-                        outer.bilinear(inner_l[i][j], gcol[k]),
-                        router.bilinear(gcol[i], inner_r[j][k]),
-                        violations,
-                    )
-    return CheckReport.collect(violations)
+    ops = _named(spec)
+    return _sweep(n, 2, ops, _MULTIPLICATIVE["gamma"]).merge(_sweep(n, 3, ops, _HOM_TRIPLES))
 
 
 def check_multiplicative(spec: TrialgebraSpec) -> CheckReport:
     """Check that gamma and xi are endomorphisms for all three products."""
-    xi = spec.require_xi()
-    n = spec.dimension
-    violations: list[Violation] = []
-    for label, m in (("gamma", spec.gamma.matrix), ("xi", xi.matrix)):
-        mcol = [m.col(i) for i in range(n)]
-        for tag, tensor in spec.products():
-            for i in range(n):
-                for j in range(n):
-                    _check(
-                        f"{label}-{tag}",
-                        (i, j),
-                        m.apply(tensor.basis_product(i, j)),
-                        tensor.bilinear(mcol[i], mcol[j]),
-                        violations,
-                    )
-    return CheckReport.collect(violations)
+    spec.require_xi()
+    rows = _MULTIPLICATIVE["gamma"] + _MULTIPLICATIVE["xi"]
+    return _sweep(spec.dimension, 2, _named(spec), rows)
 
 
 def check_superalgebra(alg: SuperalgebraSpec) -> CheckReport:
     """Verify BiHom-associativity of a single product: (d*v)*xi(r) = gamma(d)*(v*r)."""
-    n = alg.dimension
-    star = alg.star
-    gcol = [alg.gamma.matrix.col(i) for i in range(n)]
-    xcol = [alg.xi.matrix.col(i) for i in range(n)]
-    sp = [[star.basis_product(i, j) for j in range(n)] for i in range(n)]
-    violations: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _check(
-                    "bihom-assoc",
-                    (i, j, k),
-                    star.bilinear(sp[i][j], xcol[k]),
-                    star.bilinear(gcol[i], sp[j][k]),
-                    violations,
-                )
-    return CheckReport.collect(violations)
+    row = ("bihom-assoc", ("star", ("star", 0, 1), ("xi", 2)), ("star", ("gamma", 0), ("star", 1, 2)))
+    ops = {"star": alg.star, "gamma": alg.gamma.matrix, "xi": alg.xi.matrix}
+    return _sweep(alg.dimension, 3, ops, (row,))
 
 
 def check_morphism(src: TrialgebraSpec, dst: TrialgebraSpec, pi: LinearMap) -> CheckReport:
@@ -544,32 +540,12 @@ def check_morphism(src: TrialgebraSpec, dst: TrialgebraSpec, pi: LinearMap) -> C
         )
     if (src.xi is None) != (dst.xi is None):
         raise InputError("source and target must agree on whether xi is present")
-    p = pi.matrix
-    violations: list[Violation] = []
-
-    pairs = [("gamma-compat", src.gamma.matrix, dst.gamma.matrix)]
-    if src.xi is not None and dst.xi is not None:
-        pairs.append(("xi-compat", src.xi.matrix, dst.xi.matrix))
-    for axiom_id, src_m, dst_m in pairs:
-        lhs_m = dst_m @ p
-        rhs_m = p @ src_m
-        for j in range(src.dimension):
-            _check(axiom_id, (j,), lhs_m.col(j), rhs_m.col(j), violations)
-
-    pcol = [p.col(i) for i in range(src.dimension)]
-    for tag in PRODUCT_TAGS:
-        src_t = src.tensor(tag)
-        dst_t = dst.tensor(tag)
-        for i in range(src.dimension):
-            for j in range(src.dimension):
-                _check(
-                    tag,
-                    (i, j),
-                    p.apply(src_t.basis_product(i, j)),
-                    dst_t.bilinear(pcol[i], pcol[j]),
-                    violations,
-                )
-    return CheckReport.collect(violations)
+    # Primed names belong to the target algebra.
+    ops = {**_named(src), **_named(dst, "'"), "pi": pi.matrix}
+    labels = ("gamma",) if src.xi is None else ("gamma", "xi")
+    compat = tuple((f"{m}-compat", (m + "'", ("pi", 0)), ("pi", (m, 0))) for m in labels)
+    rows = tuple((tag, ("pi", (tag, 0, 1)), (tag + "'", ("pi", 0), ("pi", 1))) for tag in PRODUCT_TAGS)
+    return _sweep(src.dimension, 1, ops, compat).merge(_sweep(src.dimension, 2, ops, rows))
 
 
 def center(spec: TrialgebraSpec) -> tuple[Vector, ...]:

@@ -9,6 +9,7 @@ involve tolerances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -23,15 +24,28 @@ _ONE = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
 
+# The one rational string grammar: 'p' or 'p/q', surrounding blanks allowed.
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+
 
 def frac(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or integer/ratio string to an exact Fraction."""
+    """Coerce an int, Fraction, or 'p' / 'p/q' string (q > 0) to an exact Fraction.
+
+    Raises:
+        InputError: for any other value, including decimal and exponent
+            strings and a zero denominator.
+    """
     if isinstance(value, bool):
         raise InputError("booleans are not rational scalars")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        text = value.strip()
+        if not _RATIONAL_RE.match(text):
+            raise InputError(f"{value!r} is not a rational literal (use 'p' or 'p/q')")
+        if "/" in text and int(text.split("/")[1]) == 0:
+            raise InputError(f"zero denominator in {value!r}")
+        return Fraction(text)
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 

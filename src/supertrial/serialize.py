@@ -10,16 +10,13 @@ every structural invariant and reports the offending field and index.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any, Mapping
 
 from .constructions import BracketPairSpec
 from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec
 from .errors import InputError
-from .linalg import Matrix
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+from .linalg import Matrix, frac
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -29,12 +26,10 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise InputError(f"{where}: {value!r} is not a rational literal (use 'p' or 'p/q')")
-        if "/" in text and int(text.split("/")[1]) == 0:
-            raise InputError(f"{where}: zero denominator in {value!r}")
-        return Fraction(text)
+        try:
+            return frac(value)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
     raise InputError(f"{where}: expected an integer or rational string, got {type(value).__name__}")
 
 

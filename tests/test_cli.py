@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supertrial
 from supertrial.cli import main
 from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import LinearMap
@@ -158,6 +163,14 @@ class TestSpacesCommand:
         path = fixture_file(tmp_path, "dual2")
         assert main(["spaces", path, "--space", "XX", "--s", "0", "--r", "0"]) == 2
 
+    @pytest.mark.parametrize("kind", ["QD", "GD", "ZD", "C", "QC"])
+    def test_koszul_only_for_derivations(self, tmp_path, capsys, kind):
+        path = fixture_file(tmp_path, "dual2")
+        assert main(["spaces", path, "--space", kind, "--s", "0", "--r", "0", "--koszul"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--koszul applies only to --space D" in captured.err
+
 
 class TestVerifyCommand:
     def test_green_battery(self, tmp_path, capsys):
@@ -309,6 +322,16 @@ class TestArgumentHandling:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    def test_module_runs_as_script(self):
+        src = str(Path(supertrial.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "supertrial.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout.strip() == "0.1.0"
 
     def test_human_output_mentions_failures(self, tmp_path, capsys):
         spec = inject_violation(builtin("dual2"), "left", (0, 0, 0), 1)

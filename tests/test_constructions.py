@@ -24,6 +24,7 @@ from supertrial.core import (
     SuperalgebraSpec,
     TrialgebraSpec,
     check_bihom,
+    check_superalgebra,
     identity_map,
 )
 from supertrial.errors import (
@@ -307,6 +308,29 @@ class TestRotaBaxterInduce:
         lam = LinearMap.square(alg.basis, Matrix.identity(1))
         with pytest.raises(InputError, match=r"\(0, 0\)"):
             rota_baxter_induce(alg, lam, F(1))
+
+    def test_rejected_pair_is_first_pair_of_the_check(self):
+        """grassmann2 twisted as alpha(x)beta(y) with lam = diag(-1, 1) at
+        weight 1: the identity holds at (0, 0) and (1, 1) but not at (0, 1) or
+        (1, 0).  Induce names the first pair that the check reports on the
+        trialgebra with all three products equal to the star product."""
+        star = {(0, 0, 0): 1, (0, 1, 1): 3, (1, 0, 1): 2}
+        gamma, xi = [[1, 0], [0, 2]], [[1, 0], [0, 3]]
+        alg = SuperalgebraSpec.build("grassmann2-tw", [0, 1], star, gamma, xi)
+        lam = LinearMap.square(alg.basis, Matrix.diagonal([-1, 1]))
+        assert check_superalgebra(alg).passed and lam.is_even
+        tri = TrialgebraSpec.build("tri", [0, 1], star, star, star, gamma, xi)
+        report = rota_baxter_check(tri, lam, F(1))
+        assert [(v.axiom_id, v.indices) for v in report.violations[:2]] == [
+            ("rb-left", (0, 1)),
+            ("rb-left", (1, 0)),
+        ]
+        with pytest.raises(InputError) as info:
+            rota_baxter_induce(alg, lam, F(1))
+        assert str(info.value) == (
+            "lambda is not a Rota-Baxter operator of weight 1 "
+            f"(fails at pair {report.violations[0].indices})"
+        )
 
     def test_non_associative_input_rejected(self):
         alg = SuperalgebraSpec.build("bad", [0, 0], DUAL, ID2, [[1, 0], [0, 2]])

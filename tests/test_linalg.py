@@ -20,6 +20,7 @@ from supertrial.linalg import (
     vector,
     zero_vector,
 )
+from supertrial.serialize import parse_rational
 
 F = Fraction
 
@@ -41,6 +42,21 @@ class TestFrac:
     def test_rejects_float(self):
         with pytest.raises(InputError):
             frac(0.5)
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "abc", "", "1/", "/2", "1/-2", "inf", "1 / 2"])
+    def test_rejects_other_strings(self, text):
+        with pytest.raises(InputError, match="not a rational literal"):
+            frac(text)
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(InputError, match="zero denominator"):
+            frac("3/0")
+
+    def test_string_grammar_matches_parse_rational(self):
+        assert frac(" +4/6 ") == parse_rational(" +4/6 ", "w") == F(2, 3)
+        assert frac("-0") == F(0)
+        with pytest.raises(InputError, match=r"^w: '0\.5' is not a rational literal"):
+            parse_rational("0.5", "w")
 
 
 class TestMatrixBasics:
