@@ -1,5 +1,6 @@
 """Command surface: exit codes, report wiring, and output documents."""
 
+import argparse
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import supertrial
-from supertrial.cli import main
+from supertrial.cli import build_parser, main
 from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import LinearMap
 from supertrial.fixtures import FIXTURE_NAMES, builtin, inject_violation
@@ -340,3 +341,161 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         assert "passed: false" in out
         assert "ii-a" in out
+
+
+def _surface(parser):
+    """Each subcommand's help text and, per argument, its name, dest, nargs,
+    required flag, default, choices and type, in declaration order."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: (
+            helps[name],
+            [
+                (
+                    "/".join(a.option_strings) or a.dest,
+                    a.dest,
+                    a.nargs,
+                    a.required,
+                    a.default,
+                    a.choices,
+                    getattr(a.type, "__name__", None),
+                )
+                for a in subparser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, subparser in sub.choices.items()
+    }
+
+
+def _positional(dest, nargs=None, required=True):
+    return (dest, dest, nargs, required, None, None, None)
+
+
+def _flag(name):
+    return (f"--{name}", name.replace("-", "_"), 0, False, False, None, None)
+
+
+def _required(name, type_name=None, choices=None):
+    return (f"--{name}", name, None, True, None, choices, type_name)
+
+
+ALGEBRA = _positional("algebra")
+ALGEBRA_B = _positional("algebra_b")
+MAP = _required("map")
+JSON = _flag("json")
+OUTPUT = ("-o/--output", "output", None, False, None, None, None)
+
+SURFACE = {
+    "check": (
+        "run an axiom system on an algebra document",
+        [ALGEBRA, _flag("hom"), _flag("multiplicative"), JSON],
+    ),
+    "spaces": (
+        "compute one operator space",
+        [
+            ALGEBRA,
+            _required("space", choices=("D", "QD", "GD", "ZD", "C", "QC")),
+            _required("s", "int"),
+            _required("r", "int"),
+            _flag("koszul"),
+            ("--grade", "grade", None, False, "all", ("even", "odd", "all"), None),
+            JSON,
+        ],
+    ),
+    "verify": (
+        "run the proposition battery",
+        [ALGEBRA, ("--max-power", "max_power", None, False, 1, None, "int"), JSON],
+    ),
+    "twist": ("conjugate by an invertible even map", [ALGEBRA, MAP, JSON, OUTPUT]),
+    "dsum": ("direct sum of two algebras", [ALGEBRA, ALGEBRA_B, JSON, OUTPUT]),
+    "graph": (
+        "graph closure in the direct sum versus morphism",
+        [ALGEBRA, ALGEBRA_B, MAP, JSON],
+    ),
+    "morphism": ("check a map between two algebras", [ALGEBRA, ALGEBRA_B, MAP, JSON]),
+    "rb": (
+        "Rota-Baxter check, or induce a trialgebra with --induce",
+        [ALGEBRA, MAP, _required("weight"), _flag("literal"), _flag("induce"), JSON, OUTPUT],
+    ),
+    "avg": ("averaging-operator check", [ALGEBRA, MAP, JSON]),
+    "sum-product": ("replace right with right + perp", [ALGEBRA, JSON, OUTPUT]),
+    "commutator": ("skew star and bracket with Leibniz check", [ALGEBRA, JSON, OUTPUT]),
+    "total-product": ("sum all three products into one", [ALGEBRA, JSON, OUTPUT]),
+    "swap": ("exchange the two structure maps", [ALGEBRA, JSON, OUTPUT]),
+    "fixtures": (
+        "list fixtures or export one",
+        [_positional("name", nargs="?", required=False), JSON, OUTPUT],
+    ),
+}
+
+
+class TestSurface:
+    def test_subcommands_and_arguments(self):
+        assert _surface(build_parser()) == SURFACE
+
+    def test_subcommand_order(self):
+        assert list(_surface(build_parser())) == list(SURFACE)
+
+
+class TestHumanOutput:
+    """Exact stdout of runs without --json."""
+
+    @pytest.fixture
+    def twelve_violations(self, tmp_path):
+        spec = inject_violation(builtin("dual2"), "right", (0, 0, 0), 1)
+        return write(tmp_path, "bad.json", emit_algebra(spec))
+
+    FIRST_TEN = [
+        "violations: 12",
+        "  ii-a at (0,0,0): lhs=['1', '0'] rhs=['2', '0']",
+        "  ii-a at (1,0,0): lhs=['0', '1'] rhs=['0', '2']",
+        "  ii-b at (0,0,0): lhs=['2', '0'] rhs=['1', '0']",
+        "  ii-b at (1,0,0): lhs=['0', '2'] rhs=['0', '1']",
+        "  iii at (0,0,0): lhs=['1', '0'] rhs=['2', '0']",
+        "  iv-a at (0,0,0): lhs=['2', '0'] rhs=['4', '0']",
+        "  iv-a at (1,0,0): lhs=['0', '1'] rhs=['0', '2']",
+        "  iv-b at (0,0,0): lhs=['4', '0'] rhs=['2', '0']",
+        "  iv-b at (1,0,0): lhs=['0', '2'] rhs=['0', '1']",
+        "  vi at (0,0,0): lhs=['1', '0'] rhs=['2', '0']",
+        "  ... and 2 more",
+    ]
+
+    def test_check_truncates_violations(self, twelve_violations, capsys):
+        assert main(["check", twelve_violations]) == 1
+        expected = ["command: check", "passed: false", *self.FIRST_TEN, "checks: ['bihom']"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_verify_skipping_battery(self, twelve_violations, capsys):
+        assert main(["verify", twelve_violations]) == 1
+        expected = ["command: verify", "passed: false", *self.FIRST_TEN, "battery_skipped: True"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_verify_battery_summary(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "idem1")
+        assert main(["verify", path, "--max-power", "0"]) == 0
+        expected = ["command: verify", "passed: true", "battery: 12 lines, 0 failed"]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_space_line(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "grassmann2")
+        argv = ["spaces", path, "--space", "D", "--s", "0", "--r", "0", "--koszul", "--grade", "odd"]
+        assert main(argv) == 0
+        expected = [
+            "command: spaces",
+            "passed: true",
+            "space D (s=0, r=0): dimension 2 (even 1, odd 1)",
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_details_lines(self, tmp_path, capsys):
+        path = fixture_file(tmp_path, "dual2-twisted")
+        assert main(["swap", path]) == 0
+        expected = [
+            "command: swap",
+            "passed: true",
+            "hypothesis_holds: False",
+            "swapped_passes: True",
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
