@@ -10,11 +10,13 @@ or failed battery lines, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .constructions import (
@@ -32,6 +34,7 @@ from .constructions import (
 from .core import (
     CheckReport,
     LinearMap,
+    TrialgebraSpec,
     check_bihom,
     check_hom,
     check_morphism,
@@ -43,7 +46,6 @@ from .linalg import Matrix
 from .serialize import (
     emit_algebra,
     emit_bracket_pair,
-    emit_map,
     emit_superalgebra,
     parse_algebra,
     parse_map,
@@ -56,13 +58,8 @@ from .spaces import (
     BatteryReport,
     OperatorSpace,
     TwistPower,
-    central_derivation_space,
-    centroid,
-    derivation_space,
-    generalized_derivation_space,
+    _build_space,
     proposition_battery,
-    quasicentroid,
-    quasiderivation_space,
 )
 
 
@@ -93,12 +90,7 @@ def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
 
 
 def _space_json(space: OperatorSpace, grade: str) -> dict[str, Any]:
-    if grade == "even":
-        listed = space.even_basis
-    elif grade == "odd":
-        listed = space.odd_basis
-    else:
-        listed = space.basis
+    listed = {"even": space.even_basis, "odd": space.odd_basis, "all": space.basis}[grade]
     return {
         "kind": space.kind,
         "s": space.twist.s,
@@ -129,11 +121,9 @@ def _assemble(
     command: str,
     inputs: dict[str, str],
     violations: list[dict[str, Any]],
-    spaces: list[dict[str, Any]] | None = None,
-    battery: list[dict[str, Any]] | None = None,
-    details: dict[str, Any] | None = None,
+    sections: Mapping[str, Any],
 ) -> dict[str, Any]:
-    battery_ok = battery is None or all(line["passed"] for line in battery)
+    battery_ok = all(line["passed"] for line in sections.get("battery", []))
     doc: dict[str, Any] = {
         "tool_version": __version__,
         "command": command,
@@ -141,12 +131,9 @@ def _assemble(
         "passed": not violations and battery_ok,
         "violations": violations,
     }
-    if spaces is not None:
-        doc["spaces"] = spaces
-    if battery is not None:
-        doc["battery"] = battery
-    if details is not None:
-        doc["details"] = details
+    for key in ("spaces", "battery", "details"):
+        if key in sections:
+            doc[key] = sections[key]
     return doc
 
 
@@ -177,18 +164,21 @@ def _emit_report(doc: dict[str, Any], as_json: bool) -> int:
                 print(f"  FAIL {line['claim_id']} (s={line['s']}, r={line['r']}){cross}")
         for key, value in doc.get("details", {}).items():
             print(f"{key}: {value}")
-    battery_ok = all(line["passed"] for line in doc.get("battery", []))
-    return 0 if not doc["violations"] and battery_ok else 1
+    return 0 if doc["passed"] else 1
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+class _Result(NamedTuple):
+    """What a subcommand found: the report whose violations are listed, the
+    extra report sections (``spaces``, ``battery``, ``details``) and the
+    document ``-o`` writes, if the subcommand builds one."""
+
+    report: CheckReport
+    sections: Mapping[str, Any] = MappingProxyType({})
+    document: str | None = None
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    spec = parse_algebra(text)
+def _check(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    spec = parse_algebra(texts["algebra"])
     checks: list[str] = []
     report = CheckReport()
     if args.hom:
@@ -200,224 +190,207 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not checks:
         checks.append("bihom")
         report = check_bihom(spec)
-    doc = _assemble(
-        "check",
-        {"algebra": _digest(text)},
-        _violations_json(report),
-        details={"checks": checks},
-    )
-    return _emit_report(doc, args.json)
+    return _Result(report, {"details": {"checks": checks}})
 
 
-_SPACE_BUILDERS = {
-    "D": lambda spec, t, koszul: derivation_space(spec, t, koszul),
-    "QD": lambda spec, t, koszul: quasiderivation_space(spec, t),
-    "GD": lambda spec, t, koszul: generalized_derivation_space(spec, t),
-    "ZD": lambda spec, t, koszul: central_derivation_space(spec, t),
-    "C": lambda spec, t, koszul: centroid(spec, t),
-    "QC": lambda spec, t, koszul: quasicentroid(spec, t),
-}
-
-
-def _cmd_spaces(args: argparse.Namespace) -> int:
+def _spaces_usage(args: argparse.Namespace) -> None:
     if args.koszul and args.space != "D":
         raise InputError(f"--koszul applies only to --space D, not {args.space}")
-    text = _read_input(args.algebra)
-    spec = parse_algebra(text)
-    space = _SPACE_BUILDERS[args.space](spec, TwistPower(args.s, args.r), args.koszul)
-    doc = _assemble(
-        "spaces",
-        {"algebra": _digest(text)},
-        [],
-        spaces=[_space_json(space, args.grade)],
-    )
-    return _emit_report(doc, args.json)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    spec = parse_algebra(text)
+def _spaces(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    spec = parse_algebra(texts["algebra"])
+    space = _build_space(args.space, spec, TwistPower(args.s, args.r), args.koszul)
+    return _Result(CheckReport(), {"spaces": [_space_json(space, args.grade)]})
+
+
+def _verify(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    spec = parse_algebra(texts["algebra"])
     base = check_bihom(spec)
-    battery_json = None
-    details = None
-    if base.passed:
-        battery_json = _battery_json(proposition_battery(spec, args.max_power))
-    else:
-        details = {"battery_skipped": True}
-    doc = _assemble(
-        "verify",
-        {"algebra": _digest(text)},
-        _violations_json(base),
-        battery=battery_json,
-        details=details,
-    )
-    return _emit_report(doc, args.json)
+    if not base.passed:
+        return _Result(base, {"details": {"battery_skipped": True}})
+    return _Result(base, {"battery": _battery_json(proposition_battery(spec, args.max_power))})
 
 
-def _cmd_twist(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    map_text = _read_input(args.map)
-    spec = parse_algebra(text)
-    l = LinearMap.square(spec.basis, parse_map(map_text))
-    result = yau_twist(spec, l)
-    _write_output(args.output, emit_algebra(result.twisted))
-    doc = _assemble(
-        "twist",
-        {"algebra": _digest(text), "map": _digest(map_text)},
-        _violations_json(result.report),
-        details={"constants_match": result.constants_match},
-    )
-    return _emit_report(doc, args.json)
+def _twist(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    spec = parse_algebra(texts["algebra"])
+    result = yau_twist(spec, LinearMap.square(spec.basis, parse_map(texts["map"])))
+    details = {"constants_match": result.constants_match}
+    return _Result(result.report, {"details": details}, emit_algebra(result.twisted))
 
 
-def _cmd_dsum(args: argparse.Namespace) -> int:
-    text_a = _read_input(args.algebra)
-    text_b = _read_input(args.algebra_b)
-    out = direct_sum(parse_algebra(text_a), parse_algebra(text_b))
+def _dsum(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    out = direct_sum(parse_algebra(texts["algebra"]), parse_algebra(texts["algebra_b"]))
     report = check_bihom(out) if out.xi is not None else check_hom(out)
-    _write_output(args.output, emit_algebra(out))
-    doc = _assemble(
-        "dsum",
-        {"algebra": _digest(text_a), "algebra_b": _digest(text_b)},
-        _violations_json(report),
-        details={"dimension": out.dimension},
-    )
-    return _emit_report(doc, args.json)
+    return _Result(report, {"details": {"dimension": out.dimension}}, emit_algebra(out))
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    text_a = _read_input(args.algebra)
-    text_b = _read_input(args.algebra_b)
-    map_text = _read_input(args.map)
-    a = parse_algebra(text_a)
-    b = parse_algebra(text_b)
-    pi = LinearMap.between(a.basis, b.basis, parse_map(map_text))
-    result = graph_subalgebra_check(a, b, pi)
-    doc = _assemble(
-        "graph",
-        {"algebra": _digest(text_a), "algebra_b": _digest(text_b), "map": _digest(map_text)},
-        _violations_json(result.morphism_report),
-        details={
-            "is_subalgebra": result.is_subalgebra,
-            "is_morphism": result.is_morphism,
-        },
-    )
-    return _emit_report(doc, args.json)
+def _algebras_and_map(texts: dict[str, str]) -> tuple[TrialgebraSpec, TrialgebraSpec, LinearMap]:
+    a = parse_algebra(texts["algebra"])
+    b = parse_algebra(texts["algebra_b"])
+    return a, b, LinearMap.between(a.basis, b.basis, parse_map(texts["map"]))
 
 
-def _cmd_morphism(args: argparse.Namespace) -> int:
-    text_a = _read_input(args.algebra)
-    text_b = _read_input(args.algebra_b)
-    map_text = _read_input(args.map)
-    src = parse_algebra(text_a)
-    dst = parse_algebra(text_b)
-    pi = LinearMap.between(src.basis, dst.basis, parse_map(map_text))
-    report = check_morphism(src, dst, pi)
-    doc = _assemble(
-        "morphism",
-        {"algebra": _digest(text_a), "algebra_b": _digest(text_b), "map": _digest(map_text)},
-        _violations_json(report),
-    )
-    return _emit_report(doc, args.json)
+def _graph(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    result = graph_subalgebra_check(*_algebras_and_map(texts))
+    details = {"is_subalgebra": result.is_subalgebra, "is_morphism": result.is_morphism}
+    return _Result(result.morphism_report, {"details": details})
 
 
-def _cmd_rb(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    map_text = _read_input(args.map)
+def _morphism(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    return _Result(check_morphism(*_algebras_and_map(texts)))
+
+
+def _rb_usage(args: argparse.Namespace) -> None:
+    if args.induce and args.literal:
+        raise InputError("--literal applies only without --induce")
+    if args.output is not None and not args.induce:
+        raise InputError("-o applies only with --induce")
+
+
+def _rb(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     weight = parse_rational(args.weight, "weight")
-    matrix = parse_map(map_text)
-    inputs = {"algebra": _digest(text), "map": _digest(map_text)}
+    matrix = parse_map(texts["map"])
     if args.induce:
-        alg = parse_superalgebra(text)
+        alg = parse_superalgebra(texts["algebra"])
         result = rota_baxter_induce(alg, LinearMap.square(alg.basis, matrix), weight)
-        _write_output(args.output, emit_algebra(result.spec))
-        doc = _assemble(
-            "rb",
-            inputs,
-            _violations_json(result.report),
-            details={"weight": rational_str(weight), "induced": True},
-        )
-    else:
-        spec = parse_algebra(text)
-        report = rota_baxter_check(spec, LinearMap.square(spec.basis, matrix), weight, args.literal)
-        doc = _assemble(
-            "rb",
-            inputs,
-            _violations_json(report),
-            details={"weight": rational_str(weight), "literal": args.literal},
-        )
-    return _emit_report(doc, args.json)
+        details = {"weight": rational_str(weight), "induced": True}
+        return _Result(result.report, {"details": details}, emit_algebra(result.spec))
+    spec = parse_algebra(texts["algebra"])
+    report = rota_baxter_check(spec, LinearMap.square(spec.basis, matrix), weight, args.literal)
+    return _Result(report, {"details": {"weight": rational_str(weight), "literal": args.literal}})
 
 
-def _cmd_avg(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    map_text = _read_input(args.map)
-    spec = parse_algebra(text)
-    report = averaging_check(spec, LinearMap.square(spec.basis, parse_map(map_text)))
-    doc = _assemble(
-        "avg",
-        {"algebra": _digest(text), "map": _digest(map_text)},
-        _violations_json(report),
-    )
-    return _emit_report(doc, args.json)
+def _avg(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    spec = parse_algebra(texts["algebra"])
+    return _Result(averaging_check(spec, LinearMap.square(spec.basis, parse_map(texts["map"]))))
 
 
-def _cmd_sum_product(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    result = sum_product_construct(parse_algebra(text))
-    _write_output(args.output, emit_algebra(result.spec))
-    doc = _assemble(
-        "sum-product",
-        {"algebra": _digest(text)},
-        _violations_json(result.report),
-    )
-    return _emit_report(doc, args.json)
+def _sum_product(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    result = sum_product_construct(parse_algebra(texts["algebra"]))
+    return _Result(result.report, document=emit_algebra(result.spec))
 
 
-def _cmd_commutator(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    result = commutator_construct(parse_algebra(text))
-    _write_output(args.output, emit_bracket_pair(result.pair))
-    doc = _assemble(
-        "commutator",
-        {"algebra": _digest(text)},
-        _violations_json(result.leibniz),
-    )
-    return _emit_report(doc, args.json)
+def _commutator(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    result = commutator_construct(parse_algebra(texts["algebra"]))
+    return _Result(result.leibniz, document=emit_bracket_pair(result.pair))
 
 
-def _cmd_total_product(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    result = total_product_construct(parse_algebra(text))
-    _write_output(args.output, emit_superalgebra(result.alg))
-    doc = _assemble(
-        "total-product",
-        {"algebra": _digest(text)},
-        _violations_json(result.report),
-    )
-    return _emit_report(doc, args.json)
+def _total_product(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    result = total_product_construct(parse_algebra(texts["algebra"]))
+    return _Result(result.report, document=emit_superalgebra(result.alg))
 
 
-def _cmd_swap(args: argparse.Namespace) -> int:
-    text = _read_input(args.algebra)
-    result = swap_construct(parse_algebra(text))
-    _write_output(args.output, emit_algebra(result.swapped))
-    doc = _assemble(
-        "swap",
-        {"algebra": _digest(text)},
-        _violations_json(result.report),
-        details={
-            "hypothesis_holds": result.hypothesis_holds,
-            "swapped_passes": result.swapped_passes,
-        },
-    )
+def _swap(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    result = swap_construct(parse_algebra(texts["algebra"]))
+    details = {"hypothesis_holds": result.hypothesis_holds, "swapped_passes": result.swapped_passes}
+    return _Result(result.report, {"details": details}, emit_algebra(result.swapped))
+
+
+_Argument = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _arg(*flags: str, **kwargs: Any) -> _Argument:
+    return flags, kwargs
+
+
+_ALGEBRA = _arg("algebra")
+_ALGEBRA_B = _arg("algebra_b")
+_MAP = _arg("--map", required=True)
+_ALGEBRAS_AND_MAP = (_ALGEBRA, _ALGEBRA_B, _MAP)
+_JSON = _arg("--json", action="store_true", help="emit a JSON report on stdout")
+_OUTPUT = _arg("-o", "--output", metavar="FILE", help="write the constructed algebra here")
+
+
+class _Command(NamedTuple):
+    """One subcommand: the run function, the documents it reads (in reading
+    order), its other arguments, whether it takes ``-o``, and a check that
+    rejects flag combinations before any document is read."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace, dict[str, str]], _Result]
+    documents: tuple[_Argument, ...] = (_ALGEBRA,)
+    arguments: tuple[_Argument, ...] = ()
+    output: bool = False
+    usage: Callable[[argparse.Namespace], None] | None = None
+
+
+_COMMANDS = (
+    _Command(
+        "check",
+        "run an axiom system on an algebra document",
+        _check,
+        (_arg("algebra", help="algebra document, or - for stdin"),),
+        (
+            _arg("--hom", action="store_true", help="check the single-twist axiom system"),
+            _arg("--multiplicative", action="store_true", help="check endomorphism identities"),
+        ),
+    ),
+    _Command(
+        "spaces",
+        "compute one operator space",
+        _spaces,
+        arguments=(
+            _arg("--space", required=True, choices=SPACE_KINDS),
+            _arg("--s", required=True, type=int),
+            _arg("--r", required=True, type=int),
+            _arg("--koszul", action="store_true", help="signed Leibniz rule for odd maps"),
+            _arg("--grade", choices=("even", "odd", "all"), default="all"),
+        ),
+        usage=_spaces_usage,
+    ),
+    _Command(
+        "verify",
+        "run the proposition battery",
+        _verify,
+        arguments=(_arg("--max-power", type=int, default=1, dest="max_power"),),
+    ),
+    _Command("twist", "conjugate by an invertible even map", _twist, (_ALGEBRA, _MAP), output=True),
+    _Command("dsum", "direct sum of two algebras", _dsum, (_ALGEBRA, _ALGEBRA_B), output=True),
+    _Command("graph", "graph closure in the direct sum versus morphism", _graph, _ALGEBRAS_AND_MAP),
+    _Command("morphism", "check a map between two algebras", _morphism, _ALGEBRAS_AND_MAP),
+    _Command(
+        "rb",
+        "Rota-Baxter check, or induce a trialgebra with --induce",
+        _rb,
+        (_ALGEBRA, _MAP),
+        (
+            _arg("--weight", required=True),
+            _arg("--literal", action="store_true", help="use the crossed identities"),
+            _arg("--induce", action="store_true", help="treat input as a superalgebra and induce"),
+        ),
+        output=True,
+        usage=_rb_usage,
+    ),
+    _Command("avg", "averaging-operator check", _avg, (_ALGEBRA, _MAP)),
+    _Command("sum-product", "replace right with right + perp", _sum_product, output=True),
+    _Command("commutator", "skew star and bracket with Leibniz check", _commutator, output=True),
+    _Command("total-product", "sum all three products into one", _total_product, output=True),
+    _Command("swap", "exchange the two structure maps", _swap, output=True),
+)
+
+
+def _drive(command: _Command, args: argparse.Namespace) -> int:
+    """Read the documents, run the subcommand, write ``-o`` and report."""
+    if command.usage is not None:
+        command.usage(args)
+    names = [flags[0].lstrip("-") for flags, _ in command.documents]
+    texts = {name: _read_input(getattr(args, name)) for name in names}
+    result = command.run(args, texts)
+    if result.document is not None and args.output is not None:
+        Path(args.output).write_text(result.document, encoding="utf-8")
+    inputs = {name: _digest(text) for name, text in texts.items()}
+    doc = _assemble(command.name, inputs, _violations_json(result.report), result.sections)
     return _emit_report(doc, args.json)
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     if args.name is None:
+        if args.output is not None:
+            raise InputError("-o applies only with a fixture name")
         if args.json:
-            doc = _assemble("fixtures", {}, [], details={"fixtures": list(FIXTURE_NAMES)})
+            doc = _assemble("fixtures", {}, [], {"details": {"fixtures": list(FIXTURE_NAMES)}})
             print(json.dumps(doc, indent=2))
         else:
             for name in FIXTURE_NAMES:
@@ -425,18 +398,10 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         return 0
     document = emit_algebra(builtin(args.name))
     if args.output is not None:
-        _write_output(args.output, document)
+        Path(args.output).write_text(document, encoding="utf-8")
     else:
         sys.stdout.write(document)
     return 0
-
-
-def _add_json(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-
-
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-o", "--output", metavar="FILE", help="write the constructed algebra here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,101 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("check", help="run an axiom system on an algebra document")
-    p.add_argument("algebra", help="algebra document, or - for stdin")
-    p.add_argument("--hom", action="store_true", help="check the single-twist axiom system")
-    p.add_argument("--multiplicative", action="store_true", help="check endomorphism identities")
-    _add_json(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("spaces", help="compute one operator space")
-    p.add_argument("algebra")
-    p.add_argument("--space", required=True, choices=SPACE_KINDS)
-    p.add_argument("--s", required=True, type=int)
-    p.add_argument("--r", required=True, type=int)
-    p.add_argument("--koszul", action="store_true", help="signed Leibniz rule for odd maps")
-    p.add_argument("--grade", choices=("even", "odd", "all"), default="all")
-    _add_json(p)
-    p.set_defaults(func=_cmd_spaces)
-
-    p = sub.add_parser("verify", help="run the proposition battery")
-    p.add_argument("algebra")
-    p.add_argument("--max-power", type=int, default=1, dest="max_power")
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("twist", help="conjugate by an invertible even map")
-    p.add_argument("algebra")
-    p.add_argument("--map", required=True)
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_twist)
-
-    p = sub.add_parser("dsum", help="direct sum of two algebras")
-    p.add_argument("algebra")
-    p.add_argument("algebra_b")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_dsum)
-
-    p = sub.add_parser("graph", help="graph closure in the direct sum versus morphism")
-    p.add_argument("algebra")
-    p.add_argument("algebra_b")
-    p.add_argument("--map", required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("morphism", help="check a map between two algebras")
-    p.add_argument("algebra")
-    p.add_argument("algebra_b")
-    p.add_argument("--map", required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_morphism)
-
-    p = sub.add_parser("rb", help="Rota-Baxter check, or induce a trialgebra with --induce")
-    p.add_argument("algebra")
-    p.add_argument("--map", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--literal", action="store_true", help="use the crossed identities")
-    p.add_argument("--induce", action="store_true", help="treat input as a superalgebra and induce")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_rb)
-
-    p = sub.add_parser("avg", help="averaging-operator check")
-    p.add_argument("algebra")
-    p.add_argument("--map", required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_avg)
-
-    p = sub.add_parser("sum-product", help="replace right with right + perp")
-    p.add_argument("algebra")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_sum_product)
-
-    p = sub.add_parser("commutator", help="skew star and bracket with Leibniz check")
-    p.add_argument("algebra")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_commutator)
-
-    p = sub.add_parser("total-product", help="sum all three products into one")
-    p.add_argument("algebra")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_total_product)
-
-    p = sub.add_parser("swap", help="exchange the two structure maps")
-    p.add_argument("algebra")
-    _add_json(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_swap)
+    for command in _COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        common = (_JSON, _OUTPUT) if command.output else (_JSON,)
+        for flags, kwargs in command.documents + command.arguments + common:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=functools.partial(_drive, command))
 
     p = sub.add_parser("fixtures", help="list fixtures or export one")
-    p.add_argument("name", nargs="?", default=None)
-    _add_json(p)
-    _add_output(p)
+    for flags, kwargs in (_arg("name", nargs="?", default=None), _JSON, _OUTPUT):
+        p.add_argument(*flags, **kwargs)
     p.set_defaults(func=_cmd_fixtures)
 
     return parser
@@ -552,16 +432,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except AlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

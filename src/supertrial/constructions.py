@@ -35,7 +35,7 @@ from .errors import (
     ParityError,
     SingularMapError,
 )
-from .linalg import Matrix, RationalLike, Vector, frac, invert, solve_in_span, unit_vector
+from .linalg import Matrix, RationalLike, Vector, frac, invert, unit_vector
 
 _ZERO = Fraction(0)
 
@@ -145,6 +145,22 @@ def _twisted_tensor(tensor: StructureTensor, l: Matrix, linv: Matrix) -> Structu
     return _tensor_of(tensor.dim, lambda i, j: l.apply(tensor.bilinear(linv.col(i), linv.col(j))))
 
 
+def _conjugated(spec: TrialgebraSpec, l: LinearMap) -> tuple[TrialgebraSpec, Matrix]:
+    """The spec conjugated by the invertible even map ``l``, and l^-1."""
+    xi = spec.require_xi()
+    _require_even(l, spec.dimension, "twist map")
+    linv = invert(l.matrix)
+    twisted = replace(
+        spec,
+        left=_twisted_tensor(spec.left, l.matrix, linv),
+        right=_twisted_tensor(spec.right, l.matrix, linv),
+        perp=_twisted_tensor(spec.perp, l.matrix, linv),
+        gamma=LinearMap.square(spec.basis, l.matrix @ spec.gamma.matrix @ linv),
+        xi=LinearMap.square(spec.basis, l.matrix @ xi.matrix @ linv),
+    )
+    return twisted, linv
+
+
 def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
     """Conjugate all three products and both structure maps by an invertible even map.
 
@@ -152,31 +168,17 @@ def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
     l gamma l^-1 and l xi l^-1.  ``constants_match`` re-derives the structure
     constants in the basis {l(e_k)} and compares them with the originals.
     """
-    xi = spec.require_xi()
-    n = spec.dimension
-    _require_even(l, n, "twist map")
-    linv = invert(l.matrix)
-
-    new_gamma = LinearMap.square(spec.basis, l.matrix @ spec.gamma.matrix @ linv)
-    new_xi = LinearMap.square(spec.basis, l.matrix @ xi.matrix @ linv)
-    twisted = replace(
-        spec,
-        left=_twisted_tensor(spec.left, l.matrix, linv),
-        right=_twisted_tensor(spec.right, l.matrix, linv),
-        perp=_twisted_tensor(spec.perp, l.matrix, linv),
-        gamma=new_gamma,
-        xi=new_xi,
-    )
+    twisted, linv = _conjugated(spec, l)
 
     # Primed products are the twisted ones: l^-1(l(e_i) o' l(e_j)) = e_i o e_j.
     ops = {**_named(spec), **_named(twisted, "'"), "l": l.matrix, "linv": linv}
     rows = tuple((tag, ("linv", (tag + "'", ("l", 0), ("l", 1))), (tag, 0, 1)) for tag in PRODUCT_TAGS)
-    match = _sweep(n, 2, ops, rows).passed
+    match = _sweep(spec.dimension, 2, ops, rows).passed
 
     return TwistResult(
         twisted=twisted,
-        conjugated_gamma=new_gamma,
-        conjugated_xi=new_xi,
+        conjugated_gamma=twisted.gamma,
+        conjugated_xi=twisted.require_xi(),
         constants_match=match,
         report=check_bihom(twisted),
     )
@@ -193,9 +195,9 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
         invert(phi.matrix)
     except SingularMapError as exc:
         raise NotAutomorphismError("phi is not invertible") from exc
-    result = yau_twist(spec, l)
-    conjugated = LinearMap.square(spec.basis, l.matrix @ phi.matrix @ invert(l.matrix))
-    return check_morphism(result.twisted, result.twisted, conjugated)
+    twisted, linv = _conjugated(spec, l)
+    conjugated = LinearMap.square(spec.basis, l.matrix @ phi.matrix @ linv)
+    return check_morphism(twisted, twisted, conjugated)
 
 
 def _offset_tensor(tensor: StructureTensor, offset: int) -> dict[tuple[int, int, int], Fraction]:
@@ -249,13 +251,12 @@ def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearM
             f"got {xi_map.matrix.rows}x{xi_map.matrix.cols}"
         )
     total = direct_sum(a, b)
-    n = total.dimension
-    graph_vectors = [
-        tuple(unit_vector(a.dimension, i)) + xi_map.matrix.col(i) for i in range(a.dimension)
-    ]
+    n = a.dimension
+    graph_vectors = [unit_vector(n, i) + xi_map.matrix.col(i) for i in range(n)]
 
-    def in_graph(v) -> bool:
-        return solve_in_span(graph_vectors, v) is not None
+    def in_graph(v: Vector) -> bool:
+        """(x, y) lies in the graph exactly when y = f(x)."""
+        return xi_map.matrix.apply(v[:n]) == v[n:]
 
     closed = True
     for _, tensor in total.products():

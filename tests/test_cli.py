@@ -313,6 +313,37 @@ class TestConstructiveCommands:
         assert doc["details"] == {"hypothesis_holds": False, "swapped_passes": True}
 
 
+class TestIgnoredFlagCombinations:
+    """Flag combinations that would otherwise be silently ignored exit 2,
+    print nothing on stdout and write no file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["rb", "{super}", "--map", "{neg}", "--weight", "1", "--induce", "--literal"],
+                "--literal applies only without --induce",
+            ),
+            (["rb", "{trial}", "--map", "{neg}", "--weight", "1"], "-o applies only with --induce"),
+            (["fixtures"], "-o applies only with a fixture name"),
+        ],
+        ids=["rb-induce-literal", "rb-output-without-induce", "fixtures-output-without-name"],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv, message):
+        alg = SuperalgebraSpec.build("idem1", [0], {(0, 0, 0): 1}, [[1]], [[1]])
+        paths = {
+            "super": write(tmp_path, "super.json", emit_superalgebra(alg)),
+            "trial": fixture_file(tmp_path, "idem1"),
+            "neg": write(tmp_path, "neg.json", emit_map(Matrix.from_rows([[-1]]))),
+        }
+        out = tmp_path / "out.json"
+        assert main([a.format(**paths) for a in argv] + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestArgumentHandling:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -152,6 +152,25 @@ class TestConjugateAutomorphism:
         with pytest.raises(NotAutomorphismError):
             conjugate_automorphism(spec, identity_map(spec.basis), phi)
 
+    def test_runs_no_axiom_check_on_the_twisted_algebra(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("check_bihom must not run")
+
+        monkeypatch.setattr("supertrial.constructions.check_bihom", refuse)
+        spec = builtin("dual2")
+        l = square_map(spec, [[1, 1], [0, 1]])
+        phi = square_map(spec, [[1, 0], [0, 3]])
+        assert conjugate_automorphism(spec, l, phi).passed
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[1, 0], [0, 0]]], ids=["odd", "singular"])
+    def test_bad_twist_map_fails_as_in_yau_twist(self, rows):
+        spec = builtin("grassmann2")
+        l = square_map(spec, rows)
+        with pytest.raises((ParityError, SingularMapError)) as expected:
+            yau_twist(spec, l)
+        with pytest.raises(expected.type, match=f"^{expected.value}$"):
+            conjugate_automorphism(spec, l, identity_map(spec.basis))
+
 
 class TestDirectSum:
     def test_blocks_do_not_interact(self):
@@ -203,6 +222,15 @@ class TestGraphCheck:
         pi = LinearMap.between(src.basis, dst.basis, Matrix.from_rows([[1, 0]]))
         res = graph_subalgebra_check(src, dst, pi)
         assert res.is_subalgebra and res.is_morphism
+
+    @pytest.mark.parametrize("scale, verdict", [(1, True), (2, False)])
+    def test_rectangular_graph_with_twisted_maps(self, scale, verdict):
+        src = builtin("dual2-twisted")
+        dst = direct_sum(src, builtin("idem1"))
+        matrix = Matrix.from_rows([[scale, 0], [0, scale], [0, 0]])
+        res = graph_subalgebra_check(src, dst, LinearMap.between(src.basis, dst.basis, matrix))
+        assert res.is_subalgebra is verdict
+        assert res.is_morphism is verdict
 
     def test_shape_guard(self):
         src, dst = builtin("dual2"), builtin("idem1")
