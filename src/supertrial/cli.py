@@ -396,6 +396,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
             for name in FIXTURE_NAMES:
                 print(name)
         return 0
+    if args.json:
+        raise InputError("--json applies only without a fixture name")
     document = emit_algebra(builtin(args.name))
     if args.output is not None:
         Path(args.output).write_text(document, encoding="utf-8")

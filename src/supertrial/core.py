@@ -22,13 +22,13 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, Uni
 
 from .errors import InputError, ModeError, ParityError
 from .linalg import (
+    Echelon,
     Matrix,
     RationalLike,
     Vector,
     add_vectors,
     canonical_span,
     frac,
-    nullspace_basis,
     scale_vector,
     unit_vector,
     zero_vector,
@@ -553,29 +553,21 @@ def center(spec: TrialgebraSpec) -> tuple[Vector, ...]:
     xi = spec.require_xi()
     n = spec.dimension
     m = spec.gamma.matrix @ xi.matrix
-    rows: list[list[Fraction]] = []
+    system = Echelon()
     for _, tensor in spec.products():
         for j in range(n):
             for k in range(n):
-                row_l = [_ZERO] * n
-                row_r = [_ZERO] * n
+                row_l: dict[int, Fraction] = {}
+                row_r: dict[int, Fraction] = {}
                 for col in range(n):
-                    acc_l = _ZERO
-                    acc_r = _ZERO
                     for i in range(n):
                         mi = m.entry(i, col)
                         if mi:
-                            acc_l += mi * tensor.coefficient(i, j, k)
-                            acc_r += mi * tensor.coefficient(j, i, k)
-                    row_l[col] = acc_l
-                    row_r[col] = acc_r
-                if any(row_l):
-                    rows.append(row_l)
-                if any(row_r):
-                    rows.append(row_r)
-    if not rows:
-        return tuple(nullspace_basis(Matrix.zero(0, n)))
-    return tuple(nullspace_basis(Matrix.from_rows(rows)))
+                            row_l[col] = row_l.get(col, _ZERO) + mi * tensor.coefficient(i, j, k)
+                            row_r[col] = row_r.get(col, _ZERO) + mi * tensor.coefficient(j, i, k)
+                system.add(row_l)
+                system.add(row_r)
+    return tuple(system.kernel(n))
 
 
 def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
@@ -592,23 +584,14 @@ def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> t
         return ()
     m = spec.gamma.matrix @ xi.matrix
     images = [m.apply(v) for v in vecs]
-    rows: list[list[Fraction]] = []
+    system = Echelon()
     for _, tensor in spec.products():
         for a in vecs:
             for k in range(n):
-                row_l = []
-                row_r = []
-                for img in images:
-                    row_l.append(tensor.bilinear(img, a)[k])
-                    row_r.append(tensor.bilinear(a, img)[k])
-                if any(row_l):
-                    rows.append(row_l)
-                if any(row_r):
-                    rows.append(row_r)
-    coeff_matrix = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(vecs))
-    solutions = nullspace_basis(coeff_matrix)
+                system.add([tensor.bilinear(img, a)[k] for img in images])
+                system.add([tensor.bilinear(a, img)[k] for img in images])
     members = []
-    for coeffs in solutions:
+    for coeffs in system.kernel(len(vecs)):
         u = zero_vector(n)
         for c, v in zip(coeffs, vecs):
             u = add_vectors(u, tuple(c * comp for comp in v))

@@ -1,10 +1,22 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Every axiom check and operator-space computation in this package reduces to
 the primitives implemented here: reduced row echelon form, kernels in a fixed
 canonical shape, span membership, and matrix inversion.  All arithmetic uses
 ``fractions.Fraction``, so results are exact and equality decisions never
 involve tolerances.
+
+All elimination goes through one kernel, ``Echelon``: a sparse incremental
+echelon whose rows are ``{column: value}`` dicts.  Constraint systems are
+sparse and mostly redundant, so most incoming rows reduce to zero against a
+few pivots.  The pivot rows are kept fully reduced (zero in every other
+pivot column) rather than only triangular: a dependent row then clears in
+one pass over the pivots it touches, entries stay small, and the rows held
+are always the canonical RREF with no back-substitution at the end.  A
+semi-echelon that defers that back-substitution lets coefficients grow in
+the unreduced rows and was several times slower on the operator-space
+systems.  ``Matrix`` stays a small dense type for maps: products, powers
+and application.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError, SingularMapError
 
@@ -23,6 +35,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 RationalLike = Union[int, str, Fraction]
+# A row given sparsely as {column: value} or densely as a sequence.
+Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
 
 # The one rational string grammar: 'p' or 'p/q', surrounding blanks allowed.
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -198,84 +212,138 @@ class Matrix:
             )
 
 
+class Echelon:
+    """Reduced row echelon form of a row space, grown one sparse row at a time.
+
+    Pivot rows are sparse ``{column: value}`` dicts with a leading 1, and
+    every pivot row is kept fully reduced: it is zero in every other pivot
+    column.  An incoming row is therefore reduced by one pass over the pivot
+    columns it touches, and the rows held are always the unique RREF of the
+    span, whatever order the rows arrived in.  Rows may be dicts or dense
+    sequences; zero entries are ignored.
+    """
+
+    def __init__(self, rows: Iterable[Row] = ()) -> None:
+        # pivot column -> the pivot row without its leading 1
+        self._tails: dict[int, dict[int, Fraction]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self._tails)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._tails))
+
+    def reduce(self, row: Row) -> dict[int, Fraction]:
+        """The remainder of ``row`` after clearing every pivot column."""
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        out = {c: v for c, v in items if v}
+        tails = self._tails
+        for p in [c for c in out if c in tails]:
+            _add_multiple(out, -out.pop(p), tails[p])
+        return out
+
+    def contains(self, row: Row) -> bool:
+        return not self.reduce(row)
+
+    def add(self, row: Row) -> bool:
+        """Add a row to the span; True if it raised the rank."""
+        rest = self.reduce(row)
+        if not rest:
+            return False
+        col = min(rest)
+        # Dividing by a Fraction also makes every entry of an int row exact.
+        lead = Fraction(rest.pop(col))
+        rest = {c: v / lead for c, v in rest.items()}
+        for tail in self._tails.values():
+            f = tail.pop(col, None)
+            if f is not None:
+                _add_multiple(tail, -f, rest)
+        self._tails[col] = rest
+        return True
+
+    def rows(self) -> list[dict[int, Fraction]]:
+        """The nonzero RREF rows in pivot order."""
+        return [{p: _ONE, **self._tails[p]} for p in self.pivots]
+
+    def kernel(self, ncols: int) -> list[Vector]:
+        """Canonical kernel basis over ``ncols`` columns, by free column.
+
+        Each free column yields one vector carrying 1 in that coordinate,
+        0 in every other free coordinate, and the negated reduced column in
+        the pivot coordinates.  Because the RREF is unique, any two systems
+        with the same kernel produce the same basis.
+        """
+        basis = []
+        for free in range(ncols):
+            if free in self._tails:
+                continue
+            v = [_ZERO] * ncols
+            v[free] = _ONE
+            for p, tail in self._tails.items():
+                v[p] = -tail.get(free, _ZERO)
+            basis.append(tuple(v))
+        return basis
+
+
+def _add_multiple(row: dict[int, Fraction], f: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row += f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        if c in row:
+            x = row[c] + f * v
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+        else:
+            row[c] = f * v
+
+
+def _dense(row: Mapping[int, Fraction], ncols: int) -> Vector:
+    return tuple(row.get(c, _ZERO) for c in range(ncols))
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form.
 
     Returns:
         A pair ``(reduced, pivot_columns)``.  The reduced matrix has leading
-        ones, zeros above and below each pivot, and pivot columns listed in
-        increasing order.  The form is the unique RREF of the row space, so
-        it is deterministic regardless of row order in the input.
+        ones, zeros above and below each pivot, pivot columns listed in
+        increasing order, and its zero rows last.  The form is the unique
+        RREF of the row space, so it is deterministic regardless of row
+        order in the input.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    pr = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for r in range(pr, m.rows):
-            if rows[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pv = rows[pr][col]
-        if pv != 1:
-            rows[pr] = [x / pv for x in rows[pr]]
-        for r in range(m.rows):
-            if r != pr and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == m.rows:
-            break
-    flat = tuple(v for row in rows for v in row)
-    return Matrix(m.rows, m.cols, flat), tuple(pivots)
+    ech = Echelon(m.row(i) for i in range(m.rows))
+    flat = [v for row in ech.rows() for v in _dense(row, m.cols)]
+    flat += [_ZERO] * (m.rows * m.cols - len(flat))
+    return Matrix(m.rows, m.cols, tuple(flat)), ech.pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(Echelon(m.row(i) for i in range(m.rows)))
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:
-    """Canonical kernel basis from the free columns of the RREF.
-
-    Each free column yields one basis vector carrying 1 in that coordinate,
-    0 in every other free coordinate, and the negated reduced column in the
-    pivot coordinates.  Vectors are ordered by free-column index.  Because
-    the RREF is unique, any two matrices with the same kernel produce the
-    same basis.
-    """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced.entry(i, free)
-        basis.append(tuple(v))
-    return basis
+    """Canonical kernel basis from the free columns of the RREF (see
+    ``Echelon.kernel``); vectors are ordered by free-column index."""
+    return Echelon(m.row(i) for i in range(m.rows)).kernel(m.cols)
 
 
 def canonical_span(vectors: Iterable[Sequence[Fraction]], dim: int) -> tuple[Vector, ...]:
     """Canonical basis of the span of the given vectors.
 
-    Stacks the vectors as rows, reduces, and returns the nonzero RREF rows.
-    The result depends only on the spanned subspace, so equal subspaces give
+    Returns the nonzero RREF rows of the vectors stacked as rows.  The
+    result depends only on the spanned subspace, so equal subspaces give
     identical bases.
     """
-    rows = [tuple(v) for v in vectors]
-    for row in rows:
-        if len(row) != dim:
-            raise InputError(f"span vector has length {len(row)}, expected {dim}")
-    if not rows:
-        return ()
-    reduced, pivots = rref(Matrix.from_rows(rows))
-    return tuple(reduced.row(i) for i in range(len(pivots)))
+    ech = Echelon()
+    for v in vectors:
+        if len(v) != dim:
+            raise InputError(f"span vector has length {len(v)}, expected {dim}")
+        ech.add(v)
+    return tuple(_dense(row, dim) for row in ech.rows())
 
 
 def solve_in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction] | None:
@@ -290,15 +358,12 @@ def solve_in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction
     for b in basis:
         if len(b) != len(tgt):
             raise InputError("span basis vectors must match the target length")
-    if cols == 0:
-        return [] if all(a == 0 for a in tgt) else None
-    aug_rows = [[basis[c][r] for c in range(cols)] + [tgt[r]] for r in range(len(tgt))]
-    reduced, pivots = rref(Matrix.from_rows(aug_rows))
-    if cols in pivots:
+    ech = Echelon([b[r] for b in basis] + [tgt[r]] for r in range(len(tgt)))
+    if cols in ech.pivots:
         return None
     coeffs = [_ZERO] * cols
-    for i, p in enumerate(pivots):
-        coeffs[p] = reduced.entry(i, cols)
+    for p, row in zip(ech.pivots, ech.rows()):
+        coeffs[p] = row.get(cols, _ZERO)
     return coeffs
 
 
@@ -311,9 +376,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise InputError("only square matrices can be inverted")
     n = m.rows
-    aug_rows = [list(m.row(i)) + [_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(Matrix.from_rows(aug_rows))
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+    ech = Echelon({**dict(enumerate(m.row(i))), n + i: _ONE} for i in range(n))
+    if ech.pivots != tuple(range(n)):
         raise SingularMapError(f"{n}x{n} matrix is singular")
-    flat = tuple(reduced.entry(i, n + j) for i in range(n) for j in range(n))
-    return Matrix(n, n, flat)
+    rows = ech.rows()
+    return Matrix(n, n, tuple(rows[i].get(n + j, _ZERO) for i in range(n) for j in range(n)))

@@ -21,18 +21,18 @@ inputs always produce bit-identical bases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
 from .errors import InputError, ParityError
-from .linalg import Matrix, Vector, canonical_span, nullspace_basis, solve_in_span, unit_vector
+from .linalg import Echelon, Matrix, Vector, canonical_span, unit_vector
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -125,29 +125,26 @@ def _pattern_positions(parities: Sequence[int], parity: int) -> list[tuple[int, 
     ]
 
 
+def _add_entry(row: dict[int, Fraction], col: int, value: Fraction) -> None:
+    row[col] = row[col] + value if col in row else value
+
+
 def _commutation_rows(
-    other: Matrix, var_of: dict[tuple[int, int], int], total: int, offset: int
-) -> list[list[Fraction]]:
-    """Rows of X @ other - other @ X = 0 over the restricted unknowns."""
+    other: Matrix, var_of: dict[tuple[int, int], int], offset: int
+) -> Iterator[dict[int, Fraction]]:
+    """Sparse rows of X @ other - other @ X = 0 over the restricted unknowns."""
     n = other.rows
-    rows = []
     for k in range(n):
         for l in range(n):
-            row = [_ZERO] * total
+            row: dict[int, Fraction] = {}
             for m in range(n):
                 a = other.entry(m, l)
-                if a:
-                    idx = var_of.get((k, m))
-                    if idx is not None:
-                        row[offset + idx] += a
+                if a and (k, m) in var_of:
+                    _add_entry(row, offset + var_of[(k, m)], a)
                 b = other.entry(k, m)
-                if b:
-                    idx = var_of.get((m, l))
-                    if idx is not None:
-                        row[offset + idx] -= b
-            if any(row):
-                rows.append(row)
-    return rows
+                if b and (m, l) in var_of:
+                    _add_entry(row, offset + var_of[(m, l)], -b)
+            yield row
 
 
 class _TermTables:
@@ -171,125 +168,58 @@ class _TermTables:
             [tensor.bilinear(tcols[a], units[i]) for i in range(n)] for a in range(n)
         ]
 
-    def add_term1(self, row, var_of, offset, a, b, k, sign) -> None:
+    def entries(self, term: int, a: int, b: int, k: int) -> list[tuple[tuple[int, int], Fraction]]:
+        """(unknown position, coefficient) pairs of one term at cell (a, b, k)."""
         n = self.tensor.dim
-        for m in range(n):
-            c = self.tensor.coefficient(a, b, m)
-            if c:
-                idx = var_of.get((k, m))
-                if idx is not None:
-                    row[offset + idx] += sign * c
-
-    def add_term2(self, row, var_of, offset, a, b, k, sign) -> None:
-        n = self.tensor.dim
-        for i in range(n):
-            c = self.right_by_twisted[i][b][k]
-            if c:
-                idx = var_of.get((i, a))
-                if idx is not None:
-                    row[offset + idx] += sign * c
-
-    def add_term3(self, row, var_of, offset, a, b, k, sign) -> None:
-        n = self.tensor.dim
-        for i in range(n):
-            c = self.twisted_by_right[a][i][k]
-            if c:
-                idx = var_of.get((i, b))
-                if idx is not None:
-                    row[offset + idx] += sign * c
+        if term == 1:
+            return [((k, m), self.tensor.coefficient(a, b, m)) for m in range(n)]
+        if term == 2:
+            return [((i, a), self.right_by_twisted[i][b][k]) for i in range(n)]
+        return [((i, b), self.twisted_by_right[a][i][k]) for i in range(n)]
 
 
-def _kind_product_rows(
-    kind: str,
-    tables: "_TermTables",
-    untwisted: "_TermTables",
-    var_of: dict[tuple[int, int], int],
-    total: int,
-    block_size: int,
-    a: int,
-    b: int,
-    k: int,
-    third_sign: Fraction,
-) -> list[list[Fraction]]:
-    """Constraint rows of one kind for a single (pair, coordinate) cell.
-
-    Multi-block kinds place the product term in the partner block: the
-    second block for QD, the third for GD (with the third Leibniz term
-    read off the second block)."""
-    rows: list[list[Fraction]] = []
-    if kind == "D":
-        row = [_ZERO] * total
-        tables.add_term1(row, var_of, 0, a, b, k, _ONE)
-        tables.add_term2(row, var_of, 0, a, b, k, -_ONE)
-        tables.add_term3(row, var_of, 0, a, b, k, -third_sign)
-        rows.append(row)
-    elif kind == "C":
-        for term in ("left", "right"):
-            row = [_ZERO] * total
-            tables.add_term1(row, var_of, 0, a, b, k, _ONE)
-            if term == "left":
-                tables.add_term2(row, var_of, 0, a, b, k, -_ONE)
-            else:
-                tables.add_term3(row, var_of, 0, a, b, k, -_ONE)
-            rows.append(row)
-    elif kind == "QC":
-        row = [_ZERO] * total
-        tables.add_term2(row, var_of, 0, a, b, k, _ONE)
-        tables.add_term3(row, var_of, 0, a, b, k, -_ONE)
-        rows.append(row)
-    elif kind == "ZD":
-        row = [_ZERO] * total
-        tables.add_term1(row, var_of, 0, a, b, k, _ONE)
-        rows.append(row)
-        row = [_ZERO] * total
-        untwisted.add_term2(row, var_of, 0, a, b, k, _ONE)
-        rows.append(row)
-    elif kind == "QD":
-        row = [_ZERO] * total
-        tables.add_term1(row, var_of, block_size, a, b, k, _ONE)
-        tables.add_term2(row, var_of, 0, a, b, k, -_ONE)
-        tables.add_term3(row, var_of, 0, a, b, k, -_ONE)
-        rows.append(row)
-    elif kind == "GD":
-        row = [_ZERO] * total
-        tables.add_term1(row, var_of, 2 * block_size, a, b, k, _ONE)
-        tables.add_term2(row, var_of, 0, a, b, k, -_ONE)
-        tables.add_term3(row, var_of, block_size, a, b, k, -_ONE)
-        rows.append(row)
-    else:
-        raise InputError(f"unknown operator-space kind {kind!r}")
-    return [row for row in rows if any(row)]
+# The constraint rows of each kind at one (pair, coordinate) cell, each a
+# list of (term, block, sign): terms as in _TermTables, term 0 being term 2
+# at T = id; block 1 or 2 is a partner map of QD or GD.  Sign None is the
+# third sign of the D rule, +1 for an odd map on odd e_a under the Koszul
+# rule and -1 otherwise.
+_KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
+    "D": (((1, 0, 1), (2, 0, -1), (3, 0, None)),),
+    "C": (((1, 0, 1), (2, 0, -1)), ((1, 0, 1), (3, 0, -1))),
+    "QC": (((2, 0, 1), (3, 0, -1)),),
+    "ZD": (((1, 0, 1),), ((0, 0, 1),)),
+    "QD": (((1, 1, 1), (2, 0, -1), (3, 0, -1)),),
+    "GD": (((1, 2, 1), (2, 0, -1), (3, 1, -1)),),
+}
 
 
-def _assemble_rows(
+def _product_rows(
     kinds: Sequence[str],
     spec: TrialgebraSpec,
     twist: Matrix,
     parity: int,
-    positions: Sequence[tuple[int, int]],
     var_of: dict[tuple[int, int], int],
-    total: int,
     koszul: bool,
-) -> list[list[Fraction]]:
+) -> Iterator[dict[int, Fraction]]:
+    """Sparse constraint rows of the kinds over every product and cell."""
     n = spec.dimension
+    nv = len(var_of)
     parities = spec.basis.parities
-    rows: list[list[Fraction]] = []
     identity = Matrix.identity(n)
     for _, tensor in spec.products():
-        tables = _TermTables(tensor, twist)
-        untwisted = tables if twist == identity else _TermTables(tensor, identity)
-        for kind in kinds:
-            for a in range(n):
-                third_sign = _ONE
-                if kind == "D" and koszul and parity == 1 and parities[a] == 1:
-                    third_sign = -_ONE
-                for b in range(n):
-                    for k in range(n):
-                        rows += _kind_product_rows(
-                            kind, tables, untwisted, var_of, total,
-                            len(positions), a, b, k, third_sign,
-                        )
-    return rows
+        twisted = _TermTables(tensor, twist)
+        untwisted = twisted if twist == identity else _TermTables(tensor, identity)
+        for kind, a, b, k in itertools.product(kinds, range(n), range(n), range(n)):
+            third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
+            for terms in _KIND_ROWS[kind]:
+                row: dict[int, Fraction] = {}
+                for term, block, sign in terms:
+                    negate = (third if sign is None else sign) < 0
+                    table = untwisted if term == 0 else twisted
+                    for pos, c in table.entries(term or 2, a, b, k):
+                        if c and pos in var_of:
+                            _add_entry(row, block * nv + var_of[pos], -c if negate else c)
+                yield row
 
 
 def _solve_kinds(
@@ -311,38 +241,26 @@ def _solve_kinds(
     if nv == 0:
         return []
     var_of = {pos: idx for idx, pos in enumerate(positions)}
-    blocks = max({"D": 1, "ZD": 1, "C": 1, "QC": 1, "QD": 2, "GD": 3}[kind] for kind in kinds)
+    blocks = 1 + max(block for kind in kinds for terms in _KIND_ROWS[kind] for _, block, _ in terms)
     if blocks > 1 and len(kinds) != 1:
         raise InputError("joint-block kinds cannot be intersected")
-    total = nv * blocks
     xi = spec.require_xi()
 
-    rows: list[list[Fraction]] = []
+    system = Echelon()
     for block in range(blocks):
-        offset = block * nv
-        rows += _commutation_rows(spec.gamma.matrix, var_of, total, offset)
-        rows += _commutation_rows(xi.matrix, var_of, total, offset)
-    rows += _assemble_rows(kinds, spec, twist, parity, positions, var_of, total, koszul)
+        for other in (spec.gamma.matrix, xi.matrix):
+            for row in _commutation_rows(other, var_of, block * nv):
+                system.add(row)
+    for row in _product_rows(kinds, spec, twist, parity, var_of, koszul):
+        system.add(row)
 
-    matrix = Matrix.from_rows(rows) if rows else Matrix.zero(0, total)
-    solutions = nullspace_basis(matrix)
     vectors = []
-    for sol in solutions:
+    for sol in system.kernel(nv * blocks):
         full = [_ZERO] * (n * n)
         for idx, (i, j) in enumerate(positions):
             full[i * n + j] = sol[idx]
         vectors.append(tuple(full))
     return list(canonical_span(vectors, n * n))
-
-
-def _solve_parity(
-    kind: str,
-    spec: TrialgebraSpec,
-    twist: Matrix,
-    parity: int,
-    koszul: bool,
-) -> list[Vector]:
-    return _solve_kinds((kind,), spec, twist, parity, koszul)
 
 
 def _maps_from_vectors(vectors: Iterable[Vector], basis: SuperBasis) -> tuple[LinearMap, ...]:
@@ -357,8 +275,8 @@ def _build_space(kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = 
         raise InputError(f"unknown operator-space kind {kind!r}")
     n = spec.dimension
     twist = t.matrix(spec)
-    even_vecs = _solve_parity(kind, spec, twist, 0, koszul)
-    odd_vecs = _solve_parity(kind, spec, twist, 1, koszul)
+    even_vecs = _solve_kinds((kind,), spec, twist, 0, koszul)
+    odd_vecs = _solve_kinds((kind,), spec, twist, 1, koszul)
     merged = canonical_span(even_vecs + odd_vecs, n * n)
     return OperatorSpace(
         kind=kind,
@@ -426,14 +344,8 @@ def graded_split(space: OperatorSpace, basis: SuperBasis) -> tuple[tuple[LinearM
         if not span:
             out.append(())
             continue
-        rows = []
-        for flat in forbidden:
-            row = [v[flat] for v in span]
-            if any(row):
-                rows.append(row)
-        coeff_matrix = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(span))
         members = []
-        for coeffs in nullspace_basis(coeff_matrix):
+        for coeffs in Echelon([v[flat] for v in span] for flat in forbidden).kernel(len(span)):
             vec = [_ZERO] * (n * n)
             for c, v in zip(coeffs, span):
                 if c:
@@ -459,15 +371,11 @@ def space_contains(outer: OperatorSpace, inner: OperatorSpace) -> ContainmentRes
     """True iff every inner basis map lies in the span of the outer basis."""
     if outer.ambient_dim != inner.ambient_dim:
         raise InputError("operator spaces live over different ambient dimensions")
-    span = [m.matrix.entries for m in outer.basis]
+    span = Echelon(m.matrix.entries for m in outer.basis)
     for m in inner.basis:
-        if solve_in_span(span, m.matrix.entries) is None:
+        if not span.contains(m.matrix.entries):
             return ContainmentResult(contained=False, witness=m)
     return ContainmentResult(contained=True, witness=None)
-
-
-def _span_member(span: Sequence[Vector], vec: Vector) -> bool:
-    return solve_in_span(list(span), vec) is not None
 
 
 def _intersection_space(
@@ -532,8 +440,14 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         for kind in SPACE_KINDS:
             cache[(kind, s, r)] = _build_space(kind, spec, t, koszul if kind == "D" else False)
 
-    def span_of(kind: str, s: int, r: int) -> list[Vector]:
-        return [m.matrix.entries for m in cache[(kind, s, r)].basis]
+    echelons: dict[tuple[str, int, int], Echelon] = {}
+
+    def span_of(kind: str, s: int, r: int) -> Echelon:
+        """The target span as an echelon, built once per (kind, s, r)."""
+        key = (kind, s, r)
+        if key not in echelons:
+            echelons[key] = Echelon(m.matrix.entries for m in cache[key].basis)
+        return echelons[key]
 
     center_trivial = not center(spec)
 
@@ -572,15 +486,11 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         equal = inter == zd_vecs
         witness = None
         if not equal:
-            for vec in zd_vecs:
-                if not _span_member(inter, vec):
-                    witness = LinearMap.square(spec.basis, Matrix(n, n, tuple(vec)))
-                    break
-            else:
-                for vec in inter:
-                    if not _span_member(list(zd_vecs), vec):
-                        witness = LinearMap.square(spec.basis, Matrix(n, n, tuple(vec)))
-                        break
+            inter_span, zd_span = Echelon(inter), Echelon(zd_vecs)
+            outside = [v for v in zd_vecs if not inter_span.contains(v)]
+            outside += [v for v in inter if not zd_span.contains(v)]
+            if outside:
+                witness = LinearMap.square(spec.basis, Matrix(n, n, tuple(outside[0])))
         add("zd-eq-d-cap-c", s, r, None, None, equal, witness)
 
         if center_trivial:
@@ -601,7 +511,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
                 for f in cache[(left_kind, s, r)].graded_elements():
                     for g in cache[(right_kind, s2, r2)].graded_elements():
                         h = supercommutator(f, g)
-                        if not _span_member(target, h.matrix.entries):
+                        if not target.contains(h.matrix.entries):
                             ok = False
                             witness = h
                             break
@@ -623,7 +533,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             for c_map in cache[("C", s, r)].basis:
                 for d_map in cache[("D", s2, r2)].basis:
                     composed = c_map.matrix @ d_map.matrix
-                    if not _span_member(target, composed.entries):
+                    if not target.contains(composed.entries):
                         ok = False
                         witness = LinearMap.square(spec.basis, composed)
                         break

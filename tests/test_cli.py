@@ -326,8 +326,14 @@ class TestIgnoredFlagCombinations:
             ),
             (["rb", "{trial}", "--map", "{neg}", "--weight", "1"], "-o applies only with --induce"),
             (["fixtures"], "-o applies only with a fixture name"),
+            (["fixtures", "idem1", "--json"], "--json applies only without a fixture name"),
         ],
-        ids=["rb-induce-literal", "rb-output-without-induce", "fixtures-output-without-name"],
+        ids=[
+            "rb-induce-literal",
+            "rb-output-without-induce",
+            "fixtures-output-without-name",
+            "fixtures-json-with-name",
+        ],
     )
     def test_usage_error(self, tmp_path, capsys, argv, message):
         alg = SuperalgebraSpec.build("idem1", [0], {(0, 0, 0): 1}, [[1]], [[1]])

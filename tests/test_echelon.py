@@ -1,0 +1,115 @@
+"""Differential tests of the exact echelon kernel against sympy.
+
+``tests/constraint_oracle.py`` shares ``nullspace_basis`` and
+``canonical_span`` with the package, so the oracle cannot catch a fault in
+the kernel itself; sympy's exact rational ``rref``, ``nullspace`` and
+``inv`` can.  The matrices carry duplicated, scaled and zero rows because
+redundant rows are what the incremental echelon mostly handles.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+sympy = pytest.importorskip("sympy")
+
+from supertrial.errors import SingularMapError  # noqa: E402
+from supertrial.linalg import Echelon, Matrix, invert, nullspace_basis, rref  # noqa: E402
+
+F = Fraction
+entries = hs.integers(-4, 4)
+
+
+@hs.composite
+def redundant_rows(draw, max_rows=10, max_cols=8, square=False):
+    """Integer rows: a few random rows plus duplicates, multiples, sums and zeros."""
+    ncols = draw(hs.integers(1, max_cols))
+    nrows = ncols if square else draw(hs.integers(1, max_rows))
+    base = draw(hs.integers(1, nrows))
+    rows = [draw(hs.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(base)]
+    while len(rows) < nrows:
+        how = draw(hs.sampled_from(["duplicate", "scale", "zero", "sum"]))
+        i = draw(hs.integers(0, len(rows) - 1))
+        j = draw(hs.integers(0, len(rows) - 1))
+        if how == "duplicate":
+            rows.append(list(rows[i]))
+        elif how == "scale":
+            c = draw(hs.sampled_from([-3, -2, -1, 2, 3]))
+            rows.append([c * x for x in rows[i]])
+        elif how == "zero":
+            rows.append([0] * ncols)
+        else:
+            rows.append([x + y for x, y in zip(rows[i], rows[j])])
+    return draw(hs.permutations(rows))
+
+
+def exact(x) -> Fraction:
+    rational = sympy.Rational(x)
+    return F(int(rational.p), int(rational.q))
+
+
+def from_sympy(m) -> list[list[Fraction]]:
+    return [[exact(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+
+
+@settings(deadline=None)
+@given(redundant_rows())
+def test_rref_and_pivots_match_sympy(rows):
+    reduced, pivots = rref(Matrix.from_rows(rows))
+    expected, expected_pivots = sympy.Matrix(rows).rref()
+    assert reduced.to_rows() == from_sympy(expected)
+    assert pivots == tuple(expected_pivots)
+
+
+@settings(deadline=None)
+@given(redundant_rows())
+def test_nullspace_matches_sympy(rows):
+    expected = [tuple(exact(x) for x in v) for v in sympy.Matrix(rows).nullspace()]
+    assert nullspace_basis(Matrix.from_rows(rows)) == expected
+
+
+@settings(deadline=None)
+@given(redundant_rows(max_cols=6, square=True))
+def test_invert_matches_sympy(rows):
+    m = sympy.Matrix(rows)
+    if m.rank() < m.rows:
+        with pytest.raises(SingularMapError):
+            invert(Matrix.from_rows(rows))
+    else:
+        assert invert(Matrix.from_rows(rows)).to_rows() == from_sympy(m.inv())
+
+
+@settings(deadline=None)
+@given(redundant_rows(), hs.data())
+def test_echelon_independent_of_row_order_and_chunking(rows, data):
+    ncols = len(rows[0])
+    whole = Echelon(rows)
+    shuffled = Echelon(data.draw(hs.permutations(rows)))
+    cut = data.draw(hs.integers(0, len(rows)))
+    chunked = Echelon(Echelon(rows[:cut]).rows())
+    for row in Echelon(rows[cut:]).rows():
+        chunked.add(row)
+    sparse = Echelon({c: F(v) for c, v in enumerate(row) if v} for row in rows)
+    for other in (shuffled, chunked, sparse):
+        assert other.rows() == whole.rows()
+        assert other.kernel(ncols) == whole.kernel(ncols)
+    assert whole.pivots == rref(Matrix.from_rows(rows))[1]
+
+
+@settings(deadline=None)
+@given(redundant_rows())
+def test_contains_exactly_the_row_space(rows):
+    ech = Echelon(rows)
+    ncols = len(rows[0])
+    for row in rows:
+        assert ech.contains(row)
+    # Over the rationals the row space and the kernel are complementary, so
+    # each kernel basis vector lies outside the span of the rows and of the
+    # kernel vectors added before it.
+    for v in ech.kernel(ncols):
+        assert not ech.contains(v)
+        assert ech.add(v)
+        assert len(ech) == len(ech.pivots) == ncols - len(ech.kernel(ncols))
+    assert len(ech) == ncols

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from constraint_oracle import oracle_space, span_intersection
 
-from supertrial.constructions import direct_sum
+from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import LinearMap, center, identity_map
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
@@ -19,6 +19,7 @@ from supertrial.spaces import (
     GradedOperator,
     OperatorSpace,
     TwistPower,
+    _build_space,
     _intersection_space,
     central_derivation_space,
     centroid,
@@ -110,6 +111,38 @@ def test_solver_matches_oracle_at_real_twist(power, kind):
     spec = builtin("dual2-twisted")
     t = TwistPower(*power)
     assert SPACE_FN[kind](spec, t).vectorized() == oracle_space(spec, kind, t)
+
+
+def _dense4(second: str = "dual2"):
+    """grassmann2 + a second summand conjugated by a fixed even unimodular
+    map: every product gets dense, as on the benchmark's twisted ladder."""
+    spec = direct_sum(builtin("grassmann2"), builtin(second))
+    # Parities (0, 1, 0, 0): the even block on coordinates 0, 2, 3 has det 1.
+    l = Matrix.from_rows([[1, 0, 1, 0], [0, -1, 0, 0], [2, 0, 3, 1], [1, 0, 2, 2]])
+    return yau_twist(spec, LinearMap.square(spec.basis, l)).twisted
+
+
+def _sparse6():
+    return direct_sum(direct_sum(builtin("grassmann2"), builtin("dual2")), builtin("dual2"))
+
+
+# gamma = xi = id on the first two, so their twist powers all act alike;
+# the third has a non-trivial twist and dense structure maps.
+PAST_DIM3 = {
+    "dense4": _dense4,
+    "sparse6": _sparse6,
+    "dense4-twisted": lambda: _dense4("dual2-twisted"),
+}
+
+
+@pytest.mark.parametrize("kind, koszul", [(k, False) for k in sorted(SPACE_FN)] + [("D", True)])
+@pytest.mark.parametrize("power", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("name", sorted(PAST_DIM3))
+def test_solver_matches_oracle_past_dimension_three(name, power, kind, koszul):
+    spec = PAST_DIM3[name]()
+    assert spec.dimension > 3
+    t = TwistPower(*power)
+    assert _build_space(kind, spec, t, koszul).vectorized() == oracle_space(spec, kind, t, koszul)
 
 
 class TestDerivationDetails:
@@ -209,6 +242,17 @@ class TestSpaceContains:
         assert not res.contained
         assert res.witness is not None
         assert res.witness.matrix == Matrix.identity(1)
+
+    def test_witness_is_first_outside_map_in_basis_order(self):
+        spec = builtin("dsum-zero2-idem1")
+        d = derivation_space(spec, T00)
+        qd = quasiderivation_space(spec, T00)
+        span = list(d.vectorized())
+        outside = [i for i, m in enumerate(qd.basis) if solve_in_span(span, m.matrix.entries) is None]
+        assert (len(qd.basis), outside) == (7, [2, 5, 6])
+        res = space_contains(d, qd)
+        assert not res.contained
+        assert res.witness is qd.basis[2]
 
     def test_ambient_mismatch(self):
         with pytest.raises(InputError):
