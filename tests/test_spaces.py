@@ -341,6 +341,58 @@ class TestPropositionBattery:
         assert failed[0].witness.matrix == Matrix.from_rows([[0, 1], [0, 0]])
 
 
+_PER_POWER_CLAIMS = (
+    "c-in-qd", "chain-d-in-qd", "chain-qd-in-gd",
+    "sum-qd-qc-in-gd", "trivial-center-d-cap-c", "zd-eq-d-cap-c",
+)
+_CROSS_CLAIMS = (
+    "bracket-d-c-in-c", "bracket-d-d-in-d", "bracket-d-zd-in-zd",
+    "bracket-qc-qc-in-qd", "bracket-qd-qc-in-qc", "compose-c-d-in-d",
+)
+
+
+def _golden_lines(max_power, failures):
+    """Every battery line in report order as (claim, s, r, s2, r2, passed,
+    witness rows); a line passes with no witness unless listed in failures,
+    a mapping from its key to the witness matrix rows."""
+    powers = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
+    keys = [(c, s, r, None, None) for c in _PER_POWER_CLAIMS for s, r in powers]
+    keys += [(c, s, r, s2, r2) for c in _CROSS_CLAIMS for s, r in powers for s2, r2 in powers]
+    keys.sort(key=lambda k: (k[0], k[1], k[2], -1 if k[3] is None else k[3], -1 if k[4] is None else k[4]))
+    return [
+        (*key, key not in failures,
+         None if key not in failures else Matrix.from_rows(failures[key]))
+        for key in keys
+    ]
+
+
+def _battery_lines(report):
+    return [
+        (ln.claim_id, ln.s, ln.r, ln.s2, ln.r2, ln.passed,
+         None if ln.witness is None else ln.witness.matrix)
+        for ln in report.lines
+    ]
+
+
+class TestBatteryGolden:
+    """Full Koszul batteries pinned line by line, witnesses included."""
+
+    def test_twisted_direct_sum_at_power_one(self):
+        # dual2-twisted has T = diag(1, 2^(s+r)), so its nine summed powers
+        # repeat five distinct non-identity twists.
+        spec = direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
+        odd_shift = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+        failures = {("chain-d-in-qd", s, r, None, None): odd_shift for s in (0, 1) for r in (0, 1)}
+        report = proposition_battery(spec, 1, koszul=True)
+        assert _battery_lines(report) == _golden_lines(1, failures)
+
+    def test_grassmann2_at_power_two(self):
+        odd_shift = [[0, 1], [0, 0]]
+        failures = {("chain-d-in-qd", s, r, None, None): odd_shift for s in range(3) for r in range(3)}
+        report = proposition_battery(builtin("grassmann2"), 2, koszul=True)
+        assert _battery_lines(report) == _golden_lines(2, failures)
+
+
 def test_operator_space_reports_shapes():
     space = quasiderivation_space(builtin("grassmann2"), T00)
     assert isinstance(space, OperatorSpace)
