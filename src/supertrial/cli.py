@@ -64,9 +64,13 @@ from .spaces import (
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        # stdin may decode with surrogateescape, passing bad bytes through.
+        text.encode("utf-8")
+    except UnicodeError as exc:
+        raise InputError(f"{'stdin' if path == '-' else path}: input is not valid UTF-8") from exc
+    return text
 
 
 def _digest(text: str) -> str:

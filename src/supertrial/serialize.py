@@ -42,6 +42,8 @@ def _load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError("parse error: the document nests too deeply") from exc
 
 
 def _require_object(data: Any, what: str) -> dict:

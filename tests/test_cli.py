@@ -134,6 +134,30 @@ class TestCheckCommand:
         assert main(["check", "/definitely/not/here.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin(self, capsys, monkeypatch, errors):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["check", "-"]) == 2
+        assert capsys.readouterr().err == "error: stdin: input is not valid UTF-8\n"
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: input is not valid UTF-8\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_document(self, tmp_path, capsys, monkeypatch, source):
+        text = "[" * 100000
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = write(tmp_path, "deep.json", text)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == "error: parse error: the document nests too deeply\n"
+
 
 class TestSpacesCommand:
     def test_derivations_of_dual2(self, tmp_path, capsys):
