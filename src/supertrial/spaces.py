@@ -148,12 +148,15 @@ def _commutation_rows(
 
 
 class _TermTables:
-    """Per-product coefficient tables for the three Leibniz-style terms.
+    """Per-product coefficient tables for the Leibniz-style terms at one twist.
 
     With X the unknown map and c the structure tensor:
+      term 0: X(e_a) o e_b        coefficient at var (i, a) is c(i, b, k)
       term 1: X(e_a o e_b)        row coefficient at var (k, m) is c(a, b, m)
       term 2: X(e_a) o T(e_b)     coefficient at var (i, a) is (e_i o T(e_b))_k
       term 3: T(e_a) o X(e_b)     coefficient at var (i, b) is (T(e_a) o e_i)_k
+    Terms 0 and 1 read only the tensor, so a kind built from them alone does
+    not depend on T.
     """
 
     def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
@@ -171,6 +174,8 @@ class _TermTables:
     def entries(self, term: int, a: int, b: int, k: int) -> list[tuple[tuple[int, int], Fraction]]:
         """(unknown position, coefficient) pairs of one term at cell (a, b, k)."""
         n = self.tensor.dim
+        if term == 0:
+            return [((i, a), self.tensor.coefficient(i, b, k)) for i in range(n)]
         if term == 1:
             return [((k, m), self.tensor.coefficient(a, b, m)) for m in range(n)]
         if term == 2:
@@ -178,11 +183,15 @@ class _TermTables:
         return [((i, b), self.twisted_by_right[a][i][k]) for i in range(n)]
 
 
+def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[_TermTables, ...]:
+    """The term tables of every product of spec at one twist matrix."""
+    return tuple(_TermTables(tensor, twist) for _, tensor in spec.products())
+
+
 # The constraint rows of each kind at one (pair, coordinate) cell, each a
-# list of (term, block, sign): terms as in _TermTables, term 0 being term 2
-# at T = id; block 1 or 2 is a partner map of QD or GD.  Sign None is the
-# third sign of the D rule, +1 for an odd map on odd e_a under the Koszul
-# rule and -1 otherwise.
+# list of (term, block, sign): terms as in _TermTables; block 1 or 2 is a
+# partner map of QD or GD.  Sign None is the third sign of the D rule, +1
+# for an odd map on odd e_a under the Koszul rule and -1 otherwise.
 _KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
     "D": (((1, 0, 1), (2, 0, -1), (3, 0, None)),),
     "C": (((1, 0, 1), (2, 0, -1)), ((1, 0, 1), (3, 0, -1))),
@@ -196,7 +205,7 @@ _KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
 def _product_rows(
     kinds: Sequence[str],
     spec: TrialgebraSpec,
-    twist: Matrix,
+    tables: Sequence[_TermTables],
     parity: int,
     var_of: dict[tuple[int, int], int],
     koszul: bool,
@@ -205,18 +214,14 @@ def _product_rows(
     n = spec.dimension
     nv = len(var_of)
     parities = spec.basis.parities
-    identity = Matrix.identity(n)
-    for _, tensor in spec.products():
-        twisted = _TermTables(tensor, twist)
-        untwisted = twisted if twist == identity else _TermTables(tensor, identity)
+    for table in tables:
         for kind, a, b, k in itertools.product(kinds, range(n), range(n), range(n)):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
             for terms in _KIND_ROWS[kind]:
                 row: dict[int, Fraction] = {}
                 for term, block, sign in terms:
                     negate = (third if sign is None else sign) < 0
-                    table = untwisted if term == 0 else twisted
-                    for pos, c in table.entries(term or 2, a, b, k):
+                    for pos, c in table.entries(term, a, b, k):
                         if c and pos in var_of:
                             _add_entry(row, block * nv + var_of[pos], -c if negate else c)
                 yield row
@@ -225,7 +230,7 @@ def _product_rows(
 def _solve_kinds(
     kinds: Sequence[str],
     spec: TrialgebraSpec,
-    twist: Matrix,
+    tables: Sequence[_TermTables],
     parity: int,
     koszul: bool,
 ) -> list[Vector]:
@@ -251,7 +256,7 @@ def _solve_kinds(
         for other in (spec.gamma.matrix, xi.matrix):
             for row in _commutation_rows(other, var_of, block * nv):
                 system.add(row)
-    for row in _product_rows(kinds, spec, twist, parity, var_of, koszul):
+    for row in _product_rows(kinds, spec, tables, parity, var_of, koszul):
         system.add(row)
 
     vectors = []
@@ -270,13 +275,18 @@ def _maps_from_vectors(vectors: Iterable[Vector], basis: SuperBasis) -> tuple[Li
     )
 
 
-def _build_space(kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False) -> OperatorSpace:
+def _build_space(
+    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
+    tables: Sequence[_TermTables] | None = None,
+) -> OperatorSpace:
+    """Solve one kind at T; tables, when given, are _twist_tables at T."""
     if kind not in SPACE_KINDS:
         raise InputError(f"unknown operator-space kind {kind!r}")
     n = spec.dimension
-    twist = t.matrix(spec)
-    even_vecs = _solve_kinds((kind,), spec, twist, 0, koszul)
-    odd_vecs = _solve_kinds((kind,), spec, twist, 1, koszul)
+    if tables is None:
+        tables = _twist_tables(spec, t.matrix(spec))
+    even_vecs = _solve_kinds((kind,), spec, tables, 0, koszul)
+    odd_vecs = _solve_kinds((kind,), spec, tables, 1, koszul)
     merged = canonical_span(even_vecs + odd_vecs, n * n)
     return OperatorSpace(
         kind=kind,
@@ -379,16 +389,18 @@ def space_contains(outer: OperatorSpace, inner: OperatorSpace) -> ContainmentRes
 
 
 def _intersection_space(
-    spec: TrialgebraSpec, t: TwistPower, kinds: tuple[str, ...], koszul: bool = False
+    spec: TrialgebraSpec, t: TwistPower, kinds: tuple[str, ...], koszul: bool = False,
+    tables: Sequence[_TermTables] | None = None,
 ) -> tuple[Vector, ...]:
     """Canonical basis of the intersection of single-block kinds, computed
     as the joint nullspace of both constraint sets rather than by
     intersecting the individual solution spans."""
     n = spec.dimension
-    twist = t.matrix(spec)
+    if tables is None:
+        tables = _twist_tables(spec, t.matrix(spec))
     pieces: list[Vector] = []
     for parity in (0, 1):
-        pieces += _solve_kinds(kinds, spec, twist, parity, koszul)
+        pieces += _solve_kinds(kinds, spec, tables, parity, koszul)
     return canonical_span(pieces, n * n)
 
 
@@ -417,6 +429,33 @@ class BatteryReport:
         return tuple(line for line in self.lines if not line.passed)
 
 
+# The battery claims in report order: (claim id, relation, kinds read,
+# power rule).  "DC" is the joint D-and-C solve.  Relations:
+#   contain   every later kind lies in the first; the witness is the first
+#             outsider of the last failing kind
+#   eq-dc     ZD equals D intersect C; ZD's outsiders come first
+#   trivial   D intersect C is zero, when the center is trivial
+#   bracket   supercommutators of the first two kinds' graded bases lie in
+#             the third
+#   compose   compositions of the first two kinds' bases lie in the third
+# Rule "base" reads every kind at (s, r); rule "summed" reads the first two
+# at (s, r) and (s2, r2) and the third at (s + s2, r + r2).
+_CLAIMS = (
+    ("bracket-d-c-in-c", "bracket", ("D", "C", "C"), "summed"),
+    ("bracket-d-d-in-d", "bracket", ("D", "D", "D"), "summed"),
+    ("bracket-d-zd-in-zd", "bracket", ("D", "ZD", "ZD"), "summed"),
+    ("bracket-qc-qc-in-qd", "bracket", ("QC", "QC", "QD"), "summed"),
+    ("bracket-qd-qc-in-qc", "bracket", ("QD", "QC", "QC"), "summed"),
+    ("c-in-qd", "contain", ("QD", "C"), "base"),
+    ("chain-d-in-qd", "contain", ("QD", "D"), "base"),
+    ("chain-qd-in-gd", "contain", ("GD", "QD"), "base"),
+    ("compose-c-d-in-d", "compose", ("C", "D", "D"), "summed"),
+    ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC"), "base"),
+    ("trivial-center-d-cap-c", "trivial", ("DC",), "base"),
+    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "DC"), "base"),
+)
+
+
 def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool = False) -> BatteryReport:
     """Evaluate the structural claims about the six spaces as exact subspace
     relations over all twist powers 0 <= s, r <= max_power.
@@ -426,129 +465,89 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     D intersect C = 0.  Cross-power claims test supercommutators of graded
     basis maps, and the composition C after D, for membership at the summed
     exponents.
+
+    A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
+    all, so each space and each D intersect C is solved once per distinct T
+    and shared by every power with that T (it carries the first power that
+    built it).  GD is built only at the base powers, the only ones read.
+    Each claim is decided once per distinct tuple of spaces it reads.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
     n = spec.dimension
-    powers = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
-    needed = sorted(
-        {(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)}
-    )
-    cache: dict[tuple[str, int, int], OperatorSpace] = {}
-    for s, r in needed:
-        t = TwistPower(s, r)
-        for kind in SPACE_KINDS:
-            cache[(kind, s, r)] = _build_space(kind, spec, t, koszul if kind == "D" else False)
+    top = 2 * max_power
+    gammas = [spec.gamma.matrix.power(s) for s in range(top + 1)]
+    xis = [spec.require_xi().matrix.power(r) for r in range(top + 1)]
+    base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
+    kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
+    read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
 
-    echelons: dict[tuple[str, int, int], Echelon] = {}
+    tables: dict[Matrix, tuple[_TermTables, ...]] = {}
+    built: dict[tuple, OperatorSpace | tuple[Vector, ...]] = {}
+    spaces: dict[tuple[str, int, int], OperatorSpace | tuple[Vector, ...]] = {}
+    for s, r in itertools.product(range(top + 1), repeat=2):
+        twist = gammas[s] @ xis[r]
+        for kind in kinds_read:
+            if max(s, r) > max_power and kind not in read_at_sums:
+                continue
+            solved = ("D", "C") if kind == "DC" else (kind,)
+            reads_twist = any(term > 1 for k in solved for terms in _KIND_ROWS[k] for term, _, _ in terms)
+            key = (kind, twist) if reads_twist else (kind,)
+            if key not in built:
+                if twist not in tables:
+                    tables[twist] = _twist_tables(spec, twist)
+                if kind == "DC":
+                    built[key] = _intersection_space(spec, TwistPower(s, r), solved, koszul, tables[twist])
+                else:
+                    built[key] = _build_space(kind, spec, TwistPower(s, r), koszul and kind == "D", tables[twist])
+            spaces[(kind, s, r)] = built[key]
 
-    def span_of(kind: str, s: int, r: int) -> Echelon:
-        """The target span as an echelon, built once per (kind, s, r)."""
-        key = (kind, s, r)
-        if key not in echelons:
-            echelons[key] = Echelon(m.matrix.entries for m in cache[key].basis)
-        return echelons[key]
+    def square(vector: Vector) -> LinearMap:
+        return LinearMap.square(spec.basis, Matrix(n, n, tuple(vector)))
+
+    echelons: dict[int, Echelon] = {}
+
+    def first_outside(maps: Iterable[LinearMap], target: OperatorSpace) -> tuple[bool, LinearMap | None]:
+        """The first map outside the target span; one echelon per target."""
+        if id(target) not in echelons:
+            echelons[id(target)] = Echelon(m.matrix.entries for m in target.basis)
+        outside = next((m for m in maps if not echelons[id(target)].contains(m.matrix.entries)), None)
+        return outside is None, outside
+
+    def contain(outer, *inners):
+        results = [space_contains(outer, inner) for inner in inners]
+        witnesses = [res.witness for res in results if not res.contained]
+        return (False, witnesses[-1]) if witnesses else (True, None)
+
+    def eq_dc(zd, inter):
+        zd_vecs = zd.vectorized()
+        if inter == zd_vecs:
+            return True, None
+        inter_span, zd_span = Echelon(inter), Echelon(zd_vecs)
+        outside = [v for v in zd_vecs if not inter_span.contains(v)]
+        outside += [v for v in inter if not zd_span.contains(v)]
+        return False, square(outside[0]) if outside else None
 
     center_trivial = not center(spec)
-
-    lines: list[BatteryLine] = []
-
-    def add(claim_id, s, r, s2, r2, passed, witness) -> None:
-        lines.append(BatteryLine(claim_id, s, r, s2, r2, passed, witness))
-
-    for s, r in powers:
-        t = TwistPower(s, r)
-        d_space = cache[("D", s, r)]
-        qd_space = cache[("QD", s, r)]
-        gd_space = cache[("GD", s, r)]
-        c_space = cache[("C", s, r)]
-        qc_space = cache[("QC", s, r)]
-        zd_space = cache[("ZD", s, r)]
-
-        res = space_contains(qd_space, d_space)
-        add("chain-d-in-qd", s, r, None, None, res.contained, res.witness)
-        res = space_contains(gd_space, qd_space)
-        add("chain-qd-in-gd", s, r, None, None, res.contained, res.witness)
-        res = space_contains(qd_space, c_space)
-        add("c-in-qd", s, r, None, None, res.contained, res.witness)
-
-        ok = True
-        witness = None
-        for sub in (qd_space, qc_space):
-            res = space_contains(gd_space, sub)
-            if not res.contained:
-                ok = False
-                witness = res.witness
-        add("sum-qd-qc-in-gd", s, r, None, None, ok, witness)
-
-        inter = _intersection_space(spec, t, ("D", "C"), koszul)
-        zd_vecs = zd_space.vectorized()
-        equal = inter == zd_vecs
-        witness = None
-        if not equal:
-            inter_span, zd_span = Echelon(inter), Echelon(zd_vecs)
-            outside = [v for v in zd_vecs if not inter_span.contains(v)]
-            outside += [v for v in inter if not zd_span.contains(v)]
-            if outside:
-                witness = LinearMap.square(spec.basis, Matrix(n, n, tuple(outside[0])))
-        add("zd-eq-d-cap-c", s, r, None, None, equal, witness)
-
-        if center_trivial:
-            trivial = len(inter) == 0
-            witness = None
-            if not trivial:
-                witness = LinearMap.square(spec.basis, Matrix(n, n, tuple(inter[0])))
-            add("trivial-center-d-cap-c", s, r, None, None, trivial, witness)
-        else:
-            add("trivial-center-d-cap-c", s, r, None, None, True, None)
-
-    def bracket_claim(claim_id: str, left_kind: str, right_kind: str, target_kind: str) -> None:
-        for s, r in powers:
-            for s2, r2 in powers:
-                target = span_of(target_kind, s + s2, r + r2)
-                ok = True
-                witness = None
-                for f in cache[(left_kind, s, r)].graded_elements():
-                    for g in cache[(right_kind, s2, r2)].graded_elements():
-                        h = supercommutator(f, g)
-                        if not target.contains(h.matrix.entries):
-                            ok = False
-                            witness = h
-                            break
-                    if not ok:
-                        break
-                add(claim_id, s, r, s2, r2, ok, witness)
-
-    bracket_claim("bracket-d-c-in-c", "D", "C", "C")
-    bracket_claim("bracket-qd-qc-in-qc", "QD", "QC", "QC")
-    bracket_claim("bracket-qc-qc-in-qd", "QC", "QC", "QD")
-    bracket_claim("bracket-d-zd-in-zd", "D", "ZD", "ZD")
-    bracket_claim("bracket-d-d-in-d", "D", "D", "D")
-
-    for s, r in powers:
-        for s2, r2 in powers:
-            target = span_of("D", s + s2, r + r2)
-            ok = True
-            witness = None
-            for c_map in cache[("C", s, r)].basis:
-                for d_map in cache[("D", s2, r2)].basis:
-                    composed = c_map.matrix @ d_map.matrix
-                    if not target.contains(composed.entries):
-                        ok = False
-                        witness = LinearMap.square(spec.basis, composed)
-                        break
-                if not ok:
-                    break
-            add("compose-c-d-in-d", s, r, s2, r2, ok, witness)
-
-    ordered = sorted(
-        lines,
-        key=lambda ln: (
-            ln.claim_id,
-            ln.s,
-            ln.r,
-            -1 if ln.s2 is None else ln.s2,
-            -1 if ln.r2 is None else ln.r2,
+    decide = {
+        "contain": contain,
+        "eq-dc": eq_dc,
+        "trivial": lambda inter: (False, square(inter[0])) if center_trivial and inter else (True, None),
+        "bracket": lambda left, right, target: first_outside(
+            (supercommutator(f, g) for f in left.graded_elements() for g in right.graded_elements()), target
         ),
-    )
-    return BatteryReport(tuple(ordered))
+        "compose": lambda left, right, target: first_outside(
+            (LinearMap.square(spec.basis, f.matrix @ g.matrix) for f in left.basis for g in right.basis), target
+        ),
+    }
+    verdicts: dict[tuple, tuple[bool, LinearMap | None]] = {}
+    lines: list[BatteryLine] = []
+    for claim_id, relation, kinds, rule in _CLAIMS:
+        for (s, r), (s2, r2) in itertools.product(base, base if rule == "summed" else [(None, None)]):
+            at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
+            operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
+            key = (relation, *map(id, operands))
+            if key not in verdicts:
+                verdicts[key] = decide[relation](*operands)
+            lines.append(BatteryLine(claim_id, s, r, s2, r2, *verdicts[key]))
+    return BatteryReport(tuple(lines))

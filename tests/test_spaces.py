@@ -14,6 +14,7 @@ from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import LinearMap, center, identity_map
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
+from supertrial import spaces
 from supertrial.linalg import Matrix, solve_in_span
 from supertrial.spaces import (
     GradedOperator,
@@ -399,3 +400,55 @@ def test_operator_space_reports_shapes():
     assert space.ambient_dim == 2
     graded = space.graded_elements()
     assert [g.parity for g in graded] == [0] * space.even_dimension + [1] * space.odd_dimension
+
+
+class TestBatteryPlan:
+    @pytest.mark.parametrize(
+        "name, max_power, builds, solves",
+        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 24, 3), ("dual2-twisted", 2, 42, 5)],
+    )
+    def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
+        """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
+        all, and GD is read only at the base powers."""
+        spec = builtin(name)
+        built, intersected = [], []
+        real_build, real_intersect = spaces._build_space, spaces._intersection_space
+
+        def spy_build(kind, spec, t, *rest):
+            built.append((kind, t))
+            return real_build(kind, spec, t, *rest)
+
+        def spy_intersect(spec, t, *rest):
+            intersected.append(t)
+            return real_intersect(spec, t, *rest)
+
+        monkeypatch.setattr(spaces, "_build_space", spy_build)
+        monkeypatch.setattr(spaces, "_intersection_space", spy_intersect)
+        report = proposition_battery(spec, max_power)
+        assert report.passed
+        keys = [(kind, t.matrix(spec)) for kind, t in built]
+        assert len(set(keys)) == len(keys) == builds
+        assert [kind for kind, _ in built].count("ZD") == 1
+        assert all(t.s <= max_power and t.r <= max_power for kind, t in built if kind == "GD")
+        twists = [t.matrix(spec) for t in intersected]
+        assert len(set(twists)) == len(twists) == solves
+
+    def test_witness_order_on_failing_relations(self, monkeypatch):
+        """sum-qd-qc-in-gd reports QC's witness when QD fails too, and
+        zd-eq-d-cap-c reports a ZD map outside D cap C before the converse."""
+        spec = builtin("zero2")
+        e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
+        spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00]}
+
+        def fake_build(kind, spec, t, *rest):
+            maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
+            return OperatorSpace(kind, t, 2, maps, maps, ())
+
+        monkeypatch.setattr(spaces, "_build_space", fake_build)
+        monkeypatch.setattr(spaces, "_intersection_space", lambda spec, t, *rest: (e11.entries,))
+        report = proposition_battery(spec, 0)
+        assert [(ln.claim_id, ln.witness.matrix) for ln in report.failed_lines()] == [
+            ("chain-qd-in-gd", e11),
+            ("sum-qd-qc-in-gd", Matrix.identity(2)),
+            ("zd-eq-d-cap-c", e00),
+        ]
