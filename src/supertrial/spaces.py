@@ -12,7 +12,10 @@ projected away):
   C   intertwines multiplication on both sides through the twist
   QC  balances left against right multiplication through the twist
 
-The twist is T = gamma^s xi^r.  Every space is solved separately on the
+The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
+T; ZD does not depend on it at all.  The proposition battery uses this to
+solve each distinct space once, and builds GD only at the base powers,
+the only ones its claims read.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous)
 and the graded pieces are merged into one canonical basis.  Identical
