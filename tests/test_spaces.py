@@ -354,8 +354,8 @@ _CROSS_CLAIMS = (
 
 def _golden_lines(max_power, failures):
     """Every battery line in report order as (claim, s, r, s2, r2, passed,
-    witness rows); a line passes with no witness unless listed in failures,
-    a mapping from its key to the witness matrix rows."""
+    witness matrix); a line passes with no witness unless listed in
+    failures, a mapping from its key to the witness matrix rows."""
     powers = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     keys = [(c, s, r, None, None) for c in _PER_POWER_CLAIMS for s, r in powers]
     keys += [(c, s, r, s2, r2) for c in _CROSS_CLAIMS for s, r in powers for s2, r2 in powers]
@@ -380,7 +380,7 @@ class TestBatteryGolden:
 
     def test_twisted_direct_sum_at_power_one(self):
         # dual2-twisted has T = diag(1, 2^(s+r)), so its nine summed powers
-        # repeat five distinct non-identity twists.
+        # share five distinct twists and non-identity twists repeat.
         spec = direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
         odd_shift = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
         failures = {("chain-d-in-qd", s, r, None, None): odd_shift for s in (0, 1) for r in (0, 1)}
