@@ -4,9 +4,9 @@ An algebra lives on a Z/2-graded basis and is described by three sparse
 structure-constant tensors (the left, right, and middle products) together
 with one or two even structure maps ``gamma`` and ``xi``.  With ``xi``
 present the object is a BiHom candidate; without it the Hom axiom system
-applies.  Checks sweep basis tuples, which suffices by multilinearity, and
-return reports whose violation witnesses can be replayed through
-``product_eval``.
+applies.  Checks sweep basis tuples, which suffices by multilinearity, in
+integer numerators over per-operator denominators; the reports' violation
+sides are Fractions that ``product_eval`` replays.
 
 Matrix convention: a map sends the j-th basis vector to the j-th column,
 so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
@@ -15,9 +15,10 @@ so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, Union
 
 from .errors import InputError, ModeError, ParityError
@@ -29,8 +30,6 @@ from .linalg import (
     add_vectors,
     canonical_span,
     frac,
-    scale_vector,
-    unit_vector,
     zero_vector,
 )
 
@@ -148,6 +147,17 @@ def identity_map(basis: SuperBasis) -> LinearMap:
     return LinearMap.square(basis, Matrix.identity(basis.dimension))
 
 
+def _bilinear_into(out: list, rows: Sequence[Sequence[tuple]], x: Sequence, y: Sequence) -> list:
+    """out[k] += c * x[i] * y[j] for each (j, k, c) of rows[i]; returns out."""
+    for i, xi in enumerate(x):
+        if xi:
+            for j, k, c in rows[i]:
+                yj = y[j]
+                if yj:
+                    out[k] += c * xi * yj
+    return out
+
+
 @dataclass(frozen=True)
 class StructureTensor:
     """Sparse structure constants of one bilinear product.
@@ -187,14 +197,22 @@ class StructureTensor:
                 out[k] = c
         return tuple(out)
 
+    @cached_property
+    def by_first(self) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """``(d, rows)``: the constants as integers over one denominator d, the
+        lcm of theirs, indexed by first argument; rows[i] holds (j, k, d * c(i, j, k))."""
+        d = math.lcm(*(c.denominator for c in self.constants.values()))
+        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for (i, j, k), c in self.constants.items():
+            rows[i].append((j, k, int(c * d)))
+        return d, tuple(map(tuple, rows))
+
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("bilinear arguments must match the tensor dimension")
-        out = [_ZERO] * self.dim
-        for (i, j, k), c in self.constants.items():
-            if x[i] and y[j]:
-                out[k] += c * x[i] * y[j]
-        return tuple(out)
+        d, rows = self.by_first
+        out = _bilinear_into([_ZERO] * self.dim, rows, x, y)
+        return tuple(out) if d == 1 else tuple(v / d for v in out)
 
     def add(self, other: "StructureTensor") -> "StructureTensor":
         if self.dim != other.dim:
@@ -402,48 +420,73 @@ def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
     return ops
 
 
+def _integral(op: StructureTensor | Matrix) -> tuple[int, Callable[..., tuple]]:
+    """``(d, f)``: the operator's denominator, and f its value on integer vectors, over d."""
+    if isinstance(op, StructureTensor):
+        d, rows = op.by_first
+        return d, lambda x, y: tuple(_bilinear_into([0] * op.dim, rows, x, y))
+    d = math.lcm(*(v.denominator for v in op.entries))
+    # A map is a product with the scalar 1: m[i][j] is the constant c(j, 0, i).
+    cols = [[(0, i, int(v * d)) for i, v in enumerate(op.entries[j :: op.cols]) if v] for j in range(op.cols)]
+    return d, lambda x: tuple(_bilinear_into([0] * op.rows, cols, x, (1,)))
+
+
 def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     """Report every basis tuple of the given arity on which the two sides of
     a row (axiom_id, lhs, rhs) differ.
 
     Each distinct subterm is one step, run once per tuple after the steps of
-    its arguments; basis products and map columns are cached for the sweep.
+    its arguments, on integer numerators.  A step's denominator is fixed by
+    the plan: a product's or a map's is the operator's (see ``_integral``)
+    times its arguments', a sum's the lcm of its addends', and a scale by
+    p/q's is q times its argument's.  Two sides agree when lhs * D_rhs ==
+    rhs * D_lhs; Fractions are built only for the sides of a violation.
     """
-    units = [unit_vector(n, i) for i in range(n)]
-    # A tuple's values are its basis indices, their basis vectors, then one
-    # per step; a step is a function and the positions of its arguments.
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # A tuple's values are its basis vectors, then one per step; a step is a
+    # function and the positions of its arguments.
     position: dict[_Term, int] = {}
-    steps: list[tuple[Callable[..., Vector], tuple[int, ...]]] = []
+    dens = [1] * arity
+    steps: list[tuple[Callable[..., tuple], tuple[int, ...]]] = []
 
     def place(term: _Term) -> int:
         if isinstance(term, int):
-            return arity + term
+            return term
         if term not in position:
             head, *parts = term
-            op = ops.get(head)
-            on_slots = op is not None and all(isinstance(a, int) for a in parts)
             if head == "+":
-                fn: Callable[..., Vector] = lambda *vs: reduce(add_vectors, vs)
+                args = tuple(place(a) for a in parts)
+                den = math.lcm(*(dens[a] for a in args))
+                weights = [den // dens[a] for a in args]
+                fn = lambda *vs: tuple(sum(w * v for w, v in zip(weights, col)) for col in zip(*vs))
             elif head == "*":
-                fn, parts = partial(scale_vector, parts[0]), parts[1:]
-            elif isinstance(op, Matrix):
-                fn = cache(op.col) if on_slots else op.apply
+                p, args = parts[0].numerator, (place(parts[1]),)
+                den = parts[0].denominator * dens[args[0]]
+                fn = lambda v: tuple(p * a for a in v)
             else:
-                fn = cache(op.basis_product) if on_slots else op.bilinear
-            args = tuple(parts) if on_slots else tuple(place(a) for a in parts)
-            position[term] = 2 * arity + len(steps)
+                d, fn = _integral(ops[head])
+                args = tuple(place(a) for a in parts)
+                den = d * math.prod(dens[a] for a in args)
+            position[term] = len(dens)
+            dens.append(den)
             steps.append((fn, args))
         return position[term]
 
     checks = [(axiom_id, place(lhs), place(rhs)) for axiom_id, lhs, rhs in rows]
+    checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks]
     violations: list[Violation] = []
     for idx in itertools.product(range(n), repeat=arity):
-        vals = [*idx, *(units[i] for i in idx)]
+        vals = [units[i] for i in idx]
         for fn, args in steps:
             vals.append(fn(*[vals[a] for a in args]))
-        for axiom_id, lhs, rhs in checks:
-            if vals[lhs] != vals[rhs]:
-                violations.append(Violation(axiom_id, idx, vals[lhs], vals[rhs]))
+        sides: dict[int, Vector] = {}
+        for axiom_id, lhs, rhs, ml, mr in checks:
+            x, y = vals[lhs], vals[rhs]
+            if x != y if ml == mr else any(a * ml != b * mr for a, b in zip(x, y)):
+                for at in (lhs, rhs):
+                    if at not in sides:
+                        sides[at] = tuple(Fraction(v, dens[at]) if v else _ZERO for v in vals[at])
+                violations.append(Violation(axiom_id, idx, sides[lhs], sides[rhs]))
     return CheckReport.collect(violations)
 
 

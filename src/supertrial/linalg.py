@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Every axiom check and operator-space computation in this package reduces to
-the primitives implemented here: reduced row echelon form, kernels in a fixed
-canonical shape, span membership, and matrix inversion.  All arithmetic uses
-``fractions.Fraction``, so results are exact and equality decisions never
-involve tolerances.
+Every operator-space computation in this package reduces to the primitives
+implemented here: reduced row echelon form, kernels in a fixed canonical
+shape, span membership, and matrix inversion.  Their arithmetic is
+``fractions.Fraction`` (the axiom sweep in ``core`` runs on integer
+numerators instead), so results are exact and no decision uses a tolerance.
 
 All elimination goes through one kernel, ``Echelon``: a sparse incremental
 echelon whose rows are ``{column: value}`` dicts.  Constraint systems are
@@ -57,9 +57,12 @@ def frac(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise InputError(f"{value!r} is not a rational literal (use 'p' or 'p/q')")
-        if "/" in text and int(text.split("/")[1]) == 0:
-            raise InputError(f"zero denominator in {value!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {value!r}") from None
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise InputError("rational literal has too many digits") from None
     raise InputError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -82,10 +85,6 @@ def add_vectors(x: Vector, y: Vector) -> Vector:
     if len(x) != len(y):
         raise InputError("vector length mismatch in addition")
     return tuple(a + b for a, b in zip(x, y))
-
-
-def scale_vector(s: Fraction, x: Vector) -> Vector:
-    return tuple(s * a for a in x)
 
 
 @dataclass(frozen=True)

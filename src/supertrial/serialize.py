@@ -44,6 +44,8 @@ def _load_json(text: str) -> Any:
         raise InputError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise InputError("parse error: the document nests too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError("parse error: a number has too many digits") from exc
 
 
 def _require_object(data: Any, what: str) -> dict:

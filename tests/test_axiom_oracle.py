@@ -6,17 +6,28 @@ and still pass on them.  The seeded random algebras below have three
 different products, both parities and gamma != xi, and between them make
 every identity fail somewhere; on each, the whole violation list (ids,
 indices, both sides and order) must match the oracle's.
+
+The fixtures and the integer random algebras have integer constants only.
+The rational random algebras and the Yau twists by a non-unimodular map
+below carry denominators, so the two sides of an identity are often built
+over different denominators and must still compare as rationals.  On those
+twists the Rota-Baxter and commutator sweeps are also checked against the
+oracle's evaluation.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
-from axiom_oracle import BIHOM_IDS, HOM_IDS, bihom_violations, hom_violations
+from axiom_oracle import BIHOM_IDS, HOM_IDS, _Ops, _sorted, _sweep, bihom_violations, hom_violations
 
-from supertrial.core import TrialgebraSpec, check_bihom, check_hom
+from supertrial.constructions import commutator_construct, direct_sum, rota_baxter_check, yau_twist
+from supertrial.core import PRODUCT_TAGS, LinearMap, TrialgebraSpec, check_bihom, check_hom
 from supertrial.fixtures import FIXTURE_NAMES, builtin, inject_violation
+from supertrial.linalg import Matrix
 
 SEEDS = range(6)
+RATIONAL_SEEDS = range(6, 12)
 PARITIES = ((0, 1), (0, 0, 1), (0, 1, 1))
 
 
@@ -24,18 +35,22 @@ def as_tuples(report):
     return [(v.axiom_id, v.indices, v.lhs, v.rhs) for v in report.violations]
 
 
-def random_spec(seed: int) -> TrialgebraSpec:
+def random_spec(seed: int, rational: bool = False) -> TrialgebraSpec:
     """A non-associative algebra with an odd vector and gamma != xi.
 
-    Entries are small integers; the constants and maps respect the grading.
+    Entries are small integers, or with ``rational`` small fractions with
+    denominators up to 3; the constants and maps respect the grading.
     """
     rng = random.Random(seed)
     parities = PARITIES[seed % len(PARITIES)]
     n = len(parities)
 
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rational else rng.randint(-2, 2)
+
     def tensor():
         return {
-            (i, j, k): rng.randint(-2, 2)
+            (i, j, k): entry()
             for i in range(n)
             for j in range(n)
             for k in range(n)
@@ -44,7 +59,7 @@ def random_spec(seed: int) -> TrialgebraSpec:
 
     def even_map():
         return [
-            [rng.randint(-2, 2) if parities[i] == parities[j] else 0 for j in range(n)]
+            [entry() if parities[i] == parities[j] else 0 for j in range(n)]
             for i in range(n)
         ]
 
@@ -102,3 +117,91 @@ def test_random_algebras_fail_every_identity():
         seen_hom.update(v[0] for v in hom_violations(spec))
     assert seen_bihom == set(BIHOM_IDS)
     assert seen_hom == set(HOM_IDS)
+
+
+@pytest.mark.parametrize("seed", RATIONAL_SEEDS)
+def test_random_rational_algebras(seed):
+    spec = random_spec(seed, rational=True)
+    assert any(c.denominator > 1 for _, t in spec.products() for c in t.constants.values())
+    assert as_tuples(check_bihom(spec)) == bihom_violations(spec)
+    assert as_tuples(check_hom(spec)) == hom_violations(spec)
+
+
+# Even, invertible and not unimodular: its inverse has denominators, so the
+# twisted constants and structure maps do too.
+RATIONAL_TWIST_4 = [["1/2", "1/3", 0, 0], [0, "2/3", 1, 0], ["1/5", 0, "3/2", 0], [0, 0, 0, "5/7"]]
+RATIONAL_TWIST_3 = [["1/2", "1/3", 0], ["1/5", "2/3", 0], [0, 0, "5/7"]]
+
+
+def rational_twist(base: TrialgebraSpec, rows) -> TrialgebraSpec:
+    return yau_twist(base, LinearMap.square(base.basis, Matrix.from_rows(rows))).twisted
+
+
+def twisted_fixture() -> TrialgebraSpec:
+    """dual2-twisted + grassmann2 twisted by RATIONAL_TWIST_4: a BiHom algebra."""
+    return rational_twist(direct_sum(builtin("dual2-twisted"), builtin("grassmann2")), RATIONAL_TWIST_4)
+
+
+def twisted_random() -> TrialgebraSpec:
+    """A random algebra twisted by RATIONAL_TWIST_3: gamma and xi get
+    different denominators, and every product is far from commutative."""
+    return rational_twist(random_spec(1), RATIONAL_TWIST_3)
+
+
+@pytest.mark.parametrize("make", [twisted_fixture, twisted_random])
+def test_rational_twists(make):
+    spec = make()
+    assert any(v.denominator > 1 for v in spec.gamma.matrix.entries)
+    assert as_tuples(check_bihom(spec)) == bihom_violations(spec)
+    assert as_tuples(check_hom(spec)) == hom_violations(spec)
+
+
+def test_rational_twist_random_fails():
+    spec = twisted_random()
+    assert bihom_violations(spec) and hom_violations(spec)
+
+
+def test_rational_rota_baxter():
+    """Weight -1/3 is a scale p/q with q != 1, and the addends of the inner
+    sum carry different denominators."""
+    spec = twisted_fixture()
+    lam = Matrix.identity(spec.dimension).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
+    c = Fraction(-1, 3)
+    ops = _Ops(spec)
+    ops.maps["lam"] = lam
+    identities = []
+    for tag in PRODUCT_TAGS:
+
+        def lhs(o, d, v, tag=tag):
+            return o._product(tag, o._apply("lam", d), o._apply("lam", v))
+
+        def rhs(o, d, v, tag=tag):
+            a = o._product(tag, o._apply("lam", d), v)
+            b = o._product(tag, d, o._apply("lam", v))
+            p = o._product(tag, d, v)
+            return o._apply("lam", tuple(x + y + c * z for x, y, z in zip(a, b, p)))
+
+        identities.append((f"rb-{tag}", lhs, rhs))
+    report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "-1/3")
+    assert report.violations
+    assert as_tuples(report) == _sorted(_sweep(ops, 2, identities))
+
+
+def test_rational_commutator():
+    """The Leibniz sum adds a term through xi to one through gamma, and the
+    two maps have different denominators here."""
+    spec = twisted_random()
+    res = commutator_construct(spec)
+    ops = _Ops(spec)
+    ops.tables.update(star=dict(res.pair.star.constants), bracket=dict(res.pair.bracket.constants))
+
+    def lhs(o, d, v, r):
+        return o._product("star", o._product("bracket", d, v), o.g(o.x(r)))
+
+    def rhs(o, d, v, r):
+        a = o._product("bracket", o._product("star", d, r), o.x(v))
+        b = o._product("bracket", o.g(d), o._product("star", v, r))
+        return tuple(x + y for x, y in zip(a, b))
+
+    assert res.leibniz.violations
+    assert as_tuples(res.leibniz) == _sorted(_sweep(ops, 3, (("leibniz", lhs, rhs),)))

@@ -159,6 +159,27 @@ class TestCheckCommand:
         assert capsys.readouterr().err == "error: parse error: the document nests too deeply\n"
 
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("dim", "parse error: a number has too many digits"),
+            ("v", "algebra.left[0].v: rational literal has too many digits"),
+        ],
+        ids=["dim", "v"],
+    )
+    def test_number_past_the_digit_limit(self, tmp_path, capsys, field, message):
+        """5,000 digits is past CPython's default int-string limit of 4,300."""
+        big = "7" * 5000
+        doc = json.loads(emit_algebra(builtin("idem1")))
+        if field == "dim":
+            text = json.dumps(doc).replace('"dim": 1', f'"dim": {big}')
+        else:
+            doc["left"][0]["v"] = big
+            text = json.dumps(doc)
+        assert main(["check", write(tmp_path, "big.json", text)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestSpacesCommand:
     def test_derivations_of_dual2(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "dual2")

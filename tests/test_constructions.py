@@ -20,12 +20,14 @@ from supertrial.constructions import (
     yau_twist,
 )
 from supertrial.core import (
+    _BIHOM_TRIPLES,
     LinearMap,
     SuperalgebraSpec,
     TrialgebraSpec,
     check_bihom,
     check_superalgebra,
     identity_map,
+    product_eval,
 )
 from supertrial.errors import (
     CommutationError,
@@ -36,7 +38,7 @@ from supertrial.errors import (
     SingularMapError,
 )
 from supertrial.fixtures import FIXTURE_NAMES, builtin
-from supertrial.linalg import Matrix, invert, rank
+from supertrial.linalg import Matrix, invert, rank, unit_vector
 
 F = Fraction
 
@@ -452,6 +454,41 @@ class TestSumProduct:
         orig = builtin("dual2")
         assert res.spec.left == orig.left
         assert res.spec.perp == orig.perp
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1, -2, 0], [2, 3, -3, 0], [-1, 0, 4, 0], [0, 0, 0, -1]],
+            [["1/2", "1/3", 0, 0], [0, "2/3", 1, 0], ["1/5", 0, "3/2", 0], [0, 0, 0, "5/7"]],
+        ],
+        ids=["unimodular", "rational"],
+    )
+    def test_dense_twist_sides_replay(self, rows):
+        """Every side is a tuple of Fractions equal to a product_eval replay."""
+        base = direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
+        twisted = yau_twist(base, square_map(base, rows)).twisted
+        res = sum_product_construct(twisted)
+        spec = res.spec
+        units = [unit_vector(spec.dimension, i) for i in range(spec.dimension)]
+        sides = {"i": (("gamma", ("xi", 0)), ("xi", ("gamma", 0)))}
+        sides.update((axiom_id, (lhs, rhs)) for axiom_id, lhs, rhs in _BIHOM_TRIPLES)
+
+        def replay(term, vectors):
+            if isinstance(term, int):
+                return vectors[term]
+            head, *args = term
+            values = [replay(a, vectors) for a in args]
+            if head in ("gamma", "xi"):
+                return getattr(spec, head).apply(*values)
+            return product_eval(spec, head, *values)
+
+        assert len(res.report.violations) == 324
+        for v in res.report.violations:
+            for side in (v.lhs, v.rhs):
+                assert type(side) is tuple and all(type(c) is Fraction for c in side)
+            vectors = [units[i] for i in v.indices]
+            lhs, rhs = sides[v.axiom_id]
+            assert (v.lhs, v.rhs) == (replay(lhs, vectors), replay(rhs, vectors))
 
 
 class TestCommutator:

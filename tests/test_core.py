@@ -101,6 +101,13 @@ class TestStructureTensor:
         assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == t.basis_product(0, 1)
         assert t.bilinear((F(1), F(1)), (F(1), F(1))) == (F(1), F(2))
 
+    def test_rational_constants_share_one_denominator(self):
+        t = StructureTensor.build(2, {(0, 1, 0): "1/2", (0, 1, 1): "-2/3", (1, 1, 1): 5})
+        assert t.by_first == (6, (((1, 0, 3), (1, 1, -4)), ((1, 1, 30),)))
+        assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == t.basis_product(0, 1)
+        out = t.bilinear((F(2), F(1, 5)), (F(0), F(3)))
+        assert out == (F(3), F(-1)) and all(type(c) is F for c in out)
+
     def test_add_scale_eq(self):
         t = StructureTensor.build(1, {(0, 0, 0): 1})
         assert t.add(t) == t.scale(2)

@@ -52,6 +52,13 @@ class TestFrac:
         with pytest.raises(InputError, match="zero denominator"):
             frac("3/0")
 
+    @pytest.mark.parametrize(
+        "text", ["7" * 5000, "-1/" + "7" * 5000, "7" * 5000 + "/3"], ids=["p", "1/q", "p/q"]
+    )
+    def test_rejects_numbers_past_the_digit_limit(self, text):
+        with pytest.raises(InputError, match="^rational literal has too many digits$"):
+            frac(text)
+
     def test_string_grammar_matches_parse_rational(self):
         assert frac(" +4/6 ") == parse_rational(" +4/6 ", "w") == F(2, 3)
         assert frac("-0") == F(0)
