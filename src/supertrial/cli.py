@@ -376,16 +376,16 @@ _COMMANDS = (
 
 
 def _drive(command: _Command, args: argparse.Namespace) -> int:
-    """Read the documents, run the subcommand, write ``-o`` and report."""
+    """Read the documents, run the subcommand, build the report, write ``-o`` and print."""
     if command.usage is not None:
         command.usage(args)
     names = [flags[0].lstrip("-") for flags, _ in command.documents]
     texts = {name: _read_input(getattr(args, name)) for name in names}
     result = command.run(args, texts)
-    if result.document is not None and args.output is not None:
-        Path(args.output).write_text(result.document, encoding="utf-8")
     inputs = {name: _digest(text) for name, text in texts.items()}
     doc = _assemble(command.name, inputs, _violations_json(result.report), result.sections)
+    if result.document is not None and args.output is not None:
+        Path(args.output).write_text(result.document, encoding="utf-8")
     return _emit_report(doc, args.json)
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     add_vectors,
     canonical_span,
     frac,
+    numerators,
     zero_vector,
 )
 
@@ -201,10 +202,10 @@ class StructureTensor:
     def by_first(self) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
         """``(d, rows)``: the constants as integers over one denominator d, the
         lcm of theirs, indexed by first argument; rows[i] holds (j, k, d * c(i, j, k))."""
-        d = math.lcm(*(c.denominator for c in self.constants.values()))
+        d, nums = numerators(self.constants.values())
         rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
-        for (i, j, k), c in self.constants.items():
-            rows[i].append((j, k, int(c * d)))
+        for (i, j, k), c in zip(self.constants, nums):
+            rows[i].append((j, k, c))
         return d, tuple(map(tuple, rows))
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -425,9 +426,9 @@ def _integral(op: StructureTensor | Matrix) -> tuple[int, Callable[..., tuple]]:
     if isinstance(op, StructureTensor):
         d, rows = op.by_first
         return d, lambda x, y: tuple(_bilinear_into([0] * op.dim, rows, x, y))
-    d = math.lcm(*(v.denominator for v in op.entries))
+    d, nums = numerators(op.entries)
     # A map is a product with the scalar 1: m[i][j] is the constant c(j, 0, i).
-    cols = [[(0, i, int(v * d)) for i, v in enumerate(op.entries[j :: op.cols]) if v] for j in range(op.cols)]
+    cols = [[(0, i, v) for i, v in enumerate(nums[j :: op.cols]) if v] for j in range(op.cols)]
     return d, lambda x: tuple(_bilinear_into([0] * op.rows, cols, x, (1,)))
 
 

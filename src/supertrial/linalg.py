@@ -2,29 +2,32 @@
 
 Every operator-space computation in this package reduces to the primitives
 implemented here: reduced row echelon form, kernels in a fixed canonical
-shape, span membership, and matrix inversion.  Their arithmetic is
-``fractions.Fraction`` (the axiom sweep in ``core`` runs on integer
-numerators instead), so results are exact and no decision uses a tolerance.
+shape, span membership, and matrix inversion.  They take and return
+Fractions but eliminate in integers (``numerators`` is the one conversion,
+shared with ``core``), so results are exact and no decision uses a tolerance.
 
 All elimination goes through one kernel, ``Echelon``: a sparse incremental
-echelon whose rows are ``{column: value}`` dicts.  Constraint systems are
-sparse and mostly redundant, so most incoming rows reduce to zero against a
-few pivots.  The pivot rows are kept fully reduced (zero in every other
-pivot column) rather than only triangular: a dependent row then clears in
-one pass over the pivots it touches, entries stay small, and the rows held
-are always the canonical RREF with no back-substitution at the end.  A
-semi-echelon that defers that back-substitution lets coefficients grow in
-the unreduced rows and was several times slower on the operator-space
-systems.  ``Matrix`` stays a small dense type for maps: products, powers
-and application.
+fraction-free echelon (after Bareiss, Math. Comp. 22, 1968) whose rows are
+``{column: int}`` dicts.  Constraint systems are sparse and mostly
+redundant, so most incoming rows reduce to zero against a few pivots.  The
+pivot rows are kept fully reduced (zero in every other pivot column) and
+primitive rather than only triangular: a dependent row then clears in one
+pass over the pivots it touches, entries never outgrow the RREF's own, and
+the rows held are always the canonical RREF up to scale, divided out only
+when ``rows`` or ``kernel`` is read.  A semi-echelon that defers the
+back-substitution lets coefficients grow in the unreduced rows and was
+several times slower on the operator-space systems.  ``Matrix`` stays a
+small dense type for maps: products, powers and application.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import InputError, SingularMapError
 
@@ -64,6 +67,12 @@ def frac(value: RationalLike) -> Fraction:
         except ValueError:  # past the interpreter's int-string digit limit
             raise InputError("rational literal has too many digits") from None
     raise InputError(f"cannot interpret {value!r} as an exact rational")
+
+
+def numerators(values: Collection[Fraction | int]) -> tuple[int, list[int]]:
+    """``(d, nums)``: d the lcm of the values' denominators, nums the values times d."""
+    d = math.lcm(*[v.denominator for v in values])  # a generator here would fill the tuple free lists
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def vector(values: Iterable[RationalLike]) -> Vector:
@@ -214,34 +223,41 @@ class Matrix:
 class Echelon:
     """Reduced row echelon form of a row space, grown one sparse row at a time.
 
-    Pivot rows are sparse ``{column: value}`` dicts with a leading 1, and
-    every pivot row is kept fully reduced: it is zero in every other pivot
-    column.  An incoming row is therefore reduced by one pass over the pivot
-    columns it touches, and the rows held are always the unique RREF of the
-    span, whatever order the rows arrived in.  Rows may be dicts or dense
-    sequences; zero entries are ignored.
+    Each pivot row is the primitive integer multiple of its RREF row: a sparse
+    ``{column: int}`` dict, positive in its pivot column, zero in every other
+    pivot column, with no common factor.  Rows stay fully reduced, so an
+    incoming row is reduced by one pass over the pivot columns it touches, and
+    the rows held are the unique RREF of the span up to those scales, whatever
+    order the rows came in.  Rows may be dicts or dense sequences of ints or
+    Fractions (scaled once on entry by the lcm of their denominators); zeros
+    are ignored.  Division happens only in ``rows`` and ``kernel``.
     """
 
     def __init__(self, rows: Iterable[Row] = ()) -> None:
-        # pivot column -> the pivot row without its leading 1
-        self._tails: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}  # by pivot column
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
-        return len(self._tails)
+        return len(self._rows)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self._tails))
+        return tuple(sorted(self._rows))
 
-    def reduce(self, row: Row) -> dict[int, Fraction]:
-        """The remainder of ``row`` after clearing every pivot column."""
+    def reduce(self, row: Row) -> dict[int, int]:
+        """A nonzero integer multiple of the remainder of ``row`` after
+        clearing every pivot column (the remainder is defined up to scale)."""
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
         out = {c: v for c, v in items if v}
-        tails = self._tails
-        for p in [c for c in out if c in tails]:
-            _add_multiple(out, -out.pop(p), tails[p])
+        out = dict(zip(out, numerators(out.values())[1]))
+        pivots = [(self._rows[c], c, a) for c, a in out.items() if c in self._rows]
+        # scale * out - sum of (a * scale / d) * pivot row clears them all at once.
+        scale = math.lcm(*[p[c] // math.gcd(p[c], a) for p, c, a in pivots])
+        if scale != 1:
+            out = {c: v * scale for c, v in out.items()}
+        for p, c, a in pivots:
+            _subtract(out, a * scale // p[c], p)
         return out
 
     def contains(self, row: Row) -> bool:
@@ -253,19 +269,21 @@ class Echelon:
         if not rest:
             return False
         col = min(rest)
-        # Dividing by a Fraction also makes every entry of an int row exact.
-        lead = Fraction(rest.pop(col))
-        rest = {c: v / lead for c, v in rest.items()}
-        for tail in self._tails.values():
-            f = tail.pop(col, None)
-            if f is not None:
-                _add_multiple(tail, -f, rest)
-        self._tails[col] = rest
+        _divide(rest, math.gcd(*rest.values()) * (1 if rest[col] > 0 else -1))
+        for p in self._rows.values():
+            f = p.get(col)
+            if f:
+                # With d = rest[col], (d/g) * p - (f/g) * rest clears col; then p is made primitive.
+                g = math.gcd(rest[col], f)
+                _divide(p, g, rest[col])
+                _subtract(p, f // g, rest)
+                _divide(p, math.gcd(*p.values()))
+        self._rows[col] = rest
         return True
 
     def rows(self) -> list[dict[int, Fraction]]:
         """The nonzero RREF rows in pivot order."""
-        return [{p: _ONE, **self._tails[p]} for p in self.pivots]
+        return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(self._rows.items())]
 
     def kernel(self, ncols: int) -> list[Vector]:
         """Canonical kernel basis over ``ncols`` columns, by free column.
@@ -277,27 +295,32 @@ class Echelon:
         """
         basis = []
         for free in range(ncols):
-            if free in self._tails:
+            if free in self._rows:
                 continue
             v = [_ZERO] * ncols
             v[free] = _ONE
-            for p, tail in self._tails.items():
-                v[p] = -tail.get(free, _ZERO)
+            for p, row in self._rows.items():
+                if free in row:
+                    v[p] = Fraction(-row[free], row[p])
             basis.append(tuple(v))
         return basis
 
 
-def _add_multiple(row: dict[int, Fraction], f: Fraction, other: Mapping[int, Fraction]) -> None:
-    """row += f * other in place, dropping the entries that cancel."""
+def _divide(row: dict[int, int], g: int, m: int = 1) -> None:
+    """row = row * m / g in place; g divides every entry of row * m."""
+    if g != m:
+        for c, v in row.items():
+            row[c] = v * m // g
+
+
+def _subtract(row: dict[int, int], f: int, other: Mapping[int, int]) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
     for c, v in other.items():
-        if c in row:
-            x = row[c] + f * v
-            if x:
-                row[c] = x
-            else:
-                del row[c]
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
         else:
-            row[c] = f * v
+            row.pop(c, None)
 
 
 def _dense(row: Mapping[int, Fraction], ncols: int) -> Vector:

@@ -34,7 +34,10 @@ def parse_rational(value: Any, where: str) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise InputError("a value has too many digits to print") from None
 
 
 def _load_json(text: str) -> Any:

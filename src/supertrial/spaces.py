@@ -19,19 +19,23 @@ the only ones its claims read.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous)
 and the graded pieces are merged into one canonical basis.  Identical
-inputs always produce bit-identical bases.
+inputs always produce bit-identical bases.  Constraint rows are integers,
+each read from one operator's table at its lcm of denominators, and go
+straight into the integer ``Echelon``; the battery tests brackets and
+compositions on integer numerators and builds Fractions only for witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
 from .errors import InputError, ParityError
-from .linalg import Echelon, Matrix, Vector, canonical_span, unit_vector
+from .linalg import Echelon, Matrix, Vector, canonical_span, numerators
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
@@ -128,59 +132,56 @@ def _pattern_positions(parities: Sequence[int], parity: int) -> list[tuple[int, 
     ]
 
 
-def _add_entry(row: dict[int, Fraction], col: int, value: Fraction) -> None:
-    row[col] = row[col] + value if col in row else value
-
-
 def _commutation_rows(
     other: Matrix, var_of: dict[tuple[int, int], int], offset: int
-) -> Iterator[dict[int, Fraction]]:
-    """Sparse rows of X @ other - other @ X = 0 over the restricted unknowns."""
+) -> Iterator[dict[int, int]]:
+    """Sparse rows of X @ other - other @ X = 0 over the restricted unknowns, in integers."""
     n = other.rows
+    _, m = numerators(other.entries)
     for k in range(n):
         for l in range(n):
-            row: dict[int, Fraction] = {}
-            for m in range(n):
-                a = other.entry(m, l)
-                if a and (k, m) in var_of:
-                    _add_entry(row, offset + var_of[(k, m)], a)
-                b = other.entry(k, m)
-                if b and (m, l) in var_of:
-                    _add_entry(row, offset + var_of[(m, l)], -b)
+            row: dict[int, int] = {}
+            for j in range(n):
+                for pos, v in (((k, j), m[j * n + l]), ((j, l), -m[k * n + j])):
+                    if v and pos in var_of:
+                        row[offset + var_of[pos]] = row.get(offset + var_of[pos], 0) + v
             yield row
 
 
 class _TermTables:
-    """Per-product coefficient tables for the Leibniz-style terms at one twist.
+    """Per-product integer coefficient tables for the Leibniz-style terms at one twist.
 
-    With X the unknown map and c the structure tensor:
+    With X the unknown map, c the structure tensor, and every coefficient
+    scaled by d_c * d_T (the lcms of the denominators of c and of T):
       term 0: X(e_a) o e_b        coefficient at var (i, a) is c(i, b, k)
       term 1: X(e_a o e_b)        row coefficient at var (k, m) is c(a, b, m)
       term 2: X(e_a) o T(e_b)     coefficient at var (i, a) is (e_i o T(e_b))_k
       term 3: T(e_a) o X(e_b)     coefficient at var (i, b) is (T(e_a) o e_i)_k
+    Each constraint row reads one table, so it is one equation at one scale.
     Terms 0 and 1 read only the tensor, so a kind built from them alone does
     not depend on T.
     """
 
     def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
-        n = tensor.dim
-        units = [unit_vector(n, i) for i in range(n)]
-        tcols = [twist.col(i) for i in range(n)]
-        self.tensor = tensor
-        self.right_by_twisted = [
-            [tensor.bilinear(units[i], tcols[b]) for b in range(n)] for i in range(n)
-        ]
-        self.twisted_by_right = [
-            [tensor.bilinear(tcols[a], units[i]) for i in range(n)] for a in range(n)
-        ]
+        n = self.dim = tensor.dim
+        _, rows = tensor.by_first
+        d_t, t = numerators(twist.entries)
+        tables = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(3)]
+        self.plain, self.right_by_twisted, self.twisted_by_right = tables
+        for i, row in enumerate(rows):
+            for j, k, c in row:
+                self.plain[i][j][k] = c * d_t
+                for b in range(n):
+                    self.right_by_twisted[i][b][k] += c * t[j * n + b]
+                    self.twisted_by_right[b][j][k] += t[i * n + b] * c
 
-    def entries(self, term: int, a: int, b: int, k: int) -> list[tuple[tuple[int, int], Fraction]]:
+    def entries(self, term: int, a: int, b: int, k: int) -> list[tuple[tuple[int, int], int]]:
         """(unknown position, coefficient) pairs of one term at cell (a, b, k)."""
-        n = self.tensor.dim
+        n = self.dim
         if term == 0:
-            return [((i, a), self.tensor.coefficient(i, b, k)) for i in range(n)]
+            return [((i, a), self.plain[i][b][k]) for i in range(n)]
         if term == 1:
-            return [((k, m), self.tensor.coefficient(a, b, m)) for m in range(n)]
+            return [((k, m), self.plain[a][b][m]) for m in range(n)]
         if term == 2:
             return [((i, a), self.right_by_twisted[i][b][k]) for i in range(n)]
         return [((i, b), self.twisted_by_right[a][i][k]) for i in range(n)]
@@ -212,8 +213,8 @@ def _product_rows(
     parity: int,
     var_of: dict[tuple[int, int], int],
     koszul: bool,
-) -> Iterator[dict[int, Fraction]]:
-    """Sparse constraint rows of the kinds over every product and cell."""
+) -> Iterator[dict[int, int]]:
+    """Sparse integer constraint rows of the kinds over every product and cell."""
     n = spec.dimension
     nv = len(var_of)
     parities = spec.basis.parities
@@ -221,12 +222,13 @@ def _product_rows(
         for kind, a, b, k in itertools.product(kinds, range(n), range(n), range(n)):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
             for terms in _KIND_ROWS[kind]:
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for term, block, sign in terms:
                     negate = (third if sign is None else sign) < 0
                     for pos, c in table.entries(term, a, b, k):
                         if c and pos in var_of:
-                            _add_entry(row, block * nv + var_of[pos], -c if negate else c)
+                            col = block * nv + var_of[pos]
+                            row[col] = row.get(col, 0) + (-c if negate else c)
                 yield row
 
 
@@ -510,12 +512,23 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
 
     echelons: dict[int, Echelon] = {}
 
-    def first_outside(maps: Iterable[LinearMap], target: OperatorSpace) -> tuple[bool, LinearMap | None]:
-        """The first map outside the target span; one echelon per target."""
+    def product(f: LinearMap, g: LinearMap) -> list[int]:
+        """f @ g on integer numerators: a nonzero multiple of the exact product."""
+        (_, x), (_, y) = numerators(f.matrix.entries), numerators(g.matrix.entries)
+        cols = [y[j::n] for j in range(n)]
+        return [sum(map(operator.mul, x[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
+
+    def bracket(f: GradedOperator, g: GradedOperator) -> list[int]:
+        sign = 1 if f.parity and g.parity else -1
+        return [a + sign * b for a, b in zip(product(f.map, g.map), product(g.map, f.map))]
+
+    def first_outside(pairs, target, combine, exact) -> tuple[bool, LinearMap | None]:
+        """The first pair whose integer combination lies outside the target span (membership
+        does not depend on scale), with its exact combination; one echelon per target."""
         if id(target) not in echelons:
             echelons[id(target)] = Echelon(m.matrix.entries for m in target.basis)
-        outside = next((m for m in maps if not echelons[id(target)].contains(m.matrix.entries)), None)
-        return outside is None, outside
+        outside = next((p for p in pairs if not echelons[id(target)].contains(combine(*p))), None)
+        return (True, None) if outside is None else (False, exact(*outside))
 
     def contain(outer, *inners):
         results = [space_contains(outer, inner) for inner in inners]
@@ -537,10 +550,10 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         "eq-dc": eq_dc,
         "trivial": lambda inter: (False, square(inter[0])) if center_trivial and inter else (True, None),
         "bracket": lambda left, right, target: first_outside(
-            (supercommutator(f, g) for f in left.graded_elements() for g in right.graded_elements()), target
+            itertools.product(left.graded_elements(), right.graded_elements()), target, bracket, supercommutator
         ),
         "compose": lambda left, right, target: first_outside(
-            (LinearMap.square(spec.basis, f.matrix @ g.matrix) for f in left.basis for g in right.basis), target
+            itertools.product(left.basis, right.basis), target, product, LinearMap.compose
         ),
     }
     verdicts: dict[tuple, tuple[bool, LinearMap | None]] = {}

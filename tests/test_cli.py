@@ -179,6 +179,23 @@ class TestCheckCommand:
         assert main(["check", write(tmp_path, "big.json", text)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["check", "--json"], ["dsum", "IDEM", "-o", "OUT"]],
+        ids=["check", "check-json", "dsum-o"],
+    )
+    def test_value_past_the_digit_limit_in_the_report(self, tmp_path, capsys, argv):
+        """A 4,000-digit constant parses, but idem1's violation sides hold its
+        8,000-digit square: the run exits 2 before printing or writing -o."""
+        doc = json.loads(emit_algebra(builtin("idem1")))
+        doc["left"][0]["v"] = "7" * 4000
+        out = tmp_path / "out.json"
+        paths = {"IDEM": fixture_file(tmp_path, "idem1"), "OUT": str(out)}
+        argv = [argv[0], write(tmp_path, "big.json", json.dumps(doc))] + [paths.get(a, a) for a in argv[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: a value has too many digits to print\n")
+        assert not out.exists()
+
 
 class TestSpacesCommand:
     def test_derivations_of_dual2(self, tmp_path, capsys):
@@ -415,6 +432,20 @@ class TestArgumentHandling:
         )
         assert done.returncode == 0
         assert done.stdout.strip() == "0.1.0"
+
+    def test_runtime_imports_only_the_standard_library(self):
+        """Importing the package and its CLI in an isolated interpreter loads
+        no top-level module outside the standard library but supertrial."""
+        src = str(Path(supertrial.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+            "import supertrial, supertrial.cli\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names)))"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['supertrial']\n"
 
     def test_human_output_mentions_failures(self, tmp_path, capsys):
         spec = inject_violation(builtin("dual2"), "left", (0, 0, 0), 1)

@@ -4,7 +4,9 @@
 ``canonical_span`` with the package, so the oracle cannot catch a fault in
 the kernel itself; sympy's exact rational ``rref``, ``nullspace`` and
 ``inv`` can.  The matrices carry duplicated, scaled and zero rows because
-redundant rows are what the incremental echelon mostly handles.
+redundant rows are what the incremental echelon mostly handles, and their
+entries mix ints and Fractions with denominators up to 6 because the
+echelon scales each row to integers on entry.
 """
 
 from fractions import Fraction
@@ -19,12 +21,14 @@ from supertrial.errors import SingularMapError  # noqa: E402
 from supertrial.linalg import Echelon, Matrix, invert, nullspace_basis, rref  # noqa: E402
 
 F = Fraction
-entries = hs.integers(-4, 4)
+integers = hs.integers(-4, 4)
+rationals = hs.one_of(integers, hs.builds(F, integers, hs.integers(1, 6)))
+nonzero = hs.builds(F, hs.integers(-6, 6).filter(bool), hs.integers(1, 6))
 
 
 @hs.composite
-def redundant_rows(draw, max_rows=10, max_cols=8, square=False):
-    """Integer rows: a few random rows plus duplicates, multiples, sums and zeros."""
+def redundant_rows(draw, max_rows=10, max_cols=8, square=False, entries=rationals):
+    """A few random rows plus duplicates, multiples, sums and zeros."""
     ncols = draw(hs.integers(1, max_cols))
     nrows = ncols if square else draw(hs.integers(1, max_rows))
     base = draw(hs.integers(1, nrows))
@@ -113,3 +117,33 @@ def test_contains_exactly_the_row_space(rows):
         assert ech.add(v)
         assert len(ech) == len(ech.pivots) == ncols - len(ech.kernel(ncols))
     assert len(ech) == ncols
+
+
+@settings(deadline=None)
+@given(redundant_rows(entries=integers), hs.data())
+def test_int_fraction_and_mixed_rows_agree(rows, data):
+    """int rows, Fraction rows and rows mixing both span the same space."""
+    ncols = len(rows[0])
+    fractions = Echelon([F(v) for v in row] for row in rows)
+    mixed = [[data.draw(hs.sampled_from([int, F]))(v) for v in row] for row in rows]
+    for other in (Echelon(rows), Echelon(mixed), Echelon({c: v for c, v in enumerate(row) if v} for row in rows)):
+        assert other.rows() == fractions.rows()
+        assert other.kernel(ncols) == fractions.kernel(ncols)
+    for row in rows + [[F(1, 3)] * ncols]:
+        assert all(type(v) is int for v in Echelon(rows[:1]).reduce(row).values())
+
+
+@settings(deadline=None)
+@given(redundant_rows(), hs.data())
+def test_rows_do_not_depend_on_row_scale(rows, data):
+    """Each row is stored as a primitive integer multiple, so scaling an
+    input row by any nonzero rational changes nothing."""
+    ncols = len(rows[0])
+    whole = Echelon(rows)
+    for row in rows:
+        c = data.draw(nonzero)
+        assert Echelon([[c * v for v in row]]).rows() == Echelon([row]).rows()
+    scales = [data.draw(nonzero) for _ in rows]
+    scaled = Echelon([c * v for v in row] for c, row in zip(scales, rows))
+    assert scaled.rows() == whole.rows()
+    assert scaled.kernel(ncols) == whole.kernel(ncols)

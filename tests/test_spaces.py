@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from constraint_oracle import oracle_space, span_intersection
+from test_axiom_oracle import twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import LinearMap, center, identity_map
@@ -127,12 +128,23 @@ def _sparse6():
     return direct_sum(direct_sum(builtin("grassmann2"), builtin("dual2")), builtin("dual2"))
 
 
+def _rational4():
+    """dual2-twisted + grassmann2 conjugated by a non-unimodular even map:
+    constants, gamma and xi all carry denominators, so constraint rows are
+    scaled by more than one lcm."""
+    spec = twisted_fixture()
+    assert any(c.denominator > 1 for _, t in spec.products() for c in t.constants.values())
+    assert any(v.denominator > 1 for v in spec.gamma.matrix.entries + spec.xi.matrix.entries)
+    return spec
+
+
 # gamma = xi = id on the first two, so their twist powers all act alike;
-# the third has a non-trivial twist and dense structure maps.
+# the third and fourth have non-trivial twists and dense structure maps.
 PAST_DIM3 = {
     "dense4": _dense4,
     "sparse6": _sparse6,
     "dense4-twisted": lambda: _dense4("dual2-twisted"),
+    "rational4": _rational4,
 }
 
 
@@ -402,6 +414,23 @@ def test_operator_space_reports_shapes():
     assert [g.parity for g in graded] == [0] * space.even_dimension + [1] * space.odd_dimension
 
 
+# Even on parities (0, 0, 0, 1), invertible and not unimodular.
+_RATIONAL_CONJUGATOR = [[F(2, 3), 0, F(1, 4), 0], [1, F(1, 2), 0, 0], [0, F(1, 5), 3, 0], [0, 0, 0, F(7, 6)]]
+
+
+@pytest.mark.parametrize("koszul", [False, True])
+def test_battery_pattern_survives_rational_conjugation(koszul):
+    """Conjugating by an even isomorphism carries every space, bracket and
+    composition along, so each line passes or fails as on the original;
+    the conjugated rows carry denominators the original's do not."""
+    spec = direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
+    conj = yau_twist(spec, LinearMap.square(spec.basis, Matrix.from_rows(_RATIONAL_CONJUGATOR))).twisted
+    assert any(v.denominator > 1 for v in conj.gamma.matrix.entries)
+    pattern = [line[:6] for line in _battery_lines(proposition_battery(spec, 1, koszul))]
+    assert [line[:6] for line in _battery_lines(proposition_battery(conj, 1, koszul))] == pattern
+    assert any(not line[5] for line in pattern) == koszul
+
+
 class TestBatteryPlan:
     @pytest.mark.parametrize(
         "name, max_power, builds, solves",
@@ -452,3 +481,26 @@ class TestBatteryPlan:
             ("sum-qd-qc-in-gd", Matrix.identity(2)),
             ("zd-eq-d-cap-c", e00),
         ]
+
+    def test_bracket_and_compose_witnesses_are_exact(self, monkeypatch):
+        """Membership is decided on integer numerators; the witness is the
+        exact Fraction supercommutator or composition of the first pair
+        outside the target, not a scaled copy of it."""
+        spec = builtin("zero2")
+        a, b = Matrix.from_rows([[F(1, 3), 0], [0, 0]]), Matrix.from_rows([[0, F(1, 2)], [0, 0]])
+        p, q = Matrix.from_rows([[F(1, 2), 0], [0, F(1, 5)]]), Matrix.from_rows([[0, 0], [1, 0]])
+        spans = {"D": [a, b], "C": [p, q]}  # a and p even, b and q odd
+
+        def fake_build(kind, spec, t, *rest):
+            maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
+            even = tuple(m for m in maps if m.is_even)
+            return OperatorSpace(kind, t, 2, maps, even, tuple(m for m in maps if m not in even))
+
+        monkeypatch.setattr(spaces, "_build_space", fake_build)
+        monkeypatch.setattr(spaces, "_intersection_space", lambda spec, t, *rest: ())
+        # [a, p] = 0 and [a, q] = -q/3 lie in C, and p a = a/2 and p b = b/2 in D.
+        assert solve_in_span([p.entries, q.entries], (a @ q - q @ a).entries) is not None
+        assert solve_in_span([a.entries, b.entries], (p @ b).entries) is not None
+        witnesses = {ln.claim_id: ln.witness.matrix for ln in proposition_battery(spec, 0).failed_lines()}
+        assert witnesses["bracket-d-c-in-c"] == b @ p - p @ b == Matrix.from_rows([[0, F(-3, 20)], [0, 0]])
+        assert witnesses["compose-c-d-in-d"] == q @ a == Matrix.from_rows([[0, 0], [F(1, 3), 0]])
