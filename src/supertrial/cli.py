@@ -433,10 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main keeps one parser per process: building one costs milliseconds and leaves cycles for the collector.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

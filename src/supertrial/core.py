@@ -631,9 +631,11 @@ def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> t
     system = Echelon()
     for _, tensor in spec.products():
         for a in vecs:
+            lefts = [tensor.bilinear(img, a) for img in images]
+            rights = [tensor.bilinear(a, img) for img in images]
             for k in range(n):
-                system.add([tensor.bilinear(img, a)[k] for img in images])
-                system.add([tensor.bilinear(a, img)[k] for img in images])
+                system.add([left[k] for left in lefts])
+                system.add([right[k] for right in rights])
     members = []
     for coeffs in system.kernel(len(vecs)):
         u = zero_vector(n)

@@ -229,8 +229,9 @@ class Echelon:
     incoming row is reduced by one pass over the pivot columns it touches, and
     the rows held are the unique RREF of the span up to those scales, whatever
     order the rows came in.  Rows may be dicts or dense sequences of ints or
-    Fractions (scaled once on entry by the lcm of their denominators); zeros
-    are ignored.  Division happens only in ``rows`` and ``kernel``.
+    Fractions (a row with a Fraction is scaled on entry by the lcm of its
+    denominators); zeros are ignored.  Division happens only in ``rows`` and
+    ``kernel``.
     """
 
     def __init__(self, rows: Iterable[Row] = ()) -> None:
@@ -250,7 +251,8 @@ class Echelon:
         clearing every pivot column (the remainder is defined up to scale)."""
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
         out = {c: v for c, v in items if v}
-        out = dict(zip(out, numerators(out.values())[1]))
+        if not all(type(v) is int for v in out.values()):
+            out = dict(zip(out, numerators(out.values())[1]))
         pivots = [(self._rows[c], c, a) for c, a in out.items() if c in self._rows]
         # scale * out - sum of (a * scale / d) * pivot row clears them all at once.
         scale = math.lcm(*[p[c] // math.gcd(p[c], a) for p, c, a in pivots])

@@ -19,10 +19,11 @@ the only ones its claims read.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous)
 and the graded pieces are merged into one canonical basis.  Identical
-inputs always produce bit-identical bases.  Constraint rows are integers,
-each read from one operator's table at its lcm of denominators, and go
-straight into the integer ``Echelon``; the battery tests brackets and
-compositions on integer numerators and builds Fractions only for witnesses.
+inputs always produce bit-identical bases.  Constraint rows are sparse
+integers, each read from one operator's table at its lcm of denominators,
+and each distinct nonzero row goes once into the integer ``Echelon``; the
+battery tests brackets and compositions on integer numerators and builds
+Fractions only for witnesses.
 """
 
 from __future__ import annotations
@@ -132,24 +133,28 @@ def _pattern_positions(parities: Sequence[int], parity: int) -> list[tuple[int, 
     ]
 
 
-def _commutation_rows(
-    other: Matrix, var_of: dict[tuple[int, int], int], offset: int
-) -> Iterator[dict[int, int]]:
-    """Sparse rows of X @ other - other @ X = 0 over the restricted unknowns, in integers."""
+def _nonzero(row: dict[int, int]) -> dict[int, int]:
+    """The row without the entries that cancelled to zero."""
+    return {c: v for c, v in row.items() if v} if 0 in row.values() else row
+
+
+def _commutation_rows(other: Matrix, var_of: list[list[int | None]], offset: int) -> Iterator[dict[int, int]]:
+    """Nonzero sparse rows of X @ other - other @ X = 0 over the restricted unknowns, in integers."""
     n = other.rows
     _, m = numerators(other.entries)
     for k in range(n):
         for l in range(n):
             row: dict[int, int] = {}
             for j in range(n):
-                for pos, v in (((k, j), m[j * n + l]), ((j, l), -m[k * n + j])):
-                    if v and pos in var_of:
-                        row[offset + var_of[pos]] = row.get(offset + var_of[pos], 0) + v
-            yield row
+                for col, v in ((var_of[k][j], m[j * n + l]), (var_of[j][l], -m[k * n + j])):
+                    if v and col is not None:
+                        row[offset + col] = row.get(offset + col, 0) + v
+            if row := _nonzero(row):
+                yield row
 
 
 class _TermTables:
-    """Per-product integer coefficient tables for the Leibniz-style terms at one twist.
+    """Per-product sparse integer coefficient tables for the Leibniz-style terms at one twist.
 
     With X the unknown map, c the structure tensor, and every coefficient
     scaled by d_c * d_T (the lcms of the denominators of c and of T):
@@ -157,34 +162,26 @@ class _TermTables:
       term 1: X(e_a o e_b)        row coefficient at var (k, m) is c(a, b, m)
       term 2: X(e_a) o T(e_b)     coefficient at var (i, a) is (e_i o T(e_b))_k
       term 3: T(e_a) o X(e_b)     coefficient at var (i, b) is (T(e_a) o e_i)_k
+    A term reads two of (a, b, k): (b, k) for terms 0 and 2, (a, b) for 1
+    and (a, k) for 3.  ``terms[t][u][v]`` lists the nonzero (i or m,
+    coefficient) pairs of term t at those two slots, so n^2 lists per term.
     Each constraint row reads one table, so it is one equation at one scale.
     Terms 0 and 1 read only the tensor, so a kind built from them alone does
     not depend on T.
     """
 
     def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
-        n = self.dim = tensor.dim
+        n = tensor.dim
         _, rows = tensor.by_first
         d_t, t = numerators(twist.entries)
-        tables = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(3)]
-        self.plain, self.right_by_twisted, self.twisted_by_right = tables
+        dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(4)]
         for i, row in enumerate(rows):
             for j, k, c in row:
-                self.plain[i][j][k] = c * d_t
+                dense[0][j][k][i] = dense[1][i][j][k] = c * d_t
                 for b in range(n):
-                    self.right_by_twisted[i][b][k] += c * t[j * n + b]
-                    self.twisted_by_right[b][j][k] += t[i * n + b] * c
-
-    def entries(self, term: int, a: int, b: int, k: int) -> list[tuple[tuple[int, int], int]]:
-        """(unknown position, coefficient) pairs of one term at cell (a, b, k)."""
-        n = self.dim
-        if term == 0:
-            return [((i, a), self.plain[i][b][k]) for i in range(n)]
-        if term == 1:
-            return [((k, m), self.plain[a][b][m]) for m in range(n)]
-        if term == 2:
-            return [((i, a), self.right_by_twisted[i][b][k]) for i in range(n)]
-        return [((i, b), self.twisted_by_right[a][i][k]) for i in range(n)]
+                    dense[2][b][k][i] += c * t[j * n + b]
+                    dense[3][b][k][j] += t[i * n + b] * c
+        self.terms = tuple([[[(i, c) for i, c in enumerate(cell) if c] for cell in line] for line in table] for table in dense)
 
 
 def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[_TermTables, ...]:
@@ -211,25 +208,32 @@ def _product_rows(
     spec: TrialgebraSpec,
     tables: Sequence[_TermTables],
     parity: int,
-    var_of: dict[tuple[int, int], int],
+    var_of: list[list[int | None]],
     koszul: bool,
 ) -> Iterator[dict[int, int]]:
-    """Sparse integer constraint rows of the kinds over every product and cell."""
+    """Nonzero sparse integer constraint rows of the kinds over every product and cell; var_of[i][j]
+    is the column of unknown (i, j) in the first block, None off the parity pattern."""
     n = spec.dimension
-    nv = len(var_of)
+    nv = sum(col is not None for line in var_of for col in line)
+    by_col = list(zip(*var_of))
     parities = spec.basis.parities
     for table in tables:
+        zero, one, two, three = table.terms
         for kind, a, b, k in itertools.product(kinds, range(n), range(n), range(n)):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
+            cell = ((zero[b][k], by_col[a]), (one[a][b], var_of[k]), (two[b][k], by_col[a]), (three[a][k], by_col[b]))
             for terms in _KIND_ROWS[kind]:
                 row: dict[int, int] = {}
                 for term, block, sign in terms:
-                    negate = (third if sign is None else sign) < 0
-                    for pos, c in table.entries(term, a, b, k):
-                        if c and pos in var_of:
-                            col = block * nv + var_of[pos]
-                            row[col] = row.get(col, 0) + (-c if negate else c)
-                yield row
+                    pairs, lane = cell[term]
+                    sign = third if sign is None else sign
+                    for i, c in pairs:
+                        col = lane[i]
+                        if col is not None:
+                            col += block * nv
+                            row[col] = row.get(col, 0) + sign * c
+                if row := _nonzero(row):
+                    yield row
 
 
 def _solve_kinds(
@@ -243,26 +247,30 @@ def _solve_kinds(
 
     A single multi-block kind solves jointly over its auxiliary blocks and
     projects onto the first; a list of single-block kinds intersects their
-    constraint sets.
+    constraint sets.  Each distinct nonzero row goes to the echelon once:
+    a repeat, compared as a whole row, cannot change the span.
     """
     n = spec.dimension
     positions = _pattern_positions(spec.basis.parities, parity)
     nv = len(positions)
     if nv == 0:
         return []
-    var_of = {pos: idx for idx, pos in enumerate(positions)}
+    index = {pos: idx for idx, pos in enumerate(positions)}
+    var_of = [[index.get((i, j)) for j in range(n)] for i in range(n)]
     blocks = 1 + max(block for kind in kinds for terms in _KIND_ROWS[kind] for _, block, _ in terms)
     if blocks > 1 and len(kinds) != 1:
         raise InputError("joint-block kinds cannot be intersected")
     xi = spec.require_xi()
 
     system = Echelon()
-    for block in range(blocks):
-        for other in (spec.gamma.matrix, xi.matrix):
-            for row in _commutation_rows(other, var_of, block * nv):
-                system.add(row)
-    for row in _product_rows(kinds, spec, tables, parity, var_of, koszul):
-        system.add(row)
+    seen: set[frozenset[tuple[int, int]]] = set()
+    commutation = (
+        _commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in (spec.gamma.matrix, xi.matrix)
+    )
+    for row in itertools.chain(*commutation, _product_rows(kinds, spec, tables, parity, var_of, koszul)):
+        if (key := frozenset(row.items())) not in seen:
+            seen.add(key)
+            system.add(row)
 
     vectors = []
     for sol in system.kernel(nv * blocks):

@@ -433,6 +433,27 @@ class TestArgumentHandling:
         assert done.returncode == 0
         assert done.stdout.strip() == "0.1.0"
 
+    def test_repeated_calls_in_one_process(self, tmp_path, capsys, monkeypatch):
+        """main keeps one parser for the process: a good command, a usage
+        error and the good command again each print and exit as they do
+        when made first, in a fresh interpreter."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        src = str(Path(supertrial.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = fixture_file(tmp_path, "dual2-twisted")
+        good = ["spaces", path, "--space", "QD", "--s", "1", "--r", "0", "--json"]
+        usage = ["spaces", path, "--space", "XX", "--s", "0", "--r", "0"]
+        first = {}
+        for argv in (good, usage):
+            done = subprocess.run(
+                [sys.executable, "-m", "supertrial.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            first[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert first[tuple(good)][0] == 0 and first[tuple(usage)][0] == 2
+        for argv in (good, usage, good):
+            code = main(argv)
+            assert (code, *capsys.readouterr()) == first[tuple(argv)]
+
     def test_runtime_imports_only_the_standard_library(self):
         """Importing the package and its CLI in an isolated interpreter loads
         no top-level module outside the standard library but supertrial."""

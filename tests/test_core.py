@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from supertrial.constructions import direct_sum, yau_twist
 from supertrial.core import (
     LinearMap,
     StructureTensor,
@@ -23,7 +24,7 @@ from supertrial.core import (
 )
 from supertrial.errors import InputError, ModeError, ParityError
 from supertrial.fixtures import builtin, inject_violation
-from supertrial.linalg import Matrix, unit_vector
+from supertrial.linalg import Matrix, canonical_span, unit_vector
 
 F = Fraction
 
@@ -327,6 +328,16 @@ class TestCentralizer:
         spec = builtin("dual2")
         units = [unit_vector(2, 0), unit_vector(2, 1)]
         assert centralizer(spec, units) == center(spec)
+
+    def test_whole_dense_algebra_matches_center(self):
+        """zero2 + dual2 conjugated by an even unimodular map: a dense
+        dimension-4 algebra with a two-dimensional center."""
+        base = direct_sum(builtin("zero2"), builtin("dual2"))
+        l = Matrix.from_rows([[1, 0, 1, 0], [0, -1, 0, 0], [2, 0, 3, 1], [1, 0, 2, 2]])
+        spec = yau_twist(base, LinearMap.square(base.basis, l)).twisted
+        units = [unit_vector(4, i) for i in range(4)]
+        assert len(center(spec)) == 2
+        assert centralizer(spec, units) == canonical_span(center(spec), 4)
 
     def test_nilpotent_line_centralizes_itself(self):
         spec = builtin("dual2")

@@ -147,3 +147,27 @@ def test_rows_do_not_depend_on_row_scale(rows, data):
     scaled = Echelon([c * v for v in row] for c, row in zip(scales, rows))
     assert scaled.rows() == whole.rows()
     assert scaled.kernel(ncols) == whole.kernel(ncols)
+
+
+@settings(deadline=None)
+@given(redundant_rows(entries=integers))
+def test_empty_and_repeated_rows_change_nothing(rows):
+    """Adding a zero row, an empty dict or a row already added returns
+    False and leaves the rows as they were."""
+    ech = Echelon(rows)
+    before = ech.rows()
+    for row in [[0] * len(rows[0]), {}, *rows]:
+        assert ech.add(row) is False
+        assert ech.rows() == before
+
+
+@settings(deadline=None)
+@given(redundant_rows(entries=integers), hs.integers(0, 10))
+def test_int_rows_reduce_as_their_fraction_twins(rows, held):
+    """An all-int row skips the conversion to numerators; the remainder is
+    the one its Fraction twin gives, dense or sparse."""
+    ech = Echelon(rows[:held])
+    for row in rows:
+        twin = [F(v) for v in row]
+        assert ech.reduce(row) == ech.reduce(twin)
+        assert ech.reduce(dict(enumerate(row))) == ech.reduce(dict(enumerate(twin)))

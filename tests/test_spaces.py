@@ -5,6 +5,7 @@ are additionally cross-checked against the symbolic constraint oracle, so
 a regression in either the solver or the oracle shows up as disagreement.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from supertrial.core import LinearMap, center, identity_map
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial import spaces
-from supertrial.linalg import Matrix, solve_in_span
+from supertrial.linalg import Echelon, Matrix, canonical_span, invert, solve_in_span
 from supertrial.spaces import (
     GradedOperator,
     OperatorSpace,
@@ -148,7 +149,10 @@ PAST_DIM3 = {
 }
 
 
-@pytest.mark.parametrize("kind, koszul", [(k, False) for k in sorted(SPACE_FN)] + [("D", True)])
+KINDS_AND_KOSZUL_D = [(k, False) for k in sorted(SPACE_FN)] + [("D", True)]
+
+
+@pytest.mark.parametrize("kind, koszul", KINDS_AND_KOSZUL_D)
 @pytest.mark.parametrize("power", [(0, 0), (1, 1)])
 @pytest.mark.parametrize("name", sorted(PAST_DIM3))
 def test_solver_matches_oracle_past_dimension_three(name, power, kind, koszul):
@@ -156,6 +160,72 @@ def test_solver_matches_oracle_past_dimension_three(name, power, kind, koszul):
     assert spec.dimension > 3
     t = TwistPower(*power)
     assert _build_space(kind, spec, t, koszul).vectorized() == oracle_space(spec, kind, t, koszul)
+
+
+def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
+    """Assembly drops empty rows (all commutation rows when gamma = id) and
+    rows already sent to the same system; the spaces are unchanged, as the
+    oracle tests check."""
+    spec = twisted_fixture()
+    assert spec.gamma.matrix != Matrix.identity(spec.dimension)
+    systems: list[list[dict]] = []
+
+    class Recording(Echelon):
+        def __init__(self, rows=()):
+            self.sent = []
+            systems.append(self.sent)
+            super().__init__(rows)
+
+        def add(self, row):
+            self.sent.append(dict(row))
+            return super().add(row)
+
+    monkeypatch.setattr(spaces, "Echelon", Recording)
+    for kind, koszul in KINDS_AND_KOSZUL_D:
+        _build_space(kind, spec, TwistPower(1, 1), koszul)
+    _intersection_space(spec, TwistPower(1, 1), ("D", "C"))
+    assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 2
+    for sent in systems:
+        assert sent and all(row and all(row.values()) for row in sent)
+        assert len({frozenset(row.items()) for row in sent}) == len(sent)
+
+
+def _unitriangular_product(parities) -> Matrix:
+    """An even integer map, lower times upper unitriangular on each parity
+    block: determinant 1, so its inverse is integer too."""
+    n = len(parities)
+
+    def triangle(lower):
+        return Matrix.from_rows([
+            [1 if i == j else (i + 2 * j) % 5 - 2 if parities[i] == parities[j] and (i > j) == lower else 0
+             for j in range(n)]
+            for i in range(n)
+        ])
+
+    return triangle(True) @ triangle(False)
+
+
+@functools.cache
+def _conjugated6():
+    """dual2-twisted + grassmann2 + zero2 (gamma and xi not the identity)
+    and its conjugate L.A by an even unimodular L, with L and L^-1."""
+    spec = direct_sum(direct_sum(builtin("dual2-twisted"), builtin("grassmann2")), builtin("zero2"))
+    l = _unitriangular_product(spec.basis.parities)
+    return spec, yau_twist(spec, LinearMap.square(spec.basis, l)).twisted, l, invert(l)
+
+
+@pytest.mark.parametrize("kind, koszul", KINDS_AND_KOSZUL_D)
+@pytest.mark.parametrize("power", [(0, 0), (1, 1)])
+def test_conjugation_carries_every_space(power, kind, koszul):
+    """X(L.A) = L X(A) L^-1 as spans, at dimension 6 on a dense conjugate
+    where the constraint oracle is too slow."""
+    spec, conj, l, linv = _conjugated6()
+    assert spec.dimension == 6
+    assert sum(len(t.constants) for _, t in conj.products()) > 5 * sum(len(t.constants) for _, t in spec.products())
+    t = TwistPower(*power)
+    moved = [(l @ m.matrix @ linv).entries for m in _build_space(kind, spec, t, koszul).basis]
+    assert moved
+    assert _build_space(kind, conj, t, koszul).vectorized() == canonical_span(moved, 36)
 
 
 class TestDerivationDetails:
