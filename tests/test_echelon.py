@@ -131,6 +131,10 @@ def test_int_fraction_and_mixed_rows_agree(rows, data):
         assert other.kernel(ncols) == fractions.kernel(ncols)
     for row in rows + [[F(1, 3)] * ncols]:
         assert all(type(v) is int for v in Echelon(rows[:1]).reduce(row).values())
+    # An all-int row skips the conversion to numerators and reduces as its Fraction twin does.
+    held = Echelon(rows[: len(rows) // 2])
+    for row in rows:
+        assert held.reduce(row) == held.reduce([F(v) for v in row]) == held.reduce(dict(enumerate(row)))
 
 
 @settings(deadline=None)
@@ -159,15 +163,3 @@ def test_empty_and_repeated_rows_change_nothing(rows):
     for row in [[0] * len(rows[0]), {}, *rows]:
         assert ech.add(row) is False
         assert ech.rows() == before
-
-
-@settings(deadline=None)
-@given(redundant_rows(entries=integers), hs.integers(0, 10))
-def test_int_rows_reduce_as_their_fraction_twins(rows, held):
-    """An all-int row skips the conversion to numerators; the remainder is
-    the one its Fraction twin gives, dense or sparse."""
-    ech = Echelon(rows[:held])
-    for row in rows:
-        twin = [F(v) for v in row]
-        assert ech.reduce(row) == ech.reduce(twin)
-        assert ech.reduce(dict(enumerate(row))) == ech.reduce(dict(enumerate(twin)))
