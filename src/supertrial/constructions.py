@@ -21,7 +21,9 @@ from .core import (
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
+    _integral,
     _named,
+    _product,
     _sweep,
     check_bihom,
     check_morphism,
@@ -142,7 +144,20 @@ def _tensor_of(n: int, product: Callable[[int, int], Vector]) -> StructureTensor
 
 
 def _twisted_tensor(tensor: StructureTensor, l: Matrix, linv: Matrix) -> StructureTensor:
-    return _tensor_of(tensor.dim, lambda i, j: l.apply(tensor.bilinear(linv.col(i), linv.col(j))))
+    """The constants of l(l^-1(e_i) o l^-1(e_j)), computed on integer numerators."""
+    n = tensor.dim
+    (d_t, _, t), (d_l, _, l_cols), (d_inv, _, inv_cols) = map(_integral, (tensor, l, linv))
+    cols = [_product(n, inv_cols, [(i, 1)]) for i in range(n)]
+    den = d_l * d_t * d_inv * d_inv
+    return StructureTensor.build(
+        n,
+        {
+            (i, j, k): Fraction(v, den)
+            for i in range(n)
+            for j in range(n)
+            for k, v in _product(n, l_cols, _product(n, t, cols[i], cols[j]))
+        },
+    )
 
 
 def _conjugated(spec: TrialgebraSpec, l: LinearMap) -> tuple[TrialgebraSpec, Matrix]:
@@ -251,26 +266,25 @@ def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearM
             f"got {xi_map.matrix.rows}x{xi_map.matrix.cols}"
         )
     total = direct_sum(a, b)
-    n = a.dimension
-    graph_vectors = [unit_vector(n, i) + xi_map.matrix.col(i) for i in range(n)]
+    n, m = a.dimension, b.dimension
+    # g(e_i) = (e_i, f(e_i)) spans the graph, and a sum vector v lies in it
+    # exactly when f(top(v)) = bottom(v).
+    f = xi_map.matrix
+    ident = Matrix.identity(n + m).entries
+    ops = {
+        **_named(total),
+        "f": f,
+        "g": Matrix(n + m, n, Matrix.identity(n).entries + f.entries),
+        "top": Matrix(n, n + m, ident[: n * (n + m)]),
+        "bottom": Matrix(m, n + m, ident[n * (n + m) :]),
+    }
 
-    def in_graph(v: Vector) -> bool:
-        """(x, y) lies in the graph exactly when y = f(x)."""
-        return xi_map.matrix.apply(v[:n]) == v[n:]
+    def row(label: str, term: tuple) -> tuple:
+        return (label, ("f", ("top", term)), ("bottom", term))
 
-    closed = True
-    for _, tensor in total.products():
-        for gi in graph_vectors:
-            for gj in graph_vectors:
-                if not in_graph(tensor.bilinear(gi, gj)):
-                    closed = False
-    maps = [total.gamma.matrix]
-    if total.xi is not None:
-        maps.append(total.xi.matrix)
-    for m in maps:
-        for gi in graph_vectors:
-            if not in_graph(m.apply(gi)):
-                closed = False
+    products = tuple(row(tag, (tag, ("g", 0), ("g", 1))) for tag in PRODUCT_TAGS)
+    maps = tuple(row(label, (label, ("g", 0))) for label in ("gamma", "xi") if label in ops)
+    closed = _sweep(n, 2, ops, products).passed and _sweep(n, 1, ops, maps).passed
 
     morphism_report = check_morphism(a, b, xi_map)
     return GraphCheckResult(

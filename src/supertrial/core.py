@@ -6,7 +6,10 @@ with one or two even structure maps ``gamma`` and ``xi``.  With ``xi``
 present the object is a BiHom candidate; without it the Hom axiom system
 applies.  Checks sweep basis tuples, which suffices by multilinearity, in
 integer numerators over per-operator denominators; the reports' violation
-sides are Fractions that ``product_eval`` replays.
+sides are Fractions that ``product_eval`` replays.  Each tensor indexes its
+constants by argument pair, so a product costs the size of its arguments'
+supports, and a sweep evaluates each subterm once per assignment of the
+slots it reads rather than once per tuple (see ``_sweep``).
 
 Matrix convention: a map sends the j-th basis vector to the j-th column,
 so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -148,14 +152,20 @@ def identity_map(basis: SuperBasis) -> LinearMap:
     return LinearMap.square(basis, Matrix.identity(basis.dimension))
 
 
-def _bilinear_into(out: list, rows: Sequence[Sequence[tuple]], x: Sequence, y: Sequence) -> list:
-    """out[k] += c * x[i] * y[j] for each (j, k, c) of rows[i]; returns out."""
-    for i, xi in enumerate(x):
-        if xi:
-            for j, k, c in rows[i]:
-                yj = y[j]
-                if yj:
-                    out[k] += c * xi * yj
+def _support(v: Sequence) -> list[tuple[int, object]]:
+    """The (coordinate, value) pairs of the nonzero entries of v, in order."""
+    return [(k, a) for k, a in enumerate(v) if a]
+
+
+def _bilinear_into(out: list, index: Sequence[Sequence[Sequence[tuple]]], xs: Iterable, ys: Iterable) -> list:
+    """out[k] += c * a * b for each (i, a) of xs, (j, b) of ys and (k, c) of
+    index[i][j], with xs and ys given by their supports; returns out."""
+    for i, a in xs:
+        cells = index[i]
+        for j, b in ys:
+            s = a * b
+            for k, c in cells[j]:
+                out[k] += c * s
     return out
 
 
@@ -179,8 +189,8 @@ class StructureTensor:
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise InputError(f"structure constant index {(i, j, k)} out of range for dim {dim}")
-            value = frac(raw)
-            if value != 0:
+            value = raw if type(raw) is Fraction else frac(raw)
+            if value:
                 table[(i, j, k)] = value
         return cls(dim, table)
 
@@ -199,20 +209,21 @@ class StructureTensor:
         return tuple(out)
 
     @cached_property
-    def by_first(self) -> tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]:
-        """``(d, rows)``: the constants as integers over one denominator d, the
-        lcm of theirs, indexed by first argument; rows[i] holds (j, k, d * c(i, j, k))."""
+    def by_pair(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """``(d, index)``: the constants as integers over one denominator d, the
+        lcm of theirs, indexed by argument pair; index[i][j] holds the
+        (k, d * c(i, j, k)) of e_i * e_j."""
         d, nums = numerators(self.constants.values())
-        rows: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        index = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
         for (i, j, k), c in zip(self.constants, nums):
-            rows[i].append((j, k, c))
-        return d, tuple(map(tuple, rows))
+            index[i][j].append((k, c))
+        return d, tuple(tuple(map(tuple, line)) for line in index)
 
     def bilinear(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("bilinear arguments must match the tensor dimension")
-        d, rows = self.by_first
-        out = _bilinear_into([_ZERO] * self.dim, rows, x, y)
+        d, index = self.by_pair
+        out = _bilinear_into([_ZERO] * self.dim, index, _support(x), _support(y))
         return tuple(out) if d == 1 else tuple(v / d for v in out)
 
     def add(self, other: "StructureTensor") -> "StructureTensor":
@@ -421,72 +432,160 @@ def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
     return ops
 
 
-def _integral(op: StructureTensor | Matrix) -> tuple[int, Callable[..., tuple]]:
-    """``(d, f)``: the operator's denominator, and f its value on integer vectors, over d."""
+# The sparse scalar 1: a map is a product whose second argument is 1.
+_SCALAR_ONE = ((0, 1),)
+
+
+def _integral(op: StructureTensor | Matrix) -> tuple[int, int, tuple]:
+    """``(d, dim, index)``: the operator's constants as integers over one
+    denominator d, the dimension of its values, and the constants indexed by
+    argument pair as in ``StructureTensor.by_pair``.  A map is a product with
+    the scalar 1: m[i][j] is the constant c(j, 0, i)."""
     if isinstance(op, StructureTensor):
-        d, rows = op.by_first
-        return d, lambda x, y: tuple(_bilinear_into([0] * op.dim, rows, x, y))
+        d, index = op.by_pair
+        return d, op.dim, index
     d, nums = numerators(op.entries)
-    # A map is a product with the scalar 1: m[i][j] is the constant c(j, 0, i).
-    cols = [[(0, i, v) for i, v in enumerate(nums[j :: op.cols]) if v] for j in range(op.cols)]
-    return d, lambda x: tuple(_bilinear_into([0] * op.rows, cols, x, (1,)))
+    cols = tuple((tuple((i, v) for i, v in enumerate(nums[j :: op.cols]) if v),) for j in range(op.cols))
+    return d, op.rows, cols
+
+
+def _product(dim: int, index: tuple, xs: Sequence, ys: Sequence = _SCALAR_ONE) -> list:
+    """The support of the product of the sparse vectors xs and ys under the
+    pair index of an operator whose values have length dim."""
+    return _support(_bilinear_into([0] * dim, index, xs, ys))
+
+
+def _combine(dim: int, weights: Sequence[int], vs: Iterable[list]) -> list:
+    """The support of the sum of the weighted sparse vectors vs."""
+    out = [0] * dim
+    for w, v in zip(weights, vs):
+        for k, a in v:
+            out[k] += w * a
+    return _support(out)
+
+
+class _Plan:
+    """The steps of a sweep: each distinct subterm of its rows once, after its
+    arguments.
+
+    Positions below the arity are the slots; every later position is a step,
+    a function of the values at the positions ``args``.  A value is a sparse
+    integer vector, the list of its nonzero (coordinate, entry) pairs;
+    ``dens[p]`` is its denominator, ``dims[p]`` its length and ``reads[p]``
+    the sorted slots it depends on.  ``place`` recurses through the bound
+    method, so a plan holds no reference to itself and is freed as soon as
+    the sweep drops it.
+    """
+
+    def __init__(self, n: int, ops: _Ops, arity: int) -> None:
+        self.ops = ops
+        self.position: dict[_Term, int] = {}
+        self.dens = [1] * arity
+        self.dims = [n] * arity
+        self.reads = [(s,) for s in range(arity)]
+        self.steps: list[tuple[Callable[[list], list], tuple[int, ...]]] = []
+
+    def place(self, term: _Term) -> int:
+        """The position of a term's value, planning its steps on first sight."""
+        if isinstance(term, int):
+            return term
+        if term not in self.position:
+            head, *parts = term
+            if head == "*":
+                scale, parts = parts[0], parts[1:]
+            args = tuple(self.place(a) for a in parts)
+            dens = self.dens
+            if head == "+":
+                den, dim = math.lcm(*[dens[a] for a in args]), self.dims[args[0]]
+                weights = [den // dens[a] for a in args]
+                fn = lambda v: _combine(dim, weights, [v[a] for a in args])
+            elif head == "*":
+                (x,), p = args, scale.numerator
+                den, dim = scale.denominator * dens[x], self.dims[x]
+                fn = lambda v: [(k, p * a) for k, a in v[x]]
+            else:
+                d, dim, index = _integral(self.ops[head])
+                den = d * math.prod([dens[a] for a in args])
+                if len(args) == 2:
+                    x, y = args
+                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
+                else:
+                    (x,) = args
+                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
+            self.position[term] = len(dens)
+            dens.append(den)
+            self.dims.append(dim)
+            self.reads.append(tuple(sorted({s for a in args for s in self.reads[a]})))
+            self.steps.append((fn, args))
+        return self.position[term]
+
+
+def _differ(x: list, y: list, mx: int, my: int) -> bool:
+    """Whether x * mx != y * my for sparse x and y and nonzero mx and my."""
+    return len(x) != len(y) or any(i != j or a * mx != b * my for (i, a), (j, b) in zip(x, y))
 
 
 def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     """Report every basis tuple of the given arity on which the two sides of
     a row (axiom_id, lhs, rhs) differ.
 
-    Each distinct subterm is one step, run once per tuple after the steps of
-    its arguments, on integer numerators.  A step's denominator is fixed by
-    the plan: a product's or a map's is the operator's (see ``_integral``)
-    times its arguments', a sum's the lcm of its addends', and a scale by
-    p/q's is q times its argument's.  Two sides agree when lhs * D_rhs ==
-    rhs * D_lhs; Fractions are built only for the sides of a violation.
+    Each distinct subterm is one step of a ``_Plan``, evaluated on sparse
+    integer vectors once per assignment of the slots it reads, not once per
+    tuple.  A step that reads fewer slots than the arity is kept as a table
+    keyed by that assignment, built before the sweep; a step that reads
+    every slot is computed per tuple, in tuple order, and never stored.  A
+    step's denominator is fixed by the plan: a product's or a map's is the
+    operator's (see ``_integral``) times its arguments', a sum's the lcm of
+    its addends', and a scale by p/q's is q times its argument's.  Two sides
+    agree when lhs * D_rhs == rhs * D_lhs; Fractions are built only for the
+    sides of a violation.
     """
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    # A tuple's values are its basis vectors, then one per step; a step is a
-    # function and the positions of its arguments.
-    position: dict[_Term, int] = {}
-    dens = [1] * arity
-    steps: list[tuple[Callable[..., tuple], tuple[int, ...]]] = []
-
-    def place(term: _Term) -> int:
-        if isinstance(term, int):
-            return term
-        if term not in position:
-            head, *parts = term
-            if head == "+":
-                args = tuple(place(a) for a in parts)
-                den = math.lcm(*(dens[a] for a in args))
-                weights = [den // dens[a] for a in args]
-                fn = lambda *vs: tuple(sum(w * v for w, v in zip(weights, col)) for col in zip(*vs))
-            elif head == "*":
-                p, args = parts[0].numerator, (place(parts[1]),)
-                den = parts[0].denominator * dens[args[0]]
-                fn = lambda v: tuple(p * a for a in v)
-            else:
-                d, fn = _integral(ops[head])
-                args = tuple(place(a) for a in parts)
-                den = d * math.prod(dens[a] for a in args)
-            position[term] = len(dens)
-            dens.append(den)
-            steps.append((fn, args))
-        return position[term]
-
-    checks = [(axiom_id, place(lhs), place(rhs)) for axiom_id, lhs, rhs in rows]
+    plan = _Plan(n, ops, arity)
+    checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
+    dens, dims, reads, steps = plan.dens, plan.dims, plan.reads, plan.steps
+    # A table is keyed by the slots it reads as an itemgetter picks them
+    # from a tuple: an int for one slot, a tuple for more.
+    keys = [operator.itemgetter(*r) for r in reads]
+    units = {i: [(i, 1)] for i in range(n)}
+    tables: dict[int, dict] = dict.fromkeys(range(arity), units)
+    # ``cur`` holds the values a step reads, by position: while the tables
+    # are built, one assignment's; in the sweep, the current tuple's.
+    cur: list = [None] * len(dens)
+    streamed = []
+    read = {p for _, l, r in checks for p in (l, r)}
+    for pos, (fn, args) in enumerate(steps, arity):
+        if len(reads[pos]) == arity:
+            streamed.append((pos, fn))
+            read.update(args)
+            continue
+        table = tables[pos] = {}
+        at = [0] * arity
+        for assignment in itertools.product(range(n), repeat=len(reads[pos])):
+            for s, i in zip(reads[pos], assignment):
+                at[s] = i
+            for a in args:
+                cur[a] = tables[a][keys[a](at)]
+            table[keys[pos](at)] = fn(cur)
+    # Per tuple, each tabled value that a streamed step or a side reads is
+    # fetched once; the streamed steps then fill in the rest.
+    fetch = [(p, tables[p], keys[p]) for p in sorted(read) if p in tables]
     checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks]
     violations: list[Violation] = []
     for idx in itertools.product(range(n), repeat=arity):
-        vals = [units[i] for i in idx]
-        for fn, args in steps:
-            vals.append(fn(*[vals[a] for a in args]))
+        for p, t, k in fetch:
+            cur[p] = t[k(idx)]
+        for pos, fn in streamed:
+            cur[pos] = fn(cur)
         sides: dict[int, Vector] = {}
         for axiom_id, lhs, rhs, ml, mr in checks:
-            x, y = vals[lhs], vals[rhs]
-            if x != y if ml == mr else any(a * ml != b * mr for a, b in zip(x, y)):
+            x, y = cur[lhs], cur[rhs]
+            if x != y if ml == mr else _differ(x, y, ml, mr):
                 for at in (lhs, rhs):
                     if at not in sides:
-                        sides[at] = tuple(Fraction(v, dens[at]) if v else _ZERO for v in vals[at])
+                        side = [_ZERO] * dims[at]
+                        for k, v in cur[at]:
+                            side[k] = Fraction(v, dens[at])
+                        sides[at] = tuple(side)
                 violations.append(Violation(axiom_id, idx, sides[lhs], sides[rhs]))
     return CheckReport.collect(violations)
 

@@ -42,7 +42,7 @@ RationalLike = Union[int, str, Fraction]
 Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
 
 # The one rational string grammar: 'p' or 'p/q', surrounding blanks allowed.
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def frac(value: RationalLike) -> Fraction:
@@ -57,11 +57,12 @@ def frac(value: RationalLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(value.strip())
+        if not match:
             raise InputError(f"{value!r} is not a rational literal (use 'p' or 'p/q')")
+        p, q = match.groups()
         try:
-            return Fraction(text)
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
         except ZeroDivisionError:
             raise InputError(f"zero denominator in {value!r}") from None
         except ValueError:  # past the interpreter's int-string digit limit

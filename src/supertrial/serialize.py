@@ -21,16 +21,21 @@ from .linalg import Matrix, frac
 
 def parse_rational(value: Any, where: str) -> Fraction:
     """Accept a JSON integer or a 'p' / 'p/q' string with q > 0."""
+    try:
+        return _rational(value)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _rational(value: Any) -> Fraction:
+    """``parse_rational`` without the location in its error messages."""
     if isinstance(value, bool):
-        raise InputError(f"{where}: booleans are not rational literals")
+        raise InputError("booleans are not rational literals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return frac(value)
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}") from None
-    raise InputError(f"{where}: expected an integer or rational string, got {type(value).__name__}")
+        return frac(value)
+    raise InputError(f"expected an integer or rational string, got {type(value).__name__}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -83,24 +88,27 @@ def _parse_tensor(data: Mapping[str, Any], key: str, dim: int, where: str) -> St
     if not isinstance(raw, list):
         raise InputError(f"{where}.{key}: expected a list of triples")
     table: dict[tuple[int, int, int], Fraction] = {}
+    label = lambda: f"{where}.{key}[{pos}]"  # built only for an error
     for pos, entry in enumerate(raw):
-        label = f"{where}.{key}[{pos}]"
         if not isinstance(entry, dict):
-            raise InputError(f"{label}: expected an object with i, j, k, v")
+            raise InputError(f"{label()}: expected an object with i, j, k, v")
         triple = []
         for axis in ("i", "j", "k"):
             value = entry.get(axis)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{label}.{axis}: expected an integer index")
+                raise InputError(f"{label()}.{axis}: expected an integer index")
             if not 0 <= value < dim:
-                raise InputError(f"{label}.{axis}: index {value} out of range for dim {dim}")
+                raise InputError(f"{label()}.{axis}: index {value} out of range for dim {dim}")
             triple.append(value)
         if "v" not in entry:
-            raise InputError(f"{label}: missing value field v")
-        coeff = parse_rational(entry["v"], f"{label}.v")
+            raise InputError(f"{label()}: missing value field v")
+        try:
+            coeff = _rational(entry["v"])
+        except InputError as exc:
+            raise InputError(f"{label()}.v: {exc}") from None
         key3 = (triple[0], triple[1], triple[2])
         if key3 in table:
-            raise InputError(f"{label}: duplicate triple {key3} in {key}")
+            raise InputError(f"{label()}: duplicate triple {key3} in {key}")
         table[key3] = coeff
     return StructureTensor.build(dim, table)
 

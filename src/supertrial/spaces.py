@@ -172,15 +172,16 @@ class _TermTables:
 
     def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
         n = tensor.dim
-        _, rows = tensor.by_first
+        _, index = tensor.by_pair
         d_t, t = numerators(twist.entries)
         dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(4)]
-        for i, row in enumerate(rows):
-            for j, k, c in row:
-                dense[0][j][k][i] = dense[1][i][j][k] = c * d_t
-                for b in range(n):
-                    dense[2][b][k][i] += c * t[j * n + b]
-                    dense[3][b][k][j] += t[i * n + b] * c
+        for i, line in enumerate(index):
+            for j, cell in enumerate(line):
+                for k, c in cell:
+                    dense[0][j][k][i] = dense[1][i][j][k] = c * d_t
+                    for b in range(n):
+                        dense[2][b][k][i] += c * t[j * n + b]
+                        dense[3][b][k][j] += t[i * n + b] * c
         self.terms = tuple([[[(i, c) for i, c in enumerate(cell) if c] for cell in line] for line in table] for table in dense)
 
 
@@ -519,10 +520,18 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         return LinearMap.square(spec.basis, Matrix(n, n, tuple(vector)))
 
     echelons: dict[int, Echelon] = {}
+    # Each basis map's numerators, converted once; the map is kept with them
+    # so that its id is not reused.
+    ints: dict[int, tuple[LinearMap, list[int]]] = {}
+
+    def integral(f: LinearMap) -> list[int]:
+        if id(f) not in ints:
+            ints[id(f)] = (f, numerators(f.matrix.entries)[1])
+        return ints[id(f)][1]
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product."""
-        (_, x), (_, y) = numerators(f.matrix.entries), numerators(g.matrix.entries)
+        x, y = integral(f), integral(g)
         cols = [y[j::n] for j in range(n)]
         return [sum(map(operator.mul, x[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
 

@@ -38,7 +38,8 @@ class _Ops:
     def _product(self, tag: str, a, b) -> tuple[Fraction, ...]:
         out = [ZERO] * self.n
         for (i, j, k), c in self.tables[tag].items():
-            out[k] += c * a[i] * b[j]
+            if a[i] and b[j]:
+                out[k] += c * a[i] * b[j]
         return tuple(out)
 
     def _apply(self, name: str, a) -> tuple[Fraction, ...]:

@@ -15,6 +15,7 @@ twists the Rota-Baxter and commutator sweeps are also checked against the
 oracle's evaluation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,14 +36,16 @@ def as_tuples(report):
     return [(v.axiom_id, v.indices, v.lhs, v.rhs) for v in report.violations]
 
 
-def random_spec(seed: int, rational: bool = False) -> TrialgebraSpec:
+def random_spec(seed: int, rational: bool = False, parities=None, xi_of=None) -> TrialgebraSpec:
     """A non-associative algebra with an odd vector and gamma != xi.
 
     Entries are small integers, or with ``rational`` small fractions with
-    denominators up to 3; the constants and maps respect the grading.
+    denominators up to 3; the constants and maps respect the grading.  The
+    parities default to one of PARITIES by seed; ``xi_of``, if given, makes
+    xi from gamma instead of drawing it.
     """
     rng = random.Random(seed)
-    parities = PARITIES[seed % len(PARITIES)]
+    parities = parities or PARITIES[seed % len(PARITIES)]
     n = len(parities)
 
     def entry():
@@ -64,9 +67,12 @@ def random_spec(seed: int, rational: bool = False) -> TrialgebraSpec:
         ]
 
     gamma = even_map()
-    xi = even_map()
-    while xi == gamma:
+    if xi_of is not None:
+        xi = xi_of(Matrix.from_rows(gamma))
+    else:
         xi = even_map()
+        while xi == gamma:
+            xi = even_map()
     return TrialgebraSpec.build(f"random-{seed}", parities, tensor(), tensor(), tensor(), gamma, xi)
 
 
@@ -161,14 +167,8 @@ def test_rational_twist_random_fails():
     assert bihom_violations(spec) and hom_violations(spec)
 
 
-def test_rational_rota_baxter():
-    """Weight -1/3 is a scale p/q with q != 1, and the addends of the inner
-    sum carry different denominators."""
-    spec = twisted_fixture()
-    lam = Matrix.identity(spec.dimension).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
-    c = Fraction(-1, 3)
-    ops = _Ops(spec)
-    ops.maps["lam"] = lam
+def rota_baxter_identities(c: Fraction) -> list:
+    """lam(d) o lam(v) = lam(lam(d) o v + d o lam(v) + c*(d o v)) per product o."""
     identities = []
     for tag in PRODUCT_TAGS:
 
@@ -182,18 +182,18 @@ def test_rational_rota_baxter():
             return o._apply("lam", tuple(x + y + c * z for x, y, z in zip(a, b, p)))
 
         identities.append((f"rb-{tag}", lhs, rhs))
-    report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "-1/3")
-    assert report.violations
-    assert as_tuples(report) == _sorted(_sweep(ops, 2, identities))
+    return identities
 
 
-def test_rational_commutator():
-    """The Leibniz sum adds a term through xi to one through gamma, and the
-    two maps have different denominators here."""
-    spec = twisted_random()
-    res = commutator_construct(spec)
+def rota_baxter_oracle(spec: TrialgebraSpec, lam: Matrix, c: Fraction) -> list:
     ops = _Ops(spec)
-    ops.tables.update(star=dict(res.pair.star.constants), bracket=dict(res.pair.bracket.constants))
+    ops.maps["lam"] = lam
+    return _sorted(_sweep(ops, 2, rota_baxter_identities(c)))
+
+
+def leibniz_oracle(ops: _Ops) -> list:
+    """[d,v] * g(x(r)) = [d*r, x(v)] + [g(d), v*r], with ``star`` and
+    ``bracket`` in the oracle's tables."""
 
     def lhs(o, d, v, r):
         return o._product("star", o._product("bracket", d, v), o.g(o.x(r)))
@@ -203,5 +203,84 @@ def test_rational_commutator():
         b = o._product("bracket", o.g(d), o._product("star", v, r))
         return tuple(x + y for x, y in zip(a, b))
 
+    return _sorted(_sweep(ops, 3, (("leibniz", lhs, rhs),)))
+
+
+def test_rational_rota_baxter():
+    """Weight -1/3 is a scale p/q with q != 1, and the addends of the inner
+    sum carry different denominators."""
+    spec = twisted_fixture()
+    lam = Matrix.identity(spec.dimension).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
+    report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "-1/3")
+    assert report.violations
+    assert as_tuples(report) == rota_baxter_oracle(spec, lam, Fraction(-1, 3))
+
+
+def test_rational_commutator():
+    """The Leibniz sum adds a term through xi to one through gamma, and the
+    two maps have different denominators here."""
+    spec = twisted_random()
+    res = commutator_construct(spec)
+    ops = _Ops(spec)
+    ops.tables.update(star=dict(res.pair.star.constants), bracket=dict(res.pair.bracket.constants))
     assert res.leibniz.violations
-    assert as_tuples(res.leibniz) == _sorted(_sweep(ops, 3, (("leibniz", lhs, rhs),)))
+    assert as_tuples(res.leibniz) == leibniz_oracle(ops)
+
+
+# Dense random algebras at n = 6: rational constants on every admissible
+# triple, three even and three odd vectors interleaved, and structure maps
+# that mix the vectors of each parity.
+PARITIES_6 = (0, 1, 0, 0, 1, 1)
+DENSE_SEEDS = (21, 22)
+
+
+def dense_spec(seed: int, xi_of=None) -> TrialgebraSpec:
+    spec = random_spec(seed, rational=True, parities=PARITIES_6, xi_of=xi_of)
+    off_diagonal = [spec.gamma.matrix.entry(i, j) for i in range(6) for j in range(6) if i != j]
+    assert any(off_diagonal) and spec.gamma != spec.xi
+    assert any(c.denominator > 1 for _, t in spec.products() for c in t.constants.values())
+    return spec
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_algebras_at_six(seed):
+    spec = dense_spec(seed)
+    expected = bihom_violations(spec)
+    assert expected and as_tuples(check_bihom(spec)) == expected
+    expected = hom_violations(spec)
+    assert expected and as_tuples(check_hom(spec)) == expected
+
+
+def _sign(p: int, q: int) -> int:
+    return -1 if p and q else 1
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_commutator_at_six(seed):
+    """The Leibniz rhs reads slots 0 and 2 in its first bracket and slot 1
+    through xi; the skew products are rebuilt here from the constants."""
+    spec = dense_spec(seed)
+    p, ops = spec.basis.parities, _Ops(spec)
+    def skew(a, b):
+        """c(i, j, k) = a(i, j, k) - (-1)^{|i||j|} b(j, i, k)."""
+        return {
+            (i, j, k): a.get((i, j, k), 0) - _sign(p[i], p[j]) * b.get((j, i, k), 0)
+            for i, j, k in itertools.product(range(6), repeat=3)
+        }
+
+    ops.tables["star"] = skew(ops.tables["left"], ops.tables["right"])
+    ops.tables["bracket"] = skew(ops.tables["perp"], ops.tables["perp"])
+    res = commutator_construct(spec)
+    expected = leibniz_oracle(ops)
+    assert expected and as_tuples(res.leibniz) == expected
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_rota_baxter_at_six(seed):
+    """xi = gamma^2 + 1 commutes with gamma, so lam = 1/2 + gamma/3 commutes
+    with both; weight 2/5 scales the inner sum by a proper fraction."""
+    spec = dense_spec(seed, xi_of=lambda g: (g @ g + Matrix.identity(6)).to_rows())
+    lam = Matrix.identity(6).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
+    report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "2/5")
+    expected = rota_baxter_oracle(spec, lam, Fraction(2, 5))
+    assert expected and as_tuples(report) == expected

@@ -1,5 +1,7 @@
 """Derived algebras and hypothesis checks built on top of the core model."""
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,35 @@ class TestDirectSum:
         assert total.dimension == 2
 
 
+def fraction_graph_closure(a, b, f) -> bool:
+    """Whether the span of (e_i, f(e_i)) is closed under the componentwise
+    products and structure maps of A + B, for f given as rows of Fractions."""
+    n, m = a.dimension, b.dimension
+    zero = Fraction(0)
+
+    def apply(rows, v):
+        return tuple(sum((r[j] * v[j] for j in range(len(v))), zero) for r in rows)
+
+    def product(constants, x, y, dim):
+        out = [zero] * dim
+        for (i, j, k), c in constants.items():
+            out[k] += c * x[i] * y[j]
+        return tuple(out)
+
+    units = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    graph = [(u, apply(f, u)) for u in units]
+    for tag in ("left", "right", "perp"):
+        ca, cb = a.tensor(tag).constants, b.tensor(tag).constants
+        for (x1, y1), (x2, y2) in itertools.product(graph, repeat=2):
+            if apply(f, product(ca, x1, x2, n)) != product(cb, y1, y2, m):
+                return False
+    for label in ("gamma", "xi"):
+        ma, mb = getattr(a, label).matrix.to_rows(), getattr(b, label).matrix.to_rows()
+        if any(apply(f, apply(ma, x)) != apply(mb, y) for x, y in graph):
+            return False
+    return True
+
+
 class TestGraphCheck:
     def test_morphism_graph_is_closed(self):
         spec = builtin("dual2")
@@ -233,6 +264,28 @@ class TestGraphCheck:
         res = graph_subalgebra_check(src, dst, LinearMap.between(src.basis, dst.basis, matrix))
         assert res.is_subalgebra is verdict
         assert res.is_morphism is verdict
+
+    @pytest.mark.parametrize("breaks", [None, "map entry", "gamma", "xi"])
+    def test_rational_rectangular_graph_matches_fraction_closure(self, breaks):
+        """A 4x5 rational map from X + idem1 onto X twisted by L, with X =
+        dual2-twisted + grassmann2: L after the projection is a morphism.
+        Bumping one entry breaks it, and so does another gamma or xi on the
+        target, which leaves the products alone.  The closure is recomputed
+        here from the constants and map entries, in Fractions only."""
+        x = direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
+        l_rows = [["1/2", "1/3", 0, 0], [0, "2/3", 1, 0], ["1/5", 0, "3/2", 0], [0, 0, 0, "5/7"]]
+        src = direct_sum(x, builtin("idem1"))
+        dst = yau_twist(x, square_map(x, l_rows)).twisted
+        f = [[Fraction(v) for v in row] + [Fraction(0)] for row in l_rows]
+        if breaks == "map entry":
+            f[1][0] += Fraction(1, 4)
+        elif breaks:
+            scale = square_map(dst, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1/3"]])
+            dst = replace(dst, **{breaks: getattr(dst, breaks).compose(scale)})
+        f_map = LinearMap.between(src.basis, dst.basis, Matrix.from_rows(f))
+        res = graph_subalgebra_check(src, dst, f_map)
+        assert res.is_subalgebra is (breaks is None)
+        assert res.is_subalgebra is fraction_graph_closure(src, dst, f)
 
     def test_shape_guard(self):
         src, dst = builtin("dual2"), builtin("idem1")

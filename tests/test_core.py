@@ -1,10 +1,11 @@
 """Data model validation, axiom sweeps, and the two annihilator computations."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 
-from supertrial.constructions import direct_sum, yau_twist
+from supertrial.constructions import commutator_construct, direct_sum, yau_twist
 from supertrial.core import (
     LinearMap,
     StructureTensor,
@@ -21,6 +22,8 @@ from supertrial.core import (
     identity_map,
     parity_class,
     product_eval,
+    _named,
+    _sweep,
 )
 from supertrial.errors import InputError, ModeError, ParityError
 from supertrial.fixtures import builtin, inject_violation
@@ -104,7 +107,7 @@ class TestStructureTensor:
 
     def test_rational_constants_share_one_denominator(self):
         t = StructureTensor.build(2, {(0, 1, 0): "1/2", (0, 1, 1): "-2/3", (1, 1, 1): 5})
-        assert t.by_first == (6, (((1, 0, 3), (1, 1, -4)), ((1, 1, 30),)))
+        assert t.by_pair == (6, (((), ((0, 3), (1, -4))), ((), ((1, 30),))))
         assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == t.basis_product(0, 1)
         out = t.bilinear((F(2), F(1, 5)), (F(0), F(3)))
         assert out == (F(3), F(-1)) and all(type(c) is F for c in out)
@@ -217,6 +220,38 @@ class TestCheckHom:
     def test_ignores_xi(self):
         spec = dual2_with(xi=[[3, 0], [0, 3]])
         assert check_hom(spec).passed
+
+
+def test_sides_that_read_fewer_slots_than_the_arity():
+    """A side that reads only some slots comes from its table: at arity 2,
+    gamma(e_i) = xi(e_i) fails on every (i, j) with i a failing single."""
+    spec = dual2_with(gamma=[[1, 0], [1, 2]], xi=[["1/2", 0], [0, 2]])
+    ops = _named(spec)
+    row = ("maps", ("gamma", 0), ("xi", 0))
+    singles = _sweep(2, 1, ops, (row,)).violations
+    pairs = _sweep(2, 2, ops, (row,)).violations
+    assert [v.indices for v in singles] == [(0,)]
+    assert [(v.indices, v.lhs, v.rhs) for v in pairs] == [
+        ((0, j), v.lhs, v.rhs) for v in singles for j in range(2)
+    ]
+    # The side read at j = 0 is the one read at j = 1, and the other way round.
+    row = ("swapped", ("+", ("gamma", 0), ("xi", 1)), ("+", ("gamma", 1), ("xi", 0)))
+    assert [v.indices for v in _sweep(2, 2, ops, (row,)).violations] == [(0, 1), (1, 0)]
+
+
+def test_sweeps_leave_no_cyclic_garbage():
+    """A sweep's plan and tables are freed by reference counting alone: with
+    the collector paused, nothing is left for it on a dimension-6 algebra."""
+    spec = direct_sum(builtin("dual2-twisted"), direct_sum(builtin("grassmann2"), builtin("dual2")))
+    assert spec.dimension == 6
+    gc.collect()
+    gc.disable()
+    try:
+        for run in (check_bihom, check_hom, commutator_construct):
+            run(spec)
+            assert gc.collect() == 0, run.__name__
+    finally:
+        gc.enable()
 
 
 class TestCheckMultiplicative:
