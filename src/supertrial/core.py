@@ -502,7 +502,7 @@ class _Plan:
             elif head == "*":
                 (x,), p = args, scale.numerator
                 den, dim = scale.denominator * dens[x], self.dims[x]
-                fn = lambda v: [(k, p * a) for k, a in v[x]]
+                fn = lambda v: [(k, p * a) for k, a in v[x]] if p else []
             else:
                 d, dim, index = _integral(self.ops[head])
                 den = d * math.prod([dens[a] for a in args])

@@ -239,6 +239,13 @@ def test_sides_that_read_fewer_slots_than_the_arity():
     assert [v.indices for v in _sweep(2, 2, ops, (row,)).violations] == [(0, 1), (1, 0)]
 
 
+def test_zero_scale_is_the_zero_vector():
+    """0 * e_i and e_i - e_i are the same zero vector."""
+    ops = _named(dual2_with())
+    row = ("zero", ("*", F(0), 0), ("+", ("*", F(1), 0), ("*", F(-1), ("gamma", 0))))
+    assert _sweep(2, 1, ops, (row,)).passed
+
+
 def test_sweeps_leave_no_cyclic_garbage():
     """A sweep's plan and tables are freed by reference counting alone: with
     the collector paused, nothing is left for it on a dimension-6 algebra."""
