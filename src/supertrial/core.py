@@ -9,7 +9,9 @@ integer numerators over per-operator denominators; the reports' violation
 sides are Fractions that ``product_eval`` replays.  Each tensor indexes its
 constants by argument pair, so a product costs the size of its arguments'
 supports, and a sweep evaluates each subterm once per assignment of the
-slots it reads rather than once per tuple (see ``_sweep``).
+slots it reads rather than once per tuple (see ``_sweep``).  Operators are
+taken by value: equal products (often left = right = perp) and equal maps
+are evaluated once, and an identity map not at all.
 
 Matrix convention: a map sends the j-th basis vector to the j-th column,
 so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
@@ -432,6 +434,11 @@ def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
     return ops
 
 
+def _distinct(ops: Sequence) -> list:
+    """The operators in order, each value (equal constants or entries) once."""
+    return [op for i, op in enumerate(ops) if op not in ops[:i]]
+
+
 # The sparse scalar 1: a map is a product whose second argument is 1.
 _SCALAR_ONE = ((0, 1),)
 
@@ -468,6 +475,12 @@ class _Plan:
     """The steps of a sweep: each distinct subterm of its rows once, after its
     arguments.
 
+    Operators are resolved by value once per plan: a name stands for the
+    first equal operator of ``ops`` (``_distinct``), whose ``_integral`` is
+    built once, and a square identity map is no step.  A step is keyed by
+    its resolved head, scale and argument positions, so terms that differ
+    only in the names of equal operators share it.
+
     Positions below the arity are the slots; every later position is a step,
     a function of the values at the positions ``args``.  A value is a sparse
     integer vector, the list of its nonzero (coordinate, entry) pairs;
@@ -478,8 +491,11 @@ class _Plan:
     """
 
     def __init__(self, n: int, ops: _Ops, arity: int) -> None:
-        self.ops = ops
+        reps = _distinct(list(ops.values()))
+        self.head = {name: None if isinstance(op, Matrix) and op.is_identity else reps.index(op) for name, op in ops.items()}
+        self.integrals = [_integral(op) for op in reps]
         self.position: dict[_Term, int] = {}
+        self.step_at: dict[tuple, int] = {}
         self.dens = [1] * arity
         self.dims = [n] * arity
         self.reads = [(s,) for s in range(arity)]
@@ -491,9 +507,14 @@ class _Plan:
             return term
         if term not in self.position:
             head, *parts = term
-            if head == "*":
-                scale, parts = parts[0], parts[1:]
+            scale = parts.pop(0) if head == "*" else None
             args = tuple(self.place(a) for a in parts)
+            head = self.head.get(head, head)
+            key = (head, scale, args)
+            # An identity map's value is its argument's; an equal step is shared.
+            if head is None or key in self.step_at:
+                self.position[term] = args[0] if head is None else self.step_at[key]
+                return self.position[term]
             dens = self.dens
             if head == "+":
                 den, dim = math.lcm(*[dens[a] for a in args]), self.dims[args[0]]
@@ -504,7 +525,7 @@ class _Plan:
                 den, dim = scale.denominator * dens[x], self.dims[x]
                 fn = lambda v: [(k, p * a) for k, a in v[x]] if p else []
             else:
-                d, dim, index = _integral(self.ops[head])
+                d, dim, index = self.integrals[head]
                 den = d * math.prod([dens[a] for a in args])
                 # Inlined, not through _product: a call fewer per step is
                 # about 15% of a sweep.
@@ -514,7 +535,7 @@ class _Plan:
                 else:
                     (x,) = args
                     fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
-            self.position[term] = len(dens)
+            self.position[term] = self.step_at[key] = len(dens)
             dens.append(den)
             self.dims.append(dim)
             self.reads.append(tuple(sorted({s for a in args for s in self.reads[a]})))
@@ -531,19 +552,21 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     """Report every basis tuple of the given arity on which the two sides of
     a row (axiom_id, lhs, rhs) differ.
 
-    Each distinct subterm is one step of a ``_Plan``, evaluated on sparse
-    integer vectors once per assignment of the slots it reads, not once per
-    tuple.  A step that reads fewer slots than the arity is kept as a table
-    keyed by that assignment, built before the sweep; a step that reads
-    every slot is computed per tuple, in tuple order, and never stored.  A
-    step's denominator is fixed by the plan: a product's or a map's is the
-    operator's (see ``_integral``) times its arguments', a sum's the lcm of
-    its addends', and a scale by p/q's is q times its argument's.  Two sides
-    agree when lhs * D_rhs == rhs * D_lhs; Fractions are built only for the
-    sides of a violation.
+    Each distinct subterm, its operators resolved by value, is one step of a
+    ``_Plan``, evaluated on sparse integer vectors once per assignment of the
+    slots it reads, not once per tuple.  A step that reads fewer slots than
+    the arity is kept as a table keyed by that assignment, built before the
+    sweep; a step that reads every slot is computed per tuple, in tuple
+    order, and never stored.  A step's denominator is fixed by the plan: a
+    product's or a map's is the operator's (see ``_integral``) times its
+    arguments', a sum's the lcm of its addends', and a scale by p/q's is q
+    times its argument's.  Two sides agree when lhs * D_rhs == rhs * D_lhs;
+    a row whose sides land on one position is not compared.  Fractions are
+    built only for the sides of a violation.
     """
     plan = _Plan(n, ops, arity)
     checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
+    checks = [(axiom_id, l, r) for axiom_id, l, r in checks if l != r]
     dens, dims, reads, steps = plan.dens, plan.dims, plan.reads, plan.steps
     # A table is keyed by the slots it reads as an itemgetter picks them
     # from a tuple: an int for one slot, a tuple for more.
@@ -699,7 +722,7 @@ def center(spec: TrialgebraSpec) -> tuple[Vector, ...]:
     n = spec.dimension
     m = spec.gamma.matrix @ xi.matrix
     system = Echelon()
-    for _, tensor in spec.products():
+    for tensor in _distinct((spec.left, spec.right, spec.perp)):
         for j in range(n):
             for k in range(n):
                 row_l: dict[int, Fraction] = {}
@@ -730,7 +753,7 @@ def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> t
     m = spec.gamma.matrix @ xi.matrix
     images = [m.apply(v) for v in vecs]
     system = Echelon()
-    for _, tensor in spec.products():
+    for tensor in _distinct((spec.left, spec.right, spec.perp)):
         for a in vecs:
             lefts = [tensor.bilinear(img, a) for img in images]
             rights = [tensor.bilinear(a, img) for img in images]

@@ -201,18 +201,21 @@ class Matrix:
             raise InputError("matrix power requires a square matrix")
         if k < 0:
             raise InputError("matrix power requires a nonnegative exponent")
-        result = Matrix.identity(self.rows)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            base = base @ base if k else base
+        return Matrix.identity(self.rows) if result is None else result
 
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and self == Matrix.identity(self.rows)
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -21,7 +21,9 @@ structure maps are even, so the constraint systems are parity-homogeneous)
 and the graded pieces are merged into one canonical basis.  Identical
 inputs always produce bit-identical bases.  Constraint rows are sparse
 integers, each read from one operator's table at its lcm of denominators,
-and each distinct nonzero row goes once into the integer ``Echelon``; the
+per distinct product and distinct non-identity structure map (equal
+operators give equal rows, and the identity commutes with every map), and
+each distinct nonzero row goes once into the integer ``Echelon``; the
 battery tests brackets and compositions on integer numerators and builds
 Fractions only for witnesses.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
+from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, _distinct, center
 from .errors import InputError, ParityError
 from .linalg import Echelon, Matrix, Vector, canonical_span, numerators
 
@@ -186,8 +188,8 @@ class _TermTables:
 
 
 def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[_TermTables, ...]:
-    """The term tables of every product of spec at one twist matrix."""
-    return tuple(_TermTables(tensor, twist) for _, tensor in spec.products())
+    """The term tables of each distinct product of spec at one twist matrix."""
+    return tuple(_TermTables(tensor, twist) for tensor in _distinct((spec.left, spec.right, spec.perp)))
 
 
 # The constraint rows of each kind at one (pair, coordinate) cell, each a
@@ -263,11 +265,10 @@ def _solve_kinds(
         raise InputError("joint-block kinds cannot be intersected")
     xi = spec.require_xi()
 
+    maps = [m for m in _distinct((spec.gamma.matrix, xi.matrix)) if not m.is_identity]
     system = Echelon()
     seen: set[frozenset[tuple[int, int]]] = set()
-    commutation = (
-        _commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in (spec.gamma.matrix, xi.matrix)
-    )
+    commutation = (_commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in maps)
     for row in itertools.chain(*commutation, _product_rows(kinds, spec, tables, parity, var_of, koszul)):
         if (key := frozenset(row.items())) not in seen:
             seen.add(key)
@@ -491,7 +492,8 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     n = spec.dimension
     top = 2 * max_power
     gammas = [spec.gamma.matrix.power(s) for s in range(top + 1)]
-    xis = [spec.require_xi().matrix.power(r) for r in range(top + 1)]
+    xi = spec.require_xi().matrix
+    xis = gammas if xi == spec.gamma.matrix else [xi.power(r) for r in range(top + 1)]
     base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}

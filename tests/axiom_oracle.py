@@ -1,6 +1,7 @@
-"""Independent evaluation of the ``check_bihom`` and ``check_hom`` axiom systems.
+"""Independent evaluation of the ``check_bihom``, ``check_hom`` and
+``check_multiplicative`` axiom systems.
 
-Every identity of the two systems is written out again here as a pair of
+Every identity of the three systems is written out again here as a pair of
 functions of a basis tuple, and evaluated straight from the structure
 constants and the structure-map entries.  No checker of the package and no
 method of ``StructureTensor`` or ``Matrix`` is used, so a wrong symbol in
@@ -103,6 +104,18 @@ HOM_PAIRS = (
      lambda o, d, q: o.gt(o.g(d), o.g(q))),
 )
 
+XI_PAIRS = (
+    ("xi-left",  # x(d<q) = x(d)<x(q)
+     lambda o, d, q: o.x(o.lt(d, q)),
+     lambda o, d, q: o.lt(o.x(d), o.x(q))),
+    ("xi-perp",  # x(d.q) = x(d).x(q)
+     lambda o, d, q: o.x(o.dot(d, q)),
+     lambda o, d, q: o.dot(o.x(d), o.x(q))),
+    ("xi-right",  # x(d>q) = x(d)>x(q)
+     lambda o, d, q: o.x(o.gt(d, q)),
+     lambda o, d, q: o.gt(o.x(d), o.x(q))),
+)
+
 HOM_TRIPLES = (
     ("h01",  # (d<q)<g(y) = g(d)<(q>y)
      lambda o, d, q, y: o.lt(o.lt(d, q), o.g(y)),
@@ -169,6 +182,12 @@ def bihom_violations(spec: TrialgebraSpec) -> list[tuple]:
     ops = _Ops(spec)
     commute = (("i", lambda o, d: o.g(o.x(d)), lambda o, d: o.x(o.g(d))),)
     return _sorted(_sweep(ops, 1, commute) + _sweep(ops, 3, BIHOM_TRIPLES))
+
+
+def multiplicative_violations(spec: TrialgebraSpec) -> list[tuple]:
+    """Every failed ``check_multiplicative`` identity as (id, indices, lhs,
+    rhs), in report order: gamma and xi against each of the three products."""
+    return _sorted(_sweep(_Ops(spec), 2, HOM_PAIRS + XI_PAIRS))
 
 
 def hom_violations(spec: TrialgebraSpec) -> list[tuple]:

@@ -22,13 +22,32 @@ fractions.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from axiom_oracle import BIHOM_IDS, HOM_IDS, _Ops, _sorted, _sweep, bihom_violations, hom_violations
+from axiom_oracle import (
+    BIHOM_IDS,
+    HOM_IDS,
+    _Ops,
+    _sorted,
+    _sweep,
+    bihom_violations,
+    hom_violations,
+    multiplicative_violations,
+)
 
 from supertrial.constructions import commutator_construct, direct_sum, rota_baxter_check, yau_twist
-from supertrial.core import PRODUCT_TAGS, LinearMap, TrialgebraSpec, check_bihom, check_hom
+from supertrial.core import (
+    PRODUCT_TAGS,
+    LinearMap,
+    StructureTensor,
+    TrialgebraSpec,
+    check_bihom,
+    check_hom,
+    check_multiplicative,
+    identity_map,
+)
 from supertrial.fixtures import FIXTURE_NAMES, builtin, inject_violation
 from supertrial.linalg import Matrix
 
@@ -117,6 +136,37 @@ def test_random_algebras(seed):
     spec = random_spec(seed)
     assert as_tuples(check_bihom(spec)) == bihom_violations(spec)
     assert as_tuples(check_hom(spec)) == hom_violations(spec)
+
+
+# Some operators equal in value and the rest distinct.  Each copy is another
+# object, so the sweeps must find the equality by value.  perp = 2 left has
+# left's support and other values.  The seeds' gammas are not the identity,
+# and seed 3's is diagonal.
+ALIASINGS = ("right=left", "perp=left", "perp=2left", "gamma=id", "xi=gamma")
+
+
+def aliased(variant: str, seed: int) -> TrialgebraSpec:
+    if variant == "xi=gamma":
+        return random_spec(seed, xi_of=lambda g: g)
+    spec = random_spec(seed)
+    if variant == "gamma=id":
+        return replace(spec, gamma=identity_map(spec.basis))
+    if variant == "perp=2left":
+        return replace(spec, perp=spec.left.scale(2))
+    target, source = variant.split("=")
+    return replace(spec, **{target: StructureTensor.build(spec.dimension, dict(getattr(spec, source).constants))})
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("variant", ALIASINGS)
+def test_partially_aliased_algebras(variant, seed):
+    spec = aliased(variant, seed)
+    expected = bihom_violations(spec)
+    assert expected and as_tuples(check_bihom(spec)) == expected
+    expected = hom_violations(spec)
+    assert expected and as_tuples(check_hom(spec)) == expected
+    expected = multiplicative_violations(spec)
+    assert expected and as_tuples(check_multiplicative(spec)) == expected
 
 
 def test_random_algebras_fail_every_identity():

@@ -22,7 +22,9 @@ from supertrial.core import (
     identity_map,
     parity_class,
     product_eval,
+    _BIHOM_TRIPLES,
     _named,
+    _Plan,
     _sweep,
 )
 from supertrial.errors import InputError, ModeError, ParityError
@@ -244,6 +246,17 @@ def test_zero_scale_is_the_zero_vector():
     ops = _named(dual2_with())
     row = ("zero", ("*", F(0), 0), ("+", ("*", F(1), 0), ("*", F(-1), ("gamma", 0))))
     assert _sweep(2, 1, ops, (row,)).passed
+
+
+def test_equal_operators_share_steps():
+    """grassmann2 has left = right = perp and gamma = xi = id, so the BiHom
+    triples need a product on slots (0, 1), one on (1, 2), and the two
+    bracketings of three slots, which are the only steps per tuple."""
+    spec = builtin("grassmann2")
+    plan = _Plan(spec.dimension, _named(spec), 3)
+    for _, lhs, rhs in _BIHOM_TRIPLES:
+        plan.place(lhs), plan.place(rhs)
+    assert sorted(plan.reads[3:]) == [(0, 1), (0, 1, 2), (0, 1, 2), (1, 2)]
 
 
 def test_sweeps_leave_no_cyclic_garbage():

@@ -96,6 +96,16 @@ class TestMatrixBasics:
         with pytest.raises(InputError):
             m.power(-1)
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        products = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+        m = mat([[1, 1], [0, 2]])
+        for k, count in ((0, 0), (1, 0), (2, 1), (5, 3)):
+            products.clear()
+            assert m.power(k).to_rows() == [[1, 2**k - 1], [0, 2**k]]
+            assert len(products) == count, k
+
     def test_transpose_add_sub_scale(self):
         m = mat([[1, 2], [3, 4]])
         assert m.transpose().to_rows() == [[F(1), F(3)], [F(2), F(4)]]

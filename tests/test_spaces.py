@@ -6,14 +6,15 @@ a regression in either the solver or the oracle shows up as disagreement.
 """
 
 import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from constraint_oracle import oracle_space, span_intersection
-from test_axiom_oracle import twisted_fixture
+from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
-from supertrial.core import LinearMap, center, identity_map
+from supertrial.core import LinearMap, StructureTensor, center, identity_map
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial import spaces
@@ -160,6 +161,31 @@ def test_solver_matches_oracle_past_dimension_three(name, power, kind, koszul):
     assert spec.dimension > 3
     t = TwistPower(*power)
     assert _build_space(kind, spec, t, koszul).vectorized() == oracle_space(spec, kind, t, koszul)
+
+
+def _two_equal_products(field: str):
+    """dense4-twisted with one product replaced by its left product less the
+    constant at (0, 0, 0): two products equal and one distinct, which cuts
+    each of D, C and GD below what the other two allow."""
+    spec = _dense4("dual2-twisted")
+    constants = dict(spec.left.constants)
+    del constants[(0, 0, 0)]
+    return replace(spec, **{field: StructureTensor.build(spec.dimension, constants)})
+
+
+@pytest.mark.parametrize("kind", ["D", "C", "GD"])
+@pytest.mark.parametrize("field", ["right", "perp"])
+def test_two_equal_products_match_oracle(field, kind):
+    spec = _two_equal_products(field)
+    t = TwistPower(1, 1)
+    assert _build_space(kind, spec, t).vectorized() == oracle_space(spec, kind, t)
+
+
+def test_term_tables_per_distinct_product():
+    """A fixture's three products are equal; random_spec's are not."""
+    cases = ((builtin("grassmann2"), 1), (_two_equal_products("perp"), 2), (random_spec(0), 3))
+    for spec, tables in cases:
+        assert len(spaces._twist_tables(spec, TwistPower(1, 1).matrix(spec))) == tables
 
 
 def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
