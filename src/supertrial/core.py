@@ -244,10 +244,15 @@ class StructureTensor:
     def is_zero(self) -> bool:
         return not self.constants
 
+    @cached_property
+    def _exact(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """The constants as integer pairs, which compare without a Python call each."""
+        return {key: (c.numerator, c.denominator) for key, c in self.constants.items()}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return self.dim == other.dim and dict(self.constants) == dict(other.constants)
+        return self.dim == other.dim and self._exact == other._exact
 
 
 def validate_evenness(tensor: StructureTensor, basis: SuperBasis, label: str) -> None:
@@ -476,10 +481,9 @@ class _Plan:
     arguments.
 
     Operators are resolved by value once per plan: a name stands for the
-    first equal operator of ``ops`` (``_distinct``), whose ``_integral`` is
-    built once, and a square identity map is no step.  A step is keyed by
-    its resolved head, scale and argument positions, so terms that differ
-    only in the names of equal operators share it.
+    first equal operator (``_distinct``), whose ``_integral`` is built once,
+    a square identity map is no step, and a step is keyed by its resolved
+    head, scale and argument positions.
 
     Positions below the arity are the slots; every later position is a step,
     a function of the values at the positions ``args``.  A value is a sparse
@@ -511,7 +515,6 @@ class _Plan:
             args = tuple(self.place(a) for a in parts)
             head = self.head.get(head, head)
             key = (head, scale, args)
-            # An identity map's value is its argument's; an equal step is shared.
             if head is None or key in self.step_at:
                 self.position[term] = args[0] if head is None else self.step_at[key]
                 return self.position[term]

@@ -492,8 +492,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     n = spec.dimension
     top = 2 * max_power
     gammas = [spec.gamma.matrix.power(s) for s in range(top + 1)]
-    xi = spec.require_xi().matrix
-    xis = gammas if xi == spec.gamma.matrix else [xi.power(r) for r in range(top + 1)]
+    xis = gammas if spec.require_xi() == spec.gamma else [spec.xi.matrix.power(r) for r in range(top + 1)]
     base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}

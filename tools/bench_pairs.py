@@ -85,6 +85,13 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q[0], 4), round(q[2], 4)]
 
 
+def median_of(values: list) -> float | None:
+    """The median of the values that are not None (a traced metric the
+    program no longer has reads None), or None if there are none."""
+    present = [v for v in values if v is not None]
+    return statistics.median(present) if present else None
+
+
 def summarise(doc: dict, metrics: dict[str, str]) -> None:
     """Recompute the summary and traced medians from all runs of doc."""
     summary: dict[str, dict] = {}
@@ -100,18 +107,15 @@ def summarise(doc: dict, metrics: dict[str, str]) -> None:
         if trace:
             names = sorted({name for m in sides["parent"].values() for name in m})
             traced.setdefault(f"traced_seed_{seed}", {})[workload] = {
-                name: {role: statistics.median(v) if (v := [m[name]["value"] for m in sides[role].values()
-                                                           if m.get(name, {}).get("value") is not None]) else None
+                name: {role: median_of([m[name]["value"] for m in sides[role].values() if name in m])
                        for role in ("parent", "change")}
                 for name in names
             }
             continue
         entry: dict = {}
-        for name, better in metrics.items():
+        for name, better in metrics.items() if pairs else ():
             parent = [sides["parent"][p][name]["value"] for p in pairs]
             change = [sides["change"][p][name]["value"] for p in pairs]
-            if not pairs:
-                continue
             sign = 1 if better == "lower" else -1
             pm, cm = statistics.median(parent), statistics.median(change)
             entry[name] = {
