@@ -1,7 +1,7 @@
 """Run the benchmark on two commits in alternating pairs and record the runs.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload check-io \
-        --seed 1 --pairs 10 [--trace 1] [--seconds S] --out BENCH_<n>.json
+        --seed 1 --pairs 10 [--trace 1] --out BENCH_<n>.json
 
 Run from the root of a checkout.  Each commit is exported with
 ``git archive`` into a new directory, so both sides run their committed
@@ -10,13 +10,13 @@ and any cache found in an export is removed before each run.  A stale cache
 on one side only makes ``setup_s`` and ``peak_rss_mb`` read lower there.
 
 Pair i runs the parent first when i is even and the change first when it
-is odd.  Each run is ``perfbench/run.py`` for ``--seconds`` (by default
-``run_seconds`` of ``BENCHMARK.json``).  The output file keeps every run's
-last stdout line (the result object) and last stderr line, and a summary
-per workload and seed: for each end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles (``statistics.quantiles(n=4,
-method="inclusive")``), the change over the parent median, and the pairs
-the change won (ties win for neither).  Traced runs are summarised under
+is odd.  Each run is ``perfbench/run.py`` for the ``run_seconds`` of
+``BENCHMARK.json``.  The output file keeps every run's last stdout line
+(the result object) and last stderr line, and a summary per workload and
+seed: for each end-to-end metric of ``BENCHMARK.json``, each side's median
+and quartiles (``statistics.quantiles(n=4, method="inclusive")``), the
+change over the parent median, and the pairs the change won (ties win
+for neither).  Traced runs are summarised under
 ``traced_seed_<seed>`` as per-side medians of each per-layer metric.  An
 existing output file for the same two commits is extended: its runs are
 kept, new pairs are numbered after them, and keys this script does not
@@ -143,12 +143,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     commits = {role: git("rev-parse", "--short", rev).decode().strip()
                for role, rev in (("parent", args.parent), ("change", args.change))}
