@@ -5,13 +5,19 @@ trialgebra, product reshuffles) or tests a hypothesis (graph closure,
 Rota-Baxter, averaging, swap).  Constructed algebras are re-verified with
 the axiom checkers and returned together with the resulting report; no
 construction emits an unchecked algebra.
+
+The tensors a construction builds (the Yau twist, the Rota-Baxter split
+and the commutator's skew products) are sweep terms tabulated on basis
+pairs by ``core._tabulate``.  A skew product's Koszul sign is read through
+the even parity map P = diag((-1)^{|e_i|}): on homogeneous d and v,
+(-1)^{|d||v|} b(v, d) = 1/2 [b(v, d) + b(v, Pd) + b(Pv, d) - b(Pv, Pd)],
+as each term is +-b(v, d) and their signs sum to -2 only if both are odd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     PRODUCT_TAGS,
@@ -21,10 +27,9 @@ from .core import (
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
-    _integral,
     _named,
-    _product,
     _sweep,
+    _tabulate,
     check_bihom,
     check_morphism,
     check_superalgebra,
@@ -37,7 +42,7 @@ from .errors import (
     ParityError,
     SingularMapError,
 )
-from .linalg import Matrix, RationalLike, Vector, frac, invert, unit_vector
+from .linalg import Matrix, RationalLike, frac, invert
 
 _ZERO = Fraction(0)
 
@@ -136,28 +141,13 @@ def _require_even(m: LinearMap, n: int, label: str) -> None:
         raise ParityError(f"{label} must be an even map")
 
 
-def _tensor_of(n: int, product: Callable[[int, int], Vector]) -> StructureTensor:
-    """The tensor whose product of e_i and e_j is ``product(i, j)``."""
-    return StructureTensor.build(
-        n, {(i, j, k): v for i in range(n) for j in range(n) for k, v in enumerate(product(i, j))}
-    )
-
-
-def _twisted_tensor(tensor: StructureTensor, l: Matrix, linv: Matrix) -> StructureTensor:
-    """The constants of l(l^-1(e_i) o l^-1(e_j)), computed on integer numerators."""
-    n = tensor.dim
-    (d_t, _, t), (d_l, _, l_cols), (d_inv, _, inv_cols) = map(_integral, (tensor, l, linv))
-    cols = [_product(n, inv_cols, [(i, 1)]) for i in range(n)]
-    den = d_l * d_t * d_inv * d_inv
-    return StructureTensor.build(
-        n,
-        {
-            (i, j, k): Fraction(v, den)
-            for i in range(n)
-            for j in range(n)
-            for k, v in _product(n, l_cols, _product(n, t, cols[i], cols[j]))
-        },
-    )
+def _tensors(n: int, ops: dict, terms: list) -> list[StructureTensor]:
+    """The tensor of each term: its product of e_i and e_j is the term at
+    slots (i, j), tabulated by ``_tabulate``."""
+    return [
+        StructureTensor.build(n, {(i, j, k): Fraction(v, d) for (i, j), value in values.items() for k, v in value})
+        for d, values in _tabulate(n, 2, ops, terms)
+    ]
 
 
 def _conjugated(spec: TrialgebraSpec, l: LinearMap) -> tuple[TrialgebraSpec, Matrix]:
@@ -165,11 +155,14 @@ def _conjugated(spec: TrialgebraSpec, l: LinearMap) -> tuple[TrialgebraSpec, Mat
     xi = spec.require_xi()
     _require_even(l, spec.dimension, "twist map")
     linv = invert(l.matrix)
+    ops = {**dict(spec.products()), "l": l.matrix, "linv": linv}
+    terms = [("l", (tag, ("linv", 0), ("linv", 1))) for tag in PRODUCT_TAGS]
+    left, right, perp = _tensors(spec.dimension, ops, terms)
     twisted = replace(
         spec,
-        left=_twisted_tensor(spec.left, l.matrix, linv),
-        right=_twisted_tensor(spec.right, l.matrix, linv),
-        perp=_twisted_tensor(spec.perp, l.matrix, linv),
+        left=left,
+        right=right,
+        perp=perp,
         gamma=LinearMap.square(spec.basis, l.matrix @ spec.gamma.matrix @ linv),
         xi=LinearMap.square(spec.basis, l.matrix @ xi.matrix @ linv),
     )
@@ -363,11 +356,13 @@ def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLi
             f"(fails at pair {report.violations[0].indices})"
         )
 
+    terms = [("star", 0, ("lam", 1)), ("star", ("lam", 0), 1)]
+    left, right = _tensors(n, {"star": alg.star, "lam": lam.matrix}, terms)
     spec = TrialgebraSpec(
         name=f"rb({alg.name})",
         basis=alg.basis,
-        left=_tensor_of(n, lambda i, j: alg.star.bilinear(unit_vector(n, i), lam.matrix.col(j))),
-        right=_tensor_of(n, lambda i, j: alg.star.bilinear(lam.matrix.col(i), unit_vector(n, j))),
+        left=left,
+        right=right,
         perp=alg.star.scale(c),
         gamma=alg.gamma,
         xi=alg.xi,
@@ -420,20 +415,12 @@ def sum_product_construct(spec: TrialgebraSpec) -> SumProductResult:
     return SumProductResult(spec=out, report=check_bihom(out))
 
 
-def _sign(p: int, q: int) -> Fraction:
-    return Fraction(-1) if p and q else Fraction(1)
-
-
-def _skew(tensor: StructureTensor, other: StructureTensor, parities: tuple[int, ...]) -> StructureTensor:
-    """c'(i,j,k) = tensor(i,j,k) - (-1)^{|i||j|} other(j,i,k)."""
-    keys = {key for key, _ in tensor.items()}
-    keys.update((j, i, k) for (i, j, k), _ in other.items())
-    table: dict[tuple[int, int, int], Fraction] = {}
-    for i, j, k in keys:
-        value = tensor.coefficient(i, j, k) - _sign(parities[i], parities[j]) * other.coefficient(j, i, k)
-        if value:
-            table[(i, j, k)] = value
-    return StructureTensor.build(tensor.dim, table)
+def _skew(a: str, b: str) -> tuple:
+    """The term a(d, v) - (-1)^{|d||v|} b(v, d) at slots d = 0 and v = 1,
+    its sign read through the parity map P (see the module docstring)."""
+    pd, pv = ("P", 0), ("P", 1)
+    signed = ("+", (b, 1, 0), (b, 1, pd), (b, pv, 0), ("*", Fraction(-1), (b, pv, pd)))
+    return ("+", (a, 0, 1), ("*", Fraction(-1, 2), signed))
 
 
 def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
@@ -442,9 +429,8 @@ def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
     [d,v] * gamma(xi(r)) = [d*r, xi(v)] + [gamma(d), v*r] on basis triples."""
     xi = spec.require_xi()
     n = spec.dimension
-    parities = spec.basis.parities
-    star = _skew(spec.left, spec.right, parities)
-    bracket = _skew(spec.perp, spec.perp, parities)
+    ops = {**dict(spec.products()), "P": Matrix.diagonal([(-1) ** p for p in spec.basis.parities])}
+    star, bracket = _tensors(n, ops, [_skew("left", "right"), _skew("perp", "perp")])
     pair = BracketPairSpec(
         name=f"comm({spec.name})",
         basis=spec.basis,

@@ -11,7 +11,10 @@ constants by argument pair, so a product costs the size of its arguments'
 supports, and a sweep evaluates each subterm once per assignment of the
 slots it reads rather than once per tuple (see ``_sweep``).  Operators are
 taken by value: equal products (often left = right = perp) and equal maps
-are evaluated once, and an identity map not at all.
+are evaluated once, and an identity map not at all.  The same evaluation
+loop (``_evaluate``) also tabulates terms on basis tuples (``_tabulate``):
+the constructions build their tensors from it, and ``center`` and
+``centralizer`` read their constraint rows off it as integers.
 
 Matrix convention: a map sends the j-th basis vector to the j-th column,
 so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
@@ -33,11 +36,9 @@ from .linalg import (
     Matrix,
     RationalLike,
     Vector,
-    add_vectors,
     canonical_span,
     frac,
     numerators,
-    zero_vector,
 )
 
 ProductTag = Literal["left", "right", "perp"]
@@ -461,12 +462,6 @@ def _integral(op: StructureTensor | Matrix) -> tuple[int, int, tuple]:
     return d, op.rows, cols
 
 
-def _product(dim: int, index: tuple, xs: Sequence, ys: Sequence = _SCALAR_ONE) -> list:
-    """The support of the product of the sparse vectors xs and ys under the
-    pair index of an operator whose values have length dim."""
-    return _support(_bilinear_into([0] * dim, index, xs, ys))
-
-
 def _combine(dim: int, weights: Sequence[int], vs: Iterable[list]) -> list:
     """The support of the sum of the weighted sparse vectors vs."""
     out = [0] * dim
@@ -485,16 +480,17 @@ class _Plan:
     a square identity map is no step, and a step is keyed by its resolved
     head, scale and argument positions.
 
-    Positions below the arity are the slots; every later position is a step,
-    a function of the values at the positions ``args``.  A value is a sparse
-    integer vector, the list of its nonzero (coordinate, entry) pairs;
-    ``dens[p]`` is its denominator, ``dims[p]`` its length and ``reads[p]``
-    the sorted slots it depends on.  ``place`` recurses through the bound
-    method, so a plan holds no reference to itself and is freed as soon as
-    the sweep drops it.
+    Positions below the arity are the slots, each ranging over the n unit
+    vectors; every later position is a step, a function of the values at
+    the positions ``args``.  A value is a sparse integer vector, the list of
+    its nonzero (coordinate, entry) pairs; ``dens[p]`` is its denominator,
+    ``dims[p]`` its length and ``reads[p]`` the sorted slots it depends on.
+    ``place`` recurses through the bound method, so a plan holds no
+    reference to itself and is freed as soon as the sweep drops it.
     """
 
     def __init__(self, n: int, ops: _Ops, arity: int) -> None:
+        self.n, self.arity = n, arity
         reps = _distinct(list(ops.values()))
         self.head = {name: None if isinstance(op, Matrix) and op.is_identity else reps.index(op) for name, op in ops.items()}
         self.integrals = [_integral(op) for op in reps]
@@ -530,8 +526,8 @@ class _Plan:
             else:
                 d, dim, index = self.integrals[head]
                 den = d * math.prod([dens[a] for a in args])
-                # Inlined, not through _product: a call fewer per step is
-                # about 15% of a sweep.
+                # Inlined rather than through a helper: a call fewer per
+                # step is about 15% of a sweep.
                 if len(args) == 2:
                     x, y = args
                     fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
@@ -551,37 +547,33 @@ def _differ(x: list, y: list, mx: int, my: int) -> bool:
     return len(x) != len(y) or any(i != j or a * mx != b * my for (i, a), (j, b) in zip(x, y))
 
 
-def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
-    """Report every basis tuple of the given arity on which the two sides of
-    a row (axiom_id, lhs, rhs) differ.
+def _evaluate(plan: _Plan, wanted: Iterable[int]) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Yield ``(tuple, cur)`` for each basis tuple of the plan's arity, in
+    order, with ``cur[p]`` the value at each wanted position p.
 
-    Each distinct subterm, its operators resolved by value, is one step of a
-    ``_Plan``, evaluated on sparse integer vectors once per assignment of the
-    slots it reads, not once per tuple.  A step that reads fewer slots than
-    the arity is kept as a table keyed by that assignment, built before the
-    sweep; a step that reads every slot is computed per tuple, in tuple
-    order, and never stored.  A step's denominator is fixed by the plan: a
-    product's or a map's is the operator's (see ``_integral``) times its
-    arguments', a sum's the lcm of its addends', and a scale by p/q's is q
-    times its argument's.  Two sides agree when lhs * D_rhs == rhs * D_lhs;
-    a row whose sides land on one position is not compared.  Fractions are
-    built only for the sides of a violation.
+    Only the steps a wanted position reads, directly or not, run.  A step
+    that reads fewer slots than the arity is tabled first, once per
+    assignment of its slots; a step that reads every slot is computed per
+    tuple and never stored.  ``cur`` is one list, overwritten per tuple.
     """
-    plan = _Plan(n, ops, arity)
-    checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
-    checks = [(axiom_id, l, r) for axiom_id, l, r in checks if l != r]
-    dens, dims, reads, steps = plan.dens, plan.dims, plan.reads, plan.steps
+    n, arity, reads, steps = plan.n, plan.arity, plan.reads, plan.steps
+    need = set(wanted)
+    for pos in range(len(reads) - 1, arity - 1, -1):
+        if pos in need:
+            need.update(steps[pos - arity][1])
     # A table is keyed by the slots it reads as an itemgetter picks them
     # from a tuple: an int for one slot, a tuple for more.
     keys = [operator.itemgetter(*r) for r in reads]
     units = {i: [(i, 1)] for i in range(n)}
     tables: dict[int, dict] = dict.fromkeys(range(arity), units)
     # ``cur`` holds the values a step reads, by position: while the tables
-    # are built, one assignment's; in the sweep, the current tuple's.
-    cur: list = [None] * len(dens)
+    # are built, one assignment's; then the current tuple's.
+    cur: list = [None] * len(reads)
     streamed = []
-    read = {p for _, l, r in checks for p in (l, r)}
+    read = set(wanted)
     for pos, (fn, args) in enumerate(steps, arity):
+        if pos not in need:
+            continue
         if len(reads[pos]) == arity:
             streamed.append((pos, fn))
             read.update(args)
@@ -594,16 +586,36 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
             for a in args:
                 cur[a] = tables[a][keys[a](at)]
             table[keys[pos](at)] = fn(cur)
-    # Per tuple, each tabled value that a streamed step or a side reads is
-    # fetched once; the streamed steps then fill in the rest.
+    # Per tuple, each tabled value that a streamed step or the caller reads
+    # is fetched once; the streamed steps then fill in the rest.
     fetch = [(p, tables[p], keys[p]) for p in sorted(read) if p in tables]
-    checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks]
-    violations: list[Violation] = []
     for idx in itertools.product(range(n), repeat=arity):
         for p, t, k in fetch:
             cur[p] = t[k(idx)]
         for pos, fn in streamed:
             cur[pos] = fn(cur)
+        yield idx, cur
+
+
+def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
+    """Report every basis tuple of the given arity on which the two sides of
+    a row (axiom_id, lhs, rhs) differ.
+
+    Each distinct subterm, its operators resolved by value, is one step of a
+    ``_Plan``, evaluated on sparse integer vectors by ``_evaluate``.  A
+    step's denominator is fixed by the plan: a product's or a map's is the
+    operator's (see ``_integral``) times its arguments', a sum's the lcm of
+    its addends', and a scale by p/q's is q times its argument's.  Two sides
+    agree when lhs * D_rhs == rhs * D_lhs; a row whose sides land on one
+    position is not compared, and the steps only such rows read do not run.
+    Fractions are built only for the sides of a violation.
+    """
+    plan = _Plan(n, ops, arity)
+    dens, dims = plan.dens, plan.dims
+    checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
+    checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks if l != r]
+    violations: list[Violation] = []
+    for idx, cur in _evaluate(plan, {p for _, l, r, _, _ in checks for p in (l, r)}):
         sides: dict[int, Vector] = {}
         for axiom_id, lhs, rhs, ml, mr in checks:
             x, y = cur[lhs], cur[rhs]
@@ -616,6 +628,21 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
                         sides[at] = tuple(side)
                 violations.append(Violation(axiom_id, idx, sides[lhs], sides[rhs]))
     return CheckReport.collect(violations)
+
+
+def _tabulate(n: int, arity: int, ops: _Ops, terms: Sequence[_Term]) -> list[tuple[int, dict]]:
+    """Each term's value on every basis tuple of the given arity, as
+    ``(d, values)`` per term: ``values[tuple]`` is the term's sparse integer
+    value there over the denominator d.  The terms share one ``_Plan``, so
+    equal subterms and equal operators are evaluated once; terms that land
+    on one position share their ``values``."""
+    plan = _Plan(n, ops, arity)
+    at = [plan.place(term) for term in terms]
+    values: dict[int, dict] = {p: {} for p in at}
+    for idx, cur in _evaluate(plan, values):
+        for p, table in values.items():
+            table[idx] = cur[p]
+    return [(plan.dens[p], values[p]) for p in at]
 
 
 # The structure map m is multiplicative: m(d o q) = m(d) o m(q) for each product o.
@@ -719,26 +746,31 @@ def check_morphism(src: TrialgebraSpec, dst: TrialgebraSpec, pi: LinearMap) -> C
     return _sweep(src.dimension, 1, ops, compat).merge(_sweep(src.dimension, 2, ops, rows))
 
 
+def _annihilator(spec: TrialgebraSpec, xi: LinearMap, vecs: Matrix) -> list[Vector]:
+    """Canonical kernel basis of the coefficient vectors u, one entry per
+    column of the n x s matrix V, with gamma(xi(V u)) o V e_a = 0 and
+    V e_a o gamma(xi(V u)) = 0 for every product o and column a.  Both
+    products are tabulated once per distinct o; the row of (a, k) holds the
+    k-th coordinates of their integer values at slot 1 = a."""
+    products = {f"o{i}": t for i, t in enumerate(_distinct([spec.left, spec.right, spec.perp]))}
+    ops = {**products, "gamma": spec.gamma.matrix, "xi": xi.matrix, "V": vecs}
+    image, other = ("gamma", ("xi", ("V", 0))), ("V", 1)
+    terms = [term for o in products for term in ((o, image, other), (o, other, image))]
+    system = Echelon()
+    for _, values in _tabulate(vecs.cols, 2, ops, terms):
+        rows: dict[tuple[int, int], dict[int, int]] = {}
+        for (u, a), value in values.items():
+            for k, v in value:
+                rows.setdefault((a, k), {})[u] = v
+        for row in rows.values():
+            system.add(row)
+    return system.kernel(vecs.cols)
+
+
 def center(spec: TrialgebraSpec) -> tuple[Vector, ...]:
     """Canonical basis of {u : gamma(xi(u)) annihilates S on both sides, all products}."""
     xi = spec.require_xi()
-    n = spec.dimension
-    m = spec.gamma.matrix @ xi.matrix
-    system = Echelon()
-    for tensor in _distinct((spec.left, spec.right, spec.perp)):
-        for j in range(n):
-            for k in range(n):
-                row_l: dict[int, Fraction] = {}
-                row_r: dict[int, Fraction] = {}
-                for col in range(n):
-                    for i in range(n):
-                        mi = m.entry(i, col)
-                        if mi:
-                            row_l[col] = row_l.get(col, _ZERO) + mi * tensor.coefficient(i, j, k)
-                            row_r[col] = row_r.get(col, _ZERO) + mi * tensor.coefficient(j, i, k)
-                system.add(row_l)
-                system.add(row_r)
-    return tuple(system.kernel(n))
+    return tuple(_annihilator(spec, xi, Matrix.identity(spec.dimension)))
 
 
 def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
@@ -753,20 +785,6 @@ def centralizer(spec: TrialgebraSpec, subset: Sequence[Sequence[Fraction]]) -> t
             raise InputError("subset vectors must match the algebra dimension")
     if not vecs:
         return ()
-    m = spec.gamma.matrix @ xi.matrix
-    images = [m.apply(v) for v in vecs]
-    system = Echelon()
-    for tensor in _distinct((spec.left, spec.right, spec.perp)):
-        for a in vecs:
-            lefts = [tensor.bilinear(img, a) for img in images]
-            rights = [tensor.bilinear(a, img) for img in images]
-            for k in range(n):
-                system.add([left[k] for left in lefts])
-                system.add([right[k] for right in rights])
-    members = []
-    for coeffs in system.kernel(len(vecs)):
-        u = zero_vector(n)
-        for c, v in zip(coeffs, vecs):
-            u = add_vectors(u, tuple(c * comp for comp in v))
-        members.append(u)
-    return canonical_span(members, n)
+    # The subset vectors are the columns of V.
+    v_matrix = Matrix(n, len(vecs), tuple(v[i] for i in range(n) for v in vecs))
+    return canonical_span(map(v_matrix.apply, _annihilator(spec, xi, v_matrix)), n)

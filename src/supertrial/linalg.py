@@ -27,6 +27,7 @@ import re
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import InputError, SingularMapError
@@ -89,12 +90,6 @@ def unit_vector(dim: int, index: int) -> Vector:
     if not 0 <= index < dim:
         raise InputError(f"unit vector index {index} out of range for dimension {dim}")
     return tuple(_ONE if i == index else _ZERO for i in range(dim))
-
-
-def add_vectors(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise InputError("vector length mismatch in addition")
-    return tuple(a + b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -216,6 +211,16 @@ class Matrix:
     @property
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
+
+    @cached_property
+    def _exact(self) -> tuple[tuple[int, int], ...]:
+        """The entries as integer pairs, which compare without a Python call each."""
+        return tuple((a.numerator, a.denominator) for a in self.entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self._exact == other._exact
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

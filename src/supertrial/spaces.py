@@ -359,24 +359,13 @@ def graded_split(space: OperatorSpace, basis: SuperBasis) -> tuple[tuple[LinearM
     n = basis.dimension
     if space.ambient_dim != n:
         raise InputError("basis dimension does not match the operator space")
-    span = [m.matrix.entries for m in space.basis]
+    # The vectorized basis maps are the columns of span.
+    span = Matrix(len(space.basis), n * n, tuple(e for m in space.basis for e in m.matrix.entries)).transpose()
     out: list[tuple[LinearMap, ...]] = []
     for parity in (0, 1):
         allowed = set(_pattern_positions(basis.parities, parity))
-        forbidden = [
-            i * n + j for i in range(n) for j in range(n) if (i, j) not in allowed
-        ]
-        if not span:
-            out.append(())
-            continue
-        members = []
-        for coeffs in Echelon([v[flat] for v in span] for flat in forbidden).kernel(len(span)):
-            vec = [_ZERO] * (n * n)
-            for c, v in zip(coeffs, span):
-                if c:
-                    for pos in range(n * n):
-                        vec[pos] += c * v[pos]
-            members.append(tuple(vec))
+        forbidden = (span.row(i * n + j) for i in range(n) for j in range(n) if (i, j) not in allowed)
+        members = map(span.apply, Echelon(forbidden).kernel(span.cols))
         out.append(_maps_from_vectors(canonical_span(members, n * n), basis))
     return out[0], out[1]
 

@@ -43,13 +43,16 @@ from supertrial.core import (
     LinearMap,
     StructureTensor,
     TrialgebraSpec,
+    center,
+    centralizer,
     check_bihom,
     check_hom,
     check_multiplicative,
     identity_map,
 )
+from supertrial.errors import SingularMapError
 from supertrial.fixtures import FIXTURE_NAMES, builtin, inject_violation
-from supertrial.linalg import Matrix
+from supertrial.linalg import Matrix, canonical_span, invert, nullspace_basis
 
 SEEDS = range(6)
 RATIONAL_SEEDS = range(6, 12)
@@ -339,3 +342,75 @@ def test_dense_rota_baxter_at_six(seed):
     report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "2/5")
     expected = rota_baxter_oracle(spec, lam, Fraction(2, 5))
     assert expected and as_tuples(report) == expected
+
+
+def dense_twist(parities, seed: int) -> tuple[Matrix, Matrix]:
+    """An even, invertible map with a rational entry drawn for every place
+    the grading allows, and its inverse."""
+    rng = random.Random(seed)
+    n = len(parities)
+    while True:
+        rows = [
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if parities[i] == parities[j] else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        try:
+            return Matrix.from_rows(rows), invert(Matrix.from_rows(rows))
+        except SingularMapError:
+            continue
+
+
+def _unit(n: int, i: int) -> tuple:
+    return tuple(Fraction(int(k == i)) for k in range(n))
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_yau_twist_at_six(seed):
+    """The twisted constants are those of l(l^-1 e_i o l^-1 e_j), evaluated
+    here from the constant dicts for each of the three products."""
+    spec = dense_spec(seed)
+    l, linv = dense_twist(PARITIES_6, seed)
+    ops = _Ops(spec)
+    ops.maps.update(l=l, linv=linv)
+    units = [_unit(6, i) for i in range(6)]
+    assert all(ops._apply("l", ops._apply("linv", e)) == e for e in units)
+    twisted = yau_twist(spec, LinearMap.square(spec.basis, l)).twisted
+    for tag in PRODUCT_TAGS:
+        expected = {}
+        for i, j in itertools.product(range(6), repeat=2):
+            value = ops._apply("l", ops._product(tag, ops._apply("linv", units[i]), ops._apply("linv", units[j])))
+            expected.update(((i, j, k), c) for k, c in enumerate(value) if c)
+        assert any(c.denominator > 1 for c in expected.values())
+        assert dict(twisted.tensor(tag).constants) == expected, tag
+
+
+@pytest.mark.parametrize("seed", DENSE_SEEDS)
+def test_dense_center_and_centralizer_at_six(seed):
+    """A dense n = 4 algebra plus zero2, twisted by a dense map: the center
+    holds at least the image of the zero block.  The annihilator rows are
+    assembled here from the constant dicts; only the kernel and the
+    canonical span come from linalg."""
+    base = direct_sum(random_spec(seed, rational=True, parities=(0, 1, 0, 1)), builtin("zero2"))
+    l, _ = dense_twist(base.basis.parities, seed)
+    spec = yau_twist(base, LinearMap.square(base.basis, l)).twisted
+    ops = _Ops(spec)
+    units = [_unit(6, i) for i in range(6)]
+
+    def kernel(vecs):
+        """The coefficient vectors c with gamma(xi(sum c_s v_s)) o a = a o
+        gamma(xi(sum c_s v_s)) = 0 for each product o and each a in vecs."""
+        images = [ops.g(ops.x(v)) for v in vecs]
+        rows = []
+        for tag, a in itertools.product(PRODUCT_TAGS, vecs):
+            lefts = [ops._product(tag, m, a) for m in images]
+            rights = [ops._product(tag, a, m) for m in images]
+            rows += [[p[k] for p in lefts] for k in range(6)] + [[p[k] for p in rights] for k in range(6)]
+        return nullspace_basis(Matrix.from_rows(rows))
+
+    expected = tuple(kernel(units))
+    assert len(expected) >= 2 and center(spec) == expected
+    rng = random.Random(seed)
+    subset = list(expected) + [tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(6)) for _ in range(2)]
+    members = [tuple(sum((c * v[i] for c, v in zip(cs, subset)), Fraction(0)) for i in range(6)) for cs in kernel(subset)]
+    expected = canonical_span(members, 6)
+    assert expected and centralizer(spec, subset) == expected

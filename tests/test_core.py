@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supertrial import core
 from supertrial.constructions import commutator_construct, direct_sum, yau_twist
 from supertrial.core import (
     LinearMap,
@@ -259,17 +260,41 @@ def test_equal_operators_share_steps():
     assert sorted(plan.reads[3:]) == [(0, 1), (0, 1, 2), (0, 1, 2), (1, 2)]
 
 
+def test_steps_of_dropped_rows_do_not_run(monkeypatch):
+    """grassmann2 has gamma = xi = id, so both sides of each multiplicativity
+    row are one product step and every row is dropped; no product is then
+    evaluated at all, while the BiHom triples still evaluate theirs."""
+    calls = []
+    bilinear_into = core._bilinear_into
+    monkeypatch.setattr(core, "_bilinear_into", lambda *args: calls.append(1) or bilinear_into(*args))
+    assert check_multiplicative(builtin("grassmann2")).passed
+    assert calls == []
+    assert check_bihom(builtin("grassmann2")).passed
+    assert calls
+
+
 def test_sweeps_leave_no_cyclic_garbage():
-    """A sweep's plan and tables are freed by reference counting alone: with
-    the collector paused, nothing is left for it on a dimension-6 algebra."""
+    """A sweep's plan and tables, and a tabulation's, are freed by reference
+    counting alone: with the collector paused, nothing is left for it on a
+    dimension-6 algebra."""
     spec = direct_sum(builtin("dual2-twisted"), direct_sum(builtin("grassmann2"), builtin("dual2")))
     assert spec.dimension == 6
+    l = LinearMap.square(spec.basis, Matrix.diagonal([1, 2, "1/2", 3, 1, 5]))
+    subset = [unit_vector(6, 1), (F(1), F(0), F(2), F(0), F(0), F(3))]
+    runs = {
+        "check_bihom": check_bihom,
+        "check_hom": check_hom,
+        "commutator_construct": commutator_construct,
+        "yau_twist": lambda s: yau_twist(s, l),
+        "center": center,
+        "centralizer": lambda s: centralizer(s, subset),
+    }
     gc.collect()
     gc.disable()
     try:
-        for run in (check_bihom, check_hom, commutator_construct):
+        for name, run in runs.items():
             run(spec)
-            assert gc.collect() == 0, run.__name__
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 

@@ -116,6 +116,21 @@ class TestMatrixBasics:
     def test_diagonal(self):
         assert Matrix.diagonal([1, 2]).to_rows() == [[F(1), F(0)], [F(0), F(2)]]
 
+    def test_equality_compares_integer_pairs(self, monkeypatch):
+        """Equal matrices, however their entries are spelled, compare and
+        hash equal (the battery keys a dict by Matrix), and no comparison
+        calls Fraction.__eq__ on the entries."""
+        a = mat([[1, "2/4"], [0, 3]])
+        b = Matrix(2, 2, (F(1), F(1, 2), 0, F(3)))
+        others = [mat([[1, "1/3"], [0, 3]]), Matrix(1, 4, a.entries), mat([[1, 0], [0, 1]])]
+        calls = []
+        eq = Fraction.__eq__
+        monkeypatch.setattr(Fraction, "__eq__", lambda x, y: calls.append(1) or eq(x, y))
+        assert a == b and hash(a) == hash(b) and {a: "a"}[b] == "a"
+        assert all(a != m for m in others)
+        assert others[2].is_identity and not a.is_identity
+        assert calls == []
+
     def test_vector_helpers(self):
         assert zero_vector(2) == (F(0), F(0))
         assert vector(["1/2", 3]) == (F(1, 2), F(3))
