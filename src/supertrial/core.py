@@ -258,12 +258,14 @@ class StructureTensor:
 
 def validate_evenness(tensor: StructureTensor, basis: SuperBasis, label: str) -> None:
     """A product of homogeneous vectors must land in the summed parity."""
-    for (i, j, k), _ in tensor.items():
-        if basis.parity(k) != (basis.parity(i) + basis.parity(j)) % 2:
-            raise ParityError(
-                f"{label} constant at {(i, j, k)}: parity(k)={basis.parity(k)} "
-                f"differs from parity(i)+parity(j)={(basis.parity(i) + basis.parity(j)) % 2}"
-            )
+    p = basis.parities
+    odd = [key for key in tensor.constants if p[key[0]] ^ p[key[1]] ^ p[key[2]]]
+    if odd:
+        i, j, k = min(odd)  # the first offending triple in sorted order
+        raise ParityError(
+            f"{label} constant at {(i, j, k)}: parity(k)={p[k]} "
+            f"differs from parity(i)+parity(j)={(p[i] + p[j]) % 2}"
+        )
 
 
 def _validate_structure_map(m: LinearMap, basis: SuperBasis, label: str) -> None:
@@ -457,7 +459,7 @@ def _integral(op: StructureTensor | Matrix) -> tuple[int, int, tuple]:
     if isinstance(op, StructureTensor):
         d, index = op.by_pair
         return d, op.dim, index
-    d, nums = numerators(op.entries)
+    d, nums = op.integral
     cols = tuple((tuple((i, v) for i, v in enumerate(nums[j :: op.cols]) if v),) for j in range(op.cols))
     return d, op.rows, cols
 

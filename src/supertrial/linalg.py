@@ -17,12 +17,17 @@ the rows held are always the canonical RREF up to scale, divided out only
 when ``rows`` or ``kernel`` is read.  A semi-echelon that defers the
 back-substitution lets coefficients grow in the unreduced rows and was
 several times slower on the operator-space systems.  ``Matrix`` stays a
-small dense type for maps: products, powers and application.
+small dense type for maps.  It converts its entries once, to integers over
+one denominator (``Matrix.integral``, which the sweep, the operator-space
+rows and the battery read too); products, powers and application all run
+through one integer kernel, ``integer_product``, and build a Fraction only
+for each entry of the result.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -75,6 +80,17 @@ def numerators(values: Collection[Fraction | int]) -> tuple[int, list[int]]:
     """``(d, nums)``: d the lcm of the values' denominators, nums the values times d."""
     d = math.lcm(*[v.denominator for v in values])  # a generator here would fill the tuple free lists
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def integer_product(x: Sequence[int], y: Sequence[int], rows: int, inner: int, cols: int) -> list[int]:
+    """The row-major product of row-major integer matrices, rows x inner by inner x cols."""
+    xrows = [x[i * inner : (i + 1) * inner] for i in range(rows)]  # a stepped range fails at inner = 0
+    ycols = [y[j::cols] for j in range(cols)]
+    return [sum(map(operator.mul, row, col)) for row in xrows for col in ycols]
+
+
+def _fractions(nums: Iterable[int], d: int) -> Vector:
+    return tuple(Fraction(v, d) if v else _ZERO for v in nums)
 
 
 def vector(values: Iterable[RationalLike]) -> Vector:
@@ -157,23 +173,16 @@ class Matrix:
         """Multiply this matrix by a coordinate column vector."""
         if len(v) != self.cols:
             raise InputError(f"cannot apply {self.rows}x{self.cols} matrix to length-{len(v)} vector")
-        return tuple(
-            sum((self.entry(i, j) * v[j] for j in range(self.cols)), _ZERO)
-            for i in range(self.rows)
-        )
+        (d, x), (dv, y) = self.integral, numerators(v)
+        return _fractions(integer_product(x, y, self.rows, self.cols, 1), d * dv)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        flat: list[Fraction] = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                flat.append(
-                    sum((self.entry(i, k) * other.entry(k, j) for k in range(self.cols)), _ZERO)
-                )
-        return Matrix(self.rows, other.cols, tuple(flat))
+        (d, x), (e, y) = self.integral, other.integral
+        return Matrix(self.rows, other.cols, _fractions(integer_product(x, y, self.rows, self.cols, other.cols), d * e))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
@@ -221,6 +230,15 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.rows == other.rows and self.cols == other.cols and self._exact == other._exact
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self._exact))
+
+    @cached_property
+    def integral(self) -> tuple[int, tuple[int, ...]]:
+        """``numerators`` of the entries, converted once per matrix."""
+        d, nums = numerators(self.entries)
+        return d, tuple(nums)
 
     def _require_same_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

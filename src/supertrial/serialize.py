@@ -5,13 +5,17 @@ reader ever coerces them through floats; floats and booleans are rejected.
 Tensors are sparse lists of {i, j, k, v} triples with 0-based indices;
 omitted triples are zero and duplicates are an error.  Parsing enforces
 every structural invariant and reports the offending field and index.
+It reads each document in one pass: every distinct string literal is
+converted once, through a memo that lives for that one parse call
+(``_Literals``), and tensors and maps are built straight from the values
+read.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .constructions import BracketPairSpec
 from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec
@@ -21,21 +25,31 @@ from .linalg import Matrix, frac
 
 def parse_rational(value: Any, where: str) -> Fraction:
     """Accept a JSON integer or a 'p' / 'p/q' string with q > 0."""
-    try:
-        return _rational(value)
-    except InputError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    return _Literals().read(value, lambda: where)
 
 
-def _rational(value: Any) -> Fraction:
-    """``parse_rational`` without the location in its error messages."""
-    if isinstance(value, bool):
-        raise InputError("booleans are not rational literals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return frac(value)
-    raise InputError(f"expected an integer or rational string, got {type(value).__name__}")
+class _Literals(dict):
+    """The rationals of one document, each distinct string literal converted
+    once.  Keys are ``str`` only: ``True == 1`` and both hash alike, so a
+    ``true`` must never find the entry of a ``1``."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = frac(text)
+        return value
+
+    def read(self, value: Any, where: Callable[[], str]) -> Fraction:
+        """``parse_rational(value, where())``, a string through the memo; the
+        location is built only for an error."""
+        try:
+            if isinstance(value, str):
+                return self[value]
+            if isinstance(value, bool):
+                raise InputError("booleans are not rational literals")
+            if isinstance(value, int):
+                return Fraction(value)
+            raise InputError(f"expected an integer or rational string, got {type(value).__name__}")
+        except InputError as exc:
+            raise InputError(f"{where()}: {exc}") from None
 
 
 def rational_str(value: Fraction) -> str:
@@ -83,46 +97,44 @@ def _parse_parities(data: Mapping[str, Any], dim: int, where: str) -> tuple[int,
     return tuple(out)
 
 
-def _parse_tensor(data: Mapping[str, Any], key: str, dim: int, where: str) -> StructureTensor:
+def _parse_tensor(data: Mapping[str, Any], key: str, dim: int, where: str, literals: _Literals) -> StructureTensor:
     raw = data.get(key, [])
     if not isinstance(raw, list):
         raise InputError(f"{where}.{key}: expected a list of triples")
     table: dict[tuple[int, int, int], Fraction] = {}
     label = lambda: f"{where}.{key}[{pos}]"  # built only for an error
+    value_label = lambda: f"{label()}.v"
     for pos, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise InputError(f"{label()}: expected an object with i, j, k, v")
-        triple = []
-        for axis in ("i", "j", "k"):
-            value = entry.get(axis)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{label()}.{axis}: expected an integer index")
-            if not 0 <= value < dim:
-                raise InputError(f"{label()}.{axis}: index {value} out of range for dim {dim}")
-            triple.append(value)
+        key3 = i, j, k = entry.get("i"), entry.get("j"), entry.get("k")
+        if not (type(i) is type(j) is type(k) is int and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            for axis, value in zip("ijk", key3):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InputError(f"{label()}.{axis}: expected an integer index")
+                if not 0 <= value < dim:
+                    raise InputError(f"{label()}.{axis}: index {value} out of range for dim {dim}")
         if "v" not in entry:
             raise InputError(f"{label()}: missing value field v")
-        try:
-            coeff = _rational(entry["v"])
-        except InputError as exc:
-            raise InputError(f"{label()}.v: {exc}") from None
-        key3 = (triple[0], triple[1], triple[2])
+        coeff = literals.read(entry["v"], value_label)
         if key3 in table:
             raise InputError(f"{label()}: duplicate triple {key3} in {key}")
         table[key3] = coeff
-    return StructureTensor.build(dim, table)
+    return StructureTensor(dim, {t: c for t, c in table.items() if c})
 
 
-def _parse_square_matrix(data: Mapping[str, Any], key: str, dim: int, where: str) -> Matrix:
+def _parse_square_matrix(data: Mapping[str, Any], key: str, dim: int, where: str, literals: _Literals) -> Matrix:
     raw = data.get(key)
     if not isinstance(raw, list) or len(raw) != dim:
         raise InputError(f"{where}.{key}: expected {dim} rows")
-    rows = []
+    flat = []
+    label = lambda: f"{where}.{key}[{i}][{j}]"  # built only for an error
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{where}.{key}[{i}]: expected {dim} entries")
-        rows.append([parse_rational(v, f"{where}.{key}[{i}][{j}]") for j, v in enumerate(row)])
-    return Matrix.from_rows(rows)
+        for j, v in enumerate(row):
+            flat.append(literals.read(v, label))
+    return Matrix(dim, dim, tuple(flat))
 
 
 def _parse_name(data: Mapping[str, Any], where: str) -> str:
@@ -141,15 +153,16 @@ def parse_algebra(text: str) -> TrialgebraSpec:
         raise InputError(f"{where}.dim: must be at least 1")
     parities = _parse_parities(data, dim, where)
     basis = SuperBasis(parities)
+    literals = _Literals()
     spec = TrialgebraSpec(
         name=name,
         basis=basis,
-        left=_parse_tensor(data, "left", dim, where),
-        right=_parse_tensor(data, "right", dim, where),
-        perp=_parse_tensor(data, "perp", dim, where),
-        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where)),
+        left=_parse_tensor(data, "left", dim, where, literals),
+        right=_parse_tensor(data, "right", dim, where, literals),
+        perp=_parse_tensor(data, "perp", dim, where, literals),
+        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where, literals)),
         xi=(
-            LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where))
+            LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where, literals))
             if data.get("xi") is not None
             else None
         ),
@@ -197,10 +210,11 @@ def parse_map(text: str) -> Matrix:
         raise InputError(
             f"{where}.entries: expected {rows * cols} entries for {rows}x{cols}, got {len(raw)}"
         )
-    entries = tuple(
-        parse_rational(v, f"{where}.entries[{idx}]") for idx, v in enumerate(raw)
-    )
-    return Matrix(rows, cols, entries)
+    literals, entries = _Literals(), []
+    label = lambda: f"{where}.entries[{idx}]"  # built only for an error
+    for idx, v in enumerate(raw):
+        entries.append(literals.read(v, label))
+    return Matrix(rows, cols, tuple(entries))
 
 
 def emit_map(matrix: Matrix) -> str:
@@ -223,12 +237,13 @@ def parse_superalgebra(text: str) -> SuperalgebraSpec:
     basis = SuperBasis(parities)
     if data.get("xi") is None:
         raise InputError(f"{where}.xi: required for superalgebra documents")
+    literals = _Literals()
     return SuperalgebraSpec(
         name=name,
         basis=basis,
-        star=_parse_tensor(data, "star", dim, where),
-        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where)),
-        xi=LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where)),
+        star=_parse_tensor(data, "star", dim, where, literals),
+        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where, literals)),
+        xi=LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where, literals)),
     )
 
 

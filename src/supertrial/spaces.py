@@ -31,14 +31,13 @@ Fractions only for witnesses.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, _distinct, center
 from .errors import InputError, ParityError
-from .linalg import Echelon, Matrix, Vector, canonical_span, numerators
+from .linalg import Echelon, Matrix, Vector, canonical_span, integer_product
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
@@ -143,7 +142,7 @@ def _nonzero(row: dict[int, int]) -> dict[int, int]:
 def _commutation_rows(other: Matrix, var_of: list[list[int | None]], offset: int) -> Iterator[dict[int, int]]:
     """Nonzero sparse rows of X @ other - other @ X = 0 over the restricted unknowns, in integers."""
     n = other.rows
-    _, m = numerators(other.entries)
+    _, m = other.integral
     for k in range(n):
         for l in range(n):
             row: dict[int, int] = {}
@@ -175,7 +174,7 @@ class _TermTables:
     def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
         n = tensor.dim
         _, index = tensor.by_pair
-        d_t, t = numerators(twist.entries)
+        d_t, t = twist.integral
         dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(4)]
         for i, line in enumerate(index):
             for j, cell in enumerate(line):
@@ -510,20 +509,10 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         return LinearMap.square(spec.basis, Matrix(n, n, tuple(vector)))
 
     echelons: dict[int, Echelon] = {}
-    # Each basis map's numerators, converted once; the map is kept with them
-    # so that its id is not reused.
-    ints: dict[int, tuple[LinearMap, list[int]]] = {}
-
-    def integral(f: LinearMap) -> list[int]:
-        if id(f) not in ints:
-            ints[id(f)] = (f, numerators(f.matrix.entries)[1])
-        return ints[id(f)][1]
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product."""
-        x, y = integral(f), integral(g)
-        cols = [y[j::n] for j in range(n)]
-        return [sum(map(operator.mul, x[i : i + n], col)) for i in range(0, n * n, n) for col in cols]
+        return integer_product(f.matrix.integral[1], g.matrix.integral[1], n, n, n)
 
     def bracket(f: GradedOperator, g: GradedOperator) -> list[int]:
         sign = 1 if f.parity and g.parity else -1

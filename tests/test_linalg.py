@@ -131,6 +131,22 @@ class TestMatrixBasics:
         assert others[2].is_identity and not a.is_identity
         assert calls == []
 
+    def test_hash_reads_integer_pairs(self, monkeypatch):
+        """Equal matrices built by different routes hash equal and share one
+        dict entry, and hashing calls no Fraction.__hash__."""
+        routes = [Matrix.from_rows([["2/4"]]), Matrix(1, 1, (F(1, 2),)), mat([["1/4"]]) @ mat([[2]])]
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(1) or fraction_hash(x))
+        assert len({hash(m) for m in routes}) == 1
+        assert len(dict.fromkeys(routes)) == 1
+        assert calls == []
+
+    def test_integral_is_numerators_of_the_entries(self):
+        m = mat([["1/2", 0], [3, "-2/3"]])
+        assert m.integral == (6, (3, 0, 18, -4))
+        assert m.integral is m.integral
+
     def test_vector_helpers(self):
         assert zero_vector(2) == (F(0), F(0))
         assert vector(["1/2", 3]) == (F(1, 2), F(3))
@@ -294,3 +310,45 @@ def test_span_membership_matches_reconstruction(m, coeffs):
         for idx in range(m.cols):
             rebuilt[idx] += c * b[idx]
     assert tuple(rebuilt) == tuple(target)
+
+
+def naive_product(a, b):
+    """The product by the textbook triple loop over Fractions."""
+    return Matrix(a.rows, b.cols, tuple(
+        sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), F(0))
+        for i in range(a.rows) for j in range(b.cols)
+    ))
+
+
+def rational_matrices(rows, cols):
+    entries = hs.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return hs.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: Matrix(rows, cols, tuple(flat))
+    )
+
+
+@given(hs.tuples(*[hs.integers(0, 3)] * 3).flatmap(
+    lambda shape: hs.tuples(rational_matrices(*shape[:2]), rational_matrices(*shape[1:]))
+))
+def test_integer_product_matches_the_triple_loop(pair):
+    a, b = pair
+    product = a @ b
+    assert product == naive_product(a, b)
+    assert all(type(v) is Fraction for v in product.entries)
+    column = b.col(0) if b.cols else (F(0),) * b.rows
+    assert a.apply(column) == naive_product(a, Matrix(a.cols, 1, column)).entries
+
+
+@given(hs.integers(0, 3).flatmap(lambda n: rational_matrices(n, n)), hs.integers(0, 5))
+def test_power_matches_repeated_triple_loop(m, k):
+    expected = Matrix.identity(m.rows)
+    for _ in range(k):
+        expected = naive_product(expected, m)
+    assert m.power(k) == expected
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(2, 0, 3), (0, 2, 3), (2, 3, 0), (0, 0, 0), (1, 0, 1)])
+def test_products_with_a_zero_dimension(rows, inner, cols):
+    ones = Matrix(inner, cols, (F(1),) * (inner * cols))
+    assert Matrix.zero(rows, inner) @ ones == Matrix.zero(rows, cols)
+    assert Matrix.zero(rows, inner).apply((F(1),) * inner) == zero_vector(rows)

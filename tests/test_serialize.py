@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from supertrial.constructions import commutator_construct
-from supertrial.core import SuperalgebraSpec
+from supertrial import serialize
+from supertrial.core import SuperalgebraSpec, TrialgebraSpec
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial.linalg import Matrix
@@ -189,3 +190,67 @@ class TestParseErrors:
         del doc["xi"]
         with pytest.raises(InputError, match="xi"):
             parse_superalgebra(json.dumps(doc))
+
+
+def tiny(left, gamma=(("1", "0"), ("0", "1"))):
+    """A two-dimensional even algebra document with the given left constants."""
+    entries = [{"i": i, "j": j, "k": k, "v": v} for (i, j, k), v in left]
+    return json.dumps({"name": "t", "dim": 2, "parity": [0, 0], "left": entries, "gamma": gamma})
+
+
+class TestLiteralMemo:
+    """Each distinct string literal of a document is converted once, and every
+    rejection reads as it would without the memo, even where a bad value
+    follows an accepted one that looks alike."""
+
+    @pytest.mark.parametrize("first,second,message", [
+        (1, True, "algebra.left[1].v: booleans are not rational literals"),
+        ("2", "2.0", "algebra.left[1].v: '2.0' is not a rational literal (use 'p' or 'p/q')"),
+        ("3/1", "3/0", "algebra.left[1].v: zero denominator in '3/0'"),
+        ("5", "5", "algebra.left[1]: duplicate triple (0, 0, 0) in left"),
+    ])
+    def test_bad_value_after_a_similar_good_one(self, first, second, message):
+        k = 0 if first == second else 1
+        with pytest.raises(InputError) as info:
+            parse_algebra(tiny([((0, 0, 0), first), ((0, 0, k), second)]))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value,entry,message", [
+        (1, True, "algebra.gamma[1][0]: booleans are not rational literals"),
+        ("1", "1.0", "algebra.gamma[1][0]: '1.0' is not a rational literal (use 'p' or 'p/q')"),
+    ])
+    def test_bad_gamma_entry_after_a_tensor_literal(self, value, entry, message):
+        with pytest.raises(InputError) as info:
+            parse_algebra(tiny([((0, 0, 0), value)], gamma=[["1", "0"], [entry, "1"]]))
+        assert str(info.value) == message
+
+    def test_bad_map_entry_after_a_similar_good_one(self):
+        with pytest.raises(InputError) as info:
+            parse_map('{"rows": 1, "cols": 2, "entries": [1, true]}')
+        assert str(info.value) == "map.entries[1]: booleans are not rational literals"
+
+    def test_each_literal_converted_once_per_call(self, monkeypatch):
+        converted = []
+        frac = serialize.frac
+        monkeypatch.setattr(serialize, "frac", lambda text: converted.append(text) or frac(text))
+        text = tiny([((0, 0, 0), "1/2"), ((0, 0, 1), "1/2"), ((1, 1, 1), "1/2")], gamma=[["1/2", "0"], ["0", "1/2"]])
+        for calls in (1, 2):
+            spec = parse_algebra(text)
+            assert sorted(converted) == ["0"] * calls + ["1/2"] * calls
+        assert spec.left.coefficient(1, 1, 1) == F(1, 2)
+
+
+def test_roundtrip_of_three_distinct_rational_products():
+    parities = (0, 0, 0, 1, 1, 1)
+    even = [(i, j, k) for i in range(6) for j in range(6) for k in range(6)
+            if parities[k] == parities[i] ^ parities[j]]
+    products = [{t: F((7 * n + s) % 11 - 5, 1 + (n + s) % 4) for n, t in enumerate(even)} for s in range(3)]
+    assert any(0 in p.values() for p in products) and len({tuple(p.values()) for p in products}) == 3
+    gamma = Matrix.diagonal(["1/2", 2, -1, "3/4", 1, "-5/3"])
+    spec = TrialgebraSpec.build("six", parities, *products, gamma, gamma @ gamma)
+    text = emit_algebra(spec)
+    assert parse_algebra(text) == spec
+    doc = json.loads(text)
+    zero = next(t for t, v in products[0].items() if not v)
+    doc["left"].append({"i": zero[0], "j": zero[1], "k": zero[2], "v": "0/3"})
+    assert parse_algebra(json.dumps(doc)) == spec and emit_algebra(parse_algebra(json.dumps(doc))) == text

@@ -1,13 +1,15 @@
 """Run the benchmark on two commits in alternating pairs and record the runs.
 
     python3 tools/bench_pairs.py --parent REV --change REV --workload check-io \
-        --seed 1 --pairs 10 [--trace 1] --out BENCH_<n>.json
+        [--workload battery ...] --seed 1 --pairs 10 [--trace 1] --out BENCH_<n>.json
 
-Run from the root of a checkout.  Each commit is exported with
-``git archive`` into a new directory, so both sides run their committed
-files only, with no ``__pycache__``: the runs set ``PYTHONDONTWRITEBYTECODE``
-and any cache found in an export is removed before each run.  A stale cache
-on one side only makes ``setup_s`` and ``peak_rss_mb`` read lower there.
+Run from the root of a checkout.  Each ``--workload`` (the option may be
+given more than once) runs its pairs in turn, all into the one output
+file.  Each commit is exported with ``git archive`` into a new directory,
+so both sides run their committed files only, with no ``__pycache__``:
+the runs set ``PYTHONDONTWRITEBYTECODE`` and any cache found in an export
+is removed before each run.  A stale cache on one side only makes
+``setup_s`` and ``peak_rss_mb`` read lower there.
 
 Pair i runs the parent first when i is even and the change first when it
 is odd.  Each run is ``perfbench/run.py`` for the ``run_seconds`` of
@@ -139,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -163,23 +165,24 @@ def main(argv: list[str] | None = None) -> int:
              f"{platform.python_implementation()} {platform.python_version()}",
     )
     runs = doc.setdefault("runs", [])
-    done = [r["pair"] for r in runs if (r["workload"], r["seed"], r["trace"]) == (args.workload, args.seed, args.trace)]
-    first = max(done, default=-1) + 1
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {role: Path(tmp) / role for role in commits}
         for role, tree in trees.items():
             export(commits[role], tree)
-        for pair in range(first, first + args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for n, role in enumerate(order):
-                record = run_once(trees[role], args.workload, args.seed, seconds, args.trace)
-                runs.append({"commit": commits[role], "role": role, "workload": args.workload,
-                             "seed": args.seed, "pair": pair, "ran": ("first", "second")[n],
-                             "trace": args.trace, **record})
-                value = (record["result"] or {}).get("metrics", {}).get("wall_ref", {}).get("value")
-                print(f"pair {pair} {role}: exit {record['exit']}, wall_ref {value}", flush=True)
-            summarise(doc, metrics)
-            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for workload in args.workload:
+            done = [r["pair"] for r in runs if (r["workload"], r["seed"], r["trace"]) == (workload, args.seed, args.trace)]
+            first = max(done, default=-1) + 1
+            for pair in range(first, first + args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for n, role in enumerate(order):
+                    record = run_once(trees[role], workload, args.seed, seconds, args.trace)
+                    runs.append({"commit": commits[role], "role": role, "workload": workload,
+                                 "seed": args.seed, "pair": pair, "ran": ("first", "second")[n],
+                                 "trace": args.trace, **record})
+                    value = (record["result"] or {}).get("metrics", {}).get("wall_ref", {}).get("value")
+                    print(f"{workload} pair {pair} {role}: exit {record['exit']}, wall_ref {value}", flush=True)
+                summarise(doc, metrics)
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
