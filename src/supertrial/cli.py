@@ -42,8 +42,8 @@ from .core import (
 )
 from .errors import AlgebraError, InputError
 from .fixtures import FIXTURE_NAMES, builtin
-from .linalg import Matrix
 from .serialize import (
+    _matrix_rows,
     emit_algebra,
     emit_bracket_pair,
     emit_superalgebra,
@@ -77,10 +77,6 @@ def _digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _matrix_json(matrix: Matrix) -> list[list[str]]:
-    return [[rational_str(v) for v in matrix.row(i)] for i in range(matrix.rows)]
-
-
 def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
     return [
         {
@@ -102,7 +98,7 @@ def _space_json(space: OperatorSpace, grade: str) -> dict[str, Any]:
         "dimension": space.dimension,
         "even_dimension": space.even_dimension,
         "odd_dimension": space.odd_dimension,
-        "basis": [_matrix_json(m.matrix) for m in listed],
+        "basis": [_matrix_rows(m.matrix) for m in listed],
     }
 
 
@@ -115,7 +111,7 @@ def _battery_json(report: BatteryReport) -> list[dict[str, Any]]:
             "s2": line.s2,
             "r2": line.r2,
             "passed": line.passed,
-            "witness": None if line.witness is None else _matrix_json(line.witness.matrix),
+            "witness": None if line.witness is None else _matrix_rows(line.witness.matrix),
         }
         for line in report.lines
     ]

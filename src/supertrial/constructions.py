@@ -30,10 +30,10 @@ from .core import (
     _named,
     _sweep,
     _tabulate,
+    _validate_graded,
     check_bihom,
     check_morphism,
     check_superalgebra,
-    validate_evenness,
 )
 from .errors import (
     CommutationError,
@@ -106,11 +106,7 @@ class BracketPairSpec:
     xi: LinearMap
 
     def __post_init__(self) -> None:
-        n = self.basis.dimension
-        for label, tensor in (("star", self.star), ("bracket", self.bracket)):
-            if tensor.dim != n:
-                raise InputError(f"{label} tensor dimension {tensor.dim} does not match basis size {n}")
-            validate_evenness(tensor, self.basis, label)
+        _validate_graded(self, ("star", "bracket"))
 
 
 @dataclass(frozen=True)

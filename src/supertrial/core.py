@@ -74,21 +74,10 @@ def parity_class(matrix: Matrix, row_parities: Sequence[int], col_parities: Sequ
     vanishes; odd means every entry connecting equal parities vanishes.  The
     zero matrix satisfies both conditions and is reported as even.
     """
-    even_ok = True
-    odd_ok = True
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            if matrix.entry(i, j) == 0:
-                continue
-            if row_parities[i] == col_parities[j]:
-                odd_ok = False
-            else:
-                even_ok = False
-    if even_ok:
-        return "even"
-    if odd_ok:
-        return "odd"
-    return "mixed"
+    cols = matrix.cols
+    # For each nonzero entry: does it connect coordinates of equal parity?
+    equal = {row_parities[k // cols] == col_parities[k % cols] for k, v in enumerate(matrix.integral[1]) if v}
+    return "even" if False not in equal else "odd" if True not in equal else "mixed"
 
 
 @dataclass(frozen=True)
@@ -256,23 +245,35 @@ class StructureTensor:
         return self.dim == other.dim and self._exact == other._exact
 
 
-def validate_evenness(tensor: StructureTensor, basis: SuperBasis, label: str) -> None:
-    """A product of homogeneous vectors must land in the summed parity."""
-    p = basis.parities
-    odd = [key for key in tensor.constants if p[key[0]] ^ p[key[1]] ^ p[key[2]]]
-    if odd:
-        i, j, k = min(odd)  # the first offending triple in sorted order
-        raise ParityError(
-            f"{label} constant at {(i, j, k)}: parity(k)={p[k]} "
-            f"differs from parity(i)+parity(j)={(p[i] + p[j]) % 2}"
-        )
+def _validate_graded(spec: object, tensors: Sequence[str]) -> None:
+    """The invariants of a graded spec: each named tensor matches the basis
+    and is even (a product of homogeneous vectors lands in the summed
+    parity), and gamma and xi, where present, are square and even maps."""
+    p = spec.basis.parities
+    n = len(p)
+    for label in tensors:
+        tensor = getattr(spec, label)
+        if tensor.dim != n:
+            raise InputError(f"{label} tensor dimension {tensor.dim} does not match basis size {n}")
+        odd = [key for key in tensor.constants if p[key[0]] ^ p[key[1]] ^ p[key[2]]]
+        if odd:
+            i, j, k = min(odd)  # the first offending triple in sorted order
+            raise ParityError(
+                f"{label} constant at {(i, j, k)}: parity(k)={p[k]} "
+                f"differs from parity(i)+parity(j)={(p[i] + p[j]) % 2}"
+            )
+    for label in ("gamma", "xi"):
+        m = getattr(spec, label)
+        if m is None:
+            continue
+        if m.matrix.rows != n or m.matrix.cols != n:
+            raise InputError(f"{label} must be square of size {n}")
+        if not m.is_even:
+            raise ParityError(f"{label} must be an even map")
 
 
-def _validate_structure_map(m: LinearMap, basis: SuperBasis, label: str) -> None:
-    if m.matrix.rows != basis.dimension or m.matrix.cols != basis.dimension:
-        raise InputError(f"{label} must be square of size {basis.dimension}")
-    if not m.is_even:
-        raise ParityError(f"{label} must be an even map")
+def _as_matrix(m: Matrix | Sequence[Sequence[RationalLike]]) -> Matrix:
+    return m if isinstance(m, Matrix) else Matrix.from_rows(m)
 
 
 @dataclass(frozen=True)
@@ -288,15 +289,7 @@ class TrialgebraSpec:
     xi: LinearMap | None = None
 
     def __post_init__(self) -> None:
-        n = self.basis.dimension
-        for tag in PRODUCT_TAGS:
-            tensor = getattr(self, tag)
-            if tensor.dim != n:
-                raise InputError(f"{tag} tensor dimension {tensor.dim} does not match basis size {n}")
-            validate_evenness(tensor, self.basis, tag)
-        _validate_structure_map(self.gamma, self.basis, "gamma")
-        if self.xi is not None:
-            _validate_structure_map(self.xi, self.basis, "xi")
+        _validate_graded(self, PRODUCT_TAGS)
 
     @classmethod
     def build(
@@ -311,15 +304,14 @@ class TrialgebraSpec:
     ) -> "TrialgebraSpec":
         basis = SuperBasis(tuple(parities))
         n = basis.dimension
-        as_matrix = lambda m: m if isinstance(m, Matrix) else Matrix.from_rows(m)
         return cls(
             name=name,
             basis=basis,
             left=StructureTensor.build(n, left),
             right=StructureTensor.build(n, right),
             perp=StructureTensor.build(n, perp),
-            gamma=LinearMap.square(basis, as_matrix(gamma)),
-            xi=None if xi is None else LinearMap.square(basis, as_matrix(xi)),
+            gamma=LinearMap.square(basis, _as_matrix(gamma)),
+            xi=None if xi is None else LinearMap.square(basis, _as_matrix(xi)),
         )
 
     @property
@@ -359,12 +351,7 @@ class SuperalgebraSpec:
     xi: LinearMap
 
     def __post_init__(self) -> None:
-        n = self.basis.dimension
-        if self.star.dim != n:
-            raise InputError(f"star tensor dimension {self.star.dim} does not match basis size {n}")
-        validate_evenness(self.star, self.basis, "star")
-        _validate_structure_map(self.gamma, self.basis, "gamma")
-        _validate_structure_map(self.xi, self.basis, "xi")
+        _validate_graded(self, ("star",))
 
     @classmethod
     def build(
@@ -376,14 +363,12 @@ class SuperalgebraSpec:
         xi: Matrix | Sequence[Sequence[RationalLike]],
     ) -> "SuperalgebraSpec":
         basis = SuperBasis(tuple(parities))
-        n = basis.dimension
-        as_matrix = lambda m: m if isinstance(m, Matrix) else Matrix.from_rows(m)
         return cls(
             name=name,
             basis=basis,
-            star=StructureTensor.build(n, star),
-            gamma=LinearMap.square(basis, as_matrix(gamma)),
-            xi=LinearMap.square(basis, as_matrix(xi)),
+            star=StructureTensor.build(basis.dimension, star),
+            gamma=LinearMap.square(basis, _as_matrix(gamma)),
+            xi=LinearMap.square(basis, _as_matrix(xi)),
         )
 
     @property

@@ -215,28 +215,32 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.integral[1])
 
     @property
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
 
-    @cached_property
-    def _exact(self) -> tuple[tuple[int, int], ...]:
-        """The entries as integer pairs, which compare without a Python call each."""
-        return tuple((a.numerator, a.denominator) for a in self.entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._exact == other._exact
+        return self.rows == other.rows and self.cols == other.cols and self.integral == other.integral
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._exact))
+        return hash((self.rows, self.cols, self.integral))
 
     @cached_property
     def integral(self) -> tuple[int, tuple[int, ...]]:
-        """``numerators`` of the entries, converted once per matrix."""
+        """``numerators`` of the entries, converted once per matrix.  The lcm
+        and the numerators are fixed by the entries, so equality, hashing and
+        ``is_zero`` read this pair too.
+
+        Raises:
+            InputError: for an entry that is not an int or a Fraction.
+        """
+        for v in self.entries:
+            if not isinstance(v, (int, Fraction)):
+                raise InputError(f"matrix entry {v!r} is not an exact rational")
         d, nums = numerators(self.entries)
         return d, tuple(nums)
 

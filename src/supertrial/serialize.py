@@ -8,7 +8,9 @@ every structural invariant and reports the offending field and index.
 It reads each document in one pass: every distinct string literal is
 converted once, through a memo that lives for that one parse call
 (``_Literals``), and tensors and maps are built straight from the values
-read.
+read.  Algebra and superalgebra documents share one header reader
+(``_parse_header``: name, dim, parity), and the algebra, superalgebra and
+bracket-pair documents one writer (``_document``).
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def _parse_tensor(data: Mapping[str, Any], key: str, dim: int, where: str, liter
     return StructureTensor(dim, {t: c for t, c in table.items() if c})
 
 
-def _parse_square_matrix(data: Mapping[str, Any], key: str, dim: int, where: str, literals: _Literals) -> Matrix:
+def _parse_structure_map(data: Mapping[str, Any], key: str, basis: SuperBasis, where: str, literals: _Literals) -> LinearMap:
+    dim = basis.dimension
     raw = data.get(key)
     if not isinstance(raw, list) or len(raw) != dim:
         raise InputError(f"{where}.{key}: expected {dim} rows")
@@ -134,40 +137,35 @@ def _parse_square_matrix(data: Mapping[str, Any], key: str, dim: int, where: str
             raise InputError(f"{where}.{key}[{i}]: expected {dim} entries")
         for j, v in enumerate(row):
             flat.append(literals.read(v, label))
-    return Matrix(dim, dim, tuple(flat))
+    return LinearMap.square(basis, Matrix(dim, dim, tuple(flat)))
 
 
-def _parse_name(data: Mapping[str, Any], where: str) -> str:
+def _parse_header(text: str, where: str) -> tuple[dict, str, SuperBasis]:
+    """The document object of an algebra or superalgebra, its name and its
+    basis, checked in that order."""
+    data = _require_object(_load_json(text), where)
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise InputError(f"{where}.name: expected a non-empty string")
-    return name
-
-
-def parse_algebra(text: str) -> TrialgebraSpec:
-    data = _require_object(_load_json(text), "algebra")
-    where = "algebra"
-    name = _parse_name(data, where)
     dim = _parse_int(data, "dim", where)
     if dim < 1:
         raise InputError(f"{where}.dim: must be at least 1")
-    parities = _parse_parities(data, dim, where)
-    basis = SuperBasis(parities)
-    literals = _Literals()
-    spec = TrialgebraSpec(
+    return data, name, SuperBasis(_parse_parities(data, dim, where))
+
+
+def parse_algebra(text: str) -> TrialgebraSpec:
+    where = "algebra"
+    data, name, basis = _parse_header(text, where)
+    dim, literals = basis.dimension, _Literals()
+    return TrialgebraSpec(
         name=name,
         basis=basis,
         left=_parse_tensor(data, "left", dim, where, literals),
         right=_parse_tensor(data, "right", dim, where, literals),
         perp=_parse_tensor(data, "perp", dim, where, literals),
-        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where, literals)),
-        xi=(
-            LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where, literals))
-            if data.get("xi") is not None
-            else None
-        ),
+        gamma=_parse_structure_map(data, "gamma", basis, where, literals),
+        xi=_parse_structure_map(data, "xi", basis, where, literals) if data.get("xi") is not None else None,
     )
-    return spec
 
 
 def _tensor_entries(tensor: StructureTensor) -> list[dict[str, Any]]:
@@ -181,19 +179,19 @@ def _matrix_rows(matrix: Matrix) -> list[list[str]]:
     return [[rational_str(v) for v in matrix.row(i)] for i in range(matrix.rows)]
 
 
-def emit_algebra(spec: TrialgebraSpec) -> str:
-    doc: dict[str, Any] = {
-        "name": spec.name,
-        "dim": spec.dimension,
-        "parity": list(spec.basis.parities),
-        "left": _tensor_entries(spec.left),
-        "right": _tensor_entries(spec.right),
-        "perp": _tensor_entries(spec.perp),
-        "gamma": _matrix_rows(spec.gamma.matrix),
-    }
-    if spec.xi is not None:
-        doc["xi"] = _matrix_rows(spec.xi.matrix)
+def _document(
+    name: str, basis: SuperBasis, tensors: Mapping[str, StructureTensor], maps: Mapping[str, LinearMap | None]
+) -> str:
+    """The one document layout: name, dim, parity, then the tensors and the
+    present maps in the order given."""
+    doc: dict[str, Any] = {"name": name, "dim": basis.dimension, "parity": list(basis.parities)}
+    doc.update((key, _tensor_entries(tensor)) for key, tensor in tensors.items())
+    doc.update((key, _matrix_rows(m.matrix)) for key, m in maps.items() if m is not None)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def emit_algebra(spec: TrialgebraSpec) -> str:
+    return _document(spec.name, spec.basis, dict(spec.products()), {"gamma": spec.gamma, "xi": spec.xi})
 
 
 def parse_map(text: str) -> Matrix:
@@ -227,46 +225,23 @@ def emit_map(matrix: Matrix) -> str:
 
 
 def parse_superalgebra(text: str) -> SuperalgebraSpec:
-    data = _require_object(_load_json(text), "superalgebra")
     where = "superalgebra"
-    name = _parse_name(data, where)
-    dim = _parse_int(data, "dim", where)
-    if dim < 1:
-        raise InputError(f"{where}.dim: must be at least 1")
-    parities = _parse_parities(data, dim, where)
-    basis = SuperBasis(parities)
+    data, name, basis = _parse_header(text, where)
     if data.get("xi") is None:
         raise InputError(f"{where}.xi: required for superalgebra documents")
     literals = _Literals()
     return SuperalgebraSpec(
         name=name,
         basis=basis,
-        star=_parse_tensor(data, "star", dim, where, literals),
-        gamma=LinearMap.square(basis, _parse_square_matrix(data, "gamma", dim, where, literals)),
-        xi=LinearMap.square(basis, _parse_square_matrix(data, "xi", dim, where, literals)),
+        star=_parse_tensor(data, "star", basis.dimension, where, literals),
+        gamma=_parse_structure_map(data, "gamma", basis, where, literals),
+        xi=_parse_structure_map(data, "xi", basis, where, literals),
     )
 
 
 def emit_superalgebra(alg: SuperalgebraSpec) -> str:
-    doc = {
-        "name": alg.name,
-        "dim": alg.dimension,
-        "parity": list(alg.basis.parities),
-        "star": _tensor_entries(alg.star),
-        "gamma": _matrix_rows(alg.gamma.matrix),
-        "xi": _matrix_rows(alg.xi.matrix),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _document(alg.name, alg.basis, {"star": alg.star}, {"gamma": alg.gamma, "xi": alg.xi})
 
 
 def emit_bracket_pair(pair: BracketPairSpec) -> str:
-    doc = {
-        "name": pair.name,
-        "dim": pair.basis.dimension,
-        "parity": list(pair.basis.parities),
-        "star": _tensor_entries(pair.star),
-        "bracket": _tensor_entries(pair.bracket),
-        "gamma": _matrix_rows(pair.gamma.matrix),
-        "xi": _matrix_rows(pair.xi.matrix),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _document(pair.name, pair.basis, {"star": pair.star, "bracket": pair.bracket}, {"gamma": pair.gamma, "xi": pair.xi})

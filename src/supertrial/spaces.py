@@ -15,7 +15,9 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and builds GD only at the base powers,
-the only ones its claims read.  Every space is solved separately on the
+the only ones its claims read.  Its D intersect C ("DC") is an ordinary
+build too: ``_build_space`` of ("D", "C") solves the two constraint sets
+jointly.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous)
 and the graded pieces are merged into one canonical basis.  Identical
@@ -290,20 +292,24 @@ def _maps_from_vectors(vectors: Iterable[Vector], basis: SuperBasis) -> tuple[Li
 
 
 def _build_space(
-    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
+    kind: str | tuple[str, ...], spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
     tables: Sequence[_TermTables] | None = None,
 ) -> OperatorSpace:
-    """Solve one kind at T; tables, when given, are _twist_tables at T."""
-    if kind not in SPACE_KINDS:
-        raise InputError(f"unknown operator-space kind {kind!r}")
+    """Solve one kind at T, or the intersection of a tuple of single-block
+    kinds as the joint nullspace of their constraint sets (kind "DC" for
+    ("D", "C")); tables, when given, are _twist_tables at T."""
+    kinds = (kind,) if isinstance(kind, str) else kind
+    for k in kinds:
+        if k not in SPACE_KINDS:
+            raise InputError(f"unknown operator-space kind {k!r}")
     n = spec.dimension
     if tables is None:
         tables = _twist_tables(spec, t.matrix(spec))
-    even_vecs = _solve_kinds((kind,), spec, tables, 0, koszul)
-    odd_vecs = _solve_kinds((kind,), spec, tables, 1, koszul)
+    even_vecs = _solve_kinds(kinds, spec, tables, 0, koszul)
+    odd_vecs = _solve_kinds(kinds, spec, tables, 1, koszul)
     merged = canonical_span(even_vecs + odd_vecs, n * n)
     return OperatorSpace(
-        kind=kind,
+        kind="".join(kinds),
         twist=t,
         ambient_dim=n,
         basis=_maps_from_vectors(merged, spec.basis),
@@ -391,22 +397,6 @@ def space_contains(outer: OperatorSpace, inner: OperatorSpace) -> ContainmentRes
     return ContainmentResult(contained=True, witness=None)
 
 
-def _intersection_space(
-    spec: TrialgebraSpec, t: TwistPower, kinds: tuple[str, ...], koszul: bool = False,
-    tables: Sequence[_TermTables] | None = None,
-) -> tuple[Vector, ...]:
-    """Canonical basis of the intersection of single-block kinds, computed
-    as the joint nullspace of both constraint sets rather than by
-    intersecting the individual solution spans."""
-    n = spec.dimension
-    if tables is None:
-        tables = _twist_tables(spec, t.matrix(spec))
-    pieces: list[Vector] = []
-    for parity in (0, 1):
-        pieces += _solve_kinds(kinds, spec, tables, parity, koszul)
-    return canonical_span(pieces, n * n)
-
-
 @dataclass(frozen=True)
 class BatteryLine:
     """One evaluated claim; cross-power claims carry a second exponent pair."""
@@ -433,7 +423,7 @@ class BatteryReport:
 
 
 # The battery claims in report order: (claim id, relation, kinds read,
-# power rule).  "DC" is the joint D-and-C solve.  Relations:
+# power rule).  ("D", "C") is the joint solve of D intersect C.  Relations:
 #   contain   every later kind lies in the first; the witness is the first
 #             outsider of the last failing kind
 #   eq-dc     ZD equals D intersect C; ZD's outsiders come first
@@ -454,8 +444,8 @@ _CLAIMS = (
     ("chain-qd-in-gd", "contain", ("GD", "QD"), "base"),
     ("compose-c-d-in-d", "compose", ("C", "D", "D"), "summed"),
     ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC"), "base"),
-    ("trivial-center-d-cap-c", "trivial", ("DC",), "base"),
-    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "DC"), "base"),
+    ("trivial-center-d-cap-c", "trivial", (("D", "C"),), "base"),
+    ("zd-eq-d-cap-c", "eq-dc", ("ZD", ("D", "C")), "base"),
 )
 
 
@@ -486,27 +476,21 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
 
     tables: dict[Matrix, tuple[_TermTables, ...]] = {}
-    built: dict[tuple, OperatorSpace | tuple[Vector, ...]] = {}
-    spaces: dict[tuple[str, int, int], OperatorSpace | tuple[Vector, ...]] = {}
+    built: dict[tuple, OperatorSpace] = {}
+    spaces: dict[tuple, OperatorSpace] = {}
     for s, r in itertools.product(range(top + 1), repeat=2):
         twist = gammas[s] @ xis[r]
         for kind in kinds_read:
             if max(s, r) > max_power and kind not in read_at_sums:
                 continue
-            solved = ("D", "C") if kind == "DC" else (kind,)
+            solved = (kind,) if isinstance(kind, str) else kind
             reads_twist = any(term > 1 for k in solved for terms in _KIND_ROWS[k] for term, _, _ in terms)
             key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
                 if twist not in tables:
                     tables[twist] = _twist_tables(spec, twist)
-                if kind == "DC":
-                    built[key] = _intersection_space(spec, TwistPower(s, r), solved, koszul, tables[twist])
-                else:
-                    built[key] = _build_space(kind, spec, TwistPower(s, r), koszul and kind == "D", tables[twist])
+                built[key] = _build_space(kind, spec, TwistPower(s, r), koszul and "D" in solved, tables[twist])
             spaces[(kind, s, r)] = built[key]
-
-    def square(vector: Vector) -> LinearMap:
-        return LinearMap.square(spec.basis, Matrix(n, n, tuple(vector)))
 
     echelons: dict[int, Echelon] = {}
 
@@ -531,20 +515,19 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         witnesses = [res.witness for res in results if not res.contained]
         return (False, witnesses[-1]) if witnesses else (True, None)
 
-    def eq_dc(zd, inter):
-        zd_vecs = zd.vectorized()
-        if inter == zd_vecs:
+    def eq_dc(zd, dc):
+        if zd.vectorized() == dc.vectorized():
             return True, None
-        inter_span, zd_span = Echelon(inter), Echelon(zd_vecs)
-        outside = [v for v in zd_vecs if not inter_span.contains(v)]
-        outside += [v for v in inter if not zd_span.contains(v)]
-        return False, square(outside[0]) if outside else None
+        dc_span, zd_span = Echelon(dc.vectorized()), Echelon(zd.vectorized())
+        outside = [m for m in zd.basis if not dc_span.contains(m.matrix.entries)]
+        outside += [m for m in dc.basis if not zd_span.contains(m.matrix.entries)]
+        return False, outside[0] if outside else None
 
     center_trivial = not center(spec)
     decide = {
         "contain": contain,
         "eq-dc": eq_dc,
-        "trivial": lambda inter: (False, square(inter[0])) if center_trivial and inter else (True, None),
+        "trivial": lambda dc: (False, dc.basis[0]) if center_trivial and dc.basis else (True, None),
         "bracket": lambda left, right, target: first_outside(
             itertools.product(left.graded_elements(), right.graded_elements()), target, bracket, supercommutator
         ),

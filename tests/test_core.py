@@ -1,6 +1,7 @@
 """Data model validation, axiom sweeps, and the two annihilator computations."""
 
 import gc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,19 @@ class TestSpecValidation:
     def test_parity_inhomogeneous_constant_rejected(self):
         with pytest.raises(ParityError, match="left"):
             TrialgebraSpec.build("t", [0, 1], {(0, 0, 1): 1}, {}, {}, ID2, ID2)
+
+    @pytest.mark.parametrize("field", ["gamma", "xi"])
+    def test_every_graded_spec_rejects_an_odd_structure_map(self, field):
+        """Bracket pairs hold the invariants of the other graded specs: an odd
+        gamma or xi is refused by all three with one message."""
+        pair = commutator_construct(builtin("grassmann2")).pair
+        alg = SuperalgebraSpec(pair.name, pair.basis, pair.star, pair.gamma, pair.xi)
+        spec = TrialgebraSpec(pair.name, pair.basis, pair.star, pair.star, pair.star, pair.gamma, pair.xi)
+        odd = LinearMap.square(pair.basis, Matrix.from_rows([[0, 1], [1, 0]]))
+        for graded in (pair, alg, spec):
+            with pytest.raises(ParityError) as info:
+                replace(graded, **{field: odd})
+            assert str(info.value) == f"{field} must be an even map"
 
     def test_require_xi(self):
         spec = TrialgebraSpec.build("t", [0], {}, {}, {}, [[1]])

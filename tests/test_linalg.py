@@ -147,6 +147,15 @@ class TestMatrixBasics:
         assert m.integral == (6, (3, 0, 18, -4))
         assert m.integral is m.integral
 
+    @pytest.mark.parametrize("op", ["eq", "hash", "matmul", "apply"])
+    def test_inexact_entry_refused_where_entries_are_read(self, op):
+        """A float entry is refused with an InputError by every operation that
+        reads the entries through ``integral``, not with an AttributeError."""
+        m = Matrix(1, 1, (0.5,))
+        run = {"eq": lambda: m == m, "hash": lambda: hash(m), "matmul": lambda: m @ m, "apply": lambda: m.apply((F(1),))}
+        with pytest.raises(InputError, match="0.5"):
+            run[op]()
+
     def test_vector_helpers(self):
         assert zero_vector(2) == (F(0), F(0))
         assert vector(["1/2", 3]) == (F(1, 2), F(3))

@@ -24,6 +24,7 @@ from supertrial.serialize import (
 )
 
 F = Fraction
+ID2 = [[1, 0], [0, 1]]
 
 
 class TestParseRational:
@@ -103,14 +104,21 @@ def test_bracket_pair_document_shape():
     assert doc["name"] == "comm(grassmann2)"
 
 
+# Both document kinds read their header through one reader; each header
+# case runs on each kind, with the document's kind as the error's prefix.
+HEADER_READERS = [(parse_algebra, "algebra"), (parse_superalgebra, "superalgebra")]
+
+
 class TestParseErrors:
     def test_not_json(self):
-        with pytest.raises(InputError, match="line 1"):
-            parse_algebra("{oops")
+        for parse, _ in HEADER_READERS:
+            with pytest.raises(InputError, match="line 1"):
+                parse("{oops")
 
     def test_not_an_object(self):
-        with pytest.raises(InputError, match="object"):
-            parse_algebra("[1, 2]")
+        for parse, where in HEADER_READERS:
+            with pytest.raises(InputError, match=f"^{where} document must be a JSON object$"):
+                parse("[1, 2]")
 
     def base(self):
         return json.loads(emit_algebra(builtin("dual2")))
@@ -119,25 +127,26 @@ class TestParseErrors:
         with pytest.raises(InputError, match=fragment):
             parse_algebra(json.dumps(doc))
 
+    def reject_header(self, edit, fragment):
+        """Apply edit to a two-dimensional document of each kind; both readers
+        reject it at the same field of their own prefix."""
+        superalgebra = json.loads(emit_superalgebra(SuperalgebraSpec.build("s", [0, 0], {(0, 0, 0): 1}, ID2, ID2)))
+        for (parse, where), doc in zip(HEADER_READERS, (self.base(), superalgebra)):
+            edit(doc)
+            with pytest.raises(InputError, match=f"^{where}\\.{fragment}"):
+                parse(json.dumps(doc))
+
     def test_missing_name(self):
-        doc = self.base()
-        del doc["name"]
-        self.reject(doc, "name")
+        self.reject_header(lambda doc: doc.pop("name"), "name")
 
     def test_dim_zero(self):
-        doc = self.base()
-        doc["dim"] = 0
-        self.reject(doc, "dim")
+        self.reject_header(lambda doc: doc.update(dim=0), "dim")
 
     def test_parity_length_mismatch(self):
-        doc = self.base()
-        doc["parity"] = [0]
-        self.reject(doc, "parity")
+        self.reject_header(lambda doc: doc.update(parity=[0]), "parity")
 
     def test_parity_non_bit(self):
-        doc = self.base()
-        doc["parity"] = [0, 3]
-        self.reject(doc, r"parity\[1\]")
+        self.reject_header(lambda doc: doc.update(parity=[0, 3]), r"parity\[1\]")
 
     def test_tensor_index_out_of_range(self):
         doc = self.base()
@@ -190,6 +199,15 @@ class TestParseErrors:
         del doc["xi"]
         with pytest.raises(InputError, match="xi"):
             parse_superalgebra(json.dumps(doc))
+
+    def test_superalgebra_missing_xi_reported_before_a_bad_star_entry(self):
+        alg = SuperalgebraSpec.build("s", [0], {(0, 0, 0): 1}, [[1]], [[1]])
+        doc = json.loads(emit_superalgebra(alg))
+        del doc["xi"]
+        doc["star"][0]["v"] = 1.5
+        with pytest.raises(InputError) as info:
+            parse_superalgebra(json.dumps(doc))
+        assert str(info.value) == "superalgebra.xi: required for superalgebra documents"
 
 
 def tiny(left, gamma=(("1", "0"), ("0", "1"))):

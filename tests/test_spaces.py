@@ -24,7 +24,6 @@ from supertrial.spaces import (
     OperatorSpace,
     TwistPower,
     _build_space,
-    _intersection_space,
     central_derivation_space,
     centroid,
     derivation_space,
@@ -209,7 +208,7 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     monkeypatch.setattr(spaces, "Echelon", Recording)
     for kind, koszul in KINDS_AND_KOSZUL_D:
         _build_space(kind, spec, TwistPower(1, 1), koszul)
-    _intersection_space(spec, TwistPower(1, 1), ("D", "C"))
+    _build_space(("D", "C"), spec, TwistPower(1, 1))
     assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 2
     for sent in systems:
         assert sent and all(row and all(row.values()) for row in sent)
@@ -373,7 +372,7 @@ class TestIntersection:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_joint_solve_matches_span_intersection(self, name):
         spec = builtin(name)
-        joint = _intersection_space(spec, T00, ("D", "C"))
+        joint = _build_space(("D", "C"), spec, T00).vectorized()
         via_spans = span_intersection(
             oracle_space(spec, "D", T00), oracle_space(spec, "C", T00), spec.dimension ** 2
         )
@@ -437,7 +436,7 @@ class TestPropositionBattery:
         assert line.passed
         spec = builtin("dual2")
         assert not center(spec)
-        inter = _intersection_space(spec, T00, ("D", "C"))
+        inter = _build_space(("D", "C"), spec, T00).vectorized()
         assert inter == ()
 
     def test_koszul_flag_reports_honest_chain_break(self):
@@ -537,18 +536,16 @@ class TestBatteryPlan:
         all, and GD is read only at the base powers."""
         spec = builtin(name)
         built, intersected = [], []
-        real_build, real_intersect = spaces._build_space, spaces._intersection_space
+        real_build = spaces._build_space
 
         def spy_build(kind, spec, t, *rest):
-            built.append((kind, t))
+            if kind == ("D", "C"):
+                intersected.append(t)
+            else:
+                built.append((kind, t))
             return real_build(kind, spec, t, *rest)
 
-        def spy_intersect(spec, t, *rest):
-            intersected.append(t)
-            return real_intersect(spec, t, *rest)
-
         monkeypatch.setattr(spaces, "_build_space", spy_build)
-        monkeypatch.setattr(spaces, "_intersection_space", spy_intersect)
         report = proposition_battery(spec, max_power)
         assert report.passed
         keys = [(kind, t.matrix(spec)) for kind, t in built]
@@ -563,14 +560,13 @@ class TestBatteryPlan:
         zd-eq-d-cap-c reports a ZD map outside D cap C before the converse."""
         spec = builtin("zero2")
         e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
-        spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00]}
+        spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00], ("D", "C"): [e11]}
 
         def fake_build(kind, spec, t, *rest):
             maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
             return OperatorSpace(kind, t, 2, maps, maps, ())
 
         monkeypatch.setattr(spaces, "_build_space", fake_build)
-        monkeypatch.setattr(spaces, "_intersection_space", lambda spec, t, *rest: (e11.entries,))
         report = proposition_battery(spec, 0)
         assert [(ln.claim_id, ln.witness.matrix) for ln in report.failed_lines()] == [
             ("chain-qd-in-gd", e11),
@@ -593,7 +589,6 @@ class TestBatteryPlan:
             return OperatorSpace(kind, t, 2, maps, even, tuple(m for m in maps if m not in even))
 
         monkeypatch.setattr(spaces, "_build_space", fake_build)
-        monkeypatch.setattr(spaces, "_intersection_space", lambda spec, t, *rest: ())
         # [a, p] = 0 and [a, q] = -q/3 lie in C, and p a = a/2 and p b = b/2 in D.
         assert solve_in_span([p.entries, q.entries], (a @ q - q @ a).entries) is not None
         assert solve_in_span([a.entries, b.entries], (p @ b).entries) is not None
