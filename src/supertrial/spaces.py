@@ -518,10 +518,8 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     def eq_dc(zd, dc):
         if zd.vectorized() == dc.vectorized():
             return True, None
-        dc_span, zd_span = Echelon(dc.vectorized()), Echelon(zd.vectorized())
-        outside = [m for m in zd.basis if not dc_span.contains(m.matrix.entries)]
-        outside += [m for m in dc.basis if not zd_span.contains(m.matrix.entries)]
-        return False, outside[0] if outside else None
+        witnesses = [res.witness for res in (space_contains(dc, zd), space_contains(zd, dc)) if not res.contained]
+        return False, witnesses[0] if witnesses else None
 
     center_trivial = not center(spec)
     decide = {
