@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -52,6 +51,7 @@ from .serialize import (
     parse_rational,
     parse_superalgebra,
     rational_str,
+    to_json,
 )
 from .spaces import (
     SPACE_KINDS,
@@ -139,7 +139,7 @@ def _assemble(
 
 def _emit_report(doc: dict[str, Any], as_json: bool) -> int:
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(to_json(doc))
     else:
         print(f"command: {doc['command']}")
         print(f"passed: {str(doc['passed']).lower()}")
@@ -391,7 +391,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
             raise InputError("-o applies only with a fixture name")
         if args.json:
             doc = _assemble("fixtures", {}, [], {"details": {"fixtures": list(FIXTURE_NAMES)}})
-            print(json.dumps(doc, indent=2))
+            print(to_json(doc))
         else:
             for name in FIXTURE_NAMES:
                 print(name)

@@ -10,13 +10,16 @@ converted once, through a memo that lives for that one parse call
 (``_Literals``), and tensors and maps are built straight from the values
 read.  Algebra and superalgebra documents share one header reader
 (``_parse_header``: name, dim, parity), and the algebra, superalgebra and
-bracket-pair documents one writer (``_document``).
+bracket-pair documents one writer (``_document``).  ``to_json`` lays out every
+report and document byte for byte as the standard library's indented JSON, but
+with one C-level ``str.join`` per container of one scalar type, not per token.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping
 
 from .constructions import BracketPairSpec
@@ -59,6 +62,42 @@ def rational_str(value: Fraction) -> str:
         return str(value)
     except ValueError:  # past the interpreter's int-string digit limit
         raise InputError("a value has too many digits to print") from None
+
+
+_SCALARS: dict[type, Callable[[Any], str]] = {  # by exact type: True is a bool, never the int 1
+    str: encode_basestring_ascii, int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+}
+
+
+def to_json(value: Any) -> str:
+    """Indented JSON, two spaces a level, for a tree of dicts with ``str`` keys, lists,
+    tuples, strings, ints, booleans and ``None``; any other value or key raises ``TypeError``."""
+    parts: list[str] = []
+    _write(value, "\n", parts)
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value``, whose lines after the first start with ``newline``."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return parts.append(_SCALARS[kind](value))
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    keys = [k + ": " for k in map(encode_basestring_ascii, value)] if kind is dict else None
+    values, brackets = (value.values(), "{}") if kind is dict else (value, "[]")
+    if not value:
+        return parts.append(brackets)
+    inner, kinds = newline + "  ", set(map(type, values))
+    if len(kinds) == 1 and kinds <= _SCALARS.keys():  # one join over the C formatter
+        text = map(_SCALARS[kinds.pop()], values)
+        parts.append(brackets[0] + inner + ("," + inner).join(text if keys is None else map(str.__add__, keys, text)))
+    else:
+        for n, item in enumerate(values):
+            parts.append((brackets[0] if n == 0 else ",") + inner + (keys[n] if keys else ""))
+            _write(item, inner, parts)
+    parts.append(newline + brackets[1])
 
 
 def _load_json(text: str) -> Any:
@@ -187,7 +226,7 @@ def _document(
     doc: dict[str, Any] = {"name": name, "dim": basis.dimension, "parity": list(basis.parities)}
     doc.update((key, _tensor_entries(tensor)) for key, tensor in tensors.items())
     doc.update((key, _matrix_rows(m.matrix)) for key, m in maps.items() if m is not None)
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
 
 
 def emit_algebra(spec: TrialgebraSpec) -> str:
@@ -221,7 +260,7 @@ def emit_map(matrix: Matrix) -> str:
         "cols": matrix.cols,
         "entries": [rational_str(v) for v in matrix.entries],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
 
 
 def parse_superalgebra(text: str) -> SuperalgebraSpec:

@@ -7,8 +7,11 @@ by coordinate, over full square-matrix unknowns for all blocks, and only
 restricts to a parity pattern (via explicit forced-zero rows) when the
 signed Leibniz rule makes the sign depend on the operator parity.
 Agreement between the two assemblies is therefore a meaningful
-cross-check; only the final canonicalization (kernel extraction and
-reduced-row-echelon spans) is shared with the package.
+cross-check.  The canonicalization is the oracle's own as well: a dense
+``Fraction`` Gauss–Jordan elimination (``_rref``) gives the kernel basis by
+free column and the reduced-row-echelon span, with no call into the
+package's elimination, so a change to that kernel is checked against
+something it does not compute.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from supertrial.core import StructureTensor, TrialgebraSpec
-from supertrial.linalg import (
-    Matrix,
-    Vector,
-    canonical_span,
-    nullspace_basis,
-    unit_vector,
-)
+from supertrial.linalg import Matrix, Vector, unit_vector
 from supertrial.spaces import TwistPower
 
 ZERO = Fraction(0)
@@ -63,11 +60,59 @@ class _System:
 
     def solve_projected(self) -> list[Vector]:
         n = self.n
-        if self.rows:
-            matrix = Matrix.from_rows(self.rows)
-        else:
-            matrix = Matrix.zero(0, self.size)
-        return [sol[: n * n] for sol in nullspace_basis(matrix)]
+        return [sol[: n * n] for sol in _kernel(self.rows, self.size)]
+
+
+def _rref(rows, ncols: int) -> dict[int, list[Fraction]]:
+    """Gauss–Jordan elimination of dense rows: the nonzero rows of the
+    reduced row echelon form, by pivot column.  Each is 1 at its pivot and
+    0 at every other pivot column, so the result depends only on the row
+    space."""
+    pivots: dict[int, list[Fraction]] = {}
+    support: dict[int, list[int]] = {}  # the nonzero columns of each pivot row
+    for row in dict.fromkeys(tuple(r) for r in rows):
+        row = list(row)
+        for p, prow in pivots.items():
+            f = row[p]
+            if f:
+                for c in support[p]:
+                    row[c] -= f * prow[c]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = Fraction(1) / row[lead]
+        row = [x * inv for x in row]
+        cols = [c for c, x in enumerate(row) if x]
+        for p, prow in pivots.items():
+            f = prow[lead]
+            if f:
+                for c in cols:
+                    prow[c] -= f * row[c]
+                support[p] = [c for c, x in enumerate(prow) if x]
+        pivots[lead], support[lead] = row, cols
+    return dict(sorted(pivots.items()))
+
+
+def _kernel(rows, ncols: int) -> list[Vector]:
+    """Kernel basis by free column: 1 at the free column, 0 at the other
+    free columns, minus the reduced column at the pivots."""
+    pivots = _rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[free] = Fraction(1)
+        for p, prow in pivots.items():
+            v[p] = -prow[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def _span(vectors, dim: int) -> tuple[Vector, ...]:
+    """Canonical basis of a span: its reduced rows in pivot order."""
+    assert all(len(v) == dim for v in vectors)
+    return tuple(tuple(row) for row in _rref(vectors, dim).values())
 
 
 def _sub(a, b):
@@ -194,8 +239,8 @@ def oracle_space(
     if kind == "D" and koszul:
         vecs = _solve(spec, kind, twist, pattern=0, signed=False)
         vecs += _solve(spec, kind, twist, pattern=1, signed=True)
-        return canonical_span(vecs, n * n)
-    return canonical_span(_solve(spec, kind, twist, pattern=None, signed=False), n * n)
+        return _span(vecs, n * n)
+    return _span(_solve(spec, kind, twist, pattern=None, signed=False), n * n)
 
 
 def span_intersection(span_a, span_b, dim: int) -> tuple[Vector, ...]:
@@ -209,11 +254,11 @@ def span_intersection(span_a, span_b, dim: int) -> tuple[Vector, ...]:
         [av[r] for av in a] + [-bv[r] for bv in b] for r in range(dim)
     ]
     members = []
-    for sol in nullspace_basis(Matrix.from_rows(rows)):
+    for sol in _kernel(rows, len(a) + len(b)):
         vec = [ZERO] * dim
         for c, av in zip(sol[: len(a)], a):
             if c:
                 for r in range(dim):
                     vec[r] += c * av[r]
         members.append(tuple(vec))
-    return canonical_span(members, dim)
+    return _span(members, dim)

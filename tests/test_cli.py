@@ -633,3 +633,84 @@ class TestHumanOutput:
             "swapped_passes: True",
         ]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def _layout_inputs(tmp_path):
+    """The documents the layout cases read, by short name."""
+    alg = SuperalgebraSpec.build("idem1", [0], {(0, 0, 0): 1}, [[1]], [[1]])
+    return {
+        "dual2": fixture_file(tmp_path, "dual2"),
+        "twisted": fixture_file(tmp_path, "dual2-twisted"),
+        "idem1": fixture_file(tmp_path, "idem1"),
+        "zero2": fixture_file(tmp_path, "zero2"),
+        "grassmann2": fixture_file(tmp_path, "grassmann2"),
+        "bad": write(tmp_path, "bad.json", emit_algebra(inject_violation(builtin("dual2"), "right", (0, 0, 0), 1))),
+        "super": write(tmp_path, "super.json", emit_superalgebra(alg)),
+        "ident2": write(tmp_path, "ident2.json", emit_map(Matrix.identity(2))),
+        "shear2": write(tmp_path, "shear2.json", emit_map(Matrix.from_rows([[1, 1], [0, 1]]))),
+        "double2": write(tmp_path, "double2.json", emit_map(Matrix.diagonal([2, 2]))),
+        "zero1": write(tmp_path, "zero1.json", emit_map(Matrix.zero(1, 1))),
+        "neg1": write(tmp_path, "neg1.json", emit_map(Matrix.from_rows([[-1]]))),
+    }
+
+
+class TestJsonLayout:
+    """Every report on stdout and every -o document is laid out exactly as
+    the standard library's encoder with ``indent=2`` lays out its own value."""
+
+    REPORTS = {
+        "check-clean": ["check", "dual2", "--json"],
+        "check-violating": ["check", "bad", "--json"],
+        "check-hom": ["check", "twisted", "--hom", "--multiplicative", "--json"],
+        "spaces": ["spaces", "grassmann2", "--space", "D", "--s", "0", "--r", "0", "--koszul", "--json"],
+        "verify": ["verify", "idem1", "--max-power", "1", "--json"],
+        "verify-violating": ["verify", "bad", "--json"],
+        "graph": ["graph", "dual2", "dual2", "--map", "double2", "--json"],
+        "morphism": ["morphism", "dual2", "dual2", "--map", "double2", "--json"],
+        "rb": ["rb", "idem1", "--map", "zero1", "--weight", "2/3", "--json"],
+        "avg": ["avg", "dual2", "--map", "ident2", "--json"],
+        "fixtures": ["fixtures", "--json"],
+        "fixtures-export": ["fixtures", "dsum-zero2-idem1"],
+    }
+    DOCUMENTS = {
+        "twist": ["twist", "twisted", "--map", "shear2", "--json"],
+        "dsum": ["dsum", "zero2", "idem1", "--json"],
+        "rb-induce": ["rb", "super", "--map", "neg1", "--weight", "1", "--induce", "--json"],
+        "sum-product": ["sum-product", "idem1", "--json"],
+        "commutator": ["commutator", "grassmann2", "--json"],
+        "total-product": ["total-product", "dual2", "--json"],
+        "swap": ["swap", "twisted", "--json"],
+        "fixtures-o": ["fixtures", "dsum-zero2-idem1"],
+    }
+
+    @staticmethod
+    def assert_layout(text):
+        assert text.endswith("\n")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def run(self, tmp_path, capsys, argv):
+        paths = _layout_inputs(tmp_path)
+        code = main([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 1)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(REPORTS))
+    def test_report(self, tmp_path, capsys, case):
+        self.assert_layout(self.run(tmp_path, capsys, self.REPORTS[case]))
+
+    @pytest.mark.parametrize("case", sorted(DOCUMENTS))
+    def test_output_document(self, tmp_path, capsys, case):
+        target = tmp_path / "out.json"
+        argv = self.DOCUMENTS[case]
+        out = self.run(tmp_path, capsys, [*argv, "-o", str(target)])
+        if argv[0] == "fixtures":
+            assert out == ""
+        else:
+            self.assert_layout(out)
+        self.assert_layout(target.read_text(encoding="utf-8"))
+
+    def test_reports_are_not_trivial(self, tmp_path, capsys):
+        doc = json.loads(self.run(tmp_path, capsys, self.REPORTS["check-violating"]))
+        assert len(doc["violations"]) == 12 and doc["violations"][0]["lhs"] == ["1", "0"]
+        doc = json.loads(self.run(tmp_path, capsys, self.REPORTS["verify"]))
+        assert doc["battery"] and doc["passed"] is True

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from supertrial.constructions import commutator_construct
 from supertrial import serialize
@@ -21,6 +23,7 @@ from supertrial.serialize import (
     parse_rational,
     parse_superalgebra,
     rational_str,
+    to_json,
 )
 
 F = Fraction
@@ -272,3 +275,68 @@ def test_roundtrip_of_three_distinct_rational_products():
     zero = next(t for t, v in products[0].items() if not v)
     doc["left"].append({"i": zero[0], "j": zero[1], "k": zero[2], "v": "0/3"})
     assert parse_algebra(json.dumps(doc)) == spec and emit_algebra(parse_algebra(json.dumps(doc))) == text
+
+
+# Scalars of every kind, containers of one scalar kind (written by one join)
+# and mixed containers, nested.
+_SCALARS = hs.none() | hs.booleans() | hs.integers() | hs.text()
+_UNIFORM = hs.one_of(*(hs.lists(s) | hs.dictionaries(hs.text(), s) for s in (hs.none(), hs.booleans(), hs.integers(), hs.text())))
+_TREES = hs.recursive(
+    _SCALARS | _UNIFORM,
+    lambda inner: hs.lists(inner) | hs.lists(inner, max_size=4).map(tuple) | hs.dictionaries(hs.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestToJson:
+    """``to_json`` writes exactly what the standard library writes with ``indent=2``."""
+
+    @given(_TREES)
+    def test_matches_the_standard_library(self, value):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            {},
+            (),
+            [[]],
+            [{}],
+            {"a": []},
+            {"a": {}},
+            {"a": [[], {}, ()]},
+            [[[[[]]]], {"b": {"c": {}}}],
+            ((1, 2), (), ["x"]),
+            [True, 1, 0, False, None],
+            [True, False],
+            [None, None],
+            {"t": True, "one": 1, "n": None},
+            ["h\u00e9llo", "\u2603", "\U0001d11e", "\x00\x1f\x7f", "\"", "\\", "\u2028", "\ud800", "},\n{"],
+            {"\"},\n{\"": "\ud800", "\u00e9": ["\\", "\t"]},
+            [-1, -10**20, 0, 10**20],
+            10**3999,
+            [-(10**3999), 10**3999],
+            "",
+            0,
+            None,
+            False,
+        ],
+    )
+    def test_explicit_cases(self, value):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, F(1, 2), {1}, b"x", {1: "a"}, {True: "a"}, {None: 1}, [1, 2.0], ["a", {"b": {1, 2}}], {"a": F(1)}, (b"",)],
+    )
+    def test_other_values_and_keys_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
+
+    def test_reports_and_documents_end_in_one_newline(self):
+        for name in FIXTURE_NAMES:
+            text = emit_algebra(builtin(name))
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        text = emit_map(Matrix.from_rows([[1, "-1/2"], [0, 3]]))
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
