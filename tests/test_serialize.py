@@ -334,7 +334,7 @@ class TestToJson:
         with pytest.raises(TypeError):
             to_json(value)
 
-    def test_reports_and_documents_end_in_one_newline(self):
+    def test_emitted_documents_have_the_layout(self):
         for name in FIXTURE_NAMES:
             text = emit_algebra(builtin(name))
             assert text == json.dumps(json.loads(text), indent=2) + "\n"
