@@ -5,6 +5,9 @@ implemented here: reduced row echelon form, kernels in a fixed canonical
 shape, span membership, and matrix inversion.  They take and return
 Fractions but eliminate in integers (``numerators`` is the one conversion,
 shared with ``core``), so results are exact and no decision uses a tolerance.
+A constraint system is solved by ``projected_kernel``: one elimination,
+over relabelled columns and rows fed by descending leading column, whose
+echelon gives the canonical basis of the projected kernel directly.
 
 All elimination goes through one kernel, ``Echelon``: a sparse incremental
 fraction-free echelon (after Bareiss, Math. Comp. 22, 1968) whose rows are
@@ -318,25 +321,49 @@ class Echelon:
         """The nonzero RREF rows in pivot order."""
         return [{c: Fraction(v, row[p]) for c, v in row.items()} for p, row in sorted(self._rows.items())]
 
-    def kernel(self, ncols: int) -> list[Vector]:
+    def kernel(self, ncols: int, start: int = 0) -> list[Vector]:
         """Canonical kernel basis over ``ncols`` columns, by free column.
 
         Each free column yields one vector carrying 1 in that coordinate,
         0 in every other free coordinate, and the negated reduced column in
         the pivot coordinates.  Because the RREF is unique, any two systems
-        with the same kernel produce the same basis.
+        with the same kernel produce the same basis.  With ``start``, only
+        columns from ``start`` on are read: the vectors are over those
+        columns, from their free columns and the pivot rows among them.
         """
         basis = []
-        for free in range(ncols):
+        for free in range(start, ncols):
             if free in self._rows:
                 continue
-            v = [_ZERO] * ncols
-            v[free] = _ONE
+            v = [_ZERO] * (ncols - start)
+            v[free - start] = _ONE
             for p, row in self._rows.items():
-                if free in row:
-                    v[p] = Fraction(-row[free], row[p])
+                if free in row and p >= start:
+                    v[p - start] = Fraction(-row[free], row[p])
             basis.append(tuple(v))
         return basis
+
+
+def projected_kernel(rows: Iterable[Mapping[int, int]], ncols: int, keep: int) -> list[Vector]:
+    """Canonical basis of the kernel of sparse integer rows over ``ncols``
+    columns, projected onto the first ``keep``: what ``canonical_span`` of
+    the projected ``Echelon.kernel`` gives, from one elimination.
+
+    The columns are relabelled, the projected-away ones first and the kept
+    ones last in reverse order.  ``Echelon`` pivots on a row's smallest
+    column, so the reduced rows that pivot among the kept columns hold no
+    other column and cut out the projection; by the reversal, each vector
+    of their free-column kernel, read in the natural order, leads with its
+    1, so these are the projection's RREF rows.  Repeated rows are dropped
+    and the rest go in by descending leading relabelled column (a stable
+    sort), which keeps the held rows' integers small.
+    """
+    drop = ncols - keep
+    label = [*range(ncols - 1, drop - 1, -1), *range(drop)]
+    distinct = {frozenset(row.items()): row for row in rows}.values()
+    relabelled = [{label[c]: v for c, v in row.items() if v} for row in distinct]
+    ech = Echelon(sorted(filter(None, relabelled), key=min, reverse=True))
+    return [v[::-1] for v in reversed(ech.kernel(ncols, drop))]
 
 
 def _divide(row: dict[int, int], g: int, m: int = 1) -> None:

@@ -19,15 +19,18 @@ the only ones its claims read.  Its D intersect C ("DC") is an ordinary
 build too: ``_build_space`` of ("D", "C") solves the two constraint sets
 jointly.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
-structure maps are even, so the constraint systems are parity-homogeneous)
-and the graded pieces are merged into one canonical basis.  Identical
-inputs always produce bit-identical bases.  Constraint rows are sparse
-integers, each read from one operator's table at its lcm of denominators,
-per distinct product and distinct non-identity structure map (equal
-operators give equal rows, and the identity commutes with every map), and
-each distinct nonzero row goes once into the integer ``Echelon``; the
-battery tests brackets and compositions on integer numerators and builds
-Fractions only for witnesses.
+structure maps are even, so the constraint systems are parity-homogeneous).
+Constraint rows are sparse integers, each read from one operator's table
+at its lcm of denominators, per distinct product and distinct non-identity
+structure map (equal operators give equal rows, and the identity commutes
+with every map).  Each graded piece is one elimination,
+``linalg.projected_kernel``, which drops repeated rows, relabels the
+partner blocks of QD and GD before the map's own, feeds the rows by
+descending leading column and reads the piece's canonical basis off the
+echelon.  The pieces' supports are disjoint, so sorting their bases by
+leading column merges them into the space's canonical basis, and identical
+inputs always produce bit-identical bases.  The battery tests brackets and
+compositions on integer numerators and builds Fractions only for witnesses.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, _distinct, center
 from .errors import InputError, ParityError
-from .linalg import Echelon, Matrix, Vector, canonical_span, integer_product
+from .linalg import Echelon, Matrix, Vector, canonical_span, integer_product, projected_kernel
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
@@ -247,12 +250,12 @@ def _solve_kinds(
     parity: int,
     koszul: bool,
 ) -> list[Vector]:
-    """Solve one graded subproblem; returns projected n*n vectorizations.
+    """Solve one graded subproblem: the canonical basis of its projected n*n vectorizations.
 
     A single multi-block kind solves jointly over its auxiliary blocks and
     projects onto the first; a list of single-block kinds intersects their
-    constraint sets.  Each distinct nonzero row goes to the echelon once:
-    a repeat, compared as a whole row, cannot change the span.
+    constraint sets.  Unknowns are numbered in row-major order, so the basis
+    that ``projected_kernel`` returns stays canonical in n*n coordinates.
     """
     n = spec.dimension
     positions = _pattern_positions(spec.basis.parities, parity)
@@ -267,21 +270,10 @@ def _solve_kinds(
     xi = spec.require_xi()
 
     maps = [m for m in _distinct((spec.gamma.matrix, xi.matrix)) if not m.is_identity]
-    system = Echelon()
-    seen: set[frozenset[tuple[int, int]]] = set()
     commutation = (_commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in maps)
-    for row in itertools.chain(*commutation, _product_rows(kinds, spec, tables, parity, var_of, koszul)):
-        if (key := frozenset(row.items())) not in seen:
-            seen.add(key)
-            system.add(row)
-
-    vectors = []
-    for sol in system.kernel(nv * blocks):
-        full = [_ZERO] * (n * n)
-        for idx, (i, j) in enumerate(positions):
-            full[i * n + j] = sol[idx]
-        vectors.append(tuple(full))
-    return list(canonical_span(vectors, n * n))
+    rows = itertools.chain(*commutation, _product_rows(kinds, spec, tables, parity, var_of, koszul))
+    return [tuple(_ZERO if col is None else sol[col] for line in var_of for col in line)
+            for sol in projected_kernel(rows, nv * blocks, nv)]
 
 
 def _maps_from_vectors(vectors: Iterable[Vector], basis: SuperBasis) -> tuple[LinearMap, ...]:
@@ -307,7 +299,7 @@ def _build_space(
         tables = _twist_tables(spec, t.matrix(spec))
     even_vecs = _solve_kinds(kinds, spec, tables, 0, koszul)
     odd_vecs = _solve_kinds(kinds, spec, tables, 1, koszul)
-    merged = canonical_span(even_vecs + odd_vecs, n * n)
+    merged = sorted(even_vecs + odd_vecs, key=lambda v: next(i for i, x in enumerate(v) if x))
     return OperatorSpace(
         kind="".join(kinds),
         twist=t,

@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 from supertrial.errors import InputError, SingularMapError
 from supertrial.linalg import (
+    Echelon,
     Matrix,
     canonical_span,
     frac,
     invert,
     nullspace_basis,
+    projected_kernel,
     rank,
     rref,
     solve_in_span,
@@ -361,3 +363,43 @@ def test_products_with_a_zero_dimension(rows, inner, cols):
     ones = Matrix(inner, cols, (F(1),) * (inner * cols))
     assert Matrix.zero(rows, inner) @ ones == Matrix.zero(rows, cols)
     assert Matrix.zero(rows, inner).apply((F(1),) * inner) == zero_vector(rows)
+
+
+@hs.composite
+def sparse_systems(draw):
+    """(rows, ncols, keep): sparse integer rows, some repeated or scaled,
+    over ncols columns, of which the first keep are kept (keep == ncols
+    about half the time)."""
+    ncols = draw(hs.integers(1, 7))
+    keep = draw(hs.one_of(hs.just(ncols), hs.integers(0, ncols)))
+    entry = hs.integers(-4, 4).filter(bool)
+    rows = draw(hs.lists(hs.dictionaries(hs.integers(0, ncols - 1), entry, min_size=1, max_size=4), max_size=9))
+    for i in draw(hs.lists(hs.integers(0, len(rows) - 1), max_size=4)) if rows else ():
+        c = draw(hs.sampled_from([1, -1, 2, -3]))
+        rows.append({col: c * v for col, v in rows[i].items()})
+    return draw(hs.permutations(rows)), ncols, keep
+
+
+def projected_then_spanned(rows, ncols, keep):
+    return list(canonical_span([v[:keep] for v in Echelon(rows).kernel(ncols)], keep))
+
+
+@given(sparse_systems())
+@example(([], 4, 4))
+@example(([], 5, 2))
+@example(([{0: 1}, {1: 2}, {2: -3}], 3, 3))  # full rank: an empty kernel
+@example(([{0: 1, 3: 2}, {1: 1, 2: -1}, {1: 1, 2: -1}, {0: -2, 3: -4}, {1: 3, 2: -3}], 4, 2))
+@example(([{2: 1, 0: 1}, {2: 1, 1: 1}, {2: 2, 1: 2}], 3, 2))
+def test_projected_kernel_is_the_canonical_span_of_the_projected_kernel(system):
+    rows, ncols, keep = system
+    expected = projected_then_spanned(rows, ncols, keep)
+    assert projected_kernel(rows, ncols, keep) == expected
+    assert projected_kernel(reversed(rows), ncols, keep) == expected
+
+
+def test_projected_kernel_frozen_examples():
+    assert projected_kernel([{0: 1}, {1: 1, 0: 2}], 2, 2) == []  # full rank
+    # x0 = x1 = -x2 projects onto the line through (1, 1); a repeat changes nothing.
+    assert projected_kernel([{0: 1, 2: 1}, {1: 2, 2: 2}, {0: 1, 2: 1}], 3, 2) == [(F(1), F(1))]
+    # x0 = 2 x1 leaves x2 free: the RREF rows lead at columns 0 and 2.
+    assert projected_kernel([{0: 1, 1: -2}], 3, 3) == [(F(1), F(1, 2), F(0)), (F(0), F(0), F(1))]

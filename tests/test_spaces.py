@@ -14,10 +14,10 @@ from constraint_oracle import oracle_space, span_intersection
 from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
-from supertrial.core import LinearMap, StructureTensor, center, identity_map
+from supertrial.core import LinearMap, StructureTensor, TrialgebraSpec, center, check_bihom, identity_map
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
-from supertrial import spaces
+from supertrial import linalg, spaces
 from supertrial.linalg import Echelon, Matrix, canonical_span, invert, solve_in_span
 from supertrial.spaces import (
     GradedOperator,
@@ -162,6 +162,35 @@ def test_solver_matches_oracle_past_dimension_three(name, power, kind, koszul):
     assert _build_space(kind, spec, t, koszul).vectorized() == oracle_space(spec, kind, t, koszul)
 
 
+def _sheared_zero2():
+    """zero2's zero products with gamma = id and xi = [[1, 1], [0, 1]]: xi is
+    neither the identity nor gamma.  Both coordinates are even, since an even
+    xi cannot mix them."""
+    return TrialgebraSpec.build("zero2-sheared", [0, 0], {}, {}, {}, Matrix.identity(2), [[1, 1], [0, 1]])
+
+
+# Inputs with gamma != xi: their spaces read the commutation rows of xi.
+GAMMA_NOT_XI = {
+    "zero2-sheared": _sheared_zero2,
+    "zero2-sheared+dual2-twisted": lambda: direct_sum(_sheared_zero2(), builtin("dual2-twisted")),
+}
+
+
+@pytest.mark.parametrize("kind, koszul", KINDS_AND_KOSZUL_D + [(("D", "C"), False)])
+@pytest.mark.parametrize("power", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("name", sorted(GAMMA_NOT_XI))
+def test_solver_matches_oracle_when_gamma_is_not_xi(name, power, kind, koszul):
+    spec = GAMMA_NOT_XI[name]()
+    assert spec.gamma != spec.xi and not spec.xi.matrix.is_identity
+    assert check_bihom(spec).passed
+    t = TwistPower(*power)
+    if kind == ("D", "C"):
+        expected = span_intersection(oracle_space(spec, "D", t), oracle_space(spec, "C", t), spec.dimension ** 2)
+    else:
+        expected = oracle_space(spec, kind, t, koszul)
+    assert _build_space(kind, spec, t, koszul).vectorized() == expected
+
+
 def _two_equal_products(field: str):
     """dense4-twisted with one product replaced by its left product less the
     constant at (0, 0, 0): two products equal and one distinct, which cuts
@@ -188,31 +217,49 @@ def test_term_tables_per_distinct_product():
 
 
 def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
-    """Assembly drops empty rows (all commutation rows when gamma = id) and
-    rows already sent to the same system; the spaces are unchanged, as the
-    oracle tests check."""
+    """Assembly sends two systems per build to projected_kernel and drops
+    empty rows (all commutation rows when gamma = id); projected_kernel
+    drops rows already sent to the same system, so its echelon gets each
+    distinct row once.  The spaces are unchanged, as the oracle tests check."""
     spec = twisted_fixture()
     assert spec.gamma.matrix != Matrix.identity(spec.dimension)
-    systems: list[list[dict]] = []
+    systems: list[tuple[list[dict], list[dict]]] = []
+    real = spaces.projected_kernel
 
     class Recording(Echelon):
-        def __init__(self, rows=()):
-            self.sent = []
-            systems.append(self.sent)
-            super().__init__(rows)
-
         def add(self, row):
-            self.sent.append(dict(row))
+            systems[-1][1].append(dict(row))
             return super().add(row)
 
-    monkeypatch.setattr(spaces, "Echelon", Recording)
+    def recording(rows, ncols, keep):
+        sent = [dict(row) for row in rows]
+        systems.append((sent, []))
+        return real(sent, ncols, keep)
+
+    monkeypatch.setattr(spaces, "projected_kernel", recording)
+    monkeypatch.setattr(linalg, "Echelon", Recording)
     for kind, koszul in KINDS_AND_KOSZUL_D:
         _build_space(kind, spec, TwistPower(1, 1), koszul)
     _build_space(("D", "C"), spec, TwistPower(1, 1))
     assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 2
-    for sent in systems:
+    for sent, fed in systems:
         assert sent and all(row and all(row.values()) for row in sent)
-        assert len({frozenset(row.items()) for row in sent}) == len(sent)
+        assert len({frozenset(row.items()) for row in fed}) == len(fed) == len({frozenset(row.items()) for row in sent})
+
+
+def test_a_build_eliminates_once_per_graded_piece(monkeypatch):
+    """_build_space reads each piece's canonical basis off projected_kernel
+    and merges the pieces by sort, never eliminating again."""
+
+    def forbidden(*args):
+        raise AssertionError("canonical_span called during a build")
+
+    monkeypatch.setattr(spaces, "canonical_span", forbidden)
+    monkeypatch.setattr(linalg, "canonical_span", forbidden)
+    spec = twisted_fixture()
+    cases = KINDS_AND_KOSZUL_D + [(("D", "C"), False)]
+    built = [_build_space(kind, spec, TwistPower(1, 1), koszul) for kind, koszul in cases]
+    assert any(space.even_basis and space.odd_basis for space in built)
 
 
 def _unitriangular_product(parities) -> Matrix:
@@ -573,6 +620,21 @@ class TestBatteryPlan:
             ("sum-qd-qc-in-gd", Matrix.identity(2)),
             ("zd-eq-d-cap-c", e00),
         ]
+
+    def test_eq_dc_fails_when_d_cap_c_exceeds_zd(self, monkeypatch):
+        """zd-eq-d-cap-c also tests D cap C inside ZD: with ZD inside a
+        larger D cap C it fails, with the D cap C map outside ZD as witness."""
+        spec = builtin("zero2")
+        e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
+        spans = {"ZD": [e00], ("D", "C"): [e00, e11]}
+
+        def fake_build(kind, spec, t, *rest):
+            maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
+            return OperatorSpace(kind, t, 2, maps, maps, ())
+
+        monkeypatch.setattr(spaces, "_build_space", fake_build)
+        report = proposition_battery(spec, 0)
+        assert [(ln.claim_id, ln.witness.matrix) for ln in report.failed_lines()] == [("zd-eq-d-cap-c", e11)]
 
     def test_bracket_and_compose_witnesses_are_exact(self, monkeypatch):
         """Membership is decided on integer numerators; the witness is the
