@@ -345,7 +345,7 @@ class Echelon:
 
 
 def projected_kernel(rows: Iterable[Mapping[int, int]], ncols: int, keep: int) -> list[Vector]:
-    """Canonical basis of the kernel of sparse integer rows over ``ncols``
+    """Canonical basis of the kernel of nonzero sparse integer rows over ``ncols``
     columns, projected onto the first ``keep``: what ``canonical_span`` of
     the projected ``Echelon.kernel`` gives, from one elimination.
 
@@ -361,8 +361,8 @@ def projected_kernel(rows: Iterable[Mapping[int, int]], ncols: int, keep: int) -
     drop = ncols - keep
     label = [*range(ncols - 1, drop - 1, -1), *range(drop)]
     distinct = {frozenset(row.items()): row for row in rows}.values()
-    relabelled = [{label[c]: v for c, v in row.items() if v} for row in distinct]
-    ech = Echelon(sorted(filter(None, relabelled), key=min, reverse=True))
+    relabelled = [{label[c]: v for c, v in row.items()} for row in distinct]
+    ech = Echelon(sorted(relabelled, key=min, reverse=True))
     return [v[::-1] for v in reversed(ech.kernel(ncols, drop))]
 
 

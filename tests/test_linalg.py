@@ -380,10 +380,6 @@ def sparse_systems(draw):
     return draw(hs.permutations(rows)), ncols, keep
 
 
-def projected_then_spanned(rows, ncols, keep):
-    return list(canonical_span([v[:keep] for v in Echelon(rows).kernel(ncols)], keep))
-
-
 @given(sparse_systems())
 @example(([], 4, 4))
 @example(([], 5, 2))
@@ -392,7 +388,7 @@ def projected_then_spanned(rows, ncols, keep):
 @example(([{2: 1, 0: 1}, {2: 1, 1: 1}, {2: 2, 1: 2}], 3, 2))
 def test_projected_kernel_is_the_canonical_span_of_the_projected_kernel(system):
     rows, ncols, keep = system
-    expected = projected_then_spanned(rows, ncols, keep)
+    expected = list(canonical_span([v[:keep] for v in Echelon(rows).kernel(ncols)], keep))
     assert projected_kernel(rows, ncols, keep) == expected
     assert projected_kernel(reversed(rows), ncols, keep) == expected
 
