@@ -394,7 +394,6 @@ def test_projected_kernel_is_the_canonical_span_of_the_projected_kernel(system):
 
 
 def test_projected_kernel_frozen_examples():
-    assert projected_kernel([{0: 1}, {1: 1, 0: 2}], 2, 2) == []  # full rank
     # x0 = x1 = -x2 projects onto the line through (1, 1); a repeat changes nothing.
     assert projected_kernel([{0: 1, 2: 1}, {1: 2, 2: 2}, {0: 1, 2: 1}], 3, 2) == [(F(1), F(1))]
     # x0 = 2 x1 leaves x2 free: the RREF rows lead at columns 0 and 2.

@@ -236,6 +236,9 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
         systems.append((sent, []))
         return real(sent, ncols, keep)
 
+    def distinct(rows):
+        return {frozenset(row.items()) for row in rows}
+
     monkeypatch.setattr(spaces, "projected_kernel", recording)
     monkeypatch.setattr(linalg, "Echelon", Recording)
     for kind, koszul in KINDS_AND_KOSZUL_D:
@@ -244,7 +247,7 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 2
     for sent, fed in systems:
         assert sent and all(row and all(row.values()) for row in sent)
-        assert len({frozenset(row.items()) for row in fed}) == len(fed) == len({frozenset(row.items()) for row in sent})
+        assert len(distinct(fed)) == len(fed) == len(distinct(sent))
 
 
 def test_a_build_eliminates_once_per_graded_piece(monkeypatch):
