@@ -15,9 +15,9 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and builds GD only at the base powers,
-the only ones its claims read.  Its D intersect C ("DC") is an ordinary
-build too: ``_build_space`` of ("D", "C") solves the two constraint sets
-jointly.  Every space is solved separately on the
+the only ones its claims read; it keeps one object per distinct space and
+intersects D and C ("DC") from the built spaces with one Zassenhaus
+echelon per graded piece.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous).
 Constraint rows are sparse integers, each read from one operator's table
@@ -211,14 +211,14 @@ _KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
 
 
 def _product_rows(
-    kinds: Sequence[str],
+    kind: str,
     spec: TrialgebraSpec,
     tables: Sequence[_TermTables],
     parity: int,
     var_of: list[list[int | None]],
     koszul: bool,
 ) -> Iterator[dict[int, int]]:
-    """Nonzero sparse integer constraint rows of the kinds over every product and cell; var_of[i][j]
+    """Nonzero sparse integer constraint rows of the kind over every product and cell; var_of[i][j]
     is the column of unknown (i, j) in the first block, None off the parity pattern."""
     n = spec.dimension
     nv = sum(col is not None for line in var_of for col in line)
@@ -226,7 +226,7 @@ def _product_rows(
     parities = spec.basis.parities
     for table in tables:
         zero, one, two, three = table.terms
-        for kind, a, b, k in itertools.product(kinds, range(n), range(n), range(n)):
+        for a, b, k in itertools.product(range(n), repeat=3):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
             cell = ((zero[b][k], by_col[a]), (one[a][b], var_of[k]), (two[b][k], by_col[a]), (three[a][k], by_col[b]))
             for terms in _KIND_ROWS[kind]:
@@ -243,8 +243,8 @@ def _product_rows(
                     yield row
 
 
-def _solve_kinds(
-    kinds: Sequence[str],
+def _solve_kind(
+    kind: str,
     spec: TrialgebraSpec,
     tables: Sequence[_TermTables],
     parity: int,
@@ -252,9 +252,8 @@ def _solve_kinds(
 ) -> list[Vector]:
     """Solve one graded subproblem: the canonical basis of its projected n*n vectorizations.
 
-    A single multi-block kind solves jointly over its auxiliary blocks and
-    projects onto the first; a list of single-block kinds intersects their
-    constraint sets.  Unknowns are numbered in row-major order, so the basis
+    A multi-block kind solves jointly over its auxiliary blocks and projects
+    onto the first.  Unknowns are numbered in row-major order, so the basis
     that ``projected_kernel`` returns stays canonical in n*n coordinates.
     """
     n = spec.dimension
@@ -264,51 +263,57 @@ def _solve_kinds(
         return []
     index = {pos: idx for idx, pos in enumerate(positions)}
     var_of = [[index.get((i, j)) for j in range(n)] for i in range(n)]
-    blocks = 1 + max(block for kind in kinds for terms in _KIND_ROWS[kind] for _, block, _ in terms)
-    if blocks > 1 and len(kinds) != 1:
-        raise InputError("joint-block kinds cannot be intersected")
+    blocks = 1 + max(block for terms in _KIND_ROWS[kind] for _, block, _ in terms)
     xi = spec.require_xi()
 
     maps = [m for m in _distinct((spec.gamma.matrix, xi.matrix)) if not m.is_identity]
     commutation = (_commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in maps)
-    rows = itertools.chain(*commutation, _product_rows(kinds, spec, tables, parity, var_of, koszul))
+    rows = itertools.chain(*commutation, _product_rows(kind, spec, tables, parity, var_of, koszul))
     return [tuple(_ZERO if col is None else sol[col] for line in var_of for col in line)
             for sol in projected_kernel(rows, nv * blocks, nv)]
 
 
 def _maps_from_vectors(vectors: Iterable[Vector], basis: SuperBasis) -> tuple[LinearMap, ...]:
     n = basis.dimension
-    return tuple(
-        LinearMap.square(basis, Matrix(n, n, tuple(v))) for v in vectors
-    )
+    return tuple(LinearMap.square(basis, Matrix(n, n, tuple(v))) for v in vectors)
+
+
+def _graded_space(kind: str, t: TwistPower, basis: SuperBasis, even_vecs, odd_vecs, koszul: bool) -> OperatorSpace:
+    """The space with these canonical graded pieces.  Their supports are disjoint, so sorting
+    their maps by leading column merges them into the canonical basis, with the same map objects."""
+    even, odd = _maps_from_vectors(even_vecs, basis), _maps_from_vectors(odd_vecs, basis)
+    merged = sorted(even + odd, key=lambda m: next(i for i, x in enumerate(m.matrix.entries) if x))
+    return OperatorSpace(kind, t, basis.dimension, tuple(merged), even, odd, koszul)
+
+
+def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -> OperatorSpace:
+    """a intersect b, one graded piece at a time, by Zassenhaus's method: with N = n*n, the
+    rows (u | u) for u in a's piece and (w | 0) for w in b's reduce to rows that pivot at
+    column N or past it, zero in the first half, whose second halves are the intersection's RREF."""
+    nn = a.ambient_dim ** 2
+    pieces = []
+    for pair in ((a.even_basis, b.even_basis), (a.odd_basis, b.odd_basis)):
+        ours, theirs = ([m.matrix.integral[1] for m in maps] for maps in pair)
+        ech = Echelon([u + u for u in ours] + theirs)
+        pieces.append([tuple(row.get(c, _ZERO) for c in range(nn, 2 * nn))
+                       for p, row in zip(ech.pivots, ech.rows()) if p >= nn])
+    return _graded_space(a.kind + b.kind, a.twist, basis, *pieces, a.koszul)
 
 
 def _build_space(
-    kind: str | tuple[str, ...], spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
+    kind: str | tuple[str, str], spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
     tables: Sequence[_TermTables] | None = None,
 ) -> OperatorSpace:
-    """Solve one kind at T, or the intersection of a tuple of single-block
-    kinds as the joint nullspace of their constraint sets (kind "DC" for
-    ("D", "C")); tables, when given, are _twist_tables at T."""
-    kinds = (kind,) if isinstance(kind, str) else kind
-    for k in kinds:
-        if k not in SPACE_KINDS:
-            raise InputError(f"unknown operator-space kind {k!r}")
-    n = spec.dimension
+    """Solve one kind at T, or intersect the spaces of a pair of kinds (kind
+    "DC" for ("D", "C")); tables, when given, are _twist_tables at T."""
+    if not isinstance(kind, str):
+        return _intersection_space(*(_build_space(k, spec, t, koszul, tables) for k in kind), spec.basis)
+    if kind not in SPACE_KINDS:
+        raise InputError(f"unknown operator-space kind {kind!r}")
     if tables is None:
         tables = _twist_tables(spec, t.matrix(spec))
-    even_vecs = _solve_kinds(kinds, spec, tables, 0, koszul)
-    odd_vecs = _solve_kinds(kinds, spec, tables, 1, koszul)
-    merged = sorted(even_vecs + odd_vecs, key=lambda v: next(i for i, x in enumerate(v) if x))
-    return OperatorSpace(
-        kind="".join(kinds),
-        twist=t,
-        ambient_dim=n,
-        basis=_maps_from_vectors(merged, spec.basis),
-        even_basis=_maps_from_vectors(even_vecs, spec.basis),
-        odd_basis=_maps_from_vectors(odd_vecs, spec.basis),
-        koszul=koszul,
-    )
+    even_vecs, odd_vecs = (_solve_kind(kind, spec, tables, parity, koszul) for parity in (0, 1))
+    return _graded_space(kind, t, spec.basis, even_vecs, odd_vecs, koszul)
 
 
 def derivation_space(spec: TrialgebraSpec, t: TwistPower, koszul: bool = False) -> OperatorSpace:
@@ -415,7 +420,8 @@ class BatteryReport:
 
 
 # The battery claims in report order: (claim id, relation, kinds read,
-# power rule).  ("D", "C") is the joint solve of D intersect C.  Relations:
+# power rule).  ("D", "C") is D intersect C, intersected from the built D
+# and C at the same powers.  Relations:
 #   contain   every later kind lies in the first; the witness is the first
 #             outsider of the last failing kind
 #   eq-dc     ZD equals D intersect C; ZD's outsiders come first
@@ -452,10 +458,11 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     exponents.
 
     A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
-    all, so each space and each D intersect C is solved once per distinct T
-    and shared by every power with that T (it carries the first power that
-    built it).  GD is built only at the base powers, the only ones read.
-    Each claim is decided once per distinct tuple of spaces it reads.
+    all, so each space is solved once per distinct T, and D intersect C
+    intersected from that T's D and C.  GD is built only at the base powers,
+    the only ones read.  Equal spaces are kept as one object (the first
+    built), so each claim, target span, graded basis and product of basis
+    maps is worked out once per distinct value.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
@@ -469,9 +476,12 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
 
     tables: dict[Matrix, tuple[_TermTables, ...]] = {}
     built: dict[tuple, OperatorSpace] = {}
+    by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
     spaces: dict[tuple, OperatorSpace] = {}
     for s, r in itertools.product(range(top + 1), repeat=2):
         twist = gammas[s] @ xis[r]
+        if twist not in tables:  # a new T always builds D
+            tables[twist] = _twist_tables(spec, twist)
         for kind in kinds_read:
             if max(s, r) > max_power and kind not in read_at_sums:
                 continue
@@ -479,16 +489,22 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             reads_twist = any(term > 1 for k in solved for terms in _KIND_ROWS[k] for term, _, _ in terms)
             key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
-                if twist not in tables:
-                    tables[twist] = _twist_tables(spec, twist)
-                built[key] = _build_space(kind, spec, TwistPower(s, r), koszul and "D" in solved, tables[twist])
+                space = (_intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis) if isinstance(kind, tuple)
+                         else _build_space(kind, spec, TwistPower(s, r), koszul and kind == "D", tables[twist]))
+                built[key] = by_value.setdefault(space.vectorized(), space)
             spaces[(kind, s, r)] = built[key]
 
     echelons: dict[int, Echelon] = {}
+    products: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    graded: dict[int, tuple[GradedOperator, ...]] = {}
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
-        """f @ g on integer numerators: a nonzero multiple of the exact product."""
-        return integer_product(f.matrix.integral[1], g.matrix.integral[1], n, n, n)
+        """f @ g on integer numerators: a nonzero multiple of the exact product, once per pair of values."""
+        key = (f.matrix.integral[1], g.matrix.integral[1])
+        return products[key] if key in products else products.setdefault(key, integer_product(*key, n, n, n))
+
+    def graded_elements(space: OperatorSpace) -> tuple[GradedOperator, ...]:
+        return graded[id(space)] if id(space) in graded else graded.setdefault(id(space), space.graded_elements())
 
     def bracket(f: GradedOperator, g: GradedOperator) -> list[int]:
         sign = 1 if f.parity and g.parity else -1
@@ -508,7 +524,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         return (False, witnesses[-1]) if witnesses else (True, None)
 
     def eq_dc(zd, dc):
-        if zd.vectorized() == dc.vectorized():
+        if zd is dc:
             return True, None
         witnesses = [res.witness for res in (space_contains(dc, zd), space_contains(zd, dc)) if not res.contained]
         return False, witnesses[0] if witnesses else None
@@ -519,7 +535,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         "eq-dc": eq_dc,
         "trivial": lambda dc: (False, dc.basis[0]) if center_trivial and dc.basis else (True, None),
         "bracket": lambda left, right, target: first_outside(
-            itertools.product(left.graded_elements(), right.graded_elements()), target, bracket, supercommutator
+            itertools.product(graded_elements(left), graded_elements(right)), target, bracket, supercommutator
         ),
         "compose": lambda left, right, target: first_outside(
             itertools.product(left.basis, right.basis), target, product, LinearMap.compose

@@ -6,6 +6,8 @@ a regression in either the solver or the oracle shows up as disagreement.
 """
 
 import functools
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -220,7 +222,8 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     """Assembly sends two systems per build to projected_kernel and drops
     empty rows (all commutation rows when gamma = id); projected_kernel
     drops rows already sent to the same system, so its echelon gets each
-    distinct row once.  The spaces are unchanged, as the oracle tests check."""
+    distinct row once.  D intersect C builds D and C, two systems each.
+    The spaces are unchanged, as the oracle tests check."""
     spec = twisted_fixture()
     assert spec.gamma.matrix != Matrix.identity(spec.dimension)
     systems: list[tuple[list[dict], list[dict]]] = []
@@ -244,7 +247,7 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     for kind, koszul in KINDS_AND_KOSZUL_D:
         _build_space(kind, spec, TwistPower(1, 1), koszul)
     _build_space(("D", "C"), spec, TwistPower(1, 1))
-    assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 2
+    assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 4
     for sent, fed in systems:
         assert sent and all(row and all(row.values()) for row in sent)
         assert len(distinct(fed)) == len(fed) == len(distinct(sent))
@@ -583,34 +586,45 @@ class TestBatteryPlan:
     )
     def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
         """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
-        all, and GD is read only at the base powers."""
+        all, and GD is read only at the base powers.  D intersect C is
+        intersected once per distinct T from that T's D and C, and no build
+        solves it from constraint rows: each build solves its own kind's two
+        graded pieces."""
         spec = builtin(name)
-        built, intersected = [], []
-        real_build = spaces._build_space
+        built, intersected, systems = [], [], []
+        real_build, real_intersect, real_solve = spaces._build_space, spaces._intersection_space, spaces._solve_kind
 
         def spy_build(kind, spec, t, *rest):
-            if kind == ("D", "C"):
-                intersected.append(t)
-            else:
-                built.append((kind, t))
+            built.append((kind, t))
             return real_build(kind, spec, t, *rest)
 
+        def spy_intersect(a, b, basis):
+            intersected.append((a.vectorized(), b.vectorized()))
+            return real_intersect(a, b, basis)
+
+        def spy_solve(kind, *rest):
+            systems.append(kind)
+            return real_solve(kind, *rest)
+
         monkeypatch.setattr(spaces, "_build_space", spy_build)
+        monkeypatch.setattr(spaces, "_intersection_space", spy_intersect)
+        monkeypatch.setattr(spaces, "_solve_kind", spy_solve)
         report = proposition_battery(spec, max_power)
         assert report.passed
+        assert all(isinstance(kind, str) for kind, _ in built)
+        assert systems == [kind for kind, _ in built for _ in range(2)]
         keys = [(kind, t.matrix(spec)) for kind, t in built]
         assert len(set(keys)) == len(keys) == builds
         assert [kind for kind, _ in built].count("ZD") == 1
         assert all(t.s <= max_power and t.r <= max_power for kind, t in built if kind == "GD")
-        twists = [t.matrix(spec) for t in intersected]
-        assert len(set(twists)) == len(twists) == solves
+        assert len(set(intersected)) == len(intersected) == solves
 
     def test_witness_order_on_failing_relations(self, monkeypatch):
         """sum-qd-qc-in-gd reports QC's witness when QD fails too, and
         zd-eq-d-cap-c reports a ZD map outside D cap C before the converse."""
         spec = builtin("zero2")
         e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
-        spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00], ("D", "C"): [e11]}
+        spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00], "D": [e11], "C": [e11]}
 
         def fake_build(kind, spec, t, *rest):
             maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
@@ -626,14 +640,17 @@ class TestBatteryPlan:
 
     def test_eq_dc_fails_when_d_cap_c_exceeds_zd(self, monkeypatch):
         """zd-eq-d-cap-c also tests D cap C inside ZD: with ZD inside a
-        larger D cap C it fails, with the D cap C map outside ZD as witness."""
-        spec = builtin("zero2")
-        e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
-        spans = {"ZD": [e00], ("D", "C"): [e00, e11]}
+        larger D cap C it fails, with the D cap C map outside ZD as witness.
+        The faked D is the diagonal maps and C the two leading ones, so the
+        battery's intersection is [e00, e11]; every other claim holds."""
+        spec = builtin("dsum-zero2-idem1")
+        assert center(spec)
+        e00, e11, e22 = (Matrix.diagonal([int(i == j) for j in range(3)]) for i in range(3))
+        spans = {"ZD": [e00], "D": [e00, e11, e22], "C": [e00, e11], "QD": [e00, e11, e22], "GD": [e00, e11, e22]}
 
         def fake_build(kind, spec, t, *rest):
             maps = tuple(LinearMap.square(spec.basis, m) for m in spans.get(kind, []))
-            return OperatorSpace(kind, t, 2, maps, maps, ())
+            return OperatorSpace(kind, t, 3, maps, maps, ())
 
         monkeypatch.setattr(spaces, "_build_space", fake_build)
         report = proposition_battery(spec, 0)
@@ -660,3 +677,162 @@ class TestBatteryPlan:
         witnesses = {ln.claim_id: ln.witness.matrix for ln in proposition_battery(spec, 0).failed_lines()}
         assert witnesses["bracket-d-c-in-c"] == b @ p - p @ b == Matrix.from_rows([[0, F(-3, 20)], [0, 0]])
         assert witnesses["compose-c-d-in-d"] == q @ a == Matrix.from_rows([[0, 0], [F(1, 3), 0]])
+
+
+# The battery's claims in report order as (claim, relation, kinds), written
+# out apart from spaces._CLAIMS; "DC" is D intersect C.  Bracket and
+# compose read their third kind at the summed powers.
+_REFERENCE_CLAIMS = (
+    ("bracket-d-c-in-c", "bracket", ("D", "C", "C")),
+    ("bracket-d-d-in-d", "bracket", ("D", "D", "D")),
+    ("bracket-d-zd-in-zd", "bracket", ("D", "ZD", "ZD")),
+    ("bracket-qc-qc-in-qd", "bracket", ("QC", "QC", "QD")),
+    ("bracket-qd-qc-in-qc", "bracket", ("QD", "QC", "QC")),
+    ("c-in-qd", "contain", ("QD", "C")),
+    ("chain-d-in-qd", "contain", ("QD", "D")),
+    ("chain-qd-in-gd", "contain", ("GD", "QD")),
+    ("compose-c-d-in-d", "compose", ("C", "D", "D")),
+    ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC")),
+    ("trivial-center-d-cap-c", "trivial", ("DC",)),
+    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "DC")),
+)
+
+
+def _reference_battery(spec, max_power, koszul):
+    """Every battery line as (claim, s, r, s2, r2, passed, witness), decided
+    from spaces built at that line's own powers, with no sharing between
+    twists or equal spaces and no memo of products, spans or verdicts.
+    Brackets and compositions are exact Matrix products, and membership is
+    space_contains.  Builds are cached on (kind, s, r) only, which the
+    line's own powers fix."""
+
+    @functools.cache
+    def space(kind, s, r):
+        t = TwistPower(s, r)
+        return _build_space(("D", "C") if kind == "DC" else kind, spec, t, koszul and kind in ("D", "DC"))
+
+    def first_outside(maps, target):
+        found = space_contains(target, OperatorSpace("", T00, spec.dimension, tuple(maps), (), ()))
+        return found.contained, found.witness
+
+    def all_inside(results, pick):
+        witnesses = [res.witness for res in results if not res.contained]
+        return (False, witnesses[pick]) if witnesses else (True, None)
+
+    center_trivial = not center(spec)
+    powers = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
+    lines = []
+    for claim, relation, kinds in _REFERENCE_CLAIMS:
+        summed = relation in ("bracket", "compose")
+        for (s, r), (s2, r2) in itertools.product(powers, powers if summed else [(None, None)]):
+            at = [(s, r), (s2, r2), (s + s2, r + r2)] if summed else [(s, r)] * len(kinds)
+            operands = [space(kind, *power) for kind, power in zip(kinds, at)]
+            if relation == "bracket":
+                left, right, target = operands
+                pairs = itertools.product(left.graded_elements(), right.graded_elements())
+                verdict = first_outside((supercommutator(f, g) for f, g in pairs), target)
+            elif relation == "compose":
+                left, right, target = operands
+                verdict = first_outside((f.compose(g) for f, g in itertools.product(left.basis, right.basis)), target)
+            elif relation == "contain":
+                outer, *inners = operands
+                verdict = all_inside([space_contains(outer, inner) for inner in inners], -1)
+            elif relation == "trivial":
+                (dc,) = operands
+                verdict = (False, dc.basis[0]) if center_trivial and dc.basis else (True, None)
+            else:
+                zd, dc = operands
+                verdict = all_inside([space_contains(dc, zd), space_contains(zd, dc)], 0)
+            lines.append((claim, s, r, s2, r2, *verdict))
+    return lines
+
+
+# The fixtures and inputs whose xi is neither the identity nor gamma.
+_BATTERY_INPUTS = {
+    **{name: functools.partial(builtin, name) for name in FIXTURE_NAMES},
+    "zero2-sheared": _sheared_zero2,
+    "zero2-sheared+dual2-twisted": GAMMA_NOT_XI["zero2-sheared+dual2-twisted"],
+    "zero2-sheared+idem1": lambda: direct_sum(_sheared_zero2(), builtin("idem1")),
+}
+
+
+class TestBatterySharing:
+    @pytest.mark.parametrize("koszul", [False, True])
+    @pytest.mark.parametrize("name", sorted(_BATTERY_INPUTS))
+    def test_battery_equals_reference_without_sharing(self, name, koszul):
+        """Sharing spaces by T and by value, and memoising products, spans,
+        graded bases and verdicts, changes no line, witness included."""
+        spec = _BATTERY_INPUTS[name]()
+        assert check_bihom(spec).passed
+        report = proposition_battery(spec, 2, koszul)
+        lines = [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2, ln.passed, ln.witness) for ln in report.lines]
+        assert lines == _reference_battery(spec, 2, koszul)
+
+    def test_each_product_and_target_span_once(self, monkeypatch):
+        """On dual2-twisted at max_power 2 the battery multiplies each pair of
+        basis maps at most once, and reduces each distinct target span of a
+        bracket or compose claim exactly once."""
+        spec = builtin("dual2-twisted")
+        sums = [(s, r) for s in range(5) for r in range(5)]
+        expected = {_build_space(kind, spec, TwistPower(*power)).vectorized()
+                    for kind in ("C", "D", "ZD", "QD", "QC") for power in sums}
+        products, targets, elsewhere = [], [], []
+        real_product = spaces.integer_product
+
+        def spy_product(x, y, *shape):
+            products.append((tuple(x), tuple(y)))
+            return real_product(x, y, *shape)
+
+        class SpyEchelon(Echelon):
+            def __init__(self, rows=()):
+                rows = list(rows)
+                if not elsewhere:
+                    targets.append(tuple(tuple(row) for row in rows))
+                super().__init__(rows)
+
+        def counted_elsewhere(fn):
+            def wrapped(*args):
+                elsewhere.append(fn)
+                try:
+                    return fn(*args)
+                finally:
+                    elsewhere.pop()
+            return wrapped
+
+        monkeypatch.setattr(spaces, "integer_product", spy_product)
+        monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
+        for name in ("space_contains", "_intersection_space"):
+            monkeypatch.setattr(spaces, name, counted_elsewhere(getattr(spaces, name)))
+        assert proposition_battery(spec, 2).passed
+        assert products and len(set(products)) == len(products)
+        assert len(set(targets)) == len(targets) == len(expected)
+        assert set(targets) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_intersection_space_matches_span_intersection(seed):
+    """Zassenhaus's intersection of two graded spaces, piece by piece, equals
+    the oracle's span intersection.  The random rational spaces share a span
+    in each piece and add vectors of their own, so the intersection is
+    nonzero in both pieces and smaller than either space."""
+    rng = random.Random(seed)
+    basis = builtin("dsum-zero2-idem1").basis
+    n = basis.dimension
+
+    def vectors(parity, count):
+        cells = {i * n + j for i, j in spaces._pattern_positions(basis.parities, parity)}
+        return [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) if c in cells else F(0) for c in range(n * n))
+                for _ in range(count)]
+
+    shared = [vectors(0, 2), vectors(1, 1)]
+
+    def graded():
+        even, odd = (list(canonical_span(shared[p] + vectors(p, rng.randint(1, 2)), n * n)) for p in (0, 1))
+        return spaces._graded_space("X", T00, basis, even, odd, False)
+
+    a, b = graded(), graded()
+    cap = spaces._intersection_space(a, b, basis)
+    assert cap.vectorized() == span_intersection(a.vectorized(), b.vectorized(), n * n)
+    assert cap.even_dimension and cap.odd_dimension and cap.dimension < min(a.dimension, b.dimension)
+    assert all(m.parity_class == "even" for m in cap.even_basis)
+    assert all(m.parity_class == "odd" for m in cap.odd_basis)
