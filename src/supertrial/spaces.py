@@ -447,6 +447,13 @@ _CLAIMS = (
 )
 
 
+def _once(cache: dict, key, make):
+    """cache[key], made by make() the first time the key is asked for."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
 def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool = False) -> BatteryReport:
     """Evaluate the structural claims about the six spaces as exact subspace
     relations over all twist powers 0 <= s, r <= max_power.
@@ -458,11 +465,10 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     exponents.
 
     A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
-    all, so each space is solved once per distinct T, and D intersect C
-    intersected from that T's D and C.  GD is built only at the base powers,
-    the only ones read.  Equal spaces are kept as one object (the first
-    built), so each claim, target span, graded basis and product of basis
-    maps is worked out once per distinct value.
+    all, so each space is solved once per distinct T (D intersect C from
+    that T's D and C), and GD only at the base powers, the only ones read.
+    Equal spaces are kept as one object (the first built), so each claim,
+    target span, graded basis and product of basis maps is worked out once.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
@@ -501,10 +507,10 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product, once per pair of values."""
         key = (f.matrix.integral[1], g.matrix.integral[1])
-        return products[key] if key in products else products.setdefault(key, integer_product(*key, n, n, n))
+        return _once(products, key, lambda: integer_product(*key, n, n, n))
 
     def graded_elements(space: OperatorSpace) -> tuple[GradedOperator, ...]:
-        return graded[id(space)] if id(space) in graded else graded.setdefault(id(space), space.graded_elements())
+        return _once(graded, id(space), space.graded_elements)
 
     def bracket(f: GradedOperator, g: GradedOperator) -> list[int]:
         sign = 1 if f.parity and g.parity else -1
@@ -513,9 +519,8 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     def first_outside(pairs, target, combine, exact) -> tuple[bool, LinearMap | None]:
         """The first pair whose integer combination lies outside the target span (membership
         does not depend on scale), with its exact combination; one echelon per target."""
-        if id(target) not in echelons:
-            echelons[id(target)] = Echelon(m.matrix.entries for m in target.basis)
-        outside = next((p for p in pairs if not echelons[id(target)].contains(combine(*p))), None)
+        span = _once(echelons, id(target), lambda: Echelon(m.matrix.entries for m in target.basis))
+        outside = next((p for p in pairs if not span.contains(combine(*p))), None)
         return (True, None) if outside is None else (False, exact(*outside))
 
     def contain(outer, *inners):
@@ -547,8 +552,6 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         for (s, r), (s2, r2) in itertools.product(base, base if rule == "summed" else [(None, None)]):
             at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
             operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
-            key = (relation, *map(id, operands))
-            if key not in verdicts:
-                verdicts[key] = decide[relation](*operands)
-            lines.append(BatteryLine(claim_id, s, r, s2, r2, *verdicts[key]))
+            verdict = _once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands))
+            lines.append(BatteryLine(claim_id, s, r, s2, r2, *verdict))
     return BatteryReport(tuple(lines))
