@@ -776,7 +776,7 @@ class TestBatterySharing:
         sums = [(s, r) for s in range(5) for r in range(5)]
         expected = {_build_space(kind, spec, TwistPower(*power)).vectorized()
                     for kind in ("C", "D", "ZD", "QD", "QC") for power in sums}
-        products, targets, elsewhere = [], [], []
+        products, targets, inside = [], [], []
         real_product = spaces.integer_product
 
         def spy_product(x, y, *shape):
@@ -786,23 +786,24 @@ class TestBatterySharing:
         class SpyEchelon(Echelon):
             def __init__(self, rows=()):
                 rows = list(rows)
-                if not elsewhere:
+                if not inside:
                     targets.append(tuple(tuple(row) for row in rows))
                 super().__init__(rows)
 
-        def counted_elsewhere(fn):
+        def not_targets(fn):
+            """fn, with the echelons it makes left out of the targets."""
             def wrapped(*args):
-                elsewhere.append(fn)
+                inside.append(fn)
                 try:
                     return fn(*args)
                 finally:
-                    elsewhere.pop()
+                    inside.pop()
             return wrapped
 
         monkeypatch.setattr(spaces, "integer_product", spy_product)
         monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
         for name in ("space_contains", "_intersection_space"):
-            monkeypatch.setattr(spaces, name, counted_elsewhere(getattr(spaces, name)))
+            monkeypatch.setattr(spaces, name, not_targets(getattr(spaces, name)))
         assert proposition_battery(spec, 2).passed
         assert products and len(set(products)) == len(products)
         assert len(set(targets)) == len(targets) == len(expected)
