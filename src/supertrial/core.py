@@ -22,24 +22,14 @@ so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
 
 from __future__ import annotations
 
-import itertools
-import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence, Union
+from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import InputError, ModeError, ParityError
-from .linalg import (
-    Echelon,
-    Matrix,
-    RationalLike,
-    Vector,
-    canonical_span,
-    frac,
-    numerators,
-)
+from .linalg import Echelon, Matrix, RationalLike, Vector, canonical_span, frac, numerators
+from .sweep import CheckReport, Violation, _bilinear_into, _distinct, _Ops, _Plan, _Row, _support, _sweep, _tabulate
 
 ProductTag = Literal["left", "right", "perp"]
 PRODUCT_TAGS: tuple[ProductTag, ...] = ("left", "right", "perp")
@@ -142,23 +132,6 @@ class LinearMap:
 
 def identity_map(basis: SuperBasis) -> LinearMap:
     return LinearMap.square(basis, Matrix.identity(basis.dimension))
-
-
-def _support(v: Sequence) -> list[tuple[int, object]]:
-    """The (coordinate, value) pairs of the nonzero entries of v, in order."""
-    return [(k, a) for k, a in enumerate(v) if a]
-
-
-def _bilinear_into(out: list, index: Sequence[Sequence[Sequence[tuple]]], xs: Iterable, ys: Iterable) -> list:
-    """out[k] += c * a * b for each (i, a) of xs, (j, b) of ys and (k, c) of
-    index[i][j], with xs and ys given by their supports; returns out."""
-    for i, a in xs:
-        cells = index[i]
-        for j, b in ys:
-            s = a * b
-            for k, c in cells[j]:
-                out[k] += c * s
-    return out
 
 
 @dataclass(frozen=True)
@@ -376,46 +349,9 @@ class SuperalgebraSpec:
         return self.basis.dimension
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed identity instance with its replayable evaluation."""
-
-    axiom_id: str
-    indices: tuple[int, ...]
-    lhs: Vector
-    rhs: Vector
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of an axiom sweep; empty violation list means success."""
-
-    violations: tuple[Violation, ...] = ()
-
-    @classmethod
-    def collect(cls, violations: Iterable[Violation]) -> "CheckReport":
-        ordered = sorted(violations, key=lambda v: (v.axiom_id, v.indices))
-        return cls(tuple(ordered))
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def merge(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport.collect(self.violations + other.violations)
-
-
 def product_eval(spec: TrialgebraSpec, tag: ProductTag, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Evaluate one of the three products on arbitrary coordinate vectors."""
     return spec.tensor(tag).bilinear(x, y)
-
-
-# An identity side is a term over the slots of a basis tuple: a slot number
-# k (the basis vector at position k of the tuple), (product, a, b),
-# (map, a), ("+", a, b, ...) or ("*", c, a) for a rational scale c.
-_Term = Union[int, tuple]
-_Row = tuple[str, _Term, _Term]
-_Ops = dict[str, Union[StructureTensor, Matrix]]
 
 
 def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
@@ -425,211 +361,6 @@ def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
     if spec.xi is not None:
         ops["xi" + mark] = spec.xi.matrix
     return ops
-
-
-def _distinct(ops: Sequence) -> list:
-    """The operators in order, each value (equal constants or entries) once."""
-    return [op for i, op in enumerate(ops) if op not in ops[:i]]
-
-
-# The sparse scalar 1: a map is a product whose second argument is 1.
-_SCALAR_ONE = ((0, 1),)
-
-
-def _integral(op: StructureTensor | Matrix) -> tuple[int, int, tuple]:
-    """``(d, dim, index)``: the operator's constants as integers over one
-    denominator d, the dimension of its values, and the constants indexed by
-    argument pair as in ``StructureTensor.by_pair``.  A map is a product with
-    the scalar 1: m[i][j] is the constant c(j, 0, i)."""
-    if isinstance(op, StructureTensor):
-        d, index = op.by_pair
-        return d, op.dim, index
-    d, nums = op.integral
-    cols = tuple((tuple((i, v) for i, v in enumerate(nums[j :: op.cols]) if v),) for j in range(op.cols))
-    return d, op.rows, cols
-
-
-def _combine(dim: int, weights: Sequence[int], vs: Iterable[list]) -> list:
-    """The support of the sum of the weighted sparse vectors vs."""
-    out = [0] * dim
-    for w, v in zip(weights, vs):
-        for k, a in v:
-            out[k] += w * a
-    return _support(out)
-
-
-class _Plan:
-    """The steps of a sweep: each distinct subterm of its rows once, after its
-    arguments.
-
-    Operators are resolved by value once per plan: a name stands for the
-    first equal operator (``_distinct``), whose ``_integral`` is built once,
-    a square identity map is no step, and a step is keyed by its resolved
-    head, scale and argument positions.
-
-    Positions below the arity are the slots, each ranging over the n unit
-    vectors; every later position is a step, a function of the values at
-    the positions ``args``.  A value is a sparse integer vector, the list of
-    its nonzero (coordinate, entry) pairs; ``dens[p]`` is its denominator,
-    ``dims[p]`` its length and ``reads[p]`` the sorted slots it depends on.
-    ``place`` recurses through the bound method, so a plan holds no
-    reference to itself and is freed as soon as the sweep drops it.
-    """
-
-    def __init__(self, n: int, ops: _Ops, arity: int) -> None:
-        self.n, self.arity = n, arity
-        reps = _distinct(list(ops.values()))
-        self.head = {name: None if isinstance(op, Matrix) and op.is_identity else reps.index(op) for name, op in ops.items()}
-        self.integrals = [_integral(op) for op in reps]
-        self.position: dict[_Term, int] = {}
-        self.step_at: dict[tuple, int] = {}
-        self.dens = [1] * arity
-        self.dims = [n] * arity
-        self.reads = [(s,) for s in range(arity)]
-        self.steps: list[tuple[Callable[[list], list], tuple[int, ...]]] = []
-
-    def place(self, term: _Term) -> int:
-        """The position of a term's value, planning its steps on first sight."""
-        if isinstance(term, int):
-            return term
-        if term not in self.position:
-            head, *parts = term
-            scale = parts.pop(0) if head == "*" else None
-            args = tuple(self.place(a) for a in parts)
-            head = self.head.get(head, head)
-            key = (head, scale, args)
-            if head is None or key in self.step_at:
-                self.position[term] = args[0] if head is None else self.step_at[key]
-                return self.position[term]
-            dens = self.dens
-            if head == "+":
-                den, dim = math.lcm(*[dens[a] for a in args]), self.dims[args[0]]
-                weights = [den // dens[a] for a in args]
-                fn = lambda v: _combine(dim, weights, [v[a] for a in args])
-            elif head == "*":
-                (x,), p = args, scale.numerator
-                den, dim = scale.denominator * dens[x], self.dims[x]
-                fn = lambda v: [(k, p * a) for k, a in v[x]] if p else []
-            else:
-                d, dim, index = self.integrals[head]
-                den = d * math.prod([dens[a] for a in args])
-                # Inlined rather than through a helper: a call fewer per
-                # step is about 15% of a sweep.
-                if len(args) == 2:
-                    x, y = args
-                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
-                else:
-                    (x,) = args
-                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
-            self.position[term] = self.step_at[key] = len(dens)
-            dens.append(den)
-            self.dims.append(dim)
-            self.reads.append(tuple(sorted({s for a in args for s in self.reads[a]})))
-            self.steps.append((fn, args))
-        return self.position[term]
-
-
-def _differ(x: list, y: list, mx: int, my: int) -> bool:
-    """Whether x * mx != y * my for sparse x and y and nonzero mx and my."""
-    return len(x) != len(y) or any(i != j or a * mx != b * my for (i, a), (j, b) in zip(x, y))
-
-
-def _evaluate(plan: _Plan, wanted: Iterable[int]) -> Iterator[tuple[tuple[int, ...], list]]:
-    """Yield ``(tuple, cur)`` for each basis tuple of the plan's arity, in
-    order, with ``cur[p]`` the value at each wanted position p.
-
-    Only the steps a wanted position reads, directly or not, run.  A step
-    that reads fewer slots than the arity is tabled first, once per
-    assignment of its slots; a step that reads every slot is computed per
-    tuple and never stored.  ``cur`` is one list, overwritten per tuple.
-    """
-    n, arity, reads, steps = plan.n, plan.arity, plan.reads, plan.steps
-    need = set(wanted)
-    for pos in range(len(reads) - 1, arity - 1, -1):
-        if pos in need:
-            need.update(steps[pos - arity][1])
-    # A table is keyed by the slots it reads as an itemgetter picks them
-    # from a tuple: an int for one slot, a tuple for more.
-    keys = [operator.itemgetter(*r) for r in reads]
-    units = {i: [(i, 1)] for i in range(n)}
-    tables: dict[int, dict] = dict.fromkeys(range(arity), units)
-    # ``cur`` holds the values a step reads, by position: while the tables
-    # are built, one assignment's; then the current tuple's.
-    cur: list = [None] * len(reads)
-    streamed = []
-    read = set(wanted)
-    for pos, (fn, args) in enumerate(steps, arity):
-        if pos not in need:
-            continue
-        if len(reads[pos]) == arity:
-            streamed.append((pos, fn))
-            read.update(args)
-            continue
-        table = tables[pos] = {}
-        at = [0] * arity
-        for assignment in itertools.product(range(n), repeat=len(reads[pos])):
-            for s, i in zip(reads[pos], assignment):
-                at[s] = i
-            for a in args:
-                cur[a] = tables[a][keys[a](at)]
-            table[keys[pos](at)] = fn(cur)
-    # Per tuple, each tabled value that a streamed step or the caller reads
-    # is fetched once; the streamed steps then fill in the rest.
-    fetch = [(p, tables[p], keys[p]) for p in sorted(read) if p in tables]
-    for idx in itertools.product(range(n), repeat=arity):
-        for p, t, k in fetch:
-            cur[p] = t[k(idx)]
-        for pos, fn in streamed:
-            cur[pos] = fn(cur)
-        yield idx, cur
-
-
-def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
-    """Report every basis tuple of the given arity on which the two sides of
-    a row (axiom_id, lhs, rhs) differ.
-
-    Each distinct subterm, its operators resolved by value, is one step of a
-    ``_Plan``, evaluated on sparse integer vectors by ``_evaluate``.  A
-    step's denominator is fixed by the plan: a product's or a map's is the
-    operator's (see ``_integral``) times its arguments', a sum's the lcm of
-    its addends', and a scale by p/q's is q times its argument's.  Two sides
-    agree when lhs * D_rhs == rhs * D_lhs; a row whose sides land on one
-    position is not compared, and the steps only such rows read do not run.
-    Fractions are built only for the sides of a violation.
-    """
-    plan = _Plan(n, ops, arity)
-    dens, dims = plan.dens, plan.dims
-    checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
-    checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks if l != r]
-    violations: list[Violation] = []
-    for idx, cur in _evaluate(plan, {p for _, l, r, _, _ in checks for p in (l, r)}):
-        sides: dict[int, Vector] = {}
-        for axiom_id, lhs, rhs, ml, mr in checks:
-            x, y = cur[lhs], cur[rhs]
-            if x != y if ml == mr else _differ(x, y, ml, mr):
-                for at in (lhs, rhs):
-                    if at not in sides:
-                        side = [_ZERO] * dims[at]
-                        for k, v in cur[at]:
-                            side[k] = Fraction(v, dens[at])
-                        sides[at] = tuple(side)
-                violations.append(Violation(axiom_id, idx, sides[lhs], sides[rhs]))
-    return CheckReport.collect(violations)
-
-
-def _tabulate(n: int, arity: int, ops: _Ops, terms: Sequence[_Term]) -> list[tuple[int, dict]]:
-    """Each term's value on every basis tuple of the given arity, as
-    ``(d, values)`` per term: ``values[tuple]`` is the term's sparse integer
-    value there over the denominator d.  The terms share one ``_Plan``, so
-    equal subterms and equal operators are evaluated once; terms that land
-    on one position share their ``values``."""
-    plan = _Plan(n, ops, arity)
-    at = [plan.place(term) for term in terms]
-    values: dict[int, dict] = {p: {} for p in at}
-    for idx, cur in _evaluate(plan, values):
-        for p, table in values.items():
-            table[idx] = cur[p]
-    return [(plan.dens[p], values[p]) for p in at]
 
 
 # The structure map m is multiplicative: m(d o q) = m(d) o m(q) for each product o.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from supertrial import core
+from supertrial import sweep
 from supertrial.constructions import commutator_construct, direct_sum, yau_twist
 from supertrial.core import (
     LinearMap,
@@ -279,8 +279,8 @@ def test_steps_of_dropped_rows_do_not_run(monkeypatch):
     row are one product step and every row is dropped; no product is then
     evaluated at all, while the BiHom triples still evaluate theirs."""
     calls = []
-    bilinear_into = core._bilinear_into
-    monkeypatch.setattr(core, "_bilinear_into", lambda *args: calls.append(1) or bilinear_into(*args))
+    bilinear_into = sweep._bilinear_into
+    monkeypatch.setattr(sweep, "_bilinear_into", lambda *args: calls.append(1) or bilinear_into(*args))
     assert check_multiplicative(builtin("grassmann2")).passed
     assert calls == []
     assert check_bihom(builtin("grassmann2")).passed
