@@ -4,17 +4,11 @@ An algebra lives on a Z/2-graded basis and is described by three sparse
 structure-constant tensors (the left, right, and middle products) together
 with one or two even structure maps ``gamma`` and ``xi``.  With ``xi``
 present the object is a BiHom candidate; without it the Hom axiom system
-applies.  Checks sweep basis tuples, which suffices by multilinearity, in
-integer numerators over per-operator denominators; the reports' violation
-sides are Fractions that ``product_eval`` replays.  Each tensor indexes its
-constants by argument pair, so a product costs the size of its arguments'
-supports, and a sweep evaluates each subterm once per assignment of the
-slots it reads rather than once per tuple (see ``_sweep``).  Operators are
-taken by value: equal products (often left = right = perp) and equal maps
-are evaluated once, and an identity map not at all.  The same evaluation
-loop (``_evaluate``) also tabulates terms on basis tuples (``_tabulate``):
-the constructions build their tensors from it, and ``center`` and
-``centralizer`` read their constraint rows off it as integers.
+applies.  The checkers write each axiom as a row of two terms and sweep it
+over basis tuples, which suffices by multilinearity, through the engine in
+``sweep``; the reports' violation sides are Fractions that
+``product_eval`` replays.  ``center`` and ``centralizer`` read their
+constraint rows off the same engine's tabulated terms.
 
 Matrix convention: a map sends the j-th basis vector to the j-th column,
 so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.

@@ -1,19 +1,21 @@
-"""The identity-sweep engine: terms over the slots of a basis tuple, planned
-once and evaluated on every tuple.
+"""The identity-sweep engine: each side of an identity is a term over the
+slots of a basis tuple, planned once and evaluated on every tuple.
 
-An identity side is a term built from slots, products, maps, sums and
-rational scales (``_Term``).  ``_Plan`` turns the rows of a check into
-steps, each distinct subterm once with its operators taken by value;
-``_evaluate`` runs them on every basis tuple of the plan's arity, tabling
-the steps that read fewer slots and streaming the rest.  ``_sweep``
-compares the two sides of each row and reports the tuples where they
-differ; ``_tabulate`` records term values for the constructions and the
-annihilator.  Operators are ``core.StructureTensor`` products and
-``linalg.Matrix`` maps; the engine reads only their integer constants.
+``_Plan`` makes each distinct subterm one step, its operators taken by
+value: equal products (often left = right = perp) and equal maps are
+evaluated once, an identity map not at all.  ``_evaluate`` tables each
+step that reads fewer slots than the arity as a sparse integer vector, and
+computes each step that reads every slot per tuple as one packed integer
+whose lanes are wide enough to compare whole and exactly.  ``_sweep``
+compares the sides of each row and builds Fractions only for a violation;
+``_tabulate`` unpacks term values for the constructions and the center.
+The operators are ``core.StructureTensor`` products and ``linalg.Matrix``
+maps, read as integers over one denominator each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -89,57 +91,68 @@ def _distinct(ops: Sequence) -> list:
 _SCALAR_ONE = ((0, 1),)
 
 
-def _integral(op: "StructureTensor" | Matrix) -> tuple[int, int, tuple]:
-    """``(d, dim, index)``: the operator's constants as integers over one
-    denominator d, the dimension of its values, and the constants indexed by
-    argument pair as in ``StructureTensor.by_pair``.  A map is a product with
-    the scalar 1: m[i][j] is the constant c(j, 0, i)."""
-    if not isinstance(op, Matrix):
-        d, index = op.by_pair
-        return d, op.dim, index
-    d, nums = op.integral
-    cols = tuple((tuple((i, v) for i, v in enumerate(nums[j :: op.cols]) if v),) for j in range(op.cols))
-    return d, op.rows, cols
+def _integral(op: "StructureTensor" | Matrix) -> tuple[int, int, tuple, int, int]:
+    """``(d, dim, index, top, row)``: the operator's constants as integers
+    over one denominator d, the dimension of its values, the constants
+    indexed by argument pair as in ``StructureTensor.by_pair``, the largest
+    |constant| and the largest sum over k of |c(i, j, k)|.  A map is a
+    product with the scalar 1: m[i][j] is the constant c(j, 0, i)."""
+    if isinstance(op, Matrix):
+        d, nums = op.integral
+        dim, index = op.rows, tuple((tuple((i, v) for i, v in enumerate(nums[j :: op.cols]) if v),) for j in range(op.cols))
+    else:
+        (d, index), dim = op.by_pair, op.dim
+    cells = [cell for line in index for cell in line]
+    top = max([abs(c) for cell in cells for _, c in cell], default=0)
+    return d, dim, index, top, max([sum(abs(c) for _, c in cell) for cell in cells])
 
 
-def _combine(dim: int, weights: Sequence[int], vs: Iterable[list]) -> list:
-    """The support of the sum of the weighted sparse vectors vs."""
-    out = [0] * dim
-    for w, v in zip(weights, vs):
-        for k, a in v:
-            out[k] += w * a
-    return _support(out)
+def _unpack(value: int, shift: int) -> list:
+    """The sparse vector packed in value: coordinate k is the signed lane of
+    ``shift`` bits at bit ``shift * k``."""
+    out, k, mask, half = [], 0, (1 << shift) - 1, 1 << shift - 1
+    while value:
+        lane = value & mask
+        if lane:
+            lane -= (lane >= half) << shift
+            out.append((k, lane))
+        value, k = value - lane >> shift, k + 1
+    return out
 
 
 class _Plan:
     """The steps of a sweep: each distinct subterm of its rows once, after its
-    arguments.
-
-    Operators are resolved by value once per plan: a name stands for the
-    first equal operator (``_distinct``), whose ``_integral`` is built once,
-    a square identity map is no step, and a step is keyed by its resolved
-    head, scale and argument positions.
+    arguments, keyed by its resolved head, scale and argument positions.  A
+    name stands for the first equal operator (``_distinct``), whose
+    ``_integral`` is built once, and a square identity map is no step.
 
     Positions below the arity are the slots, each ranging over the n unit
-    vectors; every later position is a step, a function of the values at
-    the positions ``args``.  A value is a sparse integer vector, the list of
-    its nonzero (coordinate, entry) pairs; ``dens[p]`` is its denominator,
-    ``dims[p]`` its length and ``reads[p]`` the sorted slots it depends on.
-    ``place`` recurses through the bound method, so a plan holds no
-    reference to itself and is freed as soon as the sweep drops it.
+    vectors; every later position is a step ``(head, data, args)`` on the
+    values at the positions ``args``.  Per position, ``dens`` holds the
+    denominator of its integer value (a product's is the operator's times
+    its arguments', a sum's the lcm of its addends'), ``dims`` its length,
+    ``reads`` the sorted slots it depends on and ``bounds`` bounds on its
+    largest |entry| and on the sum of its |entries|.  A step that reads
+    every slot has one packed int for its value (``ints``), any other a
+    sparse list of (coordinate, entry) pairs.  A sum adds packed ints and a
+    product reads sparse lists: a ``"pack"`` or ``"unpack"`` step converts
+    an argument read in the other form.  ``shift`` is the lane width of the
+    last ``_evaluate``.  ``place`` recurses through the bound method, so a
+    plan holds no reference to itself and is freed as soon as the sweep
+    drops it.
     """
 
     def __init__(self, n: int, ops: _Ops, arity: int) -> None:
-        self.n, self.arity = n, arity
+        self.n, self.arity, self.shift = n, arity, 1
         reps = _distinct(list(ops.values()))
         self.head = {name: None if isinstance(op, Matrix) and op.is_identity else reps.index(op) for name, op in ops.items()}
-        self.integrals = [_integral(op) for op in reps]
+        # Each operator's ``_integral``, built on first use.
+        self.integral = functools.cache(lambda head: _integral(reps[head]))
         self.position: dict[_Term, int] = {}
         self.step_at: dict[tuple, int] = {}
-        self.dens = [1] * arity
-        self.dims = [n] * arity
+        self.dens, self.dims, self.bounds, self.ints = [1] * arity, [n] * arity, [(1, 1)] * arity, [False] * arity
         self.reads = [(s,) for s in range(arity)]
-        self.steps: list[tuple[Callable[[list], list], tuple[int, ...]]] = []
+        self.steps: list[tuple] = []
 
     def place(self, term: _Term) -> int:
         """The position of a term's value, planning its steps on first sight."""
@@ -154,40 +167,79 @@ class _Plan:
             if head is None or key in self.step_at:
                 self.position[term] = args[0] if head is None else self.step_at[key]
                 return self.position[term]
-            dens = self.dens
-            if head == "+":
-                den, dim = math.lcm(*[dens[a] for a in args]), self.dims[args[0]]
-                weights = [den // dens[a] for a in args]
-                fn = lambda v: _combine(dim, weights, [v[a] for a in args])
-            elif head == "*":
-                (x,), p = args, scale.numerator
-                den, dim = scale.denominator * dens[x], self.dims[x]
-                fn = lambda v: [(k, p * a) for k, a in v[x]] if p else []
+            dens, bounds = self.dens, self.bounds
+            reads = tuple(sorted({s for a in args for s in self.reads[a]}))
+            if head in ("+", "*"):
+                # A scale by p/q is a sum of one addend, of weight p.
+                den = math.lcm(*[dens[a] for a in args]) if scale is None else scale.denominator * dens[args[0]]
+                data = [den // dens[a] for a in args] if scale is None else [scale.numerator]
+                head, dim = "+", self.dims[args[0]]
+                bound = tuple(sum(abs(w) * bounds[a][i] for w, a in zip(data, args)) for i in (0, 1))
             else:
-                d, dim, index = self.integrals[head]
-                den = d * math.prod([dens[a] for a in args])
-                # Inlined rather than through a helper: a call fewer per
-                # step is about 15% of a sweep.
-                if len(args) == 2:
-                    x, y = args
-                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
-                else:
-                    (x,) = args
-                    fn = lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
-            self.position[term] = self.step_at[key] = len(dens)
-            dens.append(den)
-            self.dims.append(dim)
-            self.reads.append(tuple(sorted({s for a in args for s in self.reads[a]})))
-            self.steps.append((fn, args))
+                d, dim, _, top, row = self.integral(head)
+                den, data = d * math.prod([dens[a] for a in args]), None
+                size = math.prod([bounds[a][1] for a in args])
+                bound = (top * size, row * size)
+            packed = len(reads) == self.arity
+            args = tuple(self.convert(a, head == "+") for a in args)
+            self.position[term] = self.add(key, (head, data, args), den, dim, reads, bound, packed)
         return self.position[term]
 
+    def convert(self, p: int, packed: bool) -> int:
+        """The position of p's value as a packed int, or as a sparse list."""
+        if self.ints[p] == packed:
+            return p
+        key = ("pack" if packed else "unpack", None, (p,))
+        if key not in self.step_at:
+            self.add(key, key, self.dens[p], self.dims[p], self.reads[p], self.bounds[p], packed)
+        return self.step_at[key]
 
-def _differ(x: list, y: list, mx: int, my: int) -> bool:
-    """Whether x * mx != y * my for sparse x and y and nonzero mx and my."""
-    return len(x) != len(y) or any(i != j or a * mx != b * my for (i, a), (j, b) in zip(x, y))
+    def add(self, key: tuple, step: tuple, *attributes: object) -> int:
+        """Append a step and its position's attributes; its position, under key."""
+        self.step_at[key] = len(self.dens)
+        self.steps.append(step)
+        for column, value in zip((self.dens, self.dims, self.reads, self.bounds, self.ints), attributes):
+            column.append(value)
+        return self.step_at[key]
 
 
-def _evaluate(plan: _Plan, wanted: Iterable[int]) -> Iterator[tuple[tuple[int, ...], list]]:
+def _step_fn(plan: _Plan, pos: int, lanes: dict) -> Callable[[list], object]:
+    """The function of ``cur`` that computes the value at step position pos.
+    A packed product is one multiply-add per pair of argument entries, with
+    ``lanes[head][i][j]`` the packed e_i * e_j, built once per operator."""
+    head, data, args = plan.steps[pos - plan.arity]
+    x, y, dim, shift = args[0], args[-1], plan.dims[pos], plan.shift
+    if head == "pack":
+        return lambda v: sum([a << shift * k for k, a in v[x]])
+    if head == "unpack":
+        return lambda v: _unpack(v[x], shift)
+    if head == "+":
+        total = lambda v: sum([w * v[a] for w, a in zip(data, args)])
+        return total if plan.ints[pos] else lambda v: _unpack(total(v), shift)
+    index = plan.integral(head)[2]
+    if plan.ints[pos]:
+        if head not in lanes:
+            lanes[head] = [[sum([c << shift * k for k, c in cell]) for cell in line] for line in index]
+        packed, two = lanes[head], len(args) == 2
+
+        # Loops, not comprehensions: a comprehension is one more call per step.
+        def product(v: list) -> int:
+            out = 0
+            for i, a in v[x]:
+                row = packed[i]
+                for j, b in v[y] if two else _SCALAR_ONE:
+                    out += row[j] * (a * b)
+            return out
+
+        return product
+    # Inlined rather than through a helper: a call fewer per step is about
+    # 15% of a sweep.
+    if len(args) == 2:
+        return lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
+    return lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
+
+
+def _evaluate(plan: _Plan, wanted: Iterable[int], multiplier: int = 1) -> Iterator[tuple[tuple[int, ...], list]]:
     """Yield ``(tuple, cur)`` for each basis tuple of the plan's arity, in
     order, with ``cur[p]`` the value at each wanted position p.
 
@@ -195,12 +247,20 @@ def _evaluate(plan: _Plan, wanted: Iterable[int]) -> Iterator[tuple[tuple[int, .
     that reads fewer slots than the arity is tabled first, once per
     assignment of its slots; a step that reads every slot is computed per
     tuple and never stored.  ``cur`` is one list, overwritten per tuple.
+
+    A packed value is the int sum of v_k * 2^(W k), W = ``plan.shift``: one
+    bit more than the largest entry bound of a position that runs, times the
+    caller's ``multiplier``.  Every lane that is compared or unpacked then
+    lies within +-2^(W-1), so two packed values are equal exactly when their
+    vectors are: their lowest differing lanes differ by less than 2^W.
     """
     n, arity, reads, steps = plan.n, plan.arity, plan.reads, plan.steps
     need = set(wanted)
     for pos in range(len(reads) - 1, arity - 1, -1):
         if pos in need:
-            need.update(steps[pos - arity][1])
+            need.update(steps[pos - arity][2])
+    plan.shift = 1 + (max([plan.bounds[p][0] for p in need], default=0) * multiplier).bit_length()
+    lanes: dict[int, list] = {}
     # A table is keyed by the slots it reads as an itemgetter picks them
     # from a tuple: an int for one slot, a tuple for more.
     keys = [operator.itemgetter(*r) for r in reads]
@@ -211,9 +271,10 @@ def _evaluate(plan: _Plan, wanted: Iterable[int]) -> Iterator[tuple[tuple[int, .
     cur: list = [None] * len(reads)
     streamed = []
     read = set(wanted)
-    for pos, (fn, args) in enumerate(steps, arity):
+    for pos, (_, _, args) in enumerate(steps, arity):
         if pos not in need:
             continue
+        fn = _step_fn(plan, pos, lanes)
         if len(reads[pos]) == arity:
             streamed.append((pos, fn))
             read.update(args)
@@ -241,32 +302,35 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     """Report every basis tuple of the given arity on which the two sides of
     a row (axiom_id, lhs, rhs) differ.
 
-    Each distinct subterm, its operators resolved by value, is one step of a
-    ``_Plan``, evaluated on sparse integer vectors by ``_evaluate``.  A
-    step's denominator is fixed by the plan: a product's or a map's is the
-    operator's (see ``_integral``) times its arguments', a sum's the lcm of
-    its addends', and a scale by p/q's is q times its argument's.  Two sides
-    agree when lhs * D_rhs == rhs * D_lhs; a row whose sides land on one
-    position is not compared, and the steps only such rows read do not run.
-    Fractions are built only for the sides of a violation.
+    Two sides agree when lhs * D_rhs == rhs * D_lhs for their denominators
+    D, one comparison of packed ints per tuple for all the rows with the
+    same sides and multipliers.  A row whose sides land on one position is
+    not compared, and the steps only such rows read do not run.  Sides are
+    unpacked, and Fractions built, only for a violation.
     """
     plan = _Plan(n, ops, arity)
     dens, dims = plan.dens, plan.dims
-    checks = [(axiom_id, plan.place(lhs), plan.place(rhs)) for axiom_id, lhs, rhs in rows]
-    checks = [(axiom_id, l, r, dens[r], dens[l]) for axiom_id, l, r in checks if l != r]
+    groups: dict[tuple[int, int, int, int], list[str]] = {}
+    for axiom_id, lhs, rhs in rows:
+        l, r = plan.place(lhs), plan.place(rhs)
+        if l != r:
+            g = math.gcd(dens[l], dens[r])
+            groups.setdefault((plan.convert(l, True), plan.convert(r, True), dens[r] // g, dens[l] // g), []).append(axiom_id)
     violations: list[Violation] = []
-    for idx, cur in _evaluate(plan, {p for _, l, r, _, _ in checks for p in (l, r)}):
+    fraction = functools.cache(Fraction)
+    multiplier = max([m for group in groups for m in group[2:]], default=1)
+    for idx, cur in _evaluate(plan, {p for group in groups for p in group[:2]}, multiplier):
         sides: dict[int, Vector] = {}
-        for axiom_id, lhs, rhs, ml, mr in checks:
-            x, y = cur[lhs], cur[rhs]
-            if x != y if ml == mr else _differ(x, y, ml, mr):
-                for at in (lhs, rhs):
+        for (l, r, ml, mr), axiom_ids in groups.items():
+            x, y = cur[l], cur[r]
+            if x != y if ml == mr else x * ml != y * mr:
+                for at in (l, r):
                     if at not in sides:
                         side = [_ZERO] * dims[at]
-                        for k, v in cur[at]:
-                            side[k] = Fraction(v, dens[at])
+                        for k, v in _unpack(cur[at], plan.shift):
+                            side[k] = fraction(v, dens[at])
                         sides[at] = tuple(side)
-                violations.append(Violation(axiom_id, idx, sides[lhs], sides[rhs]))
+                violations += [Violation(axiom_id, idx, sides[l], sides[r]) for axiom_id in axiom_ids]
     return CheckReport.collect(violations)
 
 
@@ -279,7 +343,8 @@ def _tabulate(n: int, arity: int, ops: _Ops, terms: Sequence[_Term]) -> list[tup
     plan = _Plan(n, ops, arity)
     at = [plan.place(term) for term in terms]
     values: dict[int, dict] = {p: {} for p in at}
+    packed = {p for p in values if plan.ints[p]}
     for idx, cur in _evaluate(plan, values):
         for p, table in values.items():
-            table[idx] = cur[p]
+            table[idx] = _unpack(cur[p], plan.shift) if p in packed else cur[p]
     return [(plan.dens[p], values[p]) for p in at]
