@@ -78,13 +78,11 @@ def _digest(text: str) -> str:
 
 
 def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
+    # The rows failing on one tuple share their side vectors: write each once.
+    written: dict[int, list[str]] = {}
+    strings = lambda side: written.get(id(side)) or written.setdefault(id(side), [rational_str(x) for x in side])
     return [
-        {
-            "axiom_id": v.axiom_id,
-            "indices": list(v.indices),
-            "lhs": [rational_str(x) for x in v.lhs],
-            "rhs": [rational_str(x) for x in v.rhs],
-        }
+        {"axiom_id": v.axiom_id, "indices": list(v.indices), "lhs": strings(v.lhs), "rhs": strings(v.rhs)}
         for v in report.violations
     ]
 
