@@ -82,7 +82,12 @@ def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
     written: dict[int, list[str]] = {}
     strings = lambda side: written.get(id(side)) or written.setdefault(id(side), [rational_str(x) for x in side])
     return [
-        {"axiom_id": v.axiom_id, "indices": list(v.indices), "lhs": strings(v.lhs), "rhs": strings(v.rhs)}
+        {
+            "axiom_id": v.axiom_id,
+            "indices": list(v.indices),
+            "lhs": strings(v.lhs),
+            "rhs": strings(v.rhs),
+        }
         for v in report.violations
     ]
 
