@@ -78,9 +78,15 @@ def _digest(text: str) -> str:
 
 
 def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
-    # The rows failing on one tuple share their side vectors: write each once.
+    # The rows failing on one tuple share the sweep's side tuples: write each once.
     written: dict[int, list[str]] = {}
-    strings = lambda side: written.get(id(side)) or written.setdefault(id(side), [rational_str(x) for x in side])
+
+    def strings(side: tuple) -> list[str]:
+        key = id(side)
+        if key not in written:
+            written[key] = [rational_str(x) for x in side]
+        return written[key]
+
     return [
         {
             "axiom_id": v.axiom_id,

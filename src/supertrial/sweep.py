@@ -180,9 +180,8 @@ class _Plan:
                 den, data = d * math.prod([dens[a] for a in args]), None
                 size = math.prod([bounds[a][1] for a in args])
                 bound = (top * size, row * size)
-            packed = len(reads) == self.arity
             args = tuple(self.convert(a, head == "+") for a in args)
-            self.position[term] = self.add(key, (head, data, args), den, dim, reads, bound, packed)
+            self.position[term] = self.add(key, (head, data, args), den, dim, reads, bound, len(reads) == self.arity)
         return self.position[term]
 
     def convert(self, p: int, packed: bool) -> int:
@@ -208,7 +207,7 @@ def _step_fn(plan: _Plan, pos: int, lanes: dict) -> Callable[[list], object]:
     A packed product is one multiply-add per pair of argument entries, with
     ``lanes[head][i][j]`` the packed e_i * e_j, built once per operator."""
     head, data, args = plan.steps[pos - plan.arity]
-    x, y, dim, shift = args[0], args[-1], plan.dims[pos], plan.shift
+    x, y, dim, shift, two = args[0], args[-1], plan.dims[pos], plan.shift, len(args) == 2
     if head == "pack":
         return lambda v: sum([a << shift * k for k, a in v[x]])
     if head == "unpack":
@@ -217,26 +216,23 @@ def _step_fn(plan: _Plan, pos: int, lanes: dict) -> Callable[[list], object]:
         total = lambda v: sum([w * v[a] for w, a in zip(data, args)])
         return total if plan.ints[pos] else lambda v: _unpack(total(v), shift)
     index = plan.integral(head)[2]
-    if plan.ints[pos]:
-        if head not in lanes:
-            lanes[head] = [[sum([c << shift * k for k, c in cell]) for cell in line] for line in index]
-        packed, two = lanes[head], len(args) == 2
+    if not plan.ints[pos]:
+        # A tabled product stays sparse: packing every step made check_bihom 8-15% slower.
+        return lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y] if two else _SCALAR_ONE))
+    if head not in lanes:
+        lanes[head] = [[sum([c << shift * k for k, c in cell]) for cell in line] for line in index]
+    packed = lanes[head]
 
-        # Loops, not comprehensions: a comprehension is one more call per step.
-        def product(v: list) -> int:
-            out = 0
-            for i, a in v[x]:
-                row = packed[i]
-                for j, b in v[y] if two else _SCALAR_ONE:
-                    out += row[j] * (a * b)
-            return out
+    # Loops, not comprehensions: a comprehension is one more call per step.
+    def product(v: list) -> int:
+        out = 0
+        for i, a in v[x]:
+            row = packed[i]
+            for j, b in v[y] if two else _SCALAR_ONE:
+                out += row[j] * (a * b)
+        return out
 
-        return product
-    # Inlined rather than through a helper: a call fewer per step is about
-    # 15% of a sweep.
-    if len(args) == 2:
-        return lambda v: _support(_bilinear_into([0] * dim, index, v[x], v[y]))
-    return lambda v: _support(_bilinear_into([0] * dim, index, v[x], _SCALAR_ONE))
+    return product
 
 
 def _evaluate(plan: _Plan, wanted: Iterable[int], multiplier: int = 1) -> Iterator[tuple[tuple[int, ...], list]]:
