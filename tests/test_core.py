@@ -276,15 +276,15 @@ def test_equal_operators_share_steps():
 
 def test_steps_of_dropped_rows_do_not_run(monkeypatch):
     """grassmann2 has gamma = xi = id, so both sides of each multiplicativity
-    row are one product step and every row is dropped; no product is then
-    evaluated at all, while the BiHom triples still evaluate theirs."""
-    calls = []
-    bilinear_into = sweep._bilinear_into
-    monkeypatch.setattr(sweep, "_bilinear_into", lambda *args: calls.append(1) or bilinear_into(*args))
+    row are one product step and every row is dropped; no step is then
+    built at all, while the BiHom triples still build theirs."""
+    built = []
+    step_fn = sweep._step_fn
+    monkeypatch.setattr(sweep, "_step_fn", lambda plan, pos, lanes: built.append(pos) or step_fn(plan, pos, lanes))
     assert check_multiplicative(builtin("grassmann2")).passed
-    assert calls == []
+    assert built == []
     assert check_bihom(builtin("grassmann2")).passed
-    assert calls
+    assert built
 
 
 def test_sweeps_leave_no_cyclic_garbage():
