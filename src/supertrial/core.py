@@ -159,14 +159,6 @@ class StructureTensor:
     def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
         return iter(sorted(self.constants.items()))
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        out = [_ZERO] * self.dim
-        for k in range(self.dim):
-            c = self.constants.get((i, j, k))
-            if c is not None:
-                out[k] = c
-        return tuple(out)
-
     @cached_property
     def by_pair(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """``(d, index)``: the constants as integers over one denominator d, the
@@ -284,10 +276,6 @@ class TrialgebraSpec:
     @property
     def dimension(self) -> int:
         return self.basis.dimension
-
-    @property
-    def is_bihom(self) -> bool:
-        return self.xi is not None
 
     def tensor(self, tag: ProductTag) -> StructureTensor:
         if tag not in PRODUCT_TAGS:

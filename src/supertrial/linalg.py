@@ -96,21 +96,6 @@ def _fractions(nums: Iterable[int], d: int) -> Vector:
     return tuple(Fraction(v, d) if v else _ZERO for v in nums)
 
 
-def vector(values: Iterable[RationalLike]) -> Vector:
-    """Build an exact vector from any iterable of rational-like values."""
-    return tuple(frac(v) for v in values)
-
-
-def zero_vector(dim: int) -> Vector:
-    return (_ZERO,) * dim
-
-
-def unit_vector(dim: int, index: int) -> Vector:
-    if not 0 <= index < dim:
-        raise InputError(f"unit vector index {index} out of range for dimension {dim}")
-    return tuple(_ONE if i == index else _ZERO for i in range(dim))
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix with row-major exact rational entries."""
@@ -161,16 +146,6 @@ class Matrix:
 
     def col(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Multiply this matrix by a coordinate column vector."""
@@ -401,10 +376,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     flat = [v for row in ech.rows() for v in _dense(row, m.cols)]
     flat += [_ZERO] * (m.rows * m.cols - len(flat))
     return Matrix(m.rows, m.cols, tuple(flat)), ech.pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(Echelon(m.row(i) for i in range(m.rows)))
 
 
 def nullspace_basis(m: Matrix) -> list[Vector]:

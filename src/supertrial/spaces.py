@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, _distinct, center
 from .errors import InputError, ParityError
-from .linalg import Echelon, Matrix, Vector, canonical_span, integer_product, projected_kernel
+from .linalg import Echelon, Matrix, Vector, integer_product, projected_kernel
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
@@ -350,26 +350,6 @@ def centroid(spec: TrialgebraSpec, t: TwistPower) -> OperatorSpace:
 def quasicentroid(spec: TrialgebraSpec, t: TwistPower) -> OperatorSpace:
     """Maps balancing left against right twisted multiplication."""
     return _build_space("QC", spec, t)
-
-
-def graded_split(space: OperatorSpace, basis: SuperBasis) -> tuple[tuple[LinearMap, ...], tuple[LinearMap, ...]]:
-    """Intersect the space with the even-map and odd-map subspaces.
-
-    Recomputed from the span rather than read off the stored sublists, so
-    the result is meaningful for any operator space over this basis.
-    """
-    n = basis.dimension
-    if space.ambient_dim != n:
-        raise InputError("basis dimension does not match the operator space")
-    # The vectorized basis maps are the columns of span.
-    span = Matrix(len(space.basis), n * n, tuple(e for m in space.basis for e in m.matrix.entries)).transpose()
-    out: list[tuple[LinearMap, ...]] = []
-    for parity in (0, 1):
-        allowed = set(_pattern_positions(basis.parities, parity))
-        forbidden = (span.row(i * n + j) for i in range(n) for j in range(n) if (i, j) not in allowed)
-        members = map(span.apply, Echelon(forbidden).kernel(span.cols))
-        out.append(_maps_from_vectors(canonical_span(members, n * n), basis))
-    return out[0], out[1]
 
 
 def supercommutator(f: GradedOperator, g: GradedOperator) -> LinearMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from supertrial.core import StructureTensor, TrialgebraSpec
-from supertrial.linalg import Matrix, Vector, unit_vector
+from supertrial.linalg import Matrix, Vector
 from supertrial.spaces import TwistPower
 
 ZERO = Fraction(0)
@@ -169,12 +169,12 @@ def _product_rows(
     sign_of: dict[int, Fraction] | None,
 ) -> None:
     n = sys_.n
-    units = [unit_vector(n, i) for i in range(n)]
+    units = [[Fraction(1) if k == i else ZERO for k in range(n)] for i in range(n)]
     t1_block = {"QD": 1, "GD": 2}.get(kind, 0)
     t3_block = 1 if kind == "GD" else 0
     for a in range(n):
         for b in range(n):
-            prod = tensor.basis_product(a, b)
+            prod = [tensor.constants.get((a, b, k), ZERO) for k in range(n)]
             t1 = sys_.sym_apply(t1_block, prod)
             sx_a = sys_.sym_apply(0, units[a])
             t2 = _sym_first(tensor, sx_a, twist.col(b), sys_.size)

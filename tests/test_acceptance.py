@@ -34,7 +34,7 @@ from supertrial.core import (
     check_superalgebra,
 )
 from supertrial.fixtures import FIXTURE_NAMES, builtin, corpus, inject_violation
-from supertrial.linalg import Matrix, invert, rank, solve_in_span
+from supertrial.linalg import Echelon, Matrix, invert, solve_in_span
 from supertrial.serialize import emit_algebra, parse_algebra
 from supertrial.spaces import (
     SPACE_KINDS,
@@ -90,7 +90,7 @@ def random_even_invertible(rng, parities):
             for i in range(n)
         ]
         m = Matrix.from_rows(rows)
-        if rank(m) == n:
+        if len(Echelon(m.row(i) for i in range(m.rows))) == n:
             return m
 
 

@@ -337,7 +337,7 @@ def test_dense_commutator_at_six(seed):
 def test_dense_rota_baxter_at_six(seed):
     """xi = gamma^2 + 1 commutes with gamma, so lam = 1/2 + gamma/3 commutes
     with both; weight 2/5 scales the inner sum by a proper fraction."""
-    spec = dense_spec(seed, xi_of=lambda g: (g @ g + Matrix.identity(6)).to_rows())
+    spec = dense_spec(seed, xi_of=lambda g: g @ g + Matrix.identity(6))
     lam = Matrix.identity(6).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
     report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "2/5")
     expected = rota_baxter_oracle(spec, lam, Fraction(2, 5))

@@ -31,12 +31,16 @@ from supertrial.core import (
 )
 from supertrial.errors import InputError, ModeError, ParityError
 from supertrial.fixtures import builtin, inject_violation
-from supertrial.linalg import Matrix, canonical_span, unit_vector
+from supertrial.linalg import Matrix, canonical_span
 
 F = Fraction
 
 DUAL = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
 ID2 = [[1, 0], [0, 1]]
+
+
+def unit_vector(dim, index):
+    return Matrix.identity(dim).row(index)
 
 
 def dual2_with(gamma=ID2, xi=ID2, parities=(0, 0)):
@@ -104,15 +108,17 @@ class TestStructureTensor:
         t = StructureTensor.build(2, {(0, 0, 0): 0})
         assert t.is_zero
 
-    def test_bilinear_matches_basis_product(self):
+    def test_bilinear_matches_structure_constants(self):
         t = StructureTensor.build(2, DUAL)
-        assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == t.basis_product(0, 1)
+        e = [unit_vector(2, 0), unit_vector(2, 1)]
+        products = [t.bilinear(e[i], e[j]) for i in range(2) for j in range(2)]
+        assert products == [(F(1), F(0)), (F(0), F(1)), (F(0), F(1)), (F(0), F(0))]
         assert t.bilinear((F(1), F(1)), (F(1), F(1))) == (F(1), F(2))
 
     def test_rational_constants_share_one_denominator(self):
         t = StructureTensor.build(2, {(0, 1, 0): "1/2", (0, 1, 1): "-2/3", (1, 1, 1): 5})
         assert t.by_pair == (6, (((), ((0, 3), (1, -4))), ((), ((1, 30),))))
-        assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == t.basis_product(0, 1)
+        assert t.bilinear(unit_vector(2, 0), unit_vector(2, 1)) == (F(1, 2), F(-2, 3))
         out = t.bilinear((F(2), F(1, 5)), (F(0), F(3)))
         assert out == (F(3), F(-1)) and all(type(c) is F for c in out)
 
@@ -153,7 +159,7 @@ class TestSpecValidation:
 
     def test_require_xi(self):
         spec = TrialgebraSpec.build("t", [0], {}, {}, {}, [[1]])
-        assert not spec.is_bihom
+        assert spec.xi is None
         with pytest.raises(ModeError):
             spec.require_xi()
         with pytest.raises(ModeError):

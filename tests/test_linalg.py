@@ -15,12 +15,8 @@ from supertrial.linalg import (
     invert,
     nullspace_basis,
     projected_kernel,
-    rank,
     rref,
     solve_in_span,
-    unit_vector,
-    vector,
-    zero_vector,
 )
 from supertrial.serialize import parse_rational
 
@@ -81,20 +77,20 @@ class TestMatrixBasics:
 
     def test_apply_is_column_action(self):
         m = mat([[0, 1], [0, 0]])
-        assert m.apply(unit_vector(2, 1)) == (F(1), F(0))
+        assert m.apply((F(0), F(1))) == (F(1), F(0))
         assert m.col(1) == (F(1), F(0))
 
     def test_matmul_and_shape_error(self):
         a = mat([[1, 2], [3, 4]])
         b = mat([[0, 1], [1, 0]])
-        assert (a @ b).to_rows() == [[F(2), F(1)], [F(4), F(3)]]
+        assert a @ b == mat([[2, 1], [4, 3]])
         with pytest.raises(InputError):
             a @ mat([[1, 2, 3]])
 
     def test_power(self):
         m = mat([[1, 1], [0, 1]])
         assert m.power(0) == Matrix.identity(2)
-        assert m.power(3).to_rows() == [[F(1), F(3)], [F(0), F(1)]]
+        assert m.power(3) == mat([[1, 3], [0, 1]])
         with pytest.raises(InputError):
             m.power(-1)
 
@@ -105,18 +101,17 @@ class TestMatrixBasics:
         m = mat([[1, 1], [0, 2]])
         for k, count in ((0, 0), (1, 0), (2, 1), (5, 3)):
             products.clear()
-            assert m.power(k).to_rows() == [[1, 2**k - 1], [0, 2**k]]
+            assert m.power(k) == mat([[1, 2**k - 1], [0, 2**k]])
             assert len(products) == count, k
 
-    def test_transpose_add_sub_scale(self):
+    def test_add_sub_scale(self):
         m = mat([[1, 2], [3, 4]])
-        assert m.transpose().to_rows() == [[F(1), F(3)], [F(2), F(4)]]
         assert (m + m).entry(0, 1) == 4
         assert (m - m).is_zero
         assert m.scale("1/2").entry(1, 1) == F(2)
 
     def test_diagonal(self):
-        assert Matrix.diagonal([1, 2]).to_rows() == [[F(1), F(0)], [F(0), F(2)]]
+        assert Matrix.diagonal([1, 2]) == mat([[1, 0], [0, 2]])
 
     def test_equality_compares_integer_pairs(self, monkeypatch):
         """Equal matrices, however their entries are spelled, compare and
@@ -158,17 +153,11 @@ class TestMatrixBasics:
         with pytest.raises(InputError, match="0.5"):
             run[op]()
 
-    def test_vector_helpers(self):
-        assert zero_vector(2) == (F(0), F(0))
-        assert vector(["1/2", 3]) == (F(1, 2), F(3))
-        with pytest.raises(InputError):
-            unit_vector(2, 5)
-
 
 class TestRref:
     def test_dependent_rows(self):
         reduced, pivots = rref(mat([[2, 4], [1, 2]]))
-        assert reduced.to_rows() == [[F(1), F(2)], [F(0), F(0)]]
+        assert reduced == mat([[1, 2], [0, 0]])
         assert pivots == (0,)
 
     def test_identity_fixed(self):
@@ -244,7 +233,7 @@ class TestSolveInSpan:
 
 class TestInvert:
     def test_unitriangular(self):
-        assert invert(mat([[1, 1], [0, 1]])).to_rows() == [[F(1), F(-1)], [F(0), F(1)]]
+        assert invert(mat([[1, 1], [0, 1]])) == mat([[1, -1], [0, 1]])
 
     def test_diagonal(self):
         assert invert(Matrix.diagonal([1, 2])) == Matrix.diagonal([1, "1/2"])
@@ -281,12 +270,12 @@ def rect_matrices(max_dim=4):
 @given(rect_matrices())
 def test_kernel_vectors_annihilate(m):
     for v in nullspace_basis(m):
-        assert m.apply(v) == zero_vector(m.rows)
+        assert m.apply(v) == (F(0),) * m.rows
 
 
 @given(rect_matrices())
 def test_rank_plus_nullity(m):
-    assert rank(m) + len(nullspace_basis(m)) == m.cols
+    assert len(Echelon(m.row(i) for i in range(m.rows))) + len(nullspace_basis(m)) == m.cols
 
 
 @given(rect_matrices())
@@ -299,7 +288,7 @@ def test_rref_idempotent(m):
 
 @given(square_matrices())
 def test_inverse_roundtrip_when_regular(m):
-    if rank(m) < m.rows:
+    if len(Echelon(m.row(i) for i in range(m.rows))) < m.rows:
         with pytest.raises(SingularMapError):
             invert(m)
     else:
@@ -362,7 +351,7 @@ def test_power_matches_repeated_triple_loop(m, k):
 def test_products_with_a_zero_dimension(rows, inner, cols):
     ones = Matrix(inner, cols, (F(1),) * (inner * cols))
     assert Matrix.zero(rows, inner) @ ones == Matrix.zero(rows, cols)
-    assert Matrix.zero(rows, inner).apply((F(1),) * inner) == zero_vector(rows)
+    assert Matrix.zero(rows, inner).apply((F(1),) * inner) == (F(0),) * rows
 
 
 @hs.composite

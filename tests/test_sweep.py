@@ -119,9 +119,12 @@ def _morphism_oracle(src, dst, pi):
     def unit(i):
         return tuple(F(int(i == j)) for j in range(cols))
 
+    def rows_of(lmap):
+        return [lmap.matrix.row(i) for i in range(lmap.matrix.rows)]
+
     found = []
     for label in ("gamma", "xi"):
-        m, m2 = getattr(src, label).matrix.to_rows(), getattr(dst, label).matrix.to_rows()
+        m, m2 = rows_of(getattr(src, label)), rows_of(getattr(dst, label))
         for i in range(cols):
             lhs, rhs = apply(m2, apply(pi, unit(i))), apply(pi, apply(m, unit(i)))
             if lhs != rhs:
