@@ -259,7 +259,7 @@ def test_a_build_eliminates_once_per_graded_piece(monkeypatch):
     def forbidden(*args):
         raise AssertionError("canonical_span called during a build")
 
-    monkeypatch.setattr(spaces, "canonical_span", forbidden, raising=False)  # spaces imports it no more
+    monkeypatch.setattr(spaces, "canonical_span", forbidden, raising=False)  # guards a later import too
     monkeypatch.setattr(linalg, "canonical_span", forbidden)
     spec = twisted_fixture()
     cases = KINDS_AND_KOSZUL_D + [(("D", "C"), False)]
