@@ -32,13 +32,11 @@ from .constructions import (
 )
 from .core import (
     PRODUCT_TAGS,
-    CheckReport,
     LinearMap,
     StructureTensor,
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
-    Violation,
     center,
     centralizer,
     check_bihom,
@@ -97,6 +95,7 @@ from .spaces import (
     space_contains,
     supercommutator,
 )
+from .sweep import CheckReport, Violation
 
 # Every public name imported above, without the submodules the imports bind.
 __all__ = [

@@ -31,7 +31,6 @@ from .constructions import (
     yau_twist,
 )
 from .core import (
-    CheckReport,
     LinearMap,
     TrialgebraSpec,
     check_bihom,
@@ -61,6 +60,7 @@ from .spaces import (
     _build_space,
     proposition_battery,
 )
+from .sweep import CheckReport
 
 
 def _read_input(path: str) -> str:
@@ -213,6 +213,11 @@ def _spaces(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     return _Result(CheckReport(), {"spaces": [_space_json(space, args.grade)]})
 
 
+def _verify_usage(args: argparse.Namespace) -> None:
+    if args.max_power < 0:
+        raise InputError("max_power must be non-negative")
+
+
 def _verify(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     spec = parse_algebra(texts["algebra"])
     base = check_bihom(spec)
@@ -354,6 +359,7 @@ _COMMANDS = (
         "run the proposition battery",
         _verify,
         arguments=(_arg("--max-power", type=int, default=1, dest="max_power"),),
+        usage=_verify_usage,
     ),
     _Command("twist", "conjugate by an invertible even map", _twist, (_ALGEBRA, _MAP), output=True),
     _Command("dsum", "direct sum of two algebras", _dsum, (_ALGEBRA, _ALGEBRA_B), output=True),

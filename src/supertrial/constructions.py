@@ -8,7 +8,7 @@ construction emits an unchecked algebra.
 
 The tensors a construction builds (the Yau twist, the Rota-Baxter split
 and the commutator's skew products) are sweep terms tabulated on basis
-pairs by ``core._tabulate``.  A skew product's Koszul sign is read through
+pairs by ``sweep._tabulate``.  A skew product's Koszul sign is read through
 the even parity map P = diag((-1)^{|e_i|}): on homogeneous d and v,
 (-1)^{|d||v|} b(v, d) = 1/2 [b(v, d) + b(v, Pd) + b(Pv, d) - b(Pv, Pd)],
 as each term is +-b(v, d) and their signs sum to -2 only if both are odd.
@@ -21,15 +21,12 @@ from fractions import Fraction
 
 from .core import (
     PRODUCT_TAGS,
-    CheckReport,
     LinearMap,
     StructureTensor,
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
     _named,
-    _sweep,
-    _tabulate,
     _validate_graded,
     check_bihom,
     check_morphism,
@@ -43,6 +40,7 @@ from .errors import (
     SingularMapError,
 )
 from .linalg import Matrix, RationalLike, frac, invert
+from .sweep import CheckReport, _sweep, _tabulate
 
 _ZERO = Fraction(0)
 

@@ -23,7 +23,7 @@ from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import InputError, ModeError, ParityError
 from .linalg import Echelon, Matrix, RationalLike, Vector, canonical_span, frac, numerators
-from .sweep import CheckReport, Violation, _bilinear_into, _distinct, _Ops, _Plan, _Row, _support, _sweep, _tabulate
+from .sweep import CheckReport, _bilinear_into, _distinct, _Ops, _Row, _support, _sweep, _tabulate
 
 ProductTag = Literal["left", "right", "perp"]
 PRODUCT_TAGS: tuple[ProductTag, ...] = ("left", "right", "perp")
@@ -152,9 +152,6 @@ class StructureTensor:
             if value:
                 table[(i, j, k)] = value
         return cls(dim, table)
-
-    def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        return self.constants.get((i, j, k), _ZERO)
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
         return iter(sorted(self.constants.items()))

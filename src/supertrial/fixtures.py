@@ -17,93 +17,33 @@ from .core import StructureTensor, TrialgebraSpec
 from .errors import InputError
 from .linalg import RationalLike, frac
 
-FIXTURE_NAMES = (
-    "zero2",
-    "idem1",
-    "dual2",
-    "dual2-twisted",
-    "grassmann2",
-    "dsum-zero2-idem1",
-)
+_ID2 = [[1, 0], [0, 1]]
+_DUAL = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
 
-_IDENTITY_1 = [[1]]
-_IDENTITY_2 = [[1, 0], [0, 1]]
-
-_DUAL_CONSTANTS = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-_DUAL_TWISTED_CONSTANTS = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 0, 1): 2}
-
-
-def _zero2() -> TrialgebraSpec:
-    return TrialgebraSpec.build(
-        "zero2", [0, 1], {}, {}, {}, _IDENTITY_2, _IDENTITY_2
-    )
-
-
-def _idem1() -> TrialgebraSpec:
-    point = {(0, 0, 0): 1}
-    return TrialgebraSpec.build(
-        "idem1", [0], point, point, point, _IDENTITY_1, _IDENTITY_1
-    )
-
-
-def _dual2() -> TrialgebraSpec:
-    return TrialgebraSpec.build(
-        "dual2",
-        [0, 0],
-        _DUAL_CONSTANTS,
-        _DUAL_CONSTANTS,
-        _DUAL_CONSTANTS,
-        _IDENTITY_2,
-        _IDENTITY_2,
-    )
-
-
-def _dual2_twisted() -> TrialgebraSpec:
-    alpha = [[1, 0], [0, 2]]
-    return TrialgebraSpec.build(
-        "dual2-twisted",
-        [0, 0],
-        _DUAL_TWISTED_CONSTANTS,
-        _DUAL_TWISTED_CONSTANTS,
-        _DUAL_TWISTED_CONSTANTS,
-        alpha,
-        alpha,
-    )
-
-
-def _grassmann2() -> TrialgebraSpec:
-    return TrialgebraSpec.build(
-        "grassmann2",
-        [0, 1],
-        _DUAL_CONSTANTS,
-        _DUAL_CONSTANTS,
-        _DUAL_CONSTANTS,
-        _IDENTITY_2,
-        _IDENTITY_2,
-    )
-
-
-def _dsum() -> TrialgebraSpec:
-    return direct_sum(_zero2(), _idem1()).with_name("dsum-zero2-idem1")
-
-
-_BUILDERS = {
-    "zero2": _zero2,
-    "idem1": _idem1,
-    "dual2": _dual2,
-    "dual2-twisted": _dual2_twisted,
-    "grassmann2": _grassmann2,
-    "dsum-zero2-idem1": _dsum,
+# name -> (parities, constants, twist): one tensor for all three products
+# and one map for gamma and xi.  A pair of names is their direct sum.
+_FIXTURES = {
+    "zero2": ([0, 1], {}, _ID2),
+    "idem1": ([0], {(0, 0, 0): 1}, [[1]]),
+    "dual2": ([0, 0], _DUAL, _ID2),
+    "dual2-twisted": ([0, 0], {(0, 0, 0): 1, (0, 1, 1): 2, (1, 0, 1): 2}, [[1, 0], [0, 2]]),
+    "grassmann2": ([0, 1], _DUAL, _ID2),
+    "dsum-zero2-idem1": ("zero2", "idem1"),
 }
+
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def builtin(name: str) -> TrialgebraSpec:
     """Return the named corpus fixture."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    entry = _FIXTURES.get(name)
+    if entry is None:
         known = ", ".join(FIXTURE_NAMES)
         raise InputError(f"unknown fixture {name!r}; known fixtures: {known}")
-    return builder()
+    if len(entry) == 2:
+        return direct_sum(*map(builtin, entry)).with_name(name)
+    parities, constants, twist = entry
+    return TrialgebraSpec.build(name, parities, constants, constants, constants, twist, twist)
 
 
 def corpus() -> list[TrialgebraSpec]:

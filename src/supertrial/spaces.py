@@ -40,9 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, _distinct, center
+from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
 from .errors import InputError, ParityError
 from .linalg import Echelon, Matrix, Vector, integer_product, projected_kernel
+from .sweep import _distinct
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 
@@ -301,13 +302,9 @@ def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -
 
 
 def _build_space(
-    kind: str | tuple[str, str], spec: TrialgebraSpec, t: TwistPower, koszul: bool = False,
-    tables: Sequence[_TermTables] | None = None,
+    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[_TermTables] | None = None
 ) -> OperatorSpace:
-    """Solve one kind at T, or intersect the spaces of a pair of kinds (kind
-    "DC" for ("D", "C")); tables, when given, are _twist_tables at T."""
-    if not isinstance(kind, str):
-        return _intersection_space(*(_build_space(k, spec, t, koszul, tables) for k in kind), spec.basis)
+    """Solve one kind at T; tables, when given, are _twist_tables at T."""
     if kind not in SPACE_KINDS:
         raise InputError(f"unknown operator-space kind {kind!r}")
     if tables is None:
@@ -449,13 +446,12 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     that T's D and C), and GD only at the base powers, the only ones read.
     Equal spaces are kept as one object (the first built), so each claim,
     target span, graded basis and product of basis maps is worked out once.
+    Every relation returns the witness of a failing line or None, and tests
+    membership through one helper that reduces each target span once.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
     n = spec.dimension
-    top = 2 * max_power
-    gammas = [spec.gamma.matrix.power(s) for s in range(top + 1)]
-    xis = gammas if spec.require_xi() == spec.gamma else [spec.xi.matrix.power(r) for r in range(top + 1)]
     base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
@@ -464,8 +460,9 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     built: dict[tuple, OperatorSpace] = {}
     by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
     spaces: dict[tuple, OperatorSpace] = {}
-    for s, r in itertools.product(range(top + 1), repeat=2):
-        twist = gammas[s] @ xis[r]
+    for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
+        t = TwistPower(s, r)
+        twist = t.matrix(spec)
         if twist not in tables:  # a new T always builds D
             tables[twist] = _twist_tables(spec, twist)
         for kind in kinds_read:
@@ -476,7 +473,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
                 space = (_intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis) if isinstance(kind, tuple)
-                         else _build_space(kind, spec, TwistPower(s, r), koszul and kind == "D", tables[twist]))
+                         else _build_space(kind, spec, t, koszul and kind == "D", tables[twist]))
                 built[key] = by_value.setdefault(space.vectorized(), space)
             spaces[(kind, s, r)] = built[key]
 
@@ -496,42 +493,36 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         sign = 1 if f.parity and g.parity else -1
         return [a + sign * b for a, b in zip(product(f.map, g.map), product(g.map, f.map))]
 
-    def first_outside(pairs, target, combine, exact) -> tuple[bool, LinearMap | None]:
-        """The first pair whose integer combination lies outside the target span (membership
-        does not depend on scale), with its exact combination; one echelon per target."""
+    def outsider(target, items, row=lambda m: m.matrix.entries, witness=lambda m: m) -> LinearMap | None:
+        """The witness of the first item whose row lies outside the target span, or None; each
+        distinct target is reduced once.  Membership does not depend on the row's scale."""
         span = _once(echelons, id(target), lambda: Echelon(m.matrix.entries for m in target.basis))
-        outside = next((p for p in pairs if not span.contains(combine(*p))), None)
-        return (True, None) if outside is None else (False, exact(*outside))
+        outside = next((item for item in items if not span.contains(row(*item))), None)
+        return None if outside is None else witness(*outside)
 
     def contain(outer, *inners):
-        results = [space_contains(outer, inner) for inner in inners]
-        witnesses = [res.witness for res in results if not res.contained]
-        return (False, witnesses[-1]) if witnesses else (True, None)
-
-    def eq_dc(zd, dc):
-        if zd is dc:
-            return True, None
-        witnesses = [res.witness for res in (space_contains(dc, zd), space_contains(zd, dc)) if not res.contained]
-        return False, witnesses[0] if witnesses else None
+        """The first outsider of the last inner space that is not inside outer, or None."""
+        found = (outsider(outer, zip(inner.basis)) for inner in reversed(inners) if inner is not outer)
+        return next((w for w in found if w is not None), None)
 
     center_trivial = not center(spec)
     decide = {
         "contain": contain,
-        "eq-dc": eq_dc,
-        "trivial": lambda dc: (False, dc.basis[0]) if center_trivial and dc.basis else (True, None),
-        "bracket": lambda left, right, target: first_outside(
-            itertools.product(graded_elements(left), graded_elements(right)), target, bracket, supercommutator
+        "eq-dc": lambda zd, dc: contain(dc, zd) or contain(zd, dc),  # a witness map is never falsy
+        "trivial": lambda dc: dc.basis[0] if center_trivial and dc.basis else None,
+        "bracket": lambda left, right, target: outsider(
+            target, itertools.product(graded_elements(left), graded_elements(right)), bracket, supercommutator
         ),
-        "compose": lambda left, right, target: first_outside(
-            itertools.product(left.basis, right.basis), target, product, LinearMap.compose
+        "compose": lambda left, right, target: outsider(
+            target, itertools.product(left.basis, right.basis), product, LinearMap.compose
         ),
     }
-    verdicts: dict[tuple, tuple[bool, LinearMap | None]] = {}
+    witnesses: dict[tuple, LinearMap | None] = {}
     lines: list[BatteryLine] = []
     for claim_id, relation, kinds, rule in _CLAIMS:
         for (s, r), (s2, r2) in itertools.product(base, base if rule == "summed" else [(None, None)]):
             at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
             operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
-            verdict = _once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands))
-            lines.append(BatteryLine(claim_id, s, r, s2, r2, *verdict))
+            witness = _once(witnesses, (relation, *map(id, operands)), lambda: decide[relation](*operands))
+            lines.append(BatteryLine(claim_id, s, r, s2, r2, witness is None, witness))
     return BatteryReport(tuple(lines))

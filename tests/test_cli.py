@@ -261,6 +261,22 @@ class TestVerifyCommand:
         assert code == 0
         assert len(doc["battery"]) == 12
 
+    @pytest.mark.parametrize("delta", [0, 4], ids=["passing", "failing"])
+    def test_negative_max_power_is_usage_error(self, tmp_path, capsys, delta):
+        """The flag is rejected before the document is read, so an algebra
+        that fails its axioms (dual2 with left (0, 0, 0) set to 5) exits 2
+        too, not 1 with a skipped battery."""
+        spec = builtin("dual2")
+        if delta:
+            spec = inject_violation(spec, "left", (0, 0, 0), delta)
+            assert spec.left.constants[(0, 0, 0)] == 5
+        path = write(tmp_path, "alg.json", emit_algebra(spec))
+        for argv in (["--json"], []):
+            assert main(["verify", path, "--max-power", "-1", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: max_power must be non-negative\n"
+
 
 class TestConstructiveCommands:
     def test_twist_writes_library_result(self, tmp_path, capsys):
@@ -366,7 +382,7 @@ class TestConstructiveCommands:
         assert main(["total-product", path, "-o", out]) == 0
         capsys.readouterr()
         alg = parse_superalgebra((tmp_path / "total.json").read_text())
-        assert alg.star.coefficient(0, 0, 0) == 3
+        assert alg.star.constants.get((0, 0, 0), 0) == 3
 
     def test_swap_details(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "dual2-twisted")

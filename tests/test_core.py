@@ -26,7 +26,6 @@ from supertrial.core import (
     product_eval,
     _BIHOM_TRIPLES,
     _named,
-    _Plan,
     _sweep,
 )
 from supertrial.errors import InputError, ModeError, ParityError
@@ -274,7 +273,7 @@ def test_equal_operators_share_steps():
     triples need a product on slots (0, 1), one on (1, 2), and the two
     bracketings of three slots, which are the only steps per tuple."""
     spec = builtin("grassmann2")
-    plan = _Plan(spec.dimension, _named(spec), 3)
+    plan = sweep._Plan(spec.dimension, _named(spec), 3)
     for _, lhs, rhs in _BIHOM_TRIPLES:
         plan.place(lhs), plan.place(rhs)
     assert sorted(plan.reads[3:]) == [(0, 1), (0, 1, 2), (0, 1, 2), (1, 2)]

@@ -258,7 +258,7 @@ class TestLiteralMemo:
         for calls in (1, 2):
             spec = parse_algebra(text)
             assert sorted(converted) == ["0"] * calls + ["1/2"] * calls
-        assert spec.left.coefficient(1, 1, 1) == F(1, 2)
+        assert spec.left.constants.get((1, 1, 1), 0) == F(1, 2)
 
 
 def test_roundtrip_of_three_distinct_rational_products():

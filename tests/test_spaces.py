@@ -170,6 +170,14 @@ def _sheared_zero2():
     return TrialgebraSpec.build("zero2-sheared", [0, 0], {}, {}, {}, Matrix.identity(2), [[1, 1], [0, 1]])
 
 
+def _built(kind, spec, t, koszul=False):
+    """_build_space, with ("D", "C") the intersection of the built D and C, as
+    the battery intersects them."""
+    if kind == ("D", "C"):
+        return spaces._intersection_space(*(_build_space(k, spec, t, koszul) for k in kind), spec.basis)
+    return _build_space(kind, spec, t, koszul)
+
+
 # Inputs with gamma != xi: their spaces read the commutation rows of xi.
 GAMMA_NOT_XI = {
     "zero2-sheared": _sheared_zero2,
@@ -189,7 +197,7 @@ def test_solver_matches_oracle_when_gamma_is_not_xi(name, power, kind, koszul):
         expected = span_intersection(oracle_space(spec, "D", t), oracle_space(spec, "C", t), spec.dimension ** 2)
     else:
         expected = oracle_space(spec, kind, t, koszul)
-    assert _build_space(kind, spec, t, koszul).vectorized() == expected
+    assert _built(kind, spec, t, koszul).vectorized() == expected
 
 
 def _two_equal_products(field: str):
@@ -245,7 +253,7 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     monkeypatch.setattr(linalg, "Echelon", Recording)
     for kind, koszul in KINDS_AND_KOSZUL_D:
         _build_space(kind, spec, TwistPower(1, 1), koszul)
-    _build_space(("D", "C"), spec, TwistPower(1, 1))
+    _built(("D", "C"), spec, TwistPower(1, 1))
     assert len(systems) == 2 * len(KINDS_AND_KOSZUL_D) + 4
     for sent, fed in systems:
         assert sent and all(row and all(row.values()) for row in sent)
@@ -263,7 +271,7 @@ def test_a_build_eliminates_once_per_graded_piece(monkeypatch):
     monkeypatch.setattr(linalg, "canonical_span", forbidden)
     spec = twisted_fixture()
     cases = KINDS_AND_KOSZUL_D + [(("D", "C"), False)]
-    built = [_build_space(kind, spec, TwistPower(1, 1), koszul) for kind, koszul in cases]
+    built = [_built(kind, spec, TwistPower(1, 1), koszul) for kind, koszul in cases]
     assert any(space.even_basis and space.odd_basis for space in built)
 
 
@@ -434,7 +442,7 @@ class TestIntersection:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_joint_solve_matches_span_intersection(self, name):
         spec = builtin(name)
-        joint = _build_space(("D", "C"), spec, T00).vectorized()
+        joint = _built(("D", "C"), spec, T00).vectorized()
         via_spans = span_intersection(
             oracle_space(spec, "D", T00), oracle_space(spec, "C", T00), spec.dimension ** 2
         )
@@ -498,7 +506,7 @@ class TestPropositionBattery:
         assert line.passed
         spec = builtin("dual2")
         assert not center(spec)
-        inter = _build_space(("D", "C"), spec, T00).vectorized()
+        inter = _built(("D", "C"), spec, T00).vectorized()
         assert inter == ()
 
     def test_koszul_flag_reports_honest_chain_break(self):
@@ -718,7 +726,7 @@ def _reference_battery(spec, max_power, koszul):
     @functools.cache
     def space(kind, s, r):
         t = TwistPower(s, r)
-        return _build_space(("D", "C") if kind == "DC" else kind, spec, t, koszul and kind in ("D", "DC"))
+        return _built(("D", "C") if kind == "DC" else kind, spec, t, koszul and kind in ("D", "DC"))
 
     def first_outside(maps, target):
         found = space_contains(target, OperatorSpace("", T00, spec.dimension, tuple(maps), (), ()))
@@ -778,15 +786,15 @@ class TestBatterySharing:
         assert lines == _reference_battery(spec, 2, koszul)
 
     def test_each_product_and_target_span_once(self, monkeypatch):
-        """On dual2-twisted at max_power 2 the battery multiplies each pair of
-        basis maps at most once, and reduces each distinct target span of a
-        bracket or compose claim exactly once."""
+        """On dual2-twisted at max_power 1 and 2 the battery multiplies each
+        pair of basis maps at most once, and reduces each distinct target
+        span of every relation exactly once: the targets of brackets and
+        compositions at the summed powers, and the outer spans of contain and
+        eq-dc (GD, QD, D intersect C and ZD) at the base powers.  The
+        Zassenhaus echelons of D intersect C are not targets."""
         spec = builtin("dual2-twisted")
-        sums = [(s, r) for s in range(5) for r in range(5)]
-        expected = {_build_space(kind, spec, TwistPower(*power)).vectorized()
-                    for kind in ("C", "D", "ZD", "QD", "QC") for power in sums}
         products, targets, inside = [], [], []
-        real_product = spaces.integer_product
+        real_product, real_intersect = spaces.integer_product, spaces._intersection_space
 
         def spy_product(x, y, *shape):
             products.append((tuple(x), tuple(y)))
@@ -799,24 +807,27 @@ class TestBatterySharing:
                     targets.append(tuple(tuple(row) for row in rows))
                 super().__init__(rows)
 
-        def not_targets(fn):
-            """fn, with the echelons it makes left out of the targets."""
-            def wrapped(*args):
-                inside.append(fn)
-                try:
-                    return fn(*args)
-                finally:
-                    inside.pop()
-            return wrapped
+        def spy_intersect(*args):
+            inside.append(True)
+            try:
+                return real_intersect(*args)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(spaces, "integer_product", spy_product)
         monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
-        for name in ("space_contains", "_intersection_space"):
-            monkeypatch.setattr(spaces, name, not_targets(getattr(spaces, name)))
-        assert proposition_battery(spec, 2).passed
-        assert products and len(set(products)) == len(products)
-        assert len(set(targets)) == len(targets) == len(expected)
-        assert set(targets) == expected
+        monkeypatch.setattr(spaces, "_intersection_space", spy_intersect)
+        for max_power in (1, 2):
+            base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
+            sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
+            expected = {_build_space(kind, spec, t).vectorized() for kind in ("C", "D", "ZD", "QD", "QC") for t in sums}
+            expected |= {_built(kind, spec, t).vectorized() for kind in ("GD", ("D", "C")) for t in base}
+            products.clear()
+            targets.clear()
+            assert proposition_battery(spec, max_power).passed
+            assert products and len(set(products)) == len(products)
+            assert len(set(targets)) == len(targets) == len(expected)
+            assert set(targets) == expected
 
 
 @pytest.mark.parametrize("seed", range(6))
