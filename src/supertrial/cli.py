@@ -319,7 +319,7 @@ _OUTPUT = _arg("-o", "--output", metavar="FILE", help="write the constructed alg
 class _Command(NamedTuple):
     """One subcommand: the run function, the documents it reads (in reading
     order), its other arguments, whether it takes ``-o``, and a check that
-    rejects flag combinations before any document is read."""
+    rejects flag values and combinations before any document is read."""
 
     name: str
     help: str
