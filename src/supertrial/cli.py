@@ -195,7 +195,11 @@ def _check(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
         report = report.merge(check_hom(spec))
     if args.multiplicative:
         checks.append("multiplicative")
-        report = report.merge(check_multiplicative(spec))
+        # check_hom sweeps gamma's multiplicativity too: list each violation once.
+        first: dict = {}
+        for v in report.merge(check_multiplicative(spec)).violations:
+            first.setdefault((v.axiom_id, v.indices), v)
+        report = CheckReport(tuple(first.values()))
     if not checks:
         checks.append("bihom")
         report = check_bihom(spec)

@@ -6,10 +6,11 @@ Rota-Baxter, averaging, swap).  Constructed algebras are re-verified with
 the axiom checkers and returned together with the resulting report; no
 construction emits an unchecked algebra.
 
-The tensors a construction builds (the Yau twist, the Rota-Baxter split
-and the commutator's skew products) are sweep terms tabulated on basis
-pairs by ``sweep._tabulate``.  A skew product's Koszul sign is read through
-the even parity map P = diag((-1)^{|e_i|}): on homogeneous d and v,
+The tensors a construction builds (the Yau twist, the Rota-Baxter split,
+the sum and total products and the commutator's skew products) are sweep
+terms tabulated on basis pairs by ``sweep._tabulate``.  A skew product's
+Koszul sign is read through the even parity map P = diag((-1)^{|e_i|}):
+on homogeneous d and v,
 (-1)^{|d||v|} b(v, d) = 1/2 [b(v, d) + b(v, Pd) + b(Pv, d) - b(Pv, Pd)],
 as each term is +-b(v, d) and their signs sum to -2 only if both are odd.
 """
@@ -350,14 +351,14 @@ def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLi
             f"(fails at pair {report.violations[0].indices})"
         )
 
-    terms = [("star", 0, ("lam", 1)), ("star", ("lam", 0), 1)]
-    left, right = _tensors(n, {"star": alg.star, "lam": lam.matrix}, terms)
+    terms = [("star", 0, ("lam", 1)), ("star", ("lam", 0), 1), ("*", c, ("star", 0, 1))]
+    left, right, perp = _tensors(n, {"star": alg.star, "lam": lam.matrix}, terms)
     spec = TrialgebraSpec(
         name=f"rb({alg.name})",
         basis=alg.basis,
         left=left,
         right=right,
-        perp=alg.star.scale(c),
+        perp=perp,
         gamma=alg.gamma,
         xi=alg.xi,
     )
@@ -404,7 +405,7 @@ def swap_construct(spec: TrialgebraSpec) -> SwapResult:
 
 def sum_product_construct(spec: TrialgebraSpec) -> SumProductResult:
     """Install right + perp as the new right product, keeping left and perp."""
-    star = spec.right.add(spec.perp)
+    (star,) = _tensors(spec.dimension, dict(spec.products()), [("+", ("right", 0, 1), ("perp", 0, 1))])
     out = replace(spec, name=f"sum({spec.name})", right=star)
     return SumProductResult(spec=out, report=check_bihom(out))
 
@@ -446,7 +447,8 @@ def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
 def total_product_construct(spec: TrialgebraSpec) -> TotalProductResult:
     """Sum all three products into one star product and check BiHom-associativity."""
     xi = spec.require_xi()
-    star = spec.left.add(spec.right).add(spec.perp)
+    terms = [("+", ("left", 0, 1), ("right", 0, 1), ("perp", 0, 1))]
+    (star,) = _tensors(spec.dimension, dict(spec.products()), terms)
     alg = SuperalgebraSpec(
         name=f"total({spec.name})",
         basis=spec.basis,

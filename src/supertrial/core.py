@@ -47,9 +47,6 @@ class SuperBasis:
     def dimension(self) -> int:
         return len(self.parities)
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
 
 def parity_class(matrix: Matrix, row_parities: Sequence[int], col_parities: Sequence[int]) -> str:
     """Classify a matrix between graded bases as ``even``, ``odd``, or ``mixed``.
@@ -106,22 +103,11 @@ class LinearMap:
     def is_even(self) -> bool:
         return self.parity_class == "even"
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        return self.matrix.apply(v)
-
-    def col(self, j: int) -> Vector:
-        return self.matrix.col(j)
-
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if self.col_parities != other.row_parities:
             raise InputError("composition parities do not line up")
         return LinearMap(self.matrix @ other.matrix, self.row_parities, other.col_parities)
-
-    def power(self, k: int) -> "LinearMap":
-        if self.row_parities != self.col_parities:
-            raise InputError("powers need an endomorphism")
-        return LinearMap(self.matrix.power(k), self.row_parities, self.col_parities)
 
 
 def identity_map(basis: SuperBasis) -> LinearMap:
@@ -173,22 +159,6 @@ class StructureTensor:
         d, index = self.by_pair
         out = _bilinear_into([_ZERO] * self.dim, index, _support(x), _support(y))
         return tuple(out) if d == 1 else tuple(v / d for v in out)
-
-    def add(self, other: "StructureTensor") -> "StructureTensor":
-        if self.dim != other.dim:
-            raise InputError("cannot add tensors of different dimensions")
-        merged: dict[tuple[int, int, int], Fraction] = dict(self.constants)
-        for key, value in other.constants.items():
-            merged[key] = merged.get(key, _ZERO) + value
-        return StructureTensor.build(self.dim, merged)
-
-    def scale(self, s: RationalLike) -> "StructureTensor":
-        f = frac(s)
-        return StructureTensor.build(self.dim, {key: f * v for key, v in self.constants.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.constants
 
     @cached_property
     def _exact(self) -> dict[tuple[int, int, int], tuple[int, int]]:

@@ -128,24 +128,14 @@ class Matrix:
         return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values: Iterable[RationalLike]) -> "Matrix":
         diag = [frac(v) for v in values]
         n = len(diag)
         return cls(n, n, tuple(diag[i] if i == j else _ZERO for i in range(n) for j in range(n)))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> Vector:
         start = i * self.cols
         return self.entries[start : start + self.cols]
-
-    def col(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Multiply this matrix by a coordinate column vector."""
@@ -169,13 +159,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
         return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, s: RationalLike) -> "Matrix":
-        f = frac(s)
-        return Matrix(self.rows, self.cols, tuple(f * a for a in self.entries))
 
     def power(self, k: int) -> "Matrix":
         """Nonnegative integer power of a square matrix."""

@@ -157,6 +157,8 @@ class _Plan:
     def place(self, term: _Term) -> int:
         """The position of a term's value, planning its steps on first sight."""
         if isinstance(term, int):
+            if not 0 <= term < self.arity:
+                raise ValueError(f"slot {term} is outside arity {self.arity}")
             return term
         if term not in self.position:
             head, *parts = term

@@ -147,14 +147,19 @@ def _sym_second(tensor: StructureTensor, v, symvec, size):
     return out
 
 
+def _col(m: Matrix, j: int) -> list[Fraction]:
+    """Column j of m, read off its rows."""
+    return [m.row(i)[j] for i in range(m.rows)]
+
+
 def _commutation(sys_: _System, block: int, other: Matrix) -> None:
     n = sys_.n
     for l in range(n):
-        applied = sys_.sym_apply(block, other.col(l))
+        applied = sys_.sym_apply(block, _col(other, l))
         for k in range(n):
             f = list(applied[k])
             for m in range(n):
-                o = other.entry(k, m)
+                o = other.row(k)[m]
                 if o:
                     f[sys_.var(block, m, l)] -= o
             if any(f):
@@ -177,9 +182,9 @@ def _product_rows(
             prod = [tensor.constants.get((a, b, k), ZERO) for k in range(n)]
             t1 = sys_.sym_apply(t1_block, prod)
             sx_a = sys_.sym_apply(0, units[a])
-            t2 = _sym_first(tensor, sx_a, twist.col(b), sys_.size)
+            t2 = _sym_first(tensor, sx_a, _col(twist, b), sys_.size)
             sx_b = sys_.sym_apply(t3_block, units[b])
-            t3 = _sym_second(tensor, twist.col(a), sx_b, sys_.size)
+            t3 = _sym_second(tensor, _col(twist, a), sx_b, sys_.size)
             if kind == "D":
                 sgn = sign_of[a] if sign_of is not None else Fraction(1)
                 scaled = [[sgn * x for x in f] for f in t3]
@@ -214,7 +219,7 @@ def _solve(
     sign_of = None
     if signed:
         sign_of = {
-            a: Fraction(-1) if spec.basis.parity(a) else Fraction(1) for a in range(n)
+            a: Fraction(-1) if spec.basis.parities[a] else Fraction(1) for a in range(n)
         }
     for _, tensor in spec.products():
         _product_rows(sys_, kind, tensor, twist, sign_of)

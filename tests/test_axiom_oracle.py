@@ -155,7 +155,8 @@ def aliased(variant: str, seed: int) -> TrialgebraSpec:
     if variant == "gamma=id":
         return replace(spec, gamma=identity_map(spec.basis))
     if variant == "perp=2left":
-        return replace(spec, perp=spec.left.scale(2))
+        doubled = {key: 2 * c for key, c in spec.left.constants.items()}
+        return replace(spec, perp=StructureTensor.build(spec.dimension, doubled))
     target, source = variant.split("=")
     return replace(spec, **{target: StructureTensor.build(spec.dimension, dict(getattr(spec, source).constants))})
 
@@ -264,11 +265,17 @@ def leibniz_oracle(ops: _Ops) -> list:
     return _sorted(_sweep(ops, 3, (("leibniz", lhs, rhs),)))
 
 
+def half_plus_third(m: Matrix) -> Matrix:
+    """1/2 + m/3, which commutes with every map that commutes with m."""
+    n = m.rows
+    return Matrix.diagonal([Fraction(1, 2)] * n) + Matrix.diagonal([Fraction(1, 3)] * n) @ m
+
+
 def test_rational_rota_baxter():
     """Weight -1/3 is a scale p/q with q != 1, and the addends of the inner
     sum carry different denominators."""
     spec = twisted_fixture()
-    lam = Matrix.identity(spec.dimension).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
+    lam = half_plus_third(spec.gamma.matrix)
     report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "-1/3")
     assert report.violations
     assert as_tuples(report) == rota_baxter_oracle(spec, lam, Fraction(-1, 3))
@@ -294,7 +301,7 @@ DENSE_SEEDS = (21, 22)
 
 def dense_spec(seed: int, xi_of=None) -> TrialgebraSpec:
     spec = random_spec(seed, rational=True, parities=PARITIES_6, xi_of=xi_of)
-    off_diagonal = [spec.gamma.matrix.entry(i, j) for i in range(6) for j in range(6) if i != j]
+    off_diagonal = [spec.gamma.matrix.row(i)[j] for i in range(6) for j in range(6) if i != j]
     assert any(off_diagonal) and spec.gamma != spec.xi
     assert any(c.denominator > 1 for _, t in spec.products() for c in t.constants.values())
     return spec
@@ -338,7 +345,7 @@ def test_dense_rota_baxter_at_six(seed):
     """xi = gamma^2 + 1 commutes with gamma, so lam = 1/2 + gamma/3 commutes
     with both; weight 2/5 scales the inner sum by a proper fraction."""
     spec = dense_spec(seed, xi_of=lambda g: g @ g + Matrix.identity(6))
-    lam = Matrix.identity(6).scale(Fraction(1, 2)) + spec.gamma.matrix.scale(Fraction(1, 3))
+    lam = half_plus_third(spec.gamma.matrix)
     report = rota_baxter_check(spec, LinearMap.square(spec.basis, lam), "2/5")
     expected = rota_baxter_oracle(spec, lam, Fraction(2, 5))
     assert expected and as_tuples(report) == expected

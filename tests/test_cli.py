@@ -121,6 +121,20 @@ class TestCheckCommand:
         assert code == 0
         assert doc["details"]["checks"] == ["hom", "multiplicative"]
 
+    def test_combined_flags_list_each_violation_once(self, tmp_path, capsys):
+        """--hom and --multiplicative both sweep gamma's multiplicativity;
+        on dual2 with gamma = diag(2, 1) each of its violations is listed once."""
+        doc = json.loads(emit_algebra(builtin("dual2")))
+        doc["gamma"] = [["2", "0"], ["0", "1"]]
+        path = write(tmp_path, "gamma2.json", json.dumps(doc))
+        code, out = run_json(capsys, ["check", path, "--hom", "--multiplicative", "--json"])
+        assert code == 1
+        keys = [(v["axiom_id"], tuple(v["indices"])) for v in out["violations"]]
+        assert len(keys) == len(set(keys)) == 31
+        assert ("gamma-left", (0, 0)) in keys
+        assert main(["check", path, "--hom", "--multiplicative"]) == 1
+        assert "violations: 31\n" in capsys.readouterr().out
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(emit_algebra(builtin("idem1"))))
         assert main(["check", "-"]) == 0
@@ -327,7 +341,7 @@ class TestConstructiveCommands:
 
     def test_rb_check_modes(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "idem1")
-        zero = write(tmp_path, "zero.json", emit_map(Matrix.zero(1, 1)))
+        zero = write(tmp_path, "zero.json", emit_map(Matrix.from_rows([[0]])))
         code, doc = run_json(capsys, ["rb", path, "--map", zero, "--weight", "2/3", "--json"])
         assert code == 0
         assert doc["details"] == {"weight": "2/3", "literal": False}
@@ -338,7 +352,7 @@ class TestConstructiveCommands:
 
     def test_rb_weight_must_be_rational(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "idem1")
-        zero = write(tmp_path, "zero.json", emit_map(Matrix.zero(1, 1)))
+        zero = write(tmp_path, "zero.json", emit_map(Matrix.from_rows([[0]])))
         assert main(["rb", path, "--map", zero, "--weight", "x"]) == 2
 
     def test_rb_induce_reads_superalgebra(self, tmp_path, capsys):
@@ -665,7 +679,7 @@ def _layout_inputs(tmp_path):
         "ident2": write(tmp_path, "ident2.json", emit_map(Matrix.identity(2))),
         "shear2": write(tmp_path, "shear2.json", emit_map(Matrix.from_rows([[1, 1], [0, 1]]))),
         "double2": write(tmp_path, "double2.json", emit_map(Matrix.diagonal([2, 2]))),
-        "zero1": write(tmp_path, "zero1.json", emit_map(Matrix.zero(1, 1))),
+        "zero1": write(tmp_path, "zero1.json", emit_map(Matrix.from_rows([[0]]))),
         "neg1": write(tmp_path, "neg1.json", emit_map(Matrix.from_rows([[-1]]))),
     }
 

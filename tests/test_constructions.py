@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
+from test_axiom_oracle import random_spec
+from tridendriform import rota_baxter_split
 
 from supertrial.constructions import (
     averaging_check,
@@ -361,9 +363,9 @@ class TestRotaBaxterInduce:
 
     def test_zero_operator_induces_zero_products(self):
         alg = self.idem_super()
-        lam = LinearMap.square(alg.basis, Matrix.zero(1, 1))
+        lam = LinearMap.square(alg.basis, Matrix.from_rows([[0]]))
         res = rota_baxter_induce(alg, lam, F(0))
-        assert res.spec.left.is_zero and res.spec.right.is_zero and res.spec.perp.is_zero
+        assert res.spec.left.constants == res.spec.right.constants == res.spec.perp.constants == {}
         assert res.spec.name == "rb(idem1)"
         assert res.report.passed
 
@@ -388,6 +390,17 @@ class TestRotaBaxterInduce:
         assert dict(res.spec.left.items()) == {(0, 1, 1): F(-1)}
         assert dict(res.spec.right.items()) == {(1, 0, 1): F(-1)}
         assert dict(res.spec.perp.items()) == {k: F(v) for k, v in DUAL.items()}
+
+    def test_rational_weight_scales_the_perp_product(self):
+        """grassmann2 twisted as alpha(x)beta(y), with lam = -c times the
+        projection onto e_1, a Rota-Baxter operator of every weight c."""
+        star = {(0, 0, 0): 1, (0, 1, 1): 3, (1, 0, 1): 2}
+        alg = SuperalgebraSpec.build("grassmann2-tw", [0, 1], star, [[1, 0], [0, 2]], [[1, 0], [0, 3]])
+        c, lam = F(2, 3), [[0, 0], [0, F(-2, 3)]]
+        res = rota_baxter_induce(alg, LinearMap.square(alg.basis, Matrix.from_rows(lam)), c)
+        assert res.spec.perp.constants == {key: c * v for key, v in star.items()}
+        products = (res.spec.left.constants, res.spec.right.constants, res.spec.perp.constants)
+        assert products == rota_baxter_split(star, lam, c)
 
     def test_non_rota_baxter_operator_rejected_with_pair(self):
         alg = self.idem_super()
@@ -420,7 +433,7 @@ class TestRotaBaxterInduce:
 
     def test_non_associative_input_rejected(self):
         alg = SuperalgebraSpec.build("bad", [0, 0], DUAL, ID2, [[1, 0], [0, 2]])
-        lam = LinearMap.square(alg.basis, Matrix.zero(2, 2))
+        lam = LinearMap.square(alg.basis, Matrix.diagonal([0, 0]))
         with pytest.raises(InputError, match="associativity"):
             rota_baxter_induce(alg, lam, F(0))
 
@@ -535,7 +548,7 @@ class TestSumProduct:
             head, *args = term
             values = [replay(a, vectors) for a in args]
             if head in ("gamma", "xi"):
-                return getattr(spec, head).apply(*values)
+                return getattr(spec, head).matrix.apply(*values)
             return product_eval(spec, head, *values)
 
         assert len(res.report.violations) == 324
@@ -550,18 +563,18 @@ class TestSumProduct:
 class TestCommutator:
     def test_zero_algebra_gives_zero_brackets(self):
         res = commutator_construct(builtin("zero2"))
-        assert res.pair.star.is_zero and res.pair.bracket.is_zero
+        assert res.pair.star.constants == res.pair.bracket.constants == {}
         assert res.leibniz.passed
 
     def test_commutative_inputs_collapse(self):
         res = commutator_construct(builtin("dual2"))
-        assert res.pair.star.is_zero and res.pair.bracket.is_zero
+        assert res.pair.star.constants == res.pair.bracket.constants == {}
         assert res.leibniz.passed
         assert res.pair.name == "comm(dual2)"
 
     def test_graded_sign_collapses_grassmann(self):
         res = commutator_construct(builtin("grassmann2"))
-        assert res.pair.star.is_zero
+        assert res.pair.star.constants == {}
         assert res.leibniz.passed
 
     def test_triangular_matrices_give_solvable_bracket(self):
@@ -592,3 +605,23 @@ class TestTotalProduct:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_corpus_totals_stay_associative(self, name):
         assert total_product_construct(builtin(name)).report.passed
+
+
+def summed(*tensors):
+    """The constant-wise sum of the tensors, zero sums left out."""
+    out = {}
+    for t in tensors:
+        for key, c in t.constants.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_derived_tensors_with_three_distinct_products(seed):
+    """Every fixture has left = right = perp; a random rational spec with
+    three distinct products (seed 0 has right = perp) tells them apart in
+    the sum and total products."""
+    spec = random_spec(seed, rational=True)
+    assert spec.left != spec.right and spec.right != spec.perp and spec.left != spec.perp
+    assert sum_product_construct(spec).spec.right.constants == summed(spec.right, spec.perp)
+    assert total_product_construct(spec).alg.star.constants == summed(spec.left, spec.right, spec.perp)

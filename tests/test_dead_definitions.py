@@ -3,11 +3,14 @@
 A module-level function or class counts as used when its name is read (as
 a name or as an attribute) somewhere in ``src/supertrial`` outside its own
 body, or when the package exports it in ``supertrial.__all__``.  A method
-counts as used on the same terms, except that the language calls the
-dunder methods.  The benchmark's tracer (``perfbench/trace.py``) looks
-program names up by string and calls some itself, so every name it reads
-and every string it holds counts as used too.  An imported name counts as
-used when its own module reads it; ``__init__.py`` imports to export.
+counts as used only when its name is read as an attribute (``x.name``)
+outside the bodies of all the methods of that name, so neither a variable
+of that name nor a method that forwards to a same-named one keeps it; the
+language calls the dunder methods.  The benchmark's tracer
+(``perfbench/trace.py``) looks program names up by string and calls some
+itself, so every name it reads and every string it holds counts as used
+too.  An imported name counts as used when its own module reads it;
+``__init__.py`` imports to export.
 """
 
 import ast
@@ -36,8 +39,20 @@ def _traced() -> set[str]:
     return set(names_read(tree)) | strings
 
 
+def attributes_read(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 READ = sum((names_read(tree) for tree in TREES.values()), Counter())
 TRACED = _traced()
+METHODS = [
+    (module, cls, node)
+    for module, tree in TREES.items()
+    for cls in tree.body
+    if isinstance(cls, ast.ClassDef)
+    for node in cls.body
+    if isinstance(node, DEFINITIONS)
+]
 
 
 def _unread(node: ast.AST) -> bool:
@@ -56,13 +71,13 @@ def test_every_definition_is_used_or_exported():
 
 
 def test_every_method_is_used():
+    attributes = sum((attributes_read(tree) for tree in TREES.values()), Counter())
+    for _, _, node in METHODS:
+        attributes[node.name] -= attributes_read(node)[node.name]
     dead = [
         f"{module}:{cls.name}.{node.name}"
-        for module, tree in TREES.items()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, DEFINITIONS) and not node.name.startswith("__") and _unread(node)
+        for module, cls, node in METHODS
+        if not node.name.startswith("__") and attributes[node.name] <= 0 and node.name not in TRACED
     ]
     assert dead == []
 

@@ -22,7 +22,7 @@ from supertrial.constructions import direct_sum
 from supertrial.core import _BIHOM_TRIPLES, LinearMap, TrialgebraSpec, check_bihom, check_morphism, _named
 from supertrial.fixtures import builtin, inject_violation
 from supertrial.linalg import Matrix
-from supertrial.sweep import CheckReport, _Plan, _sweep
+from supertrial.sweep import CheckReport, _Plan, _sweep, _tabulate
 
 F = Fraction
 ID2 = [[1, 0], [0, 1]]
@@ -101,6 +101,20 @@ def test_a_side_that_is_a_bare_slot(arity):
         expected.append(("fixed", idx, units[idx[0]], images[idx[0]]))
         expected.append(("fixed-last", idx, images[idx[-1]], units[idx[-1]]))
     assert as_tuples(report) == sorted(expected, key=lambda v: (v[0], v[1]))
+
+
+def test_a_sweep_refuses_a_slot_outside_its_arity():
+    """The BiHom triples read slot 2, so a sweep of them over pairs is an
+    error, not a sweep that reads slot 2 as the first step's value."""
+    spec = inject_violation(builtin("dual2-twisted"), "left", (0, 0, 0), 1)
+    with pytest.raises(ValueError, match="slot 2 is outside arity 2"):
+        _sweep(2, 2, _named(spec), _BIHOM_TRIPLES)
+
+
+def test_a_table_refuses_a_slot_outside_its_arity():
+    spec = builtin("dual2")
+    with pytest.raises(ValueError, match="slot 1 is outside arity 1"):
+        _tabulate(2, 1, _named(spec), [("left", 0, 1)])
 
 
 def _morphism_oracle(src, dst, pi):

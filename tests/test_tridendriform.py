@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from tridendriform import rota_baxter_split, tridendriform_violations
 
 from supertrial.constructions import rota_baxter_induce
-from supertrial.core import LinearMap, SuperalgebraSpec
+from supertrial.core import LinearMap, StructureTensor, SuperalgebraSpec
 from supertrial.linalg import Matrix
 
 # grassmann2 twisted as alpha(x)beta(y), with gamma = diag(1, 2), xi = diag(1, 3).
@@ -46,7 +46,8 @@ def test_swapped_products_detected():
 
 def test_wrong_weight_detected():
     spec = induced()
-    assert failing_ids(replace(spec, perp=spec.perp.scale(2))) == ["td1", "td3"]
+    doubled = StructureTensor.build(2, {key: 2 * c for key, c in spec.perp.constants.items()})
+    assert failing_ids(replace(spec, perp=doubled)) == ["td1", "td3"]
 
 
 def test_split_formulas():

@@ -48,8 +48,7 @@ class _Ops:
 
     def _apply(self, name: str, x) -> tuple[Fraction, ...]:
         m = self.maps[name]
-        n = self.n
-        return tuple(sum((m.entry(i, j) * x[j] for j in range(n)), ZERO) for i in range(n))
+        return tuple(sum((a * b for a, b in zip(m.row(i), x)), ZERO) for i in range(self.n))
 
     def lt(self, x, y):
         return self._product("left", x, y)
