@@ -90,7 +90,7 @@ def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
     return [
         {
             "axiom_id": v.axiom_id,
-            "indices": list(v.indices),
+            "indices": v.indices,
             "lhs": strings(v.lhs),
             "rhs": strings(v.rhs),
         }

@@ -12,7 +12,9 @@ read.  Algebra and superalgebra documents share one header reader
 (``_parse_header``: name, dim, parity), and the algebra, superalgebra and
 bracket-pair documents one writer (``_document``).  ``to_json`` lays out every
 report and document byte for byte as the standard library's indented JSON, but
-with one C-level ``str.join`` per container of one scalar type, not per token.
+with one C-level ``str.join`` per container of one scalar type, not per token,
+and a list of records with one key tuple (tensor entries, violations, battery
+lines) with its key prefixes built once per list (``_write_records``).
 """
 
 from __future__ import annotations
@@ -93,11 +95,36 @@ def _write(value: Any, newline: str, parts: list[str]) -> None:
     if len(kinds) == 1 and kinds <= _SCALARS.keys():  # one join over the C formatter
         text = map(_SCALARS[kinds.pop()], values)
         parts.append(brackets[0] + inner + ("," + inner).join(text if keys is None else map(str.__add__, keys, text)))
+    elif keys is None and kinds == {dict} and len(set(map(tuple, value))) == 1 and value[0]:
+        _write_records(value, inner, parts)
     else:
         for n, item in enumerate(values):
             parts.append((brackets[0] if n == 0 else ",") + inner + (keys[n] if keys else ""))
             _write(item, inner, parts)
     parts.append(newline + brackets[1])
+
+
+def _write_records(records: list | tuple, newline: str, parts: list[str]) -> None:
+    """Append the opening bracket and the records, each at ``newline``, of a list of dicts
+    with one non-empty key tuple; the key prefixes are built once per list, a scalar or a
+    non-empty list of one scalar type is written inline, any other value through ``_write``."""
+    inner = newline + "  "
+    heads = ["," + inner + encode_basestring_ascii(key) + ": " for key in records[0]]
+    lead = "{" + heads[0][1:]
+    first, rest, sep = "[" + newline + lead, "," + newline + lead, "," + inner + "  "
+    opening, closing, scalars = "[" + sep[1:], inner + "]", _SCALARS
+    for n, record in enumerate(records):
+        heads[0] = rest if n else first
+        for head, item in zip(heads, record.values()):
+            kind = type(item)
+            if write := scalars.get(kind):
+                parts.append(head + write(item))
+            elif (kind is list or kind is tuple) and len(kinds := set(map(type, item))) == 1 and (write := scalars.get(kinds.pop())):
+                parts.append(head + opening + sep.join(map(write, item)) + closing)
+            else:
+                parts.append(head)
+                _write(item, inner, parts)
+        parts.append(newline + "}")
 
 
 def _load_json(text: str) -> Any:

@@ -21,11 +21,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .linalg import Matrix, Vector
-
-_ZERO = Fraction(0)
 
 
 def _support(v: Sequence) -> list[tuple[int, object]]:
@@ -45,9 +43,9 @@ def _bilinear_into(out: list, index: Sequence[Sequence[Sequence[tuple]]], xs: It
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed identity instance with its replayable evaluation."""
+class Violation(NamedTuple):
+    """One failed identity instance with its replayable evaluation; a named
+    tuple, so it is built in C and sorted on its first two fields."""
 
     axiom_id: str
     indices: tuple[int, ...]
@@ -63,7 +61,7 @@ class CheckReport:
 
     @classmethod
     def collect(cls, violations: Iterable[Violation]) -> "CheckReport":
-        ordered = sorted(violations, key=lambda v: (v.axiom_id, v.indices))
+        ordered = sorted(violations, key=operator.itemgetter(0, 1))
         return cls(tuple(ordered))
 
     @property
@@ -317,17 +315,21 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     violations: list[Violation] = []
     fraction = functools.cache(Fraction)
     multiplier = max([m for group in groups for m in group[2:]], default=1)
+    offsets = None
     for idx, cur in _evaluate(plan, {p for group in groups for p in group[:2]}, multiplier):
         sides: dict[int, Vector] = {}
         for (l, r, ml, mr), axiom_ids in groups.items():
             x, y = cur[l], cur[r]
             if x != y if ml == mr else x * ml != y * mr:
+                if offsets is None:
+                    # Half a lane added to each lane puts it in [0, 2^W): no lane borrows.
+                    shift = plan.shift
+                    offsets, half, mask = range(0, shift * max(dims), shift), 1 << shift - 1, (1 << shift) - 1
+                    bias = sum([half << offset for offset in offsets])
                 for at in (l, r):
                     if at not in sides:
-                        side = [_ZERO] * dims[at]
-                        for k, v in _unpack(cur[at], plan.shift):
-                            side[k] = fraction(v, dens[at])
-                        sides[at] = tuple(side)
+                        v, d = cur[at] + bias, dens[at]
+                        sides[at] = tuple([fraction((v >> offset & mask) - half, d) for offset in offsets[: dims[at]]])
                 violations += [Violation(axiom_id, idx, sides[l], sides[r]) for axiom_id in axiom_ids]
     return CheckReport.collect(violations)
 

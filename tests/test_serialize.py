@@ -288,11 +288,49 @@ _TREES = hs.recursive(
 )
 
 
+# Lists and tuples of records with one shared key tuple, which the writer
+# lays out with its key prefixes built once; a value is a scalar, a list of
+# one scalar kind, an empty list, a tuple or a nested record list.
+_KEYS = hs.lists(hs.text(max_size=3), min_size=1, max_size=4, unique=True)
+_FIELD_LEAVES = (
+    _SCALARS
+    | hs.one_of(*(hs.lists(s, min_size=1, max_size=4) for s in (hs.none(), hs.booleans(), hs.integers(), hs.text())))
+    | hs.just([])
+    | hs.lists(_SCALARS, max_size=3).map(tuple)
+)
+
+
+def _records(values):
+    rows = _KEYS.flatmap(lambda keys: hs.lists(hs.fixed_dictionaries({k: values for k in keys}), min_size=1, max_size=5))
+    return rows | rows.map(tuple)
+
+
+_RECORDS = _records(hs.recursive(_FIELD_LEAVES, _records, max_leaves=20))
+
+
+def _near_misses(records):
+    """Record lists that must take the general path: the keys of the first
+    record in another order or with one more key, a ``True`` among ints, or
+    a leading ``{}``."""
+    records, first = list(records), records[0]
+    keys = list(first)
+    return hs.sampled_from([
+        records + [dict(reversed(first.items()))],
+        records + [{**first, "".join(keys) + "+": 0}],
+        [{**r, keys[0]: [1, True, 2]} for r in records],
+        [{}] + records,
+    ])
+
+
 class TestToJson:
     """``to_json`` writes exactly what the standard library writes with ``indent=2``."""
 
     @given(_TREES)
     def test_matches_the_standard_library(self, value):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    @given(_RECORDS | _RECORDS.flatmap(_near_misses))
+    def test_record_lists_match_the_standard_library(self, value):
         assert to_json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
@@ -317,6 +355,17 @@ class TestToJson:
             [-1, -10**20, 0, 10**20],
             10**3999,
             [-(10**3999), 10**3999],
+            [
+                {"claim_id": "gd", "s": 0, "r": 1, "s2": None, "r2": None, "passed": True, "witness": None},
+                {"claim_id": "gd", "s": 1, "r": 1, "s2": 0, "r2": 0, "passed": False, "witness": [["1", "0"], ["-1/2", "3"]]},
+            ],
+            ({"i": 0, "j": 1, "k": 1, "v": "-1/2"}, {"i": 1, "j": 0, "k": 1, "v": "3"}),
+            [{"axiom_id": "ii-a", "indices": (0, 1, 2), "lhs": ["1", "0"], "rhs": ["0", "-1/2"]}] * 2,
+            [{"a": 1}, {"a": 1, "b": 2}],
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{}, {}],
+            {"": {}},
+            {"a": {"x": 1}, "b": {"x": 2}},
             "",
             0,
             None,
@@ -328,7 +377,8 @@ class TestToJson:
 
     @pytest.mark.parametrize(
         "value",
-        [1.5, F(1, 2), {1}, b"x", {1: "a"}, {True: "a"}, {None: 1}, [1, 2.0], ["a", {"b": {1, 2}}], {"a": F(1)}, (b"",)],
+        [1.5, F(1, 2), {1}, b"x", {1: "a"}, {True: "a"}, {None: 1}, [1, 2.0], ["a", {"b": {1, 2}}], {"a": F(1)}, (b"",),
+         [{1: "a"}, {1: "b"}], [{"a": 1}, {"a": 1.5}], [{"a": [1, 2.0]}], [{"a": (F(1),)}]],
     )
     def test_other_values_and_keys_are_type_errors(self, value):
         with pytest.raises(TypeError):

@@ -15,6 +15,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import axiom_oracle
 import pytest
 from axiom_oracle import bihom_violations
 
@@ -22,7 +23,7 @@ from supertrial.constructions import direct_sum
 from supertrial.core import _BIHOM_TRIPLES, LinearMap, TrialgebraSpec, check_bihom, check_morphism, _named
 from supertrial.fixtures import builtin, inject_violation
 from supertrial.linalg import Matrix
-from supertrial.sweep import CheckReport, _Plan, _sweep, _tabulate
+from supertrial.sweep import CheckReport, Violation, _Plan, _sweep, _tabulate
 
 F = Fraction
 ID2 = [[1, 0], [0, 1]]
@@ -65,6 +66,46 @@ def test_two_dimensional_sides_that_a_narrow_lane_would_equate():
     report = _sweep(2, 2, _named(spec), (row,))
     assert as_tuples(report) == [("t", (0, 0), (F(4), F(0)), (F(-4), F(1)))]
     assert as_tuples(check_bihom(spec)) == bihom_violations(spec)
+
+
+def test_violation_sides_at_the_lane_bound_match_the_oracle():
+    """Both sides over the denominator 2 with numerators up to 7, so lanes
+    are W = 4 bits and the sides reach +-7 = +-(2^(W-1) - 1) in the top lane
+    and the middle one: each side is read lane by lane from its packed int,
+    with no lane borrowing from or carrying into its neighbours."""
+    h = F(7, 2)
+    left = {(0, 0, 0): -h, (0, 0, 1): h, (0, 0, 2): -h, (1, 2, 2): h, (2, 1, 1): -h, (2, 2, 1): h}
+    right = {(0, 0, 0): h, (0, 0, 1): -h, (0, 0, 2): h, (1, 2, 1): -h, (2, 1, 2): h, (2, 2, 0): F(-1, 2)}
+    id3 = [[int(i == j) for j in range(3)] for i in range(3)]
+    spec = TrialgebraSpec.build("lanes", [0, 0, 0], left, right, {}, id3, id3)
+    ops, row = _named(spec), ("t", ("left", 0, 1), ("right", 0, 1))
+    plan = _Plan(3, ops, 2)
+    sides = [plan.place(term) for term in row[1:]]
+    assert [(plan.dens[p], plan.bounds[p][0], plan.ints[p]) for p in sides] == [(2, 7, True)] * 2
+    found = as_tuples(_sweep(3, 2, ops, (row,)))
+    assert {v[lane] for _, _, lhs, rhs in found for v in (lhs, rhs) for lane in (1, 2)} >= {h, -h}
+    lt, gt = (lambda o, a, b: o.lt(a, b)), (lambda o, a, b: o.gt(a, b))
+    assert found == axiom_oracle._sweep(axiom_oracle._Ops(spec), 2, [("t", lt, gt)])
+    assert as_tuples(check_bihom(spec)) == bihom_violations(spec)
+
+
+def test_a_violation_is_a_named_tuple_of_four_fields():
+    v = Violation("ii-a", (0, 1, 1), (F(1), F(0)), (F(0), F(-1, 2)))
+    assert Violation._fields == ("axiom_id", "indices", "lhs", "rhs")
+    assert tuple(v) == ("ii-a", (0, 1, 1), (F(1), F(0)), (F(0), F(-1, 2)))
+    for field in Violation._fields:
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
+
+
+def test_collect_orders_by_axiom_and_indices_and_keeps_ties_in_order():
+    """Ties keep their input order even where their sides would sort the
+    other way."""
+    a, b, c, d, e = (Violation(i, t, (F(x),), ()) for i, t, x in (
+        ("ii", (1, 0), 2), ("i", (2,), 3), ("ii", (0, 1), 5), ("ii", (1, 0), 1), ("i", (2,), 0)))
+    report = CheckReport.collect([a, b, c, d, e])
+    assert report.violations == (b, e, c, a, d)
+    assert report.merge(CheckReport.collect([e, a])).violations == (b, e, e, c, a, d, a)
 
 
 def test_sides_over_different_denominators():
