@@ -11,12 +11,9 @@ from types import ModuleType as _ModuleType
 
 from .constructions import (
     BracketPairSpec,
-    CommutatorResult,
+    Constructed,
     GraphCheckResult,
-    InduceResult,
-    SumProductResult,
     SwapResult,
-    TotalProductResult,
     TwistResult,
     averaging_check,
     commutator_construct,
@@ -68,9 +65,7 @@ from .linalg import (
 )
 from .serialize import (
     emit_algebra,
-    emit_bracket_pair,
     emit_map,
-    emit_superalgebra,
     parse_algebra,
     parse_map,
     parse_rational,

@@ -43,8 +43,6 @@ from .fixtures import FIXTURE_NAMES, builtin
 from .serialize import (
     _matrix_rows,
     emit_algebra,
-    emit_bracket_pair,
-    emit_superalgebra,
     parse_algebra,
     parse_map,
     parse_rational,
@@ -251,7 +249,7 @@ def _algebras_and_map(texts: dict[str, str]) -> tuple[TrialgebraSpec, Trialgebra
 
 def _graph(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     result = graph_subalgebra_check(*_algebras_and_map(texts))
-    details = {"is_subalgebra": result.is_subalgebra, "is_morphism": result.is_morphism}
+    details = {"is_subalgebra": result.is_subalgebra, "is_morphism": result.morphism_report.passed}
     return _Result(result.morphism_report, {"details": details})
 
 
@@ -284,24 +282,21 @@ def _avg(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     return _Result(averaging_check(spec, LinearMap.square(spec.basis, parse_map(texts["map"]))))
 
 
-def _sum_product(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
-    result = sum_product_construct(parse_algebra(texts["algebra"]))
+def _construct(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
+    """sum-product, commutator and total-product: the constructed spec's report and document."""
+    # Looked up per call, so a rebinding of this module's names (perfbench's tracer) is seen.
+    construct = {
+        "sum-product": sum_product_construct,
+        "commutator": commutator_construct,
+        "total-product": total_product_construct,
+    }[args.subcommand]
+    result = construct(parse_algebra(texts["algebra"]))
     return _Result(result.report, document=emit_algebra(result.spec))
-
-
-def _commutator(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
-    result = commutator_construct(parse_algebra(texts["algebra"]))
-    return _Result(result.leibniz, document=emit_bracket_pair(result.pair))
-
-
-def _total_product(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
-    result = total_product_construct(parse_algebra(texts["algebra"]))
-    return _Result(result.report, document=emit_superalgebra(result.alg))
 
 
 def _swap(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     result = swap_construct(parse_algebra(texts["algebra"]))
-    details = {"hypothesis_holds": result.hypothesis_holds, "swapped_passes": result.swapped_passes}
+    details = {"hypothesis_holds": result.hypothesis_holds, "swapped_passes": result.report.passed}
     return _Result(result.report, {"details": details}, emit_algebra(result.swapped))
 
 
@@ -383,9 +378,9 @@ _COMMANDS = (
         usage=_rb_usage,
     ),
     _Command("avg", "averaging-operator check", _avg, (_ALGEBRA, _MAP)),
-    _Command("sum-product", "replace right with right + perp", _sum_product, output=True),
-    _Command("commutator", "skew star and bracket with Leibniz check", _commutator, output=True),
-    _Command("total-product", "sum all three products into one", _total_product, output=True),
+    _Command("sum-product", "replace right with right + perp", _construct, output=True),
+    _Command("commutator", "skew star and bracket with Leibniz check", _construct, output=True),
+    _Command("total-product", "sum all three products into one", _construct, output=True),
     _Command("swap", "exchange the two structure maps", _swap, output=True),
 )
 

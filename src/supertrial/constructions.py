@@ -4,7 +4,10 @@ Each operation either produces a new spec (twist, direct sum, induced
 trialgebra, product reshuffles) or tests a hypothesis (graph closure,
 Rota-Baxter, averaging, swap).  Constructed algebras are re-verified with
 the axiom checkers and returned together with the resulting report; no
-construction emits an unchecked algebra.
+construction emits an unchecked algebra.  The induced, sum, commutator and
+total constructions return one shape, ``Constructed(spec, report)``, whose
+spec is a trialgebra, the commutator's ``BracketPairSpec`` or a
+superalgebra; the twist, graph and swap results add only their own verdicts.
 
 The tensors a construction builds (the Yau twist, the Rota-Baxter split,
 the sum and total products and the commutator's skew products) are sweep
@@ -27,8 +30,8 @@ from .core import (
     SuperBasis,
     SuperalgebraSpec,
     TrialgebraSpec,
+    _GradedSpec,
     _named,
-    _validate_graded,
     check_bihom,
     check_morphism,
     check_superalgebra,
@@ -51,28 +54,17 @@ class TwistResult:
     """Conjugated algebra plus the change-of-basis consistency verdict."""
 
     twisted: TrialgebraSpec
-    conjugated_gamma: LinearMap
-    conjugated_xi: LinearMap
     constants_match: bool
     report: CheckReport
 
 
 @dataclass(frozen=True)
 class GraphCheckResult:
-    """Closure of a map's graph inside the direct sum, next to morphism-ness."""
+    """Closure of a map's graph inside the direct sum, next to the morphism report."""
 
     is_subalgebra: bool
-    is_morphism: bool
     sum: TrialgebraSpec
     morphism_report: CheckReport
-
-
-@dataclass(frozen=True)
-class InduceResult:
-    """Trialgebra induced by a Rota-Baxter operator, with its axiom report."""
-
-    spec: TrialgebraSpec
-    report: CheckReport
 
 
 @dataclass(frozen=True)
@@ -81,21 +73,14 @@ class SwapResult:
 
     hypothesis_holds: bool
     swapped: TrialgebraSpec
-    swapped_passes: bool
     report: CheckReport
 
 
 @dataclass(frozen=True)
-class SumProductResult:
-    """Spec with the right product replaced by right + perp, plus its report."""
-
-    spec: TrialgebraSpec
-    report: CheckReport
-
-
-@dataclass(frozen=True)
-class BracketPairSpec:
+class BracketPairSpec(_GradedSpec):
     """A star product and a bracket sharing one graded basis and structure maps."""
+
+    TENSORS = ("star", "bracket")
 
     name: str
     basis: SuperBasis
@@ -104,23 +89,14 @@ class BracketPairSpec:
     gamma: LinearMap
     xi: LinearMap
 
-    def __post_init__(self) -> None:
-        _validate_graded(self, ("star", "bracket"))
-
 
 @dataclass(frozen=True)
-class CommutatorResult:
-    """Skew products built from the trialgebra, plus the Leibniz verdict."""
+class Constructed:
+    """A built spec with its report: ``check_bihom`` for a trialgebra,
+    ``check_superalgebra`` for a superalgebra, the Leibniz sweep for a
+    bracket pair."""
 
-    pair: BracketPairSpec
-    leibniz: CheckReport
-
-
-@dataclass(frozen=True)
-class TotalProductResult:
-    """Single-product superalgebra summing all three products, plus its report."""
-
-    alg: SuperalgebraSpec
+    spec: TrialgebraSpec | SuperalgebraSpec | BracketPairSpec
     report: CheckReport
 
 
@@ -178,13 +154,7 @@ def yau_twist(spec: TrialgebraSpec, l: LinearMap) -> TwistResult:
     rows = tuple((tag, ("linv", (tag + "'", ("l", 0), ("l", 1))), (tag, 0, 1)) for tag in PRODUCT_TAGS)
     match = _sweep(spec.dimension, 2, ops, rows).passed
 
-    return TwistResult(
-        twisted=twisted,
-        conjugated_gamma=twisted.gamma,
-        conjugated_xi=twisted.require_xi(),
-        constants_match=match,
-        report=check_bihom(twisted),
-    )
+    return TwistResult(twisted=twisted, constants_match=match, report=check_bihom(twisted))
 
 
 def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -> CheckReport:
@@ -274,13 +244,7 @@ def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearM
     maps = tuple(row(label, (label, ("g", 0))) for label in ("gamma", "xi") if label in ops)
     closed = _sweep(n, 2, ops, products).passed and _sweep(n, 1, ops, maps).passed
 
-    morphism_report = check_morphism(a, b, xi_map)
-    return GraphCheckResult(
-        is_subalgebra=closed,
-        is_morphism=morphism_report.passed,
-        sum=total,
-        morphism_report=morphism_report,
-    )
+    return GraphCheckResult(is_subalgebra=closed, sum=total, morphism_report=check_morphism(a, b, xi_map))
 
 
 def _require_commutes(lam: Matrix, gamma: Matrix, xi: Matrix) -> None:
@@ -324,7 +288,7 @@ def rota_baxter_check(
     return _sweep(n, 2, {**_named(spec), "lam": lam.matrix}, rows)
 
 
-def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLike) -> InduceResult:
+def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLike) -> Constructed:
     """Split the single product through a Rota-Baxter operator:
     d <| v = d * lam(v), d |> v = lam(d) * v, d . v = c*(d * v).
 
@@ -353,16 +317,8 @@ def rota_baxter_induce(alg: SuperalgebraSpec, lam: LinearMap, weight: RationalLi
 
     terms = [("star", 0, ("lam", 1)), ("star", ("lam", 0), 1), ("*", c, ("star", 0, 1))]
     left, right, perp = _tensors(n, {"star": alg.star, "lam": lam.matrix}, terms)
-    spec = TrialgebraSpec(
-        name=f"rb({alg.name})",
-        basis=alg.basis,
-        left=left,
-        right=right,
-        perp=perp,
-        gamma=alg.gamma,
-        xi=alg.xi,
-    )
-    return InduceResult(spec=spec, report=check_bihom(spec))
+    spec = TrialgebraSpec(f"rb({alg.name})", alg.basis, left, right, perp, alg.gamma, alg.xi)
+    return Constructed(spec, check_bihom(spec))
 
 
 def averaging_check(spec: TrialgebraSpec, lam: LinearMap) -> CheckReport:
@@ -394,20 +350,14 @@ def swap_construct(spec: TrialgebraSpec) -> SwapResult:
     g, x = spec.gamma.matrix, xi.matrix
     hypothesis = g @ g == ident and x @ x == ident and g @ x == ident and x @ g == ident
     swapped = replace(spec, gamma=xi, xi=spec.gamma)
-    report = check_bihom(swapped)
-    return SwapResult(
-        hypothesis_holds=hypothesis,
-        swapped=swapped,
-        swapped_passes=report.passed,
-        report=report,
-    )
+    return SwapResult(hypothesis_holds=hypothesis, swapped=swapped, report=check_bihom(swapped))
 
 
-def sum_product_construct(spec: TrialgebraSpec) -> SumProductResult:
+def sum_product_construct(spec: TrialgebraSpec) -> Constructed:
     """Install right + perp as the new right product, keeping left and perp."""
     (star,) = _tensors(spec.dimension, dict(spec.products()), [("+", ("right", 0, 1), ("perp", 0, 1))])
     out = replace(spec, name=f"sum({spec.name})", right=star)
-    return SumProductResult(spec=out, report=check_bihom(out))
+    return Constructed(out, check_bihom(out))
 
 
 def _skew(a: str, b: str) -> tuple:
@@ -418,7 +368,7 @@ def _skew(a: str, b: str) -> tuple:
     return ("+", (a, 0, 1), ("*", Fraction(-1, 2), signed))
 
 
-def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
+def commutator_construct(spec: TrialgebraSpec) -> Constructed:
     """Build d * v = d <| v - (-1)^{|d||v|} v |> d and the perp bracket
     [d, v] = d . v - (-1)^{|d||v|} v . d, then check the closing identity
     [d,v] * gamma(xi(r)) = [d*r, xi(v)] + [gamma(d), v*r] on basis triples."""
@@ -426,34 +376,20 @@ def commutator_construct(spec: TrialgebraSpec) -> CommutatorResult:
     n = spec.dimension
     ops = {**dict(spec.products()), "P": Matrix.diagonal([(-1) ** p for p in spec.basis.parities])}
     star, bracket = _tensors(n, ops, [_skew("left", "right"), _skew("perp", "perp")])
-    pair = BracketPairSpec(
-        name=f"comm({spec.name})",
-        basis=spec.basis,
-        star=star,
-        bracket=bracket,
-        gamma=spec.gamma,
-        xi=xi,
-    )
+    pair = BracketPairSpec(f"comm({spec.name})", spec.basis, star, bracket, spec.gamma, xi)
 
     row = (
         "leibniz",
         ("star", ("bracket", 0, 1), ("gamma", ("xi", 2))),
         ("+", ("bracket", ("star", 0, 2), ("xi", 1)), ("bracket", ("gamma", 0), ("star", 1, 2))),
     )
-    ops = {"star": star, "bracket": bracket, "gamma": spec.gamma.matrix, "xi": xi.matrix}
-    return CommutatorResult(pair=pair, leibniz=_sweep(n, 3, ops, (row,)))
+    return Constructed(pair, _sweep(n, 3, _named(pair), (row,)))
 
 
-def total_product_construct(spec: TrialgebraSpec) -> TotalProductResult:
+def total_product_construct(spec: TrialgebraSpec) -> Constructed:
     """Sum all three products into one star product and check BiHom-associativity."""
     xi = spec.require_xi()
     terms = [("+", ("left", 0, 1), ("right", 0, 1), ("perp", 0, 1))]
     (star,) = _tensors(spec.dimension, dict(spec.products()), terms)
-    alg = SuperalgebraSpec(
-        name=f"total({spec.name})",
-        basis=spec.basis,
-        star=star,
-        gamma=spec.gamma,
-        xi=xi,
-    )
-    return TotalProductResult(alg=alg, report=check_superalgebra(alg))
+    alg = SuperalgebraSpec(f"total({spec.name})", spec.basis, star, spec.gamma, xi)
+    return Constructed(alg, check_superalgebra(alg))

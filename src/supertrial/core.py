@@ -4,7 +4,12 @@ An algebra lives on a Z/2-graded basis and is described by three sparse
 structure-constant tensors (the left, right, and middle products) together
 with one or two even structure maps ``gamma`` and ``xi``.  With ``xi``
 present the object is a BiHom candidate; without it the Hom axiom system
-applies.  The checkers write each axiom as a row of two terms and sweep it
+applies.  ``_GradedSpec`` states once what every graded spec is: a basis,
+the even tensors its class names in ``TENSORS``, and even gamma and xi.  The
+trialgebra (``left``, ``right``, ``perp``), the superalgebra (``star``) and
+the commutator's bracket pair inherit its checks, ``dimension`` and
+``products``, and ``_named`` gives any of them to the sweep by row name.
+The checkers write each axiom as a row of two terms and sweep it
 over basis tuples, which suffices by multilinearity, through the engine in
 ``sweep``; the reports' violation sides are Fractions that
 ``product_eval`` replays.  ``center`` and ``centralizer`` read their
@@ -16,7 +21,7 @@ so ``matrix[i][j]`` is the coefficient of ``e_i`` in the image of ``e_j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Literal, Mapping, Sequence
@@ -171,31 +176,46 @@ class StructureTensor:
         return self.dim == other.dim and self._exact == other._exact
 
 
-def _validate_graded(spec: object, tensors: Sequence[str]) -> None:
-    """The invariants of a graded spec: each named tensor matches the basis
+class _GradedSpec:
+    """What every graded spec is: a name, a graded basis, the even tensors
+    named by the class attribute ``TENSORS``, an even gamma and an even xi
+    (which a trialgebra may omit).  Subclasses are frozen dataclasses with
+    those fields; constructing one checks that each tensor matches the basis
     and is even (a product of homogeneous vectors lands in the summed
-    parity), and gamma and xi, where present, are square and even maps."""
-    p = spec.basis.parities
-    n = len(p)
-    for label in tensors:
-        tensor = getattr(spec, label)
-        if tensor.dim != n:
-            raise InputError(f"{label} tensor dimension {tensor.dim} does not match basis size {n}")
-        odd = [key for key in tensor.constants if p[key[0]] ^ p[key[1]] ^ p[key[2]]]
-        if odd:
-            i, j, k = min(odd)  # the first offending triple in sorted order
-            raise ParityError(
-                f"{label} constant at {(i, j, k)}: parity(k)={p[k]} "
-                f"differs from parity(i)+parity(j)={(p[i] + p[j]) % 2}"
-            )
-    for label in ("gamma", "xi"):
-        m = getattr(spec, label)
-        if m is None:
-            continue
-        if m.matrix.rows != n or m.matrix.cols != n:
-            raise InputError(f"{label} must be square of size {n}")
-        if not m.is_even:
-            raise ParityError(f"{label} must be an even map")
+    parity), and that gamma and xi, where present, are square and even."""
+
+    TENSORS: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        p = self.basis.parities
+        n = len(p)
+        for label, tensor in self.products():
+            if tensor.dim != n:
+                raise InputError(f"{label} tensor dimension {tensor.dim} does not match basis size {n}")
+            odd = [key for key in tensor.constants if p[key[0]] ^ p[key[1]] ^ p[key[2]]]
+            if odd:
+                i, j, k = min(odd)  # the first offending triple in sorted order
+                raise ParityError(
+                    f"{label} constant at {(i, j, k)}: parity(k)={p[k]} "
+                    f"differs from parity(i)+parity(j)={(p[i] + p[j]) % 2}"
+                )
+        for label in ("gamma", "xi"):
+            m = getattr(self, label)
+            if m is None:
+                continue
+            if m.matrix.rows != n or m.matrix.cols != n:
+                raise InputError(f"{label} must be square of size {n}")
+            if not m.is_even:
+                raise ParityError(f"{label} must be an even map")
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.dimension
+
+    def products(self) -> Iterator[tuple[str, StructureTensor]]:
+        """``(name, tensor)`` for each tensor, in ``TENSORS`` order."""
+        for label in self.TENSORS:
+            yield label, getattr(self, label)
 
 
 def _as_matrix(m: Matrix | Sequence[Sequence[RationalLike]]) -> Matrix:
@@ -203,8 +223,10 @@ def _as_matrix(m: Matrix | Sequence[Sequence[RationalLike]]) -> Matrix:
 
 
 @dataclass(frozen=True)
-class TrialgebraSpec:
+class TrialgebraSpec(_GradedSpec):
     """A finite-dimensional supertrialgebra candidate given by its constants."""
+
+    TENSORS = PRODUCT_TAGS
 
     name: str
     basis: SuperBasis
@@ -213,9 +235,6 @@ class TrialgebraSpec:
     perp: StructureTensor
     gamma: LinearMap
     xi: LinearMap | None = None
-
-    def __post_init__(self) -> None:
-        _validate_graded(self, PRODUCT_TAGS)
 
     @classmethod
     def build(
@@ -240,40 +259,28 @@ class TrialgebraSpec:
             xi=None if xi is None else LinearMap.square(basis, _as_matrix(xi)),
         )
 
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
     def tensor(self, tag: ProductTag) -> StructureTensor:
         if tag not in PRODUCT_TAGS:
             raise InputError(f"unknown product tag {tag!r}")
         return getattr(self, tag)
-
-    def products(self) -> Iterator[tuple[ProductTag, StructureTensor]]:
-        for tag in PRODUCT_TAGS:
-            yield tag, getattr(self, tag)
 
     def require_xi(self) -> LinearMap:
         if self.xi is None:
             raise ModeError(f"{self.name}: this operation needs the second structure map xi")
         return self.xi
 
-    def with_name(self, name: str) -> "TrialgebraSpec":
-        return replace(self, name=name)
-
 
 @dataclass(frozen=True)
-class SuperalgebraSpec:
+class SuperalgebraSpec(_GradedSpec):
     """A single-product BiHom superalgebra candidate."""
+
+    TENSORS = ("star",)
 
     name: str
     basis: SuperBasis
     star: StructureTensor
     gamma: LinearMap
     xi: LinearMap
-
-    def __post_init__(self) -> None:
-        _validate_graded(self, ("star",))
 
     @classmethod
     def build(
@@ -293,18 +300,14 @@ class SuperalgebraSpec:
             xi=LinearMap.square(basis, _as_matrix(xi)),
         )
 
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
 
 def product_eval(spec: TrialgebraSpec, tag: ProductTag, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
     """Evaluate one of the three products on arbitrary coordinate vectors."""
     return spec.tensor(tag).bilinear(x, y)
 
 
-def _named(spec: TrialgebraSpec, mark: str = "") -> _Ops:
-    """The products and structure maps of a spec by row name, suffixed with ``mark``."""
+def _named(spec: _GradedSpec, mark: str = "") -> _Ops:
+    """The tensors and structure maps of a graded spec by row name, suffixed with ``mark``."""
     ops: _Ops = {tag + mark: t for tag, t in spec.products()}
     ops["gamma" + mark] = spec.gamma.matrix
     if spec.xi is not None:
@@ -388,8 +391,7 @@ def check_multiplicative(spec: TrialgebraSpec) -> CheckReport:
 def check_superalgebra(alg: SuperalgebraSpec) -> CheckReport:
     """Verify BiHom-associativity of a single product: (d*v)*xi(r) = gamma(d)*(v*r)."""
     row = ("bihom-assoc", ("star", ("star", 0, 1), ("xi", 2)), ("star", ("gamma", 0), ("star", 1, 2)))
-    ops = {"star": alg.star, "gamma": alg.gamma.matrix, "xi": alg.xi.matrix}
-    return _sweep(alg.dimension, 3, ops, (row,))
+    return _sweep(alg.dimension, 3, _named(alg), (row,))
 
 
 def check_morphism(src: TrialgebraSpec, dst: TrialgebraSpec, pi: LinearMap) -> CheckReport:

@@ -41,7 +41,7 @@ def builtin(name: str) -> TrialgebraSpec:
         known = ", ".join(FIXTURE_NAMES)
         raise InputError(f"unknown fixture {name!r}; known fixtures: {known}")
     if len(entry) == 2:
-        return direct_sum(*map(builtin, entry)).with_name(name)
+        return replace(direct_sum(*map(builtin, entry)), name=name)
     parities, constants, twist = entry
     return TrialgebraSpec.build(name, parities, constants, constants, constants, twist, twist)
 

@@ -50,8 +50,10 @@ RationalLike = Union[int, str, Fraction]
 # A row given sparsely as {column: value} or densely as a sequence.
 Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
 
-# The one rational string grammar: 'p' or 'p/q', surrounding blanks allowed.
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
+# The one rational string grammar: 'p' or 'p/q' in ASCII digits, surrounding
+# ASCII blanks (_BLANKS) allowed; str.strip and \d would take any Unicode ones.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+_BLANKS = " \t\n\r\v\f"
 
 
 def frac(value: RationalLike) -> Fraction:
@@ -66,7 +68,7 @@ def frac(value: RationalLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
+        match = _RATIONAL_RE.match(value.strip(_BLANKS))
         if not match:
             raise InputError(f"{value!r} is not a rational literal (use 'p' or 'p/q')")
         p, q = match.groups()

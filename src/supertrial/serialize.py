@@ -1,16 +1,17 @@
 """JSON document formats for algebras, maps, and derived objects.
 
-Rationals travel as strings ("3", "-1/2") or plain JSON integers so no
-reader ever coerces them through floats; floats and booleans are rejected.
+Rationals travel as strings of ASCII digits ("3", "-1/2") or plain JSON
+integers so no reader ever coerces them through floats; floats and
+booleans are rejected.
 Tensors are sparse lists of {i, j, k, v} triples with 0-based indices;
 omitted triples are zero and duplicates are an error.  Parsing enforces
 every structural invariant and reports the offending field and index.
 It reads each document in one pass: every distinct string literal is
 converted once, through a memo that lives for that one parse call
 (``_Literals``), and tensors and maps are built straight from the values
-read.  Algebra and superalgebra documents share one header reader
-(``_parse_header``: name, dim, parity), and the algebra, superalgebra and
-bracket-pair documents one writer (``_document``).  ``to_json`` lays out every
+read.  Every graded spec has one document layout, read by ``_parse_spec``
+and written by ``emit_algebra``: name, dim, parity, each tensor its class
+names in ``TENSORS``, gamma, then xi.  ``to_json`` lays out every
 report and document byte for byte as the standard library's indented JSON, but
 with one C-level ``str.join`` per container of one scalar type, not per token,
 and a list of records with one key tuple (tensor entries, violations, battery
@@ -22,12 +23,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
-from .constructions import BracketPairSpec
-from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec
+from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec, _GradedSpec
 from .errors import InputError
 from .linalg import Matrix, frac
+
+_Spec = TypeVar("_Spec", bound=_GradedSpec)
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -206,9 +208,10 @@ def _parse_structure_map(data: Mapping[str, Any], key: str, basis: SuperBasis, w
     return LinearMap.square(basis, Matrix(dim, dim, tuple(flat)))
 
 
-def _parse_header(text: str, where: str) -> tuple[dict, str, SuperBasis]:
-    """The document object of an algebra or superalgebra, its name and its
-    basis, checked in that order."""
+def _parse_spec(cls: type[_Spec], text: str, where: str, xi_required: bool = False) -> _Spec:
+    """The graded spec of class ``cls`` a document holds, read in one order:
+    the object, name, dim, parity, xi's presence when required, each tensor
+    of ``cls.TENSORS``, gamma, then xi when present."""
     data = _require_object(_load_json(text), where)
     name = data.get("name")
     if not isinstance(name, str) or not name:
@@ -216,22 +219,23 @@ def _parse_header(text: str, where: str) -> tuple[dict, str, SuperBasis]:
     dim = _parse_int(data, "dim", where)
     if dim < 1:
         raise InputError(f"{where}.dim: must be at least 1")
-    return data, name, SuperBasis(_parse_parities(data, dim, where))
+    basis = SuperBasis(_parse_parities(data, dim, where))
+    has_xi = data.get("xi") is not None
+    if xi_required and not has_xi:
+        raise InputError(f"{where}.xi: required for {where} documents")
+    literals = _Literals()
+    tensors = {key: _parse_tensor(data, key, dim, where, literals) for key in cls.TENSORS}
+    gamma = _parse_structure_map(data, "gamma", basis, where, literals)
+    xi = _parse_structure_map(data, "xi", basis, where, literals) if has_xi else None
+    return cls(name=name, basis=basis, **tensors, gamma=gamma, xi=xi)
 
 
 def parse_algebra(text: str) -> TrialgebraSpec:
-    where = "algebra"
-    data, name, basis = _parse_header(text, where)
-    dim, literals = basis.dimension, _Literals()
-    return TrialgebraSpec(
-        name=name,
-        basis=basis,
-        left=_parse_tensor(data, "left", dim, where, literals),
-        right=_parse_tensor(data, "right", dim, where, literals),
-        perp=_parse_tensor(data, "perp", dim, where, literals),
-        gamma=_parse_structure_map(data, "gamma", basis, where, literals),
-        xi=_parse_structure_map(data, "xi", basis, where, literals) if data.get("xi") is not None else None,
-    )
+    return _parse_spec(TrialgebraSpec, text, "algebra")
+
+
+def parse_superalgebra(text: str) -> SuperalgebraSpec:
+    return _parse_spec(SuperalgebraSpec, text, "superalgebra", xi_required=True)
 
 
 def _tensor_entries(tensor: StructureTensor) -> list[dict[str, Any]]:
@@ -245,19 +249,13 @@ def _matrix_rows(matrix: Matrix) -> list[list[str]]:
     return [[rational_str(v) for v in matrix.row(i)] for i in range(matrix.rows)]
 
 
-def _document(
-    name: str, basis: SuperBasis, tensors: Mapping[str, StructureTensor], maps: Mapping[str, LinearMap | None]
-) -> str:
-    """The one document layout: name, dim, parity, then the tensors and the
-    present maps in the order given."""
-    doc: dict[str, Any] = {"name": name, "dim": basis.dimension, "parity": list(basis.parities)}
-    doc.update((key, _tensor_entries(tensor)) for key, tensor in tensors.items())
-    doc.update((key, _matrix_rows(m.matrix)) for key, m in maps.items() if m is not None)
+def emit_algebra(spec: _GradedSpec) -> str:
+    """The one document layout of every graded spec: name, dim, parity, each
+    tensor in ``TENSORS`` order, gamma, then xi when present."""
+    doc: dict[str, Any] = {"name": spec.name, "dim": spec.dimension, "parity": list(spec.basis.parities)}
+    doc.update((key, _tensor_entries(tensor)) for key, tensor in spec.products())
+    doc.update((key, _matrix_rows(m.matrix)) for key, m in (("gamma", spec.gamma), ("xi", spec.xi)) if m is not None)
     return to_json(doc) + "\n"
-
-
-def emit_algebra(spec: TrialgebraSpec) -> str:
-    return _document(spec.name, spec.basis, dict(spec.products()), {"gamma": spec.gamma, "xi": spec.xi})
 
 
 def parse_map(text: str) -> Matrix:
@@ -288,26 +286,3 @@ def emit_map(matrix: Matrix) -> str:
         "entries": [rational_str(v) for v in matrix.entries],
     }
     return to_json(doc) + "\n"
-
-
-def parse_superalgebra(text: str) -> SuperalgebraSpec:
-    where = "superalgebra"
-    data, name, basis = _parse_header(text, where)
-    if data.get("xi") is None:
-        raise InputError(f"{where}.xi: required for superalgebra documents")
-    literals = _Literals()
-    return SuperalgebraSpec(
-        name=name,
-        basis=basis,
-        star=_parse_tensor(data, "star", basis.dimension, where, literals),
-        gamma=_parse_structure_map(data, "gamma", basis, where, literals),
-        xi=_parse_structure_map(data, "xi", basis, where, literals),
-    )
-
-
-def emit_superalgebra(alg: SuperalgebraSpec) -> str:
-    return _document(alg.name, alg.basis, {"star": alg.star}, {"gamma": alg.gamma, "xi": alg.xi})
-
-
-def emit_bracket_pair(pair: BracketPairSpec) -> str:
-    return _document(pair.name, pair.basis, {"star": pair.star, "bracket": pair.bracket}, {"gamma": pair.gamma, "xi": pair.xi})

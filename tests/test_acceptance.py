@@ -137,8 +137,8 @@ def test_3_direct_sum_and_graph():
         rows = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         pi = LinearMap.square(dual2.basis, Matrix.from_rows(rows))
         result = graph_subalgebra_check(dual2, dual2, pi)
-        assert result.is_subalgebra == result.is_morphism
-        verdicts.add(result.is_morphism)
+        assert result.is_subalgebra == result.morphism_report.passed
+        verdicts.add(result.morphism_report.passed)
     assert verdicts == {True, False}, "sweep must exercise both sides of the equivalence"
 
 

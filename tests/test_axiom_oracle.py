@@ -287,9 +287,9 @@ def test_rational_commutator():
     spec = twisted_random()
     res = commutator_construct(spec)
     ops = _Ops(spec)
-    ops.tables.update(star=dict(res.pair.star.constants), bracket=dict(res.pair.bracket.constants))
-    assert res.leibniz.violations
-    assert as_tuples(res.leibniz) == leibniz_oracle(ops)
+    ops.tables.update(star=dict(res.spec.star.constants), bracket=dict(res.spec.bracket.constants))
+    assert res.report.violations
+    assert as_tuples(res.report) == leibniz_oracle(ops)
 
 
 # Dense random algebras at n = 6: rational constants on every admissible
@@ -337,7 +337,7 @@ def test_dense_commutator_at_six(seed):
     ops.tables["bracket"] = skew(ops.tables["perp"], ops.tables["perp"])
     res = commutator_construct(spec)
     expected = leibniz_oracle(ops)
-    assert expected and as_tuples(res.leibniz) == expected
+    assert expected and as_tuples(res.report) == expected
 
 
 @pytest.mark.parametrize("seed", DENSE_SEEDS)

@@ -19,7 +19,6 @@ from supertrial.linalg import Matrix
 from supertrial.serialize import (
     emit_algebra,
     emit_map,
-    emit_superalgebra,
     parse_algebra,
     parse_superalgebra,
 )
@@ -355,9 +354,20 @@ class TestConstructiveCommands:
         zero = write(tmp_path, "zero.json", emit_map(Matrix.from_rows([[0]])))
         assert main(["rb", path, "--map", zero, "--weight", "x"]) == 2
 
+    def test_non_ascii_digits_are_not_rational(self, tmp_path, capsys):
+        """Arabic-Indic and fullwidth digits would pass ``\\d`` and ``int``;
+        each run exits 2 naming the field that holds one."""
+        path = fixture_file(tmp_path, "dual2")
+        bad = write(tmp_path, "bad.json", json.dumps({"rows": 2, "cols": 2, "entries": ["٣", 0, 0, "１"]}))
+        assert main(["avg", path, "--map", bad]) == 2
+        assert capsys.readouterr().err == "error: map.entries[0]: '٣' is not a rational literal (use 'p' or 'p/q')\n"
+        ident = map_file(tmp_path, [[1, 0], [0, 1]])
+        assert main(["rb", path, "--map", ident, "--weight", "٢"]) == 2
+        assert capsys.readouterr().err == "error: weight: '٢' is not a rational literal (use 'p' or 'p/q')\n"
+
     def test_rb_induce_reads_superalgebra(self, tmp_path, capsys):
         alg = SuperalgebraSpec.build("idem1", [0], {(0, 0, 0): 1}, [[1]], [[1]])
-        path = write(tmp_path, "super.json", emit_superalgebra(alg))
+        path = write(tmp_path, "super.json", emit_algebra(alg))
         neg = write(tmp_path, "neg.json", emit_map(Matrix.from_rows([[-1]])))
         out = str(tmp_path / "induced.json")
         code, doc = run_json(capsys, ["rb", path, "--map", neg, "--weight", "1", "--induce", "--json", "-o", out])
@@ -430,7 +440,7 @@ class TestIgnoredFlagCombinations:
     def test_usage_error(self, tmp_path, capsys, argv, message):
         alg = SuperalgebraSpec.build("idem1", [0], {(0, 0, 0): 1}, [[1]], [[1]])
         paths = {
-            "super": write(tmp_path, "super.json", emit_superalgebra(alg)),
+            "super": write(tmp_path, "super.json", emit_algebra(alg)),
             "trial": fixture_file(tmp_path, "idem1"),
             "neg": write(tmp_path, "neg.json", emit_map(Matrix.from_rows([[-1]]))),
         }
@@ -675,7 +685,7 @@ def _layout_inputs(tmp_path):
         "zero2": fixture_file(tmp_path, "zero2"),
         "grassmann2": fixture_file(tmp_path, "grassmann2"),
         "bad": write(tmp_path, "bad.json", emit_algebra(inject_violation(builtin("dual2"), "right", (0, 0, 0), 1))),
-        "super": write(tmp_path, "super.json", emit_superalgebra(alg)),
+        "super": write(tmp_path, "super.json", emit_algebra(alg)),
         "ident2": write(tmp_path, "ident2.json", emit_map(Matrix.identity(2))),
         "shear2": write(tmp_path, "shear2.json", emit_map(Matrix.from_rows([[1, 1], [0, 1]]))),
         "double2": write(tmp_path, "double2.json", emit_map(Matrix.diagonal([2, 2]))),

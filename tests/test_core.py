@@ -1,7 +1,7 @@
 """Data model validation, axiom sweeps, and the two annihilator computations."""
 
 import gc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -132,18 +132,49 @@ class TestSpecValidation:
         with pytest.raises(ParityError, match="left"):
             TrialgebraSpec.build("t", [0, 1], {(0, 0, 1): 1}, {}, {}, ID2, ID2)
 
+    @staticmethod
+    def graded_specs():
+        """A bracket pair, a superalgebra and a trialgebra on grassmann2's basis."""
+        pair = commutator_construct(builtin("grassmann2")).spec
+        alg = SuperalgebraSpec(pair.name, pair.basis, pair.star, pair.gamma, pair.xi)
+        spec = TrialgebraSpec(pair.name, pair.basis, pair.star, pair.star, pair.star, pair.gamma, pair.xi)
+        return pair, alg, spec
+
     @pytest.mark.parametrize("field", ["gamma", "xi"])
     def test_every_graded_spec_rejects_an_odd_structure_map(self, field):
         """Bracket pairs hold the invariants of the other graded specs: an odd
         gamma or xi is refused by all three with one message."""
-        pair = commutator_construct(builtin("grassmann2")).pair
-        alg = SuperalgebraSpec(pair.name, pair.basis, pair.star, pair.gamma, pair.xi)
-        spec = TrialgebraSpec(pair.name, pair.basis, pair.star, pair.star, pair.star, pair.gamma, pair.xi)
+        pair, alg, spec = self.graded_specs()
         odd = LinearMap.square(pair.basis, Matrix.from_rows([[0, 1], [1, 0]]))
         for graded in (pair, alg, spec):
             with pytest.raises(ParityError) as info:
                 replace(graded, **{field: odd})
             assert str(info.value) == f"{field} must be an even map"
+
+    def test_every_graded_spec_checks_each_tensor_it_declares(self):
+        """``TENSORS`` names every tensor field of each kind, and each is
+        checked: an odd constant is refused naming the tensor, and so is a
+        tensor of another dimension."""
+        odd = StructureTensor.build(2, {(0, 0, 1): 1})
+        wide = StructureTensor.build(3, {})
+        kinds = {}
+        for graded in self.graded_specs():
+            tensors = [f.name for f in fields(graded) if isinstance(getattr(graded, f.name), StructureTensor)]
+            assert list(graded.TENSORS) == tensors
+            kinds[type(graded).__name__] = tensors
+            for label in tensors:
+                with pytest.raises(ParityError) as info:
+                    replace(graded, **{label: odd})
+                assert str(info.value) == f"{label} constant at (0, 0, 1): parity(k)=1 differs from parity(i)+parity(j)=0"
+                with pytest.raises(InputError) as info:
+                    replace(graded, **{label: wide})
+                assert type(info.value) is InputError
+                assert str(info.value) == f"{label} tensor dimension 3 does not match basis size 2"
+        assert kinds == {
+            "BracketPairSpec": ["star", "bracket"],
+            "SuperalgebraSpec": ["star"],
+            "TrialgebraSpec": ["left", "right", "perp"],
+        }
 
     def test_require_xi(self):
         spec = TrialgebraSpec.build("t", [0], {}, {}, {}, [[1]])

@@ -10,7 +10,8 @@ language calls the dunder methods.  The benchmark's tracer
 (``perfbench/trace.py``) looks program names up by string and calls some
 itself, so every name it reads and every string it holds counts as used
 too.  An imported name counts as used when its own module reads it;
-``__init__.py`` imports to export.
+``__init__.py`` imports to export.  The modules also form layers
+(``LAYERS``): each imports only the ones below it.
 """
 
 import ast
@@ -117,3 +118,39 @@ def test_each_name_is_imported_from_the_module_that_defines_it():
         if alias.name not in _bound_at_top(TREES[f"{node.module}.py"])
     ]
     assert borrowed == []
+
+
+# Each module may import only modules before it here.
+LAYERS = ("errors", "linalg", "sweep", "core", "serialize", "constructions", "spaces", "fixtures", "cli", "__init__")
+
+
+def _bound_before_imports(tree: ast.Module) -> set[str]:
+    """The names ``__init__`` binds before it imports any module of the package."""
+    head = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            break
+        head.append(node)
+    return _bound_at_top(ast.Module(body=head, type_ignores=[]))
+
+
+def test_modules_import_only_lower_layers():
+    """A relative import names its module, or, as ``from . import name``, a
+    module or the package.  The package counts as below every module only for
+    the names it binds before its first import (``__version__``)."""
+    assert sorted(f"{name}.py" for name in LAYERS) == sorted(TREES)
+    early = _bound_before_imports(TREES["__init__.py"])
+    upward = []
+    for module, tree in TREES.items():
+        rank = LAYERS.index(module[:-3])
+        for node in tree.body:
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            for name in names:
+                if name in early:
+                    continue
+                target = name if name in LAYERS else "__init__"
+                if LAYERS.index(target) >= rank:
+                    upward.append(f"{module} imports {target}")
+    assert upward == []

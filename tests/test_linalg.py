@@ -45,7 +45,10 @@ class TestFrac:
         with pytest.raises(InputError):
             frac(0.5)
 
-    @pytest.mark.parametrize("text", ["0.5", "1e3", "abc", "", "1/", "/2", "1/-2", "inf", "1 / 2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["0.5", "1e3", "abc", "", "1/", "/2", "1/-2", "inf", "1 / 2", "٣/٤", "３", "\x1c3", "\u30003/4", "\xa03", "3\u2028"],
+    )
     def test_rejects_other_strings(self, text):
         with pytest.raises(InputError, match="not a rational literal"):
             frac(text)

@@ -15,9 +15,7 @@ from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial.linalg import Matrix
 from supertrial.serialize import (
     emit_algebra,
-    emit_bracket_pair,
     emit_map,
-    emit_superalgebra,
     parse_algebra,
     parse_map,
     parse_rational,
@@ -97,12 +95,12 @@ def test_rectangular_map_roundtrip():
 def test_superalgebra_roundtrip():
     alg = SuperalgebraSpec.build("s", [0, 1], {(0, 0, 0): 1, (1, 1, 0): "1/3"},
                                  [[1, 0], [0, 1]], [[1, 0], [0, 1]])
-    assert parse_superalgebra(emit_superalgebra(alg)) == alg
+    assert parse_superalgebra(emit_algebra(alg)) == alg
 
 
 def test_bracket_pair_document_shape():
-    pair = commutator_construct(builtin("grassmann2")).pair
-    doc = json.loads(emit_bracket_pair(pair))
+    pair = commutator_construct(builtin("grassmann2")).spec
+    doc = json.loads(emit_algebra(pair))
     assert list(doc) == ["name", "dim", "parity", "star", "bracket", "gamma", "xi"]
     assert doc["name"] == "comm(grassmann2)"
 
@@ -133,7 +131,7 @@ class TestParseErrors:
     def reject_header(self, edit, fragment):
         """Apply edit to a two-dimensional document of each kind; both readers
         reject it at the same field of their own prefix."""
-        superalgebra = json.loads(emit_superalgebra(SuperalgebraSpec.build("s", [0, 0], {(0, 0, 0): 1}, ID2, ID2)))
+        superalgebra = json.loads(emit_algebra(SuperalgebraSpec.build("s", [0, 0], {(0, 0, 0): 1}, ID2, ID2)))
         for (parse, where), doc in zip(HEADER_READERS, (self.base(), superalgebra)):
             edit(doc)
             with pytest.raises(InputError, match=f"^{where}\\.{fragment}"):
@@ -198,14 +196,14 @@ class TestParseErrors:
 
     def test_superalgebra_requires_xi(self):
         alg = SuperalgebraSpec.build("s", [0], {}, [[1]], [[1]])
-        doc = json.loads(emit_superalgebra(alg))
+        doc = json.loads(emit_algebra(alg))
         del doc["xi"]
         with pytest.raises(InputError, match="xi"):
             parse_superalgebra(json.dumps(doc))
 
     def test_superalgebra_missing_xi_reported_before_a_bad_star_entry(self):
         alg = SuperalgebraSpec.build("s", [0], {(0, 0, 0): 1}, [[1]], [[1]])
-        doc = json.loads(emit_superalgebra(alg))
+        doc = json.loads(emit_algebra(alg))
         del doc["xi"]
         doc["star"][0]["v"] = 1.5
         with pytest.raises(InputError) as info:
