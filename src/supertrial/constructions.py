@@ -355,6 +355,7 @@ def swap_construct(spec: TrialgebraSpec) -> SwapResult:
 
 def sum_product_construct(spec: TrialgebraSpec) -> Constructed:
     """Install right + perp as the new right product, keeping left and perp."""
+    spec.require_xi()
     (star,) = _tensors(spec.dimension, dict(spec.products()), [("+", ("right", 0, 1), ("perp", 0, 1))])
     out = replace(spec, name=f"sum({spec.name})", right=star)
     return Constructed(out, check_bihom(out))

@@ -180,7 +180,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.integral[1])
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
 

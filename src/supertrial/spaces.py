@@ -23,7 +23,12 @@ structure maps are even, so the constraint systems are parity-homogeneous).
 Constraint rows are sparse integers, each read from one operator's table
 at its lcm of denominators, per distinct product and distinct non-identity
 structure map (equal operators give equal rows, and the identity commutes
-with every map).  Each graded piece is one elimination,
+with every map).  The parity-p piece assembles product rows only at the
+cells (a, b, k) with p(k) = p(a) + p(b) + p, the only ones with any.  Its
+commutation rows do not depend on T or the kind: one build, or one battery
+call across its builds, assembles them once per parity and reads them at
+each partner block's offset; the battery also takes each T from one table
+of the powers of gamma and xi.  Each graded piece is one elimination,
 ``linalg.projected_kernel``, which drops repeated rows, relabels the
 partner blocks of QD and GD before the map's own, feeds the rows by
 descending leading column and reads the piece's canonical basis off the
@@ -38,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
 from .errors import InputError, ParityError
@@ -145,17 +150,18 @@ def _nonzero(row: dict[int, int]) -> dict[int, int]:
     return {c: v for c, v in row.items() if v} if 0 in row.values() else row
 
 
-def _commutation_rows(other: Matrix, var_of: list[list[int | None]], offset: int) -> Iterator[dict[int, int]]:
-    """Nonzero sparse rows of X @ other - other @ X = 0 over the restricted unknowns, in integers."""
+def _commutation_rows(other: Matrix, var_of: list[list[int | None]]) -> Iterator[dict[int, int]]:
+    """Nonzero sparse rows of X @ other - other @ X = 0 over the first block's unknowns, in
+    integers.  other is even, so only the (k, l) on the unknowns' pattern have rows."""
     n = other.rows
     _, m = other.integral
-    for k in range(n):
-        for l in range(n):
+    for k, line in enumerate(var_of):
+        for l in (l for l, here in enumerate(line) if here is not None):
             row: dict[int, int] = {}
             for j in range(n):
-                for col, v in ((var_of[k][j], m[j * n + l]), (var_of[j][l], -m[k * n + j])):
-                    if v and col is not None:
-                        row[offset + col] = row.get(offset + col, 0) + v
+                for col, v in ((line[j], m[j * n + l]), (var_of[j][l], -m[k * n + j])):
+                    if v:
+                        row[col] = row.get(col, 0) + v
             if row := _nonzero(row):
                 yield row
 
@@ -220,28 +226,30 @@ def _product_rows(
     koszul: bool,
 ) -> Iterator[dict[int, int]]:
     """Nonzero sparse integer constraint rows of the kind over every product and cell; var_of[i][j]
-    is the column of unknown (i, j) in the first block, None off the parity pattern."""
+    is the column of unknown (i, j) in the first block, None off the parity pattern.  Products and
+    T are even, so only the cells (a, b, k) with p(k) = p(a) + p(b) + parity have rows, and every
+    unknown they read is on the pattern."""
     n = spec.dimension
     nv = sum(col is not None for line in var_of for col in line)
     by_col = list(zip(*var_of))
     parities = spec.basis.parities
+    coordinates = [[k for k in range(n) if parities[k] == p] for p in (0, 1)]
     for table in tables:
         zero, one, two, three = table.terms
-        for a, b, k in itertools.product(range(n), repeat=3):
+        for a, b in itertools.product(range(n), repeat=2):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
-            cell = ((zero[b][k], by_col[a]), (one[a][b], var_of[k]), (two[b][k], by_col[a]), (three[a][k], by_col[b]))
-            for terms in _KIND_ROWS[kind]:
-                row: dict[int, int] = {}
-                for term, block, sign in terms:
-                    pairs, lane = cell[term]
-                    sign = third if sign is None else sign
-                    for i, c in pairs:
-                        col = lane[i]
-                        if col is not None:
-                            col += block * nv
+            for k in coordinates[(parities[a] + parities[b] + parity) % 2]:
+                cell = ((zero[b][k], by_col[a]), (one[a][b], var_of[k]), (two[b][k], by_col[a]), (three[a][k], by_col[b]))
+                for terms in _KIND_ROWS[kind]:
+                    row: dict[int, int] = {}
+                    for term, block, sign in terms:
+                        pairs, lane = cell[term]
+                        sign = third if sign is None else sign
+                        for i, c in pairs:
+                            col = lane[i] + block * nv
                             row[col] = row.get(col, 0) + sign * c
-                if row := _nonzero(row):
-                    yield row
+                    if row := _nonzero(row):
+                        yield row
 
 
 def _solve_kind(
@@ -250,12 +258,15 @@ def _solve_kind(
     tables: Sequence[_TermTables],
     parity: int,
     koszul: bool,
+    commutation: dict[int, list[dict[int, int]]],
 ) -> list[Vector]:
     """Solve one graded subproblem: the canonical basis of its projected n*n vectorizations.
 
     A multi-block kind solves jointly over its auxiliary blocks and projects
     onto the first.  Unknowns are numbered in row-major order, so the basis
     that ``projected_kernel`` returns stays canonical in n*n coordinates.
+    The commutation rows depend on spec and parity only: commutation keeps
+    them at block 0 per parity, and each block reads them at its offset.
     """
     n = spec.dimension
     positions = _pattern_positions(spec.basis.parities, parity)
@@ -265,11 +276,12 @@ def _solve_kind(
     index = {pos: idx for idx, pos in enumerate(positions)}
     var_of = [[index.get((i, j)) for j in range(n)] for i in range(n)]
     blocks = 1 + max(block for terms in _KIND_ROWS[kind] for _, block, _ in terms)
-    xi = spec.require_xi()
-
-    maps = [m for m in _distinct((spec.gamma.matrix, xi.matrix)) if not m.is_identity]
-    commutation = (_commutation_rows(other, var_of, block * nv) for block in range(blocks) for other in maps)
-    rows = itertools.chain(*commutation, _product_rows(kind, spec, tables, parity, var_of, koszul))
+    if parity not in commutation:
+        maps = [m for m in _distinct((spec.gamma.matrix, spec.require_xi().matrix)) if not m.is_identity]
+        commutation[parity] = [row for m in maps for row in _commutation_rows(m, var_of)]
+    shared = commutation[parity]
+    partners = ([{c + block * nv: v for c, v in row.items()} for row in shared] for block in range(1, blocks))
+    rows = itertools.chain(shared, *partners, _product_rows(kind, spec, tables, parity, var_of, koszul))
     return [tuple(_ZERO if col is None else sol[col] for line in var_of for col in line)
             for sol in projected_kernel(rows, nv * blocks, nv)]
 
@@ -302,14 +314,17 @@ def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -
 
 
 def _build_space(
-    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[_TermTables] | None = None
+    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[_TermTables] | None = None,
+    commutation: dict[int, list[dict[int, int]]] | None = None,
 ) -> OperatorSpace:
-    """Solve one kind at T; tables, when given, are _twist_tables at T."""
+    """Solve one kind at T; tables, when given, are _twist_tables at T, and commutation holds
+    the commutation rows of spec's earlier builds in the same call (see _solve_kind)."""
     if kind not in SPACE_KINDS:
         raise InputError(f"unknown operator-space kind {kind!r}")
     if tables is None:
         tables = _twist_tables(spec, t.matrix(spec))
-    even_vecs, odd_vecs = (_solve_kind(kind, spec, tables, parity, koszul) for parity in (0, 1))
+    commutation = {} if commutation is None else commutation
+    even_vecs, odd_vecs = (_solve_kind(kind, spec, tables, parity, koszul, commutation) for parity in (0, 1))
     return _graded_space(kind, t, spec.basis, even_vecs, odd_vecs, koszul)
 
 
@@ -371,9 +386,9 @@ def space_contains(outer: OperatorSpace, inner: OperatorSpace) -> ContainmentRes
     return ContainmentResult(contained=True, witness=None)
 
 
-@dataclass(frozen=True)
-class BatteryLine:
-    """One evaluated claim; cross-power claims carry a second exponent pair."""
+class BatteryLine(NamedTuple):
+    """One evaluated claim; cross-power claims carry a second exponent pair.
+    A named tuple, so it is built in C."""
 
     claim_id: str
     s: int
@@ -457,12 +472,14 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
 
     tables: dict[Matrix, tuple[_TermTables, ...]] = {}
+    commutation: dict[int, list[dict[int, int]]] = {}
     built: dict[tuple, OperatorSpace] = {}
     by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
     spaces: dict[tuple, OperatorSpace] = {}
+    gammas, xis = ([m.matrix.power(k) for k in range(2 * max_power + 1)] for m in (spec.gamma, spec.require_xi()))
     for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
         t = TwistPower(s, r)
-        twist = t.matrix(spec)
+        twist = gammas[s] @ xis[r]
         if twist not in tables:  # a new T always builds D
             tables[twist] = _twist_tables(spec, twist)
         for kind in kinds_read:
@@ -473,7 +490,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
                 space = (_intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis) if isinstance(kind, tuple)
-                         else _build_space(kind, spec, t, koszul and kind == "D", tables[twist]))
+                         else _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation))
                 built[key] = by_value.setdefault(space.vectorized(), space)
             spaces[(kind, s, r)] = built[key]
 

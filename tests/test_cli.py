@@ -392,6 +392,17 @@ class TestConstructiveCommands:
         assert code == 1
         assert parse_algebra((tmp_path / "sum.json").read_text()).name == "sum(idem1)"
 
+    @pytest.mark.parametrize("command", ["sum-product", "swap", "total-product", "commutator"])
+    def test_document_without_xi_names_the_input(self, tmp_path, capsys, command):
+        """A construction that needs xi refuses a document without it before
+        building anything, so the message names the input, not sum(<name>)."""
+        doc = json.loads(emit_algebra(builtin("dual2")))
+        del doc["xi"]
+        out = str(tmp_path / "out.json")
+        assert main([command, write(tmp_path, "hom.json", json.dumps(doc)), "-o", out]) == 2
+        assert capsys.readouterr().err == "error: dual2: this operation needs the second structure map xi\n"
+        assert not (tmp_path / "out.json").exists()
+
     def test_commutator_writes_bracket_pair(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "grassmann2")
         out = str(tmp_path / "pair.json")

@@ -178,10 +178,22 @@ def _built(kind, spec, t, koszul=False):
     return _build_space(kind, spec, t, koszul)
 
 
+def _two_step_sheared():
+    """e0 o e0 = e1 o e1 = e2 for all three products, with gamma and xi two
+    different shears of e0 and e1.  Every product of a product is zero, so the
+    axioms hold for any commuting even gamma and xi.  Neither map is
+    semisimple, so GD's partner maps must commute with them too: without
+    those rows GD grows from 3 to 4 maps."""
+    constants = {(0, 0, 2): 1, (1, 1, 2): 1}
+    gamma, xi = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
+    return TrialgebraSpec.build("two-step-sheared", [0, 0, 0], constants, constants, constants, gamma, xi)
+
+
 # Inputs with gamma != xi: their spaces read the commutation rows of xi.
 GAMMA_NOT_XI = {
     "zero2-sheared": _sheared_zero2,
     "zero2-sheared+dual2-twisted": lambda: direct_sum(_sheared_zero2(), builtin("dual2-twisted")),
+    "two-step-sheared": _two_step_sheared,
 }
 
 
@@ -258,6 +270,86 @@ def test_each_system_gets_each_distinct_nonzero_row_once(monkeypatch):
     for sent, fed in systems:
         assert sent and all(row and all(row.values()) for row in sent)
         assert len(distinct(fed)) == len(fed) == len(distinct(sent))
+
+
+def _dense_product_rows(kind, spec, tables, parity, var_of, koszul):
+    """The kind's rows over every cell (a, b, k), skipping unknowns off the
+    parity pattern and dropping empty rows."""
+    n = spec.dimension
+    nv = sum(col is not None for line in var_of for col in line)
+    column = [[line[a] for line in var_of] for a in range(n)]
+    for table in tables:
+        zero, one, two, three = table.terms
+        for a, b, k in itertools.product(range(n), repeat=3):
+            cell = ((zero[b][k], column[a]), (one[a][b], var_of[k]), (two[b][k], column[a]), (three[a][k], column[b]))
+            third = 1 if koszul and parity == 1 and spec.basis.parities[a] == 1 else -1
+            for terms in spaces._KIND_ROWS[kind]:
+                row = {}
+                for term, block, sign in terms:
+                    pairs, lane = cell[term]
+                    for i, c in pairs:
+                        if lane[i] is not None:
+                            col = lane[i] + block * nv
+                            row[col] = row.get(col, 0) + (third if sign is None else sign) * c
+                if row := {col: v for col, v in row.items() if v}:
+                    yield row
+
+
+def _dense_commutation_rows(other, var_of):
+    """The rows of X @ other - other @ X over every (k, l), skipping unknowns
+    off the parity pattern and dropping empty rows."""
+    n = other.rows
+    m = other.integral[1]
+    for k, l in itertools.product(range(n), repeat=2):
+        row = {}
+        for j in range(n):
+            for col, v in ((var_of[k][j], m[j * n + l]), (var_of[j][l], -m[k * n + j])):
+                if col is not None:
+                    row[col] = row.get(col, 0) + v
+        if row := {col: v for col, v in row.items() if v}:
+            yield row
+
+
+def _var_of(spec, parity):
+    """The column of each unknown (i, j) of the parity's first block, as _solve_kind numbers them."""
+    n = spec.dimension
+    index = {pos: idx for idx, pos in enumerate(spaces._pattern_positions(spec.basis.parities, parity))}
+    return [[index.get((i, j)) for j in range(n)] for i in range(n)]
+
+
+_ROW_INPUTS = {
+    **{name: functools.partial(builtin, name) for name in FIXTURE_NAMES},
+    **GAMMA_NOT_XI,
+    "rational4": _rational4,
+}
+
+
+@pytest.mark.parametrize("kind, koszul", KINDS_AND_KOSZUL_D)
+@pytest.mark.parametrize("name", sorted(_ROW_INPUTS))
+def test_parity_sparse_cells_give_the_dense_rows(name, kind, koszul):
+    """Products, gamma, xi and so T are even, so the cells and (k, l) that
+    _product_rows and _commutation_rows skip have no row: both yield exactly
+    the nonempty rows of the dense loops over every cell, in the same order."""
+    spec = _ROW_INPUTS[name]()
+    tables = spaces._twist_tables(spec, TwistPower(1, 1).matrix(spec))
+    for parity in (0, 1):
+        var_of = _var_of(spec, parity)
+        rows = list(spaces._product_rows(kind, spec, tables, parity, var_of, koszul))
+        assert rows == list(_dense_product_rows(kind, spec, tables, parity, var_of, koszul))
+        for other in (spec.gamma.matrix, spec.xi.matrix):
+            assert list(spaces._commutation_rows(other, var_of)) == list(_dense_commutation_rows(other, var_of))
+
+
+def test_parity_sparse_rows_are_not_vacuous():
+    """The inputs of test_parity_sparse_cells_give_the_dense_rows reach product
+    and commutation rows in both parities, and those of a xi that is not gamma."""
+    cases = [("rational4", 0, "gamma"), ("rational4", 1, "gamma"), ("zero2-sheared+dual2-twisted", 0, "xi")]
+    for name, parity, field in cases:
+        spec = _ROW_INPUTS[name]()
+        tables = spaces._twist_tables(spec, TwistPower(1, 1).matrix(spec))
+        var_of = _var_of(spec, parity)
+        assert list(spaces._product_rows("GD", spec, tables, parity, var_of, False))
+        assert list(spaces._commutation_rows(getattr(spec, field).matrix, var_of))
 
 
 def test_a_build_eliminates_once_per_graded_piece(monkeypatch):
@@ -635,6 +727,35 @@ class TestBatteryPlan:
         assert [kind for kind, _ in built].count("ZD") == 1
         assert all(t.s <= max_power and t.r <= max_power for kind, t in built if kind == "GD")
         assert len(set(intersected)) == len(intersected) == solves
+
+    @pytest.mark.parametrize(
+        "name, max_power, maps",
+        [("idem1", 1, 0), ("dual2-twisted", 1, 1), ("dual2-twisted", 2, 1), ("zero2-sheared+dual2-twisted", 1, 2)],
+    )
+    def test_commutation_rows_once_per_parity_and_map(self, monkeypatch, name, max_power, maps):
+        """Commutation rows depend on the spec and the parity only, so one
+        battery call builds them once per parity and distinct structure map
+        other than the identity (never when gamma = xi = id), whatever the
+        twists and kinds, and the next call builds them again."""
+        spec = _BATTERY_INPUTS[name]()
+        calls = []
+        real = spaces._commutation_rows
+
+        def spy(other, var_of):
+            calls.append((other, tuple(map(tuple, var_of))))
+            return real(other, var_of)
+
+        monkeypatch.setattr(spaces, "_commutation_rows", spy)
+        identity = Matrix.identity(spec.dimension)
+        others = {m for m in (spec.gamma.matrix, spec.xi.matrix) if m != identity}
+        patterns = {tuple(map(tuple, _var_of(spec, parity)))
+                    for parity in (0, 1) if spaces._pattern_positions(spec.basis.parities, parity)}
+        expected = {(m, pattern) for m in others for pattern in patterns}
+        assert len(others) == maps
+        for call in (1, 2):
+            assert proposition_battery(spec, max_power).passed
+            assert len(calls) == len(set(calls)) * call == len(expected) * call
+            assert set(calls) == expected
 
     def test_witness_order_on_failing_relations(self, monkeypatch):
         """sum-qd-qc-in-gd reports QC's witness when QD fails too, and
