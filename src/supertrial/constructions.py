@@ -8,6 +8,9 @@ construction emits an unchecked algebra.  The induced, sum, commutator and
 total constructions return one shape, ``Constructed(spec, report)``, whose
 spec is a trialgebra, the commutator's ``BracketPairSpec`` or a
 superalgebra; the twist, graph and swap results add only their own verdicts.
+The direct sum and the Yau twist read the tensors off a spec's declared
+shape (``products()`` and ``TENSORS``), and every map a construction takes
+goes through the specs' own structure-map check, ``core._require_even``.
 
 The tensors a construction builds (the Yau twist, the Rota-Baxter split,
 the sum and total products and the commutator's skew products) are sweep
@@ -32,6 +35,8 @@ from .core import (
     TrialgebraSpec,
     _GradedSpec,
     _named,
+    _require_even,
+    _require_shape,
     check_bihom,
     check_morphism,
     check_superalgebra,
@@ -40,7 +45,6 @@ from .errors import (
     CommutationError,
     InputError,
     NotAutomorphismError,
-    ParityError,
     SingularMapError,
 )
 from .linalg import Matrix, RationalLike, frac, invert
@@ -100,18 +104,6 @@ class Constructed:
     report: CheckReport
 
 
-def _require_shape(m: LinearMap, n: int, label: str) -> None:
-    if m.matrix.rows != n or m.matrix.cols != n:
-        raise InputError(f"{label} must be {n}x{n}, got {m.matrix.rows}x{m.matrix.cols}")
-
-
-def _require_even(m: LinearMap, n: int, label: str) -> None:
-    """Raise unless ``m`` is an n x n even map."""
-    _require_shape(m, n, label)
-    if not m.is_even:
-        raise ParityError(f"{label} must be an even map")
-
-
 def _tensors(n: int, ops: dict, terms: list) -> list[StructureTensor]:
     """The tensor of each term: its product of e_i and e_j is the term at
     slots (i, j), tabulated by ``_tabulate``."""
@@ -127,13 +119,10 @@ def _conjugated(spec: TrialgebraSpec, l: LinearMap) -> tuple[TrialgebraSpec, Mat
     _require_even(l, spec.dimension, "twist map")
     linv = invert(l.matrix)
     ops = {**dict(spec.products()), "l": l.matrix, "linv": linv}
-    terms = [("l", (tag, ("linv", 0), ("linv", 1))) for tag in PRODUCT_TAGS]
-    left, right, perp = _tensors(spec.dimension, ops, terms)
+    terms = [("l", (tag, ("linv", 0), ("linv", 1))) for tag in spec.TENSORS]
     twisted = replace(
         spec,
-        left=left,
-        right=right,
-        perp=perp,
+        **dict(zip(spec.TENSORS, _tensors(spec.dimension, ops, terms))),
         gamma=LinearMap.square(spec.basis, l.matrix @ spec.gamma.matrix @ linv),
         xi=LinearMap.square(spec.basis, l.matrix @ xi.matrix @ linv),
     )
@@ -173,10 +162,6 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
     return check_morphism(twisted, twisted, conjugated)
 
 
-def _offset_tensor(tensor: StructureTensor, offset: int) -> dict[tuple[int, int, int], Fraction]:
-    return {(i + offset, j + offset, k + offset): v for (i, j, k), v in tensor.items()}
-
-
 def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     n, m = a.rows, b.rows
     rows = []
@@ -191,27 +176,13 @@ def direct_sum(a: TrialgebraSpec, b: TrialgebraSpec) -> TrialgebraSpec:
     """Block sum: componentwise products, block-diagonal structure maps."""
     if (a.xi is None) != (b.xi is None):
         raise InputError("both summands must agree on whether xi is present")
-    parities = a.basis.parities + b.basis.parities
-    n = len(parities)
-    basis = SuperBasis(parities)
-
-    def merged(tag: str) -> StructureTensor:
-        table = dict(_offset_tensor(a.tensor(tag), 0))  # type: ignore[arg-type]
-        table.update(_offset_tensor(b.tensor(tag), a.dimension))  # type: ignore[arg-type]
-        return StructureTensor.build(n, table)
-
-    xi = None
-    if a.xi is not None and b.xi is not None:
-        xi = LinearMap.square(basis, _block_diagonal(a.xi.matrix, b.xi.matrix))
-    return TrialgebraSpec(
-        name=f"dsum({a.name},{b.name})",
-        basis=basis,
-        left=merged("left"),
-        right=merged("right"),
-        perp=merged("perp"),
-        gamma=LinearMap.square(basis, _block_diagonal(a.gamma.matrix, b.gamma.matrix)),
-        xi=xi,
-    )
+    m = a.dimension
+    tensors = [
+        dict(ta.items()) | {(i + m, j + m, k + m): v for (i, j, k), v in tb.items()}
+        for (_, ta), (_, tb) in zip(a.products(), b.products())
+    ]
+    maps = [None if x is None else _block_diagonal(x.matrix, y.matrix) for x, y in ((a.gamma, b.gamma), (a.xi, b.xi))]
+    return TrialgebraSpec.build(f"dsum({a.name},{b.name})", a.basis.parities + b.basis.parities, *tensors, *maps)
 
 
 def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearMap) -> GraphCheckResult:

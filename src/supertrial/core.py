@@ -5,9 +5,12 @@ structure-constant tensors (the left, right, and middle products) together
 with one or two even structure maps ``gamma`` and ``xi``.  With ``xi``
 present the object is a BiHom candidate; without it the Hom axiom system
 applies.  ``_GradedSpec`` states once what every graded spec is: a basis,
-the even tensors its class names in ``TENSORS``, and even gamma and xi.  The
+the even tensors its class names in ``TENSORS``, an even gamma and an even
+xi that only a kind whose ``xi`` defaults to ``None`` may omit.  The
 trialgebra (``left``, ``right``, ``perp``), the superalgebra (``star``) and
-the commutator's bracket pair inherit its checks, ``dimension`` and
+the commutator's bracket pair inherit its one constructor ``build``, its
+checks (``_require_even`` is the one structure-map check, which the
+constructions reuse for the maps they take), ``dimension`` and
 ``products``, and ``_named`` gives any of them to the sweep by row name.
 The checkers write each axiom as a row of two terms and sweep it
 over basis tuples, which suffices by multilinearity, through the engine in
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence, TypeVar
 
 from .errors import InputError, ModeError, ParityError
 from .linalg import Echelon, Matrix, RationalLike, Vector, canonical_span, frac, numerators
@@ -176,13 +179,29 @@ class StructureTensor:
         return self.dim == other.dim and self._exact == other._exact
 
 
+def _require_shape(m: LinearMap, n: int, label: str) -> None:
+    if m.matrix.rows != n or m.matrix.cols != n:
+        raise InputError(f"{label} must be {n}x{n}, got {m.matrix.rows}x{m.matrix.cols}")
+
+
+def _require_even(m: LinearMap, n: int, label: str) -> None:
+    """Raise unless ``m`` is an n x n even map."""
+    _require_shape(m, n, label)
+    if not m.is_even:
+        raise ParityError(f"{label} must be an even map")
+
+
+_Spec = TypeVar("_Spec", bound="_GradedSpec")
+
+
 class _GradedSpec:
     """What every graded spec is: a name, a graded basis, the even tensors
     named by the class attribute ``TENSORS``, an even gamma and an even xi
-    (which a trialgebra may omit).  Subclasses are frozen dataclasses with
-    those fields; constructing one checks that each tensor matches the basis
-    and is even (a product of homogeneous vectors lands in the summed
-    parity), and that gamma and xi, where present, are square and even."""
+    (which a kind may omit only if its ``xi`` field defaults to ``None``).
+    Subclasses are frozen dataclasses with those fields in that order;
+    constructing one checks that each tensor matches the basis and is even
+    (a product of homogeneous vectors lands in the summed parity), and that
+    the maps the kind needs are present, n x n and even."""
 
     TENSORS: tuple[str, ...] = ()
 
@@ -201,12 +220,29 @@ class _GradedSpec:
                 )
         for label in ("gamma", "xi"):
             m = getattr(self, label)
-            if m is None:
-                continue
-            if m.matrix.rows != n or m.matrix.cols != n:
-                raise InputError(f"{label} must be square of size {n}")
-            if not m.is_even:
-                raise ParityError(f"{label} must be an even map")
+            if m is not None:
+                _require_even(m, n, label)
+            elif label == "gamma" or not self._xi_optional():
+                raise ModeError(f"{self.name}: a {type(self).__name__} needs the structure map {label}")
+
+    @classmethod
+    def _xi_optional(cls) -> bool:
+        """Whether this kind may omit xi: its ``xi`` field defaults to ``None``."""
+        return cls.__dataclass_fields__["xi"].default is None
+
+    @classmethod
+    def build(cls: type[_Spec], name: str, parities: Sequence[int], *data: object) -> _Spec:
+        """The spec from plain data: one constants mapping per ``TENSORS``
+        entry, then gamma and xi, each a ``Matrix`` or rows of rationals; a
+        map given as ``None`` (or an omitted xi) stays absent."""
+        basis = SuperBasis(tuple(parities))
+        n, k = basis.dimension, len(cls.TENSORS)
+        tensors = [StructureTensor.build(n, constants) for constants in data[:k]]
+        maps = [
+            m if m is None else LinearMap.square(basis, m if isinstance(m, Matrix) else Matrix.from_rows(m))
+            for m in data[k:]
+        ]
+        return cls(name, basis, *tensors, *maps)
 
     @property
     def dimension(self) -> int:
@@ -216,10 +252,6 @@ class _GradedSpec:
         """``(name, tensor)`` for each tensor, in ``TENSORS`` order."""
         for label in self.TENSORS:
             yield label, getattr(self, label)
-
-
-def _as_matrix(m: Matrix | Sequence[Sequence[RationalLike]]) -> Matrix:
-    return m if isinstance(m, Matrix) else Matrix.from_rows(m)
 
 
 @dataclass(frozen=True)
@@ -235,29 +267,6 @@ class TrialgebraSpec(_GradedSpec):
     perp: StructureTensor
     gamma: LinearMap
     xi: LinearMap | None = None
-
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        parities: Sequence[int],
-        left: Mapping[tuple[int, int, int], RationalLike],
-        right: Mapping[tuple[int, int, int], RationalLike],
-        perp: Mapping[tuple[int, int, int], RationalLike],
-        gamma: Matrix | Sequence[Sequence[RationalLike]],
-        xi: Matrix | Sequence[Sequence[RationalLike]] | None = None,
-    ) -> "TrialgebraSpec":
-        basis = SuperBasis(tuple(parities))
-        n = basis.dimension
-        return cls(
-            name=name,
-            basis=basis,
-            left=StructureTensor.build(n, left),
-            right=StructureTensor.build(n, right),
-            perp=StructureTensor.build(n, perp),
-            gamma=LinearMap.square(basis, _as_matrix(gamma)),
-            xi=None if xi is None else LinearMap.square(basis, _as_matrix(xi)),
-        )
 
     def tensor(self, tag: ProductTag) -> StructureTensor:
         if tag not in PRODUCT_TAGS:
@@ -281,24 +290,6 @@ class SuperalgebraSpec(_GradedSpec):
     star: StructureTensor
     gamma: LinearMap
     xi: LinearMap
-
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        parities: Sequence[int],
-        star: Mapping[tuple[int, int, int], RationalLike],
-        gamma: Matrix | Sequence[Sequence[RationalLike]],
-        xi: Matrix | Sequence[Sequence[RationalLike]],
-    ) -> "SuperalgebraSpec":
-        basis = SuperBasis(tuple(parities))
-        return cls(
-            name=name,
-            basis=basis,
-            star=StructureTensor.build(basis.dimension, star),
-            gamma=LinearMap.square(basis, _as_matrix(gamma)),
-            xi=LinearMap.square(basis, _as_matrix(xi)),
-        )
 
 
 def product_eval(spec: TrialgebraSpec, tag: ProductTag, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -421,7 +412,7 @@ def _annihilator(spec: TrialgebraSpec, xi: LinearMap, vecs: Matrix) -> list[Vect
     V e_a o gamma(xi(V u)) = 0 for every product o and column a.  Both
     products are tabulated once per distinct o; the row of (a, k) holds the
     k-th coordinates of their integer values at slot 1 = a."""
-    products = {f"o{i}": t for i, t in enumerate(_distinct([spec.left, spec.right, spec.perp]))}
+    products = {f"o{i}": t for i, t in enumerate(_distinct([t for _, t in spec.products()]))}
     ops = {**products, "gamma": spec.gamma.matrix, "xi": xi.matrix, "V": vecs}
     image, other = ("gamma", ("xi", ("V", 0))), ("V", 1)
     terms = [term for o in products for term in ((o, image, other), (o, other, image))]

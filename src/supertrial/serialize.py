@@ -23,13 +23,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping
 
-from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec, _GradedSpec
+from .core import LinearMap, StructureTensor, SuperBasis, SuperalgebraSpec, TrialgebraSpec, _GradedSpec, _Spec
 from .errors import InputError
 from .linalg import Matrix, frac
-
-_Spec = TypeVar("_Spec", bound=_GradedSpec)
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
@@ -208,9 +206,9 @@ def _parse_structure_map(data: Mapping[str, Any], key: str, basis: SuperBasis, w
     return LinearMap.square(basis, Matrix(dim, dim, tuple(flat)))
 
 
-def _parse_spec(cls: type[_Spec], text: str, where: str, xi_required: bool = False) -> _Spec:
+def _parse_spec(cls: type[_Spec], text: str, where: str) -> _Spec:
     """The graded spec of class ``cls`` a document holds, read in one order:
-    the object, name, dim, parity, xi's presence when required, each tensor
+    the object, name, dim, parity, xi's presence where the kind needs it, each tensor
     of ``cls.TENSORS``, gamma, then xi when present."""
     data = _require_object(_load_json(text), where)
     name = data.get("name")
@@ -221,7 +219,7 @@ def _parse_spec(cls: type[_Spec], text: str, where: str, xi_required: bool = Fal
         raise InputError(f"{where}.dim: must be at least 1")
     basis = SuperBasis(_parse_parities(data, dim, where))
     has_xi = data.get("xi") is not None
-    if xi_required and not has_xi:
+    if not has_xi and not cls._xi_optional():
         raise InputError(f"{where}.xi: required for {where} documents")
     literals = _Literals()
     tensors = {key: _parse_tensor(data, key, dim, where, literals) for key in cls.TENSORS}
@@ -235,7 +233,7 @@ def parse_algebra(text: str) -> TrialgebraSpec:
 
 
 def parse_superalgebra(text: str) -> SuperalgebraSpec:
-    return _parse_spec(SuperalgebraSpec, text, "superalgebra", xi_required=True)
+    return _parse_spec(SuperalgebraSpec, text, "superalgebra")
 
 
 def _tensor_entries(tensor: StructureTensor) -> list[dict[str, Any]]:

@@ -200,7 +200,7 @@ class _TermTables:
 
 def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[_TermTables, ...]:
     """The term tables of each distinct product of spec at one twist matrix."""
-    return tuple(_TermTables(tensor, twist) for tensor in _distinct((spec.left, spec.right, spec.perp)))
+    return tuple(_TermTables(tensor, twist) for tensor in _distinct([t for _, t in spec.products()]))
 
 
 # The constraint rows of each kind at one (pair, coordinate) cell, each a

@@ -176,6 +176,39 @@ class TestSpecValidation:
             "TrialgebraSpec": ["left", "right", "perp"],
         }
 
+    def test_specs_that_need_xi_refuse_to_build_without_it(self):
+        """A superalgebra and a bracket pair carry xi, so neither builds
+        without it; the error names the spec and xi."""
+        pair, alg, _ = self.graded_specs()
+        for graded in (pair, alg):
+            with pytest.raises(InputError) as info:
+                replace(graded, xi=None)
+            assert isinstance(info.value, ModeError)
+            assert graded.name in str(info.value) and "xi" in str(info.value)
+        with pytest.raises(ModeError, match="xi"):
+            SuperalgebraSpec.build("s", [0], {(0, 0, 0): 1}, [[1]], None)
+
+    def test_a_trialgebra_builds_without_xi(self):
+        *_, spec = self.graded_specs()
+        assert replace(spec, xi=None).xi is None
+        assert TrialgebraSpec.build("t", [0], {}, {}, {}, [[1]], None).xi is None
+
+    def test_build_equals_the_dataclass_constructor(self):
+        """``build`` reads each kind's shape from ``TENSORS``: constants in
+        that order, then gamma and xi as rows or a ``Matrix``."""
+        for graded in self.graded_specs():
+            constants = [dict(t.constants) for _, t in graded.products()]
+            rows = [[graded.gamma.matrix.row(i) for i in range(graded.dimension)], graded.xi.matrix]
+            assert type(graded).build(graded.name, graded.basis.parities, *constants, *rows) == graded
+
+    def test_wrongly_sized_structure_map_names_both_sizes(self):
+        *_, spec = self.graded_specs()
+        wide = identity_map(SuperBasis((0, 1, 1)))
+        for field in ("gamma", "xi"):
+            with pytest.raises(InputError) as info:
+                replace(spec, **{field: wide})
+            assert str(info.value) == f"{field} must be 2x2, got 3x3"
+
     def test_require_xi(self):
         spec = TrialgebraSpec.build("t", [0], {}, {}, {}, [[1]])
         assert spec.xi is None

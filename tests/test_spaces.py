@@ -16,7 +16,15 @@ from constraint_oracle import oracle_space, span_intersection
 from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
-from supertrial.core import LinearMap, StructureTensor, TrialgebraSpec, center, check_bihom, identity_map
+from supertrial.core import (
+    LinearMap,
+    StructureTensor,
+    TrialgebraSpec,
+    center,
+    check_bihom,
+    check_multiplicative,
+    identity_map,
+)
 from supertrial.errors import InputError, ParityError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial import linalg, spaces
@@ -609,6 +617,26 @@ class TestPropositionBattery:
         failed = report.failed_lines()
         assert [ln.claim_id for ln in failed] == ["chain-d-in-qd"]
         assert failed[0].witness.matrix == Matrix.from_rows([[0, 1], [0, 0]])
+
+    @staticmethod
+    def nil3_odd():
+        """e0 o e1 = e2 in all three products on parities (0, 1, 1), with
+        gamma = xi = id: valid, but e1 o e0 = 0, so not supercommutative."""
+        constants = {(0, 1, 2): 1}
+        ident = Matrix.identity(3)
+        return TrialgebraSpec.build("nil3-odd", [0, 1, 1], constants, constants, constants, ident, ident)
+
+    def test_nil3_odd_is_a_valid_algebra(self):
+        spec = self.nil3_odd()
+        assert check_bihom(spec).passed
+        assert check_multiplicative(spec).passed
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+    def test_nil3_odd_passes_the_battery(self):
+        """The claim ZD = D n C fails on this valid input (its four
+        ``zd-eq-d-cap-c`` lines of 120); once ZD's rows are settled this
+        strict xfail turns red and is flipped to a plain test."""
+        assert proposition_battery(self.nil3_odd(), 1).passed
 
 
 _PER_POWER_CLAIMS = (
