@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import re
 import sys
 from pathlib import Path
 from types import MappingProxyType
@@ -420,8 +421,18 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative rational such as ``-1/2`` as a value, as it
+    reads ``-1``; argparse takes any other dash-led word for a flag.  Its subparsers are
+    of this class too."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(rf"{self._negative_number_matcher.pattern}|^-[0-9]+/[0-9]+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supertrial",
         description="Exact workbench for BiHom-associative supertrialgebras.",
     )

@@ -15,7 +15,13 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and builds GD only at the base powers,
-the only ones its claims read; it keeps one object per distinct space and
+the only ones its claims read.  On a regular input (gamma and xi
+invertible, commuting and multiplicative for all three products) M =
+gamma^s xi^r carries each row of _KIND_ROWS at T, partner blocks and
+commutation rows included, to the same row at MT, and M^-1 carries it
+back, so X(gamma^s xi^r) = gamma^s xi^r . X(id) for every kind but ZD;
+there the battery solves each kind at T = id only and multiplies its
+graded bases by each other T.  It keeps one object per distinct space and
 intersects D and C ("DC") from the built spaces with one Zassenhaus
 echelon per graded piece.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
@@ -45,9 +51,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center
-from .errors import InputError, ParityError
-from .linalg import Echelon, Matrix, Vector, integer_product, projected_kernel
+from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center, check_multiplicative
+from .errors import InputError, ParityError, SingularMapError
+from .linalg import Echelon, Matrix, Vector, integer_product, invert, projected_kernel
 from .sweep import _distinct
 
 SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
@@ -313,6 +319,33 @@ def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -
     return _graded_space(a.kind + b.kind, a.twist, basis, *pieces, a.koszul)
 
 
+def _transported(space: OperatorSpace, twist: Matrix, t: TwistPower, basis: SuperBasis) -> OperatorSpace:
+    """The space twist . X over X in space, each graded piece's canonical basis read off one
+    echelon of the products on integer numerators; the RREF of a span is unique, so this is
+    the basis a solve of the same space returns."""
+    n = space.ambient_dim
+    m = twist.integral[1]
+    pieces = []
+    for maps in (space.even_basis, space.odd_basis):
+        ech = Echelon(integer_product(m, x.matrix.integral[1], n, n, n) for x in maps)
+        pieces.append([tuple(row.get(c, _ZERO) for c in range(n * n)) for row in ech.rows()])
+    return _graded_space(space.kind, t, basis, *pieces, space.koszul)
+
+
+def _is_regular(spec: TrialgebraSpec, max_power: int) -> bool:
+    """Whether the battery may solve each kind at T = id only and carry it to the other twists:
+    some twist is not the identity, and gamma and xi commute, are invertible and are
+    multiplicative for all three products (see proposition_battery)."""
+    gamma, xi = spec.gamma.matrix, spec.require_xi().matrix
+    if max_power < 1 or (gamma.is_identity and xi.is_identity) or gamma @ xi != xi @ gamma:
+        return False
+    try:
+        invert(gamma), invert(xi)
+    except SingularMapError:
+        return False
+    return check_multiplicative(spec).passed
+
+
 def _build_space(
     kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[_TermTables] | None = None,
     commutation: dict[int, list[dict[int, int]]] | None = None,
@@ -459,6 +492,15 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
     all, so each space is solved once per distinct T (D intersect C from
     that T's D and C), and GD only at the base powers, the only ones read.
+    On a regular input (see ``_is_regular``: some T is not the identity,
+    and gamma and xi commute, are invertible and are multiplicative for
+    all three products) each kind is solved at T = id only: for X in a
+    kind's space at T, MX satisfies the same equations at MT, since M =
+    gamma^s xi^r is an even multiplicative map commuting with gamma and
+    xi, and M^-1 maps back, so the space at T = gamma^s xi^r is
+    T . X(id), read off one echelon per graded piece by ``_transported``.
+    The guard is decided once per call, and any other input keeps one
+    solve per distinct T.
     Equal spaces are kept as one object (the first built), so each claim,
     target span, graded basis and product of basis maps is worked out once.
     Every relation returns the witness of a failing line or None, and tests
@@ -476,11 +518,13 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     built: dict[tuple, OperatorSpace] = {}
     by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
     spaces: dict[tuple, OperatorSpace] = {}
+    regular = _is_regular(spec, max_power)
     gammas, xis = ([m.matrix.power(k) for k in range(2 * max_power + 1)] for m in (spec.gamma, spec.require_xi()))
     for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
         t = TwistPower(s, r)
         twist = gammas[s] @ xis[r]
-        if twist not in tables:  # a new T always builds D
+        carried = regular and not twist.is_identity
+        if not carried and twist not in tables:  # a new solved T always builds D
             tables[twist] = _twist_tables(spec, twist)
         for kind in kinds_read:
             if max(s, r) > max_power and kind not in read_at_sums:
@@ -489,8 +533,12 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             reads_twist = any(term > 1 for k in solved for terms in _KIND_ROWS[k] for term, _, _ in terms)
             key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
-                space = (_intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis) if isinstance(kind, tuple)
-                         else _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation))
+                if isinstance(kind, tuple):
+                    space = _intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis)
+                elif carried:  # (0, 0) came first and built the kind at T = id
+                    space = _transported(built[(kind, gammas[0])], twist, t, spec.basis)
+                else:
+                    space = _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation)
                 built[key] = by_value.setdefault(space.vectorized(), space)
             spaces[(kind, s, r)] = built[key]
 

@@ -354,6 +354,20 @@ class TestConstructiveCommands:
         zero = write(tmp_path, "zero.json", emit_map(Matrix.from_rows([[0]])))
         assert main(["rb", path, "--map", zero, "--weight", "x"]) == 2
 
+    @pytest.mark.parametrize("weight, code", [("-1", 0), ("-1/2", 1), ("-3/4", 1)])
+    def test_negative_weight_reads_as_a_separate_argument(self, tmp_path, capsys, weight, code):
+        """A negative weight, integer or rational, runs as it does in the --weight=... form:
+        the identity on idem1 is a Rota-Baxter operator of weight -1 only."""
+        path = fixture_file(tmp_path, "idem1")
+        ident = write(tmp_path, "one.json", emit_map(Matrix.identity(1)))
+        runs = []
+        for argv in (["--weight", weight], [f"--weight={weight}"]):
+            runs.append((main(["rb", path, "--map", ident, *argv, "--json"]), *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        exit_code, out, err = runs[0]
+        assert exit_code == code and err == ""
+        assert json.loads(out)["details"] == {"weight": weight, "literal": False}
+
     def test_non_ascii_digits_are_not_rational(self, tmp_path, capsys):
         """Arabic-Indic and fullwidth digits would pass ``\\d`` and ``int``;
         each run exits 2 naming the field that holds one."""

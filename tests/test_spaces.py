@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from constraint_oracle import oracle_space, span_intersection
+from generators import two_step
 from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
@@ -25,7 +26,7 @@ from supertrial.core import (
     check_multiplicative,
     identity_map,
 )
-from supertrial.errors import InputError, ParityError
+from supertrial.errors import InputError, ParityError, SingularMapError
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial import linalg, spaces
 from supertrial.linalg import Echelon, Matrix, canonical_span, invert, solve_in_span
@@ -195,6 +196,16 @@ def _two_step_sheared():
     constants = {(0, 0, 2): 1, (1, 1, 2): 1}
     gamma, xi = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
     return TrialgebraSpec.build("two-step-sheared", [0, 0, 0], constants, constants, constants, gamma, xi)
+
+
+def _bumped(spec):
+    """spec with the last diagonal entry of gamma raised by 1: gamma and xi stay diagonal,
+    invertible and commuting, and the axioms still hold when every product of a product is
+    zero, but gamma is no longer multiplicative once a product reaches the last coordinate."""
+    n = spec.dimension
+    gamma = [[v + (i == j == n - 1) for j, v in enumerate(spec.gamma.matrix.row(i))] for i in range(n)]
+    return TrialgebraSpec.build(spec.name + "-bumped", spec.basis.parities, spec.left.constants,
+                                spec.right.constants, spec.perp.constants, gamma, spec.xi.matrix)
 
 
 # Inputs with gamma != xi: their spaces read the commutation rows of xi.
@@ -719,15 +730,18 @@ def test_battery_pattern_survives_rational_conjugation(koszul):
 class TestBatteryPlan:
     @pytest.mark.parametrize(
         "name, max_power, builds, solves",
-        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 24, 3), ("dual2-twisted", 2, 42, 5)],
+        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 6, 3), ("dual2-twisted", 2, 6, 5),
+         ("two-step-0-n4-bumped", 1, 41, 4), ("two-step-0-n4-bumped", 2, 110, 9)],
     )
     def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
         """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
         all, and GD is read only at the base powers.  D intersect C is
         intersected once per distinct T from that T's D and C, and no build
         solves it from constraint rows: each build solves its own kind's two
-        graded pieces."""
-        spec = builtin(name)
+        graded pieces.  dual2-twisted is regular, so each kind is solved
+        once, at T = id, and carried to the other twists; the bumped two-step
+        input is not multiplicative, so each distinct T is solved."""
+        spec = _BATTERY_INPUTS[name]()
         built, intersected, systems = [], [], []
         real_build, real_intersect, real_solve = spaces._build_space, spaces._intersection_space, spaces._solve_kind
 
@@ -919,6 +933,7 @@ _BATTERY_INPUTS = {
     "zero2-sheared": _sheared_zero2,
     "zero2-sheared+dual2-twisted": GAMMA_NOT_XI["zero2-sheared+dual2-twisted"],
     "zero2-sheared+idem1": lambda: direct_sum(_sheared_zero2(), builtin("idem1")),
+    "two-step-0-n4-bumped": lambda: _bumped(two_step(0, 4)),
 }
 
 
@@ -940,13 +955,15 @@ class TestBatterySharing:
         span of every relation exactly once: the targets of brackets and
         compositions at the summed powers, and the outer spans of contain and
         eq-dc (GD, QD, D intersect C and ZD) at the base powers.  The
-        Zassenhaus echelons of D intersect C are not targets."""
+        Zassenhaus echelons of D intersect C, and the products and echelons
+        that carry a space from T = id to another twist, are not targets."""
         spec = builtin("dual2-twisted")
         products, targets, inside = [], [], []
-        real_product, real_intersect = spaces.integer_product, spaces._intersection_space
+        real_product, real_intersect, real_carry = spaces.integer_product, spaces._intersection_space, spaces._transported
 
         def spy_product(x, y, *shape):
-            products.append((tuple(x), tuple(y)))
+            if not inside:
+                products.append((tuple(x), tuple(y)))
             return real_product(x, y, *shape)
 
         class SpyEchelon(Echelon):
@@ -956,16 +973,19 @@ class TestBatterySharing:
                     targets.append(tuple(tuple(row) for row in rows))
                 super().__init__(rows)
 
-        def spy_intersect(*args):
-            inside.append(True)
-            try:
-                return real_intersect(*args)
-            finally:
-                inside.pop()
+        def left_out(real):
+            def spy(*args):
+                inside.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            return spy
 
         monkeypatch.setattr(spaces, "integer_product", spy_product)
         monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
-        monkeypatch.setattr(spaces, "_intersection_space", spy_intersect)
+        monkeypatch.setattr(spaces, "_intersection_space", left_out(real_intersect))
+        monkeypatch.setattr(spaces, "_transported", left_out(real_carry))
         for max_power in (1, 2):
             base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
             sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
@@ -977,6 +997,142 @@ class TestBatterySharing:
             assert products and len(set(products)) == len(products)
             assert len(set(targets)) == len(targets) == len(expected)
             assert set(targets) == expected
+
+
+def _nil3_odd_singular():
+    """nil3-odd with gamma = diag(3, 0, 0) and xi = diag(2, 4, 8): a valid, multiplicative
+    input whose gamma is singular."""
+    constants = {(0, 1, 2): 1}
+    gamma, xi = Matrix.diagonal([3, 0, 0]), Matrix.diagonal([2, 4, 8])
+    return TrialgebraSpec.build("nil3-odd-singular", [0, 1, 1], constants, constants, constants, gamma, xi)
+
+
+def _not_commuting():
+    """Zero products with two shears that do not commute: multiplicative and invertible,
+    but not a BiHom algebra, which only a library call can hand the battery."""
+    gamma, xi = [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    return TrialgebraSpec.build("zero3-not-commuting", [0, 0, 0], {}, {}, {}, gamma, xi)
+
+
+# Inputs the battery must not carry spaces on, each refused by one guard of _is_regular.
+NOT_REGULAR = {
+    "singular": _nil3_odd_singular,
+    "not-multiplicative": lambda: _bumped(two_step(0, 4)),
+    "not-commuting": _not_commuting,
+}
+
+# The two-step inputs of the transport tests: seeds 0-9 at n = 2-5, all regular.
+TWO_STEP = [(seed, n) for seed in range(10) for n in range(2, 6)]
+
+_TRANSPORT_BATTERIES = {**_BATTERY_INPUTS, **{f"two-step-{s}-n{n}": functools.partial(two_step, s, n) for s, n in TWO_STEP}}
+
+_TRANSPORTED_KINDS = [(kind, koszul) for kind, koszul in KINDS_AND_KOSZUL_D if kind != "ZD"]
+
+
+def _invertible(m):
+    try:
+        invert(m)
+    except SingularMapError:
+        return False
+    return True
+
+
+def _pieces(space):
+    """The even and odd canonical bases, whose merge by leading column is the space's basis."""
+    return tuple(tuple(m.matrix for m in maps) for maps in (space.even_basis, space.odd_basis))
+
+
+def _carry_errors(spec):
+    """The (kind, koszul, s, r) up to gamma^2 xi^2 whose space T . X(id) differs from a solve at T."""
+    errors = []
+    for kind, koszul in _TRANSPORTED_KINDS:
+        base = _build_space(kind, spec, T00, koszul)
+        for s, r in itertools.product(range(3), repeat=2):
+            t = TwistPower(s, r)
+            carried = spaces._transported(base, t.matrix(spec), t, spec.basis)
+            solved = _build_space(kind, spec, t, koszul)
+            if _pieces(carried) != _pieces(solved):  # the pieces fix vectorized() too
+                errors.append((kind, koszul, s, r))
+    return errors
+
+
+def _battery_plan(monkeypatch, spec, max_power):
+    """The (kind, T) the battery solves and the (kind, T) it carries a space to."""
+    solved, carried = [], []
+    real_build, real_carry = spaces._build_space, spaces._transported
+
+    def spy_build(kind, spec, t, *rest):
+        solved.append((kind, t.matrix(spec)))
+        return real_build(kind, spec, t, *rest)
+
+    def spy_carry(space, twist, *rest):
+        carried.append((space.kind, twist))
+        return real_carry(space, twist, *rest)
+
+    monkeypatch.setattr(spaces, "_build_space", spy_build)
+    monkeypatch.setattr(spaces, "_transported", spy_carry)
+    proposition_battery(spec, max_power)
+    return solved, carried
+
+
+class TestTransport:
+    """On a regular input (gamma and xi invertible, commuting and multiplicative
+    for all three products) X(gamma^s xi^r) = gamma^s xi^r . X(id) for every
+    kind but ZD, and the battery solves each kind at T = id only."""
+
+    @pytest.mark.parametrize("seed, n", [(None, None)] + TWO_STEP)
+    def test_carried_space_equals_a_solve(self, seed, n):
+        spec = builtin("dual2-twisted") if seed is None else two_step(seed, n)
+        assert spaces._is_regular(spec, 1)
+        assert _carry_errors(spec) == []
+
+    @pytest.mark.parametrize("name", sorted(NOT_REGULAR))
+    def test_each_guard_refuses_an_input_the_transport_gets_wrong(self, monkeypatch, name):
+        """Each input fails exactly one guard, carrying its spaces would give
+        wrong ones, and the battery solves each distinct (kind, T) it reads."""
+        spec = NOT_REGULAR[name]()
+        gamma, xi = spec.gamma.matrix, spec.xi.matrix
+        guards = {
+            "singular": _invertible(gamma) and _invertible(xi),
+            "not-multiplicative": check_multiplicative(spec).passed,
+            "not-commuting": gamma @ xi == xi @ gamma,
+        }
+        assert [failed for failed, holds in guards.items() if not holds] == [name]
+        assert name == "not-commuting" or check_bihom(spec).passed
+        assert not any(spaces._is_regular(spec, max_power) for max_power in range(3))
+        assert _carry_errors(spec)
+        for max_power in (1, 2):
+            solved, carried = _battery_plan(monkeypatch, spec, max_power)
+            sums = list(itertools.product(range(2 * max_power + 1), repeat=2))
+            expected = {(kind, TwistPower(*power).matrix(spec)) for kind in ("D", "QD", "C", "QC") for power in sums}
+            expected |= {("GD", TwistPower(*power).matrix(spec)) for power in sums if max(power) <= max_power}
+            expected.add(("ZD", Matrix.identity(spec.dimension)))
+            assert carried == []
+            assert len(solved) == len(set(solved)) and set(solved) == expected
+
+    def test_a_regular_battery_solves_at_the_identity_only(self, monkeypatch):
+        spec = builtin("dual2-twisted")
+        identity = Matrix.identity(2)
+        solved, carried = _battery_plan(monkeypatch, spec, 2)
+        assert sorted(kind for kind, _ in solved) == ["C", "D", "GD", "QC", "QD", "ZD"]
+        assert all(twist == identity for _, twist in solved)
+        assert carried and all(twist != identity for _, twist in carried)
+
+    @pytest.mark.parametrize("name", ["idem1", "grassmann2"])
+    def test_identity_maps_never_reach_the_multiplicativity_check(self, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(spaces, "check_multiplicative", lambda spec: calls.append(spec))
+        for max_power in range(3):
+            proposition_battery(builtin(name), max_power)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(_TRANSPORT_BATTERIES))
+    def test_battery_reports_equal_those_without_the_transport(self, monkeypatch, name):
+        spec = _TRANSPORT_BATTERIES[name]()
+        cases = list(itertools.product(range(3), (False, True)))
+        carried = [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases]
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
+        assert [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases] == carried
 
 
 @pytest.mark.parametrize("seed", range(6))

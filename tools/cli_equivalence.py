@@ -13,7 +13,8 @@ products, identity, negated, diagonal and zero maps of every size, and a
 handful of malformed documents.  It then runs every subcommand on them,
 with and without ``--json`` and with ``-o`` where the subcommand takes it,
 ``spaces`` for every kind at (0, 0), (1, 0) and (0, 1) and ``--koszul`` on
-D, ``verify`` at ``--max-power`` 0 and 1, and a few usage errors.
+D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
+twists up to gamma^4 xi^4), and a few usage errors.
 
 Each tree runs the whole list once, in one fresh interpreter whose path
 holds only that tree's ``src`` and with ``PYTHONDONTWRITEBYTECODE`` set;
@@ -196,7 +197,7 @@ def invocations(roles: dict) -> list[dict]:
             add("spaces", alg, "--space", "D", "--s", str(s), "--r", str(r), "--koszul")
         for grade in ("even", "odd"):
             add("spaces", alg, "--space", "QD", "--s", "1", "--r", "1", "--grade", grade)
-        for power in ("0", "1"):
+        for power in ("0", "1", "2"):
             add("verify", alg, "--max-power", power)
         for m in maps[dims[alg]]:
             add("twist", alg, "--map", m, output=True)
@@ -215,7 +216,7 @@ def invocations(roles: dict) -> list[dict]:
     add("dsum", roles["fixtures"][0], roles["hom"][0])
     for alg in roles["fixtures"] + roles["hom"]:
         for m in maps[dims[alg]][1:]:
-            for weight in ("--weight=1", "--weight=-1/2"):  # "-1/2" alone would read as a flag
+            for weight in ("--weight=1", "--weight=-1/2"):
                 add("rb", alg, "--map", m, weight)
                 add("rb", alg, "--map", m, weight, "--literal")
     for alg in roles["star"] + roles["fixtures"][:1] + roles["hom"][:1]:
