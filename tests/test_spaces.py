@@ -1017,7 +1017,7 @@ def _not_commuting():
 # Inputs the battery must not carry spaces on, each refused by one guard of _is_regular.
 NOT_REGULAR = {
     "singular": _nil3_odd_singular,
-    "not-multiplicative": lambda: _bumped(two_step(0, 4)),
+    "not-multiplicative": _BATTERY_INPUTS["two-step-0-n4-bumped"],
     "not-commuting": _not_commuting,
 }
 
