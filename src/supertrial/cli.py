@@ -77,7 +77,8 @@ def _digest(text: str) -> str:
 
 
 def _violations_json(report: CheckReport) -> list[dict[str, Any]]:
-    # The rows failing on one tuple share the sweep's side tuples: write each once.
+    # The sweep hands out one tuple per distinct side value: convert each once, and let the
+    # records that share a side share its list, which the writer then renders once.
     written: dict[int, list[str]] = {}
 
     def strings(side: tuple) -> list[str]:

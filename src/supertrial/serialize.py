@@ -15,7 +15,8 @@ names in ``TENSORS``, gamma, then xi.  ``to_json`` lays out every
 report and document byte for byte as the standard library's indented JSON, but
 with one C-level ``str.join`` per container of one scalar type, not per token,
 and a list of records with one key tuple (tensor entries, violations, battery
-lines) with its key prefixes built once per list (``_write_records``).
+lines) with its key prefixes built once per list (``_write_records``), and each
+inline list that its records share, such as a violation side, written once.
 """
 
 from __future__ import annotations
@@ -107,20 +108,26 @@ def _write(value: Any, newline: str, parts: list[str]) -> None:
 def _write_records(records: list | tuple, newline: str, parts: list[str]) -> None:
     """Append the opening bracket and the records, each at ``newline``, of a list of dicts
     with one non-empty key tuple; the key prefixes are built once per list, a scalar or a
-    non-empty list of one scalar type is written inline, any other value through ``_write``."""
+    non-empty list of one scalar type is written inline, any other value through ``_write``.
+    An inline list's text is kept by ``id`` for the call, so a list that several records
+    share is written once; the records keep every item alive, so no ``id`` is reused."""
     inner = newline + "  "
     heads = ["," + inner + encode_basestring_ascii(key) + ": " for key in records[0]]
     lead = "{" + heads[0][1:]
     first, rest, sep = "[" + newline + lead, "," + newline + lead, "," + inner + "  "
     opening, closing, scalars = "[" + sep[1:], inner + "]", _SCALARS
+    inline: dict[int, str] = {}
     for n, record in enumerate(records):
         heads[0] = rest if n else first
         for head, item in zip(heads, record.values()):
             kind = type(item)
             if write := scalars.get(kind):
                 parts.append(head + write(item))
+            elif (text := inline.get(id(item))) is not None:
+                parts.append(head + text)
             elif (kind is list or kind is tuple) and len(kinds := set(map(type, item))) == 1 and (write := scalars.get(kinds.pop())):
-                parts.append(head + opening + sep.join(map(write, item)) + closing)
+                text = inline[id(item)] = opening + sep.join(map(write, item)) + closing
+                parts.append(head + text)
             else:
                 parts.append(head)
                 _write(item, inner, parts)

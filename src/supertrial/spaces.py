@@ -22,8 +22,8 @@ commutation rows included, to the same row at MT, and M^-1 carries it
 back, so X(gamma^s xi^r) = gamma^s xi^r . X(id) for every kind but ZD;
 there the battery solves each kind at T = id only and multiplies its
 graded bases by each other T.  It keeps one object per distinct space and
-intersects D and C ("DC") from the built spaces with one Zassenhaus
-echelon per graded piece.  Every space is solved separately on the
+intersects D and C ("DC") once per distinct pair of built spaces, with
+one Zassenhaus echelon per graded piece.  Every space is solved separately on the
 even-map and odd-map unknown patterns (sound because all products and both
 structure maps are even, so the constraint systems are parity-homogeneous).
 Constraint rows are sparse integers, each read from one operator's table
@@ -490,8 +490,9 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     exponents.
 
     A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
-    all, so each space is solved once per distinct T (D intersect C from
-    that T's D and C), and GD only at the base powers, the only ones read.
+    all, so each space is solved once per distinct T (D intersect C once
+    per distinct pair of D and C objects), and GD only at the base powers,
+    the only ones read.
     On a regular input (see ``_is_regular``: some T is not the identity,
     and gamma and xi commute, are invertible and are multiplicative for
     all three products) each kind is solved at T = id only: for X in a
@@ -529,12 +530,15 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         for kind in kinds_read:
             if max(s, r) > max_power and kind not in read_at_sums:
                 continue
-            solved = (kind,) if isinstance(kind, str) else kind
-            reads_twist = any(term > 1 for k in solved for terms in _KIND_ROWS[k] for term, _, _ in terms)
-            key = (kind, twist) if reads_twist else (kind,)
+            if isinstance(kind, tuple):  # D cap C by its operands, which ``built`` keeps alive
+                operands = [spaces[(k, s, r)] for k in kind]
+                key = (kind, *map(id, operands))
+            else:
+                reads_twist = any(term > 1 for terms in _KIND_ROWS[kind] for term, _, _ in terms)
+                key = (kind, twist) if reads_twist else (kind,)
             if key not in built:
                 if isinstance(kind, tuple):
-                    space = _intersection_space(*(spaces[(k, s, r)] for k in kind), spec.basis)
+                    space = _intersection_space(*operands, spec.basis)
                 elif carried:  # (0, 0) came first and built the kind at T = id
                     space = _transported(built[(kind, gammas[0])], twist, t, spec.basis)
                 else:

@@ -7,8 +7,9 @@ evaluated once, an identity map not at all.  ``_evaluate`` tables each
 step that reads fewer slots than the arity as a sparse integer vector, and
 computes each step that reads every slot per tuple as one packed integer
 whose lanes are wide enough to compare whole and exactly.  ``_sweep``
-compares the sides of each row and builds Fractions only for a violation;
-``_tabulate`` unpacks term values for the constructions and the center.
+compares the sides of each row and builds a violation's Fractions once
+per distinct side value, one tuple each; ``_tabulate`` unpacks term
+values for the constructions and the center.
 The operators are ``core.StructureTensor`` products and ``linalg.Matrix``
 maps, read as integers over one denominator each.
 """
@@ -301,8 +302,10 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
     Two sides agree when lhs * D_rhs == rhs * D_lhs for their denominators
     D, one comparison of packed ints per tuple for all the rows with the
     same sides and multipliers.  A row whose sides land on one position is
-    not compared, and the steps only such rows read do not run.  Sides are
-    unpacked, and Fractions built, only for a violation.
+    not compared, and the steps only such rows read do not run.  The sides
+    of a violation are unpacked, and Fractions built, once per distinct side
+    value: one shift serves the whole sweep, so a packed int, denominator and
+    length give one vector, and equal sides are one tuple across tuples.
     """
     plan = _Plan(n, ops, arity)
     dens, dims = plan.dens, plan.dims
@@ -314,10 +317,10 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
             groups.setdefault((plan.convert(l, True), plan.convert(r, True), dens[r] // g, dens[l] // g), []).append(axiom_id)
     violations: list[Violation] = []
     fraction = functools.cache(Fraction)
+    sides: dict[tuple[int, int, int], Vector] = {}
     multiplier = max([m for group in groups for m in group[2:]], default=1)
     offsets = None
     for idx, cur in _evaluate(plan, {p for group in groups for p in group[:2]}, multiplier):
-        sides: dict[int, Vector] = {}
         for (l, r, ml, mr), axiom_ids in groups.items():
             x, y = cur[l], cur[r]
             if x != y if ml == mr else x * ml != y * mr:
@@ -326,11 +329,12 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
                     shift = plan.shift
                     offsets, half, mask = range(0, shift * max(dims), shift), 1 << shift - 1, (1 << shift) - 1
                     bias = sum([half << offset for offset in offsets])
-                for at in (l, r):
-                    if at not in sides:
-                        v, d = cur[at] + bias, dens[at]
-                        sides[at] = tuple([fraction((v >> offset & mask) - half, d) for offset in offsets[: dims[at]]])
-                violations += [Violation(axiom_id, idx, sides[l], sides[r]) for axiom_id in axiom_ids]
+                lhs, rhs = (x, dens[l], dims[l]), (y, dens[r], dims[r])
+                for key in (lhs, rhs):
+                    if key not in sides:
+                        v, d, dim = key[0] + bias, key[1], key[2]
+                        sides[key] = tuple([fraction((v >> offset & mask) - half, d) for offset in offsets[:dim]])
+                violations += [Violation(axiom_id, idx, sides[lhs], sides[rhs]) for axiom_id in axiom_ids]
     return CheckReport.collect(violations)
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import supertrial
-from supertrial.cli import build_parser, main
-from supertrial.constructions import direct_sum, yau_twist
+from supertrial.cli import _violations_json, build_parser, main
+from supertrial.constructions import direct_sum, sum_product_construct, yau_twist
 from supertrial.core import LinearMap
 from supertrial.fixtures import FIXTURE_NAMES, builtin, inject_violation
 from supertrial.linalg import Matrix
@@ -21,6 +21,7 @@ from supertrial.serialize import (
     emit_map,
     parse_algebra,
     parse_superalgebra,
+    rational_str,
 )
 from supertrial.core import SuperalgebraSpec
 
@@ -779,3 +780,16 @@ class TestJsonLayout:
         assert len(doc["violations"]) == 12 and doc["violations"][0]["lhs"] == ["1", "0"]
         doc = json.loads(self.run(tmp_path, capsys, self.REPORTS["verify"]))
         assert doc["battery"] and doc["passed"] is True
+
+
+def test_violation_records_equal_a_plain_conversion():
+    """Records that share a side share its list of strings, and each equals
+    the side converted on its own."""
+    report = sum_product_construct(builtin("dual2")).report
+    records = _violations_json(report)
+    assert records == [
+        {"axiom_id": v.axiom_id, "indices": v.indices, "lhs": [rational_str(x) for x in v.lhs],
+         "rhs": [rational_str(x) for x in v.rhs]}
+        for v in report.violations
+    ]
+    assert len({id(record[side]) for record in records for side in ("lhs", "rhs")}) == 6

@@ -306,6 +306,38 @@ def _records(values):
 _RECORDS = _records(hs.recursive(_FIELD_LEAVES, _records, max_leaves=20))
 
 
+def _shared_records():
+    side, other = ["1", "-1/2", "0"], ["0"]
+    return [{"id": "a", "lhs": side, "rhs": side}, {"id": "b", "lhs": other, "rhs": side}, {"id": "c", "lhs": side, "rhs": other}]
+
+
+def _shared_list_of_lists():
+    rows = [["1", "0"], ["-1/2", "3"]]
+    return [{"claim": "x", "witness": rows}, {"claim": "y", "witness": rows}, {"claim": "z", "witness": rows[0]}]
+
+
+def _shared_empty():
+    empty = []
+    return [{"a": empty, "b": empty}, {"a": [1], "b": empty}, {"a": empty, "b": [2, 3]}]
+
+
+def _shared_mixed():
+    mixed, ints = [1, "a", None], (4, 5)
+    return [{"a": mixed, "b": ints}, {"a": ints, "b": mixed}, {"a": [True, 0], "b": ints}]
+
+
+# Record lists whose values are list objects shared across records and keys,
+# equal lists that are distinct objects, and shared lists the writer does
+# not write inline.
+_SHARED = {
+    "one list across records and keys": _shared_records,
+    "equal but distinct lists": lambda: [{"a": ["1", "2"], "b": ["1", "2"]}, {"a": ["1", "2"], "b": [1, 2]}],
+    "a shared list of lists": _shared_list_of_lists,
+    "a shared empty list": _shared_empty,
+    "a shared list of mixed scalar types": _shared_mixed,
+}
+
+
 def _near_misses(records):
     """Record lists that must take the general path: the keys of the first
     record in another order or with one more key, a ``True`` among ints, or
@@ -372,6 +404,23 @@ class TestToJson:
     )
     def test_explicit_cases(self, value):
         assert to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("name", sorted(_SHARED))
+    def test_records_that_share_lists(self, name):
+        """A one-scalar-type list that several records share is written once
+        per call and reused; the text matches the standard library's."""
+        value = _SHARED[name]()
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    def test_a_shared_mixed_list_is_written_at_each_use(self, monkeypatch):
+        """A list of mixed scalar types is not written inline, so the memo
+        never holds it: each record writes it again through ``_write``."""
+        mixed = [1, "a", None, True]
+        value = [{"a": mixed, "b": mixed}, {"a": mixed, "b": ["x"]}]
+        calls, real = [], serialize._write
+        monkeypatch.setattr(serialize, "_write", lambda item, *rest: calls.append(item) or real(item, *rest))
+        assert to_json(value) == json.dumps(value, indent=2)
+        assert sum(item is mixed for item in calls) == 3
 
     @pytest.mark.parametrize(
         "value",

@@ -731,16 +731,18 @@ class TestBatteryPlan:
     @pytest.mark.parametrize(
         "name, max_power, builds, solves",
         [("idem1", 1, 6, 1), ("dual2-twisted", 1, 6, 3), ("dual2-twisted", 2, 6, 5),
-         ("two-step-0-n4-bumped", 1, 41, 4), ("two-step-0-n4-bumped", 2, 110, 9)],
+         ("two-step-0-n4-bumped", 1, 41, 4), ("two-step-0-n4-bumped", 2, 110, 9),
+         ("two-step-0-n3-bumped", 1, 41, 3), ("two-step-0-n3-bumped", 2, 110, 5)],
     )
     def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
         """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
         all, and GD is read only at the base powers.  D intersect C is
-        intersected once per distinct T from that T's D and C, and no build
+        intersected once per distinct pair of D and C operands, and no build
         solves it from constraint rows: each build solves its own kind's two
         graded pieces.  dual2-twisted is regular, so each kind is solved
         once, at T = id, and carried to the other twists; the bumped two-step
-        input is not multiplicative, so each distinct T is solved."""
+        inputs are not multiplicative, so each distinct T is solved, and on
+        n = 3 distinct T give equal D and C, intersected once."""
         spec = _BATTERY_INPUTS[name]()
         built, intersected, systems = [], [], []
         real_build, real_intersect, real_solve = spaces._build_space, spaces._intersection_space, spaces._solve_kind
@@ -934,6 +936,7 @@ _BATTERY_INPUTS = {
     "zero2-sheared+dual2-twisted": GAMMA_NOT_XI["zero2-sheared+dual2-twisted"],
     "zero2-sheared+idem1": lambda: direct_sum(_sheared_zero2(), builtin("idem1")),
     "two-step-0-n4-bumped": lambda: _bumped(two_step(0, 4)),
+    "two-step-0-n3-bumped": lambda: _bumped(two_step(0, 3)),
 }
 
 

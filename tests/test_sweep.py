@@ -19,7 +19,7 @@ import axiom_oracle
 import pytest
 from axiom_oracle import bihom_violations
 
-from supertrial.constructions import direct_sum
+from supertrial.constructions import direct_sum, sum_product_construct
 from supertrial.core import _BIHOM_TRIPLES, LinearMap, TrialgebraSpec, check_bihom, check_morphism, _named
 from supertrial.fixtures import builtin, inject_violation
 from supertrial.linalg import Matrix
@@ -126,6 +126,46 @@ def test_sides_over_different_denominators():
         ("differ", (0, 1), (F(0), F(1, 2)), (F(0), F(1))),
         ("twice", (0, 0), (F(-3), F(0)), (F(1), F(0))),
     ]
+
+
+def test_equal_packed_sides_over_different_denominators_unpack_apart():
+    """left(e_i, e_j) against half of it: both sides pack to one int per
+    tuple, over the denominators 1 and 2, so a side is known by its packed
+    int and its denominator, never by the int alone."""
+    ops = _named(builtin("dual2"))
+    report = _sweep(2, 2, ops, (("half", ("left", 0, 1), ("*", F(1, 2), ("left", 0, 1))),))
+    assert as_tuples(report) == [
+        ("half", (0, 0), (F(1), F(0)), (F(1, 2), F(0))),
+        ("half", (0, 1), (F(0), F(1)), (F(0), F(1, 2))),
+        ("half", (1, 0), (F(0), F(1)), (F(0), F(1, 2))),
+    ]
+    assert all(v.rhs == tuple(x / 2 for x in v.lhs) for v in report.violations)
+
+
+def test_equal_packed_sides_of_two_lengths_unpack_apart():
+    """One sweep compares sides in the plane and, through an embedding f,
+    in 3-space: f(v) packs to the same int as v over the same denominator,
+    so a side is known by its packed int, denominator and length."""
+    ops = {**_named(builtin("dual2")), "f": Matrix.from_rows([[1, 0], [0, 1], [0, 0]])}
+    v, fv = ("left", 0, 1), ("f", ("left", 0, 1))
+    report = _sweep(2, 2, ops, (("plane", v, ("*", F(2), v)), ("space", fv, ("*", F(2), fv))))
+    assert as_tuples(report) == [
+        ("plane", (0, 0), (F(1), F(0)), (F(2), F(0))),
+        ("plane", (0, 1), (F(0), F(1)), (F(0), F(2))),
+        ("plane", (1, 0), (F(0), F(1)), (F(0), F(2))),
+        ("space", (0, 0), (F(1), F(0), F(0)), (F(2), F(0), F(0))),
+        ("space", (0, 1), (F(0), F(1), F(0)), (F(0), F(2), F(0))),
+        ("space", (1, 0), (F(0), F(1), F(0)), (F(0), F(2), F(0))),
+    ]
+
+
+def test_each_distinct_side_is_one_object():
+    """The sum-product report on dual2 has 24 violations whose 48 sides take
+    6 values: each is unpacked once and shared by every violation it sides."""
+    violations = sum_product_construct(builtin("dual2")).report.violations
+    sides = [side for v in violations for side in (v.lhs, v.rhs)]
+    assert len(violations) == 24
+    assert len(set(sides)) == len({id(side) for side in sides}) == 6
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
