@@ -15,17 +15,13 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and builds GD only at the base powers,
-the only ones its claims read.  On a regular input (gamma and xi
-invertible, commuting and multiplicative for all three products) M =
-gamma^s xi^r carries each row of _KIND_ROWS at T, partner blocks and
-commutation rows included, to the same row at MT, and M^-1 carries it
-back, so X(gamma^s xi^r) = gamma^s xi^r . X(id) for every kind but ZD;
-there the battery solves each kind at T = id only and multiplies its
-graded bases by each other T.  It keeps one object per distinct space and
-intersects D and C ("DC") once per distinct pair of built spaces, with
-one Zassenhaus echelon per graded piece.  Every space is solved separately on the
-even-map and odd-map unknown patterns (sound because all products and both
-structure maps are even, so the constraint systems are parity-homogeneous).
+the only ones its claims read; on a regular input whose claims all hold
+at T = id it builds nothing at any other twist (see proposition_battery).
+It keeps one object per distinct space and intersects D and C ("DC") once
+per distinct pair of built spaces, with one Zassenhaus echelon per graded
+piece.  Every space is solved separately on the even-map and odd-map
+unknown patterns (sound because all products and both structure maps are
+even, so the constraint systems are parity-homogeneous).
 Constraint rows are sparse integers, each read from one operator's table
 at its lcm of denominators, per distinct product and distinct non-identity
 structure map (equal operators give equal rows, and the identity commutes
@@ -319,23 +315,10 @@ def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -
     return _graded_space(a.kind + b.kind, a.twist, basis, *pieces, a.koszul)
 
 
-def _transported(space: OperatorSpace, twist: Matrix, t: TwistPower, basis: SuperBasis) -> OperatorSpace:
-    """The space twist . X over X in space, each graded piece's canonical basis read off one
-    echelon of the products on integer numerators; the RREF of a span is unique, so this is
-    the basis a solve of the same space returns."""
-    n = space.ambient_dim
-    m = twist.integral[1]
-    pieces = []
-    for maps in (space.even_basis, space.odd_basis):
-        ech = Echelon(integer_product(m, x.matrix.integral[1], n, n, n) for x in maps)
-        pieces.append([tuple(row.get(c, _ZERO) for c in range(n * n)) for row in ech.rows()])
-    return _graded_space(space.kind, t, basis, *pieces, space.koszul)
-
-
 def _is_regular(spec: TrialgebraSpec, max_power: int) -> bool:
-    """Whether the battery may solve each kind at T = id only and carry it to the other twists:
-    some twist is not the identity, and gamma and xi commute, are invertible and are
-    multiplicative for all three products (see proposition_battery)."""
+    """Whether the battery may decide its claims at T = id alone: some twist is not the
+    identity, and gamma and xi commute, are invertible and are multiplicative for all three
+    products (see proposition_battery)."""
     gamma, xi = spec.gamma.matrix, spec.require_xi().matrix
     if max_power < 1 or (gamma.is_identity and xi.is_identity) or gamma @ xi != xi @ gamma:
         return False
@@ -479,6 +462,14 @@ def _once(cache: dict, key, make):
     return cache[key]
 
 
+def _grid(max_power: int) -> list[tuple]:
+    """Every battery line as (claim, s, r, s2, r2) in report order, claim an entry of _CLAIMS;
+    s2 and r2 are None on a base claim."""
+    base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
+    return [(claim, s, r, s2, r2) for claim in _CLAIMS
+            for (s, r), (s2, r2) in itertools.product(base, base if claim[3] == "summed" else [(None, None)])]
+
+
 def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool = False) -> BatteryReport:
     """Evaluate the structural claims about the six spaces as exact subspace
     relations over all twist powers 0 <= s, r <= max_power.
@@ -489,28 +480,45 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     basis maps, and the composition C after D, for membership at the summed
     exponents.
 
-    A space depends on (s, r) only through T = gamma^s xi^r, and ZD not at
-    all, so each space is solved once per distinct T (D intersect C once
-    per distinct pair of D and C objects), and GD only at the base powers,
-    the only ones read.
-    On a regular input (see ``_is_regular``: some T is not the identity,
-    and gamma and xi commute, are invertible and are multiplicative for
-    all three products) each kind is solved at T = id only: for X in a
-    kind's space at T, MX satisfies the same equations at MT, since M =
-    gamma^s xi^r is an even multiplicative map commuting with gamma and
-    xi, and M^-1 maps back, so the space at T = gamma^s xi^r is
-    T . X(id), read off one echelon per graded piece by ``_transported``.
-    The guard is decided once per call, and any other input keeps one
-    solve per distinct T.
-    Equal spaces are kept as one object (the first built), so each claim,
-    target span, graded basis and product of basis maps is worked out once.
-    Every relation returns the witness of a failing line or None, and tests
-    membership through one helper that reduces each target span once.
+    On a regular input (``_is_regular``) M = gamma^s xi^r is an even
+    automorphism that is multiplicative and commutes with gamma and xi, so
+    no verdict depends on the powers: each claim is decided at (0, 0), and
+    if all hold there every line passes and nothing is built at another T.
+      - Spaces move with M: it carries each row at T, partner blocks and
+        commutation rows included, to the same row at MT, and M^-1 carries
+        it back, so X(M) = M . X(id) for every kind but ZD; containments,
+        D cap C = M . (D cap C)(id) and its dimension hold at (s, r) iff at
+        (0, 0).
+      - M . ZD = ZD: for Z in ZD, (MZ)(a o b) = M(Z(a o b)) = 0 and
+        (MZ)(a) o b = M(Z(a) o M^-1 b) = 0, and MZ commutes with gamma and
+        xi; so ZD = D cap C at (s, r) iff at (0, 0).
+      - Every space's maps commute with gamma and xi, so [M1 X, M2 Y] =
+        M1 M2 [X, Y] and M1 X . M2 Y = M1 M2 . XY, and the summed target
+        is M1 M2 . Z(id).
+    Any other input, and a regular one with a failing claim, is decided
+    line by line (``_witnesses``), which gives each failure its witness.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
+    grid = _grid(max_power)
+    settled = _is_regular(spec, max_power) and all(w is None for w in _witnesses(spec, 0, koszul, _grid(0)))
+    witnesses = [None] * len(grid) if settled else _witnesses(spec, max_power, koszul, grid)
+    return BatteryReport(tuple(
+        BatteryLine(claim[0], s, r, s2, r2, witness is None, witness)
+        for (claim, s, r, s2, r2), witness in zip(grid, witnesses)
+    ))
+
+
+def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tuple]) -> list[LinearMap | None]:
+    """The witness of each line of grid, a battery at max_power, or None where the line passes.
+
+    Each space is solved once per distinct T = gamma^s xi^r (ZD once, GD only
+    at the base powers, the only ones read, and D intersect C once per pair
+    of D and C objects).  Equal spaces are kept as one object (the first
+    built), so each claim, target span, graded basis and product of basis
+    maps is worked out once, and membership reduces each target span once.
+    """
     n = spec.dimension
-    base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
 
@@ -519,13 +527,11 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     built: dict[tuple, OperatorSpace] = {}
     by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
     spaces: dict[tuple, OperatorSpace] = {}
-    regular = _is_regular(spec, max_power)
     gammas, xis = ([m.matrix.power(k) for k in range(2 * max_power + 1)] for m in (spec.gamma, spec.require_xi()))
     for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
         t = TwistPower(s, r)
         twist = gammas[s] @ xis[r]
-        carried = regular and not twist.is_identity
-        if not carried and twist not in tables:  # a new solved T always builds D
+        if twist not in tables:  # a new T always builds D
             tables[twist] = _twist_tables(spec, twist)
         for kind in kinds_read:
             if max(s, r) > max_power and kind not in read_at_sums:
@@ -539,8 +545,6 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             if key not in built:
                 if isinstance(kind, tuple):
                     space = _intersection_space(*operands, spec.basis)
-                elif carried:  # (0, 0) came first and built the kind at T = id
-                    space = _transported(built[(kind, gammas[0])], twist, t, spec.basis)
                 else:
                     space = _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation)
                 built[key] = by_value.setdefault(space.vectorized(), space)
@@ -586,12 +590,10 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
             target, itertools.product(left.basis, right.basis), product, LinearMap.compose
         ),
     }
-    witnesses: dict[tuple, LinearMap | None] = {}
-    lines: list[BatteryLine] = []
-    for claim_id, relation, kinds, rule in _CLAIMS:
-        for (s, r), (s2, r2) in itertools.product(base, base if rule == "summed" else [(None, None)]):
-            at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
-            operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
-            witness = _once(witnesses, (relation, *map(id, operands)), lambda: decide[relation](*operands))
-            lines.append(BatteryLine(claim_id, s, r, s2, r2, witness is None, witness))
-    return BatteryReport(tuple(lines))
+    verdicts: dict[tuple, LinearMap | None] = {}
+    witnesses: list[LinearMap | None] = []
+    for (_, relation, kinds, _), s, r, s2, r2 in grid:
+        at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
+        operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
+        witnesses.append(_once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands)))
+    return witnesses

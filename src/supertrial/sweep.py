@@ -316,24 +316,19 @@ def _sweep(n: int, arity: int, ops: _Ops, rows: Sequence[_Row]) -> CheckReport:
             g = math.gcd(dens[l], dens[r])
             groups.setdefault((plan.convert(l, True), plan.convert(r, True), dens[r] // g, dens[l] // g), []).append(axiom_id)
     violations: list[Violation] = []
-    fraction = functools.cache(Fraction)
     sides: dict[tuple[int, int, int], Vector] = {}
     multiplier = max([m for group in groups for m in group[2:]], default=1)
-    offsets = None
     for idx, cur in _evaluate(plan, {p for group in groups for p in group[:2]}, multiplier):
         for (l, r, ml, mr), axiom_ids in groups.items():
             x, y = cur[l], cur[r]
             if x != y if ml == mr else x * ml != y * mr:
-                if offsets is None:
-                    # Half a lane added to each lane puts it in [0, 2^W): no lane borrows.
-                    shift = plan.shift
-                    offsets, half, mask = range(0, shift * max(dims), shift), 1 << shift - 1, (1 << shift) - 1
-                    bias = sum([half << offset for offset in offsets])
                 lhs, rhs = (x, dens[l], dims[l]), (y, dens[r], dims[r])
                 for key in (lhs, rhs):
                     if key not in sides:
-                        v, d, dim = key[0] + bias, key[1], key[2]
-                        sides[key] = tuple([fraction((v >> offset & mask) - half, d) for offset in offsets[:dim]])
+                        side = [Fraction(0)] * key[2]
+                        for k, v in _unpack(key[0], plan.shift):
+                            side[k] = Fraction(v, key[1])
+                        sides[key] = tuple(side)
                 violations += [Violation(axiom_id, idx, sides[lhs], sides[rhs]) for axiom_id in axiom_ids]
     return CheckReport.collect(violations)
 

@@ -10,6 +10,9 @@ gamma(x o y) = lam^2 (x o y) = gamma(x) o gamma(y) on A, likewise for xi.
 So every seed is a valid BiHom-supertrialgebra, and in general its three
 products differ, gamma differs from xi, and no product is supercommutative.
 
+A named set follows: three valid, multiplicative inputs, each reaching one
+outcome of the proposition battery that the fixtures do not.
+
 Standard library and the package under test only; nothing here is a
 fixture of the CLI or of the benchmark.
 """
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import random
 
+from supertrial.constructions import direct_sum
 from supertrial.core import TrialgebraSpec
+from supertrial.fixtures import builtin
+from supertrial.linalg import Matrix
 
 SCALARS = (-2, -1, 2, 3)
 
@@ -38,3 +44,26 @@ def two_step(seed: int, n: int) -> TrialgebraSpec:
     gamma = [[(lam if i < a else lam * lam) if i == j else 0 for j in range(n)] for i in range(n)]
     xi = [[(mu if i < a else mu * mu) if i == j else 0 for j in range(n)] for i in range(n)]
     return TrialgebraSpec.build(f"two-step-{seed}-n{n}", parities, tensor(), tensor(), tensor(), gamma, xi)
+
+
+def nil3_odd_scaled() -> TrialgebraSpec:
+    """e0 o e1 = e2 in all three products on parities (0, 1, 1), with gamma = xi =
+    diag(1, 2, 2): regular (invertible, commuting and multiplicative maps), and since
+    e1 o e0 = 0 it fails ``zd-eq-d-cap-c`` at every power, in both modes."""
+    constants, diagonal = {(0, 1, 2): 1}, Matrix.diagonal([1, 2, 2])
+    return TrialgebraSpec.build("nil3-odd-scaled", [0, 1, 1], constants, constants, constants, diagonal, diagonal)
+
+
+def dual2_twisted_plus_grassmann2() -> TrialgebraSpec:
+    """dual2-twisted + grassmann2: regular, and its Koszul battery fails ``chain-d-in-qd``
+    at every power (the signed odd derivation of grassmann2 is no quasiderivation)."""
+    return direct_sum(builtin("dual2-twisted"), builtin("grassmann2"))
+
+
+def dsum_singular() -> TrialgebraSpec:
+    """dsum-zero2-idem1 with gamma = xi = diag(1, 0, 0): valid and multiplicative but
+    singular, so not regular.  Its battery passes at power 0 and fails
+    ``bracket-d-zd-in-zd`` and ``zd-eq-d-cap-c`` on 15 lines of 120 at power 1."""
+    spec, diagonal = builtin("dsum-zero2-idem1"), Matrix.diagonal([1, 0, 0])
+    return TrialgebraSpec.build("dsum-zero2-idem1-singular", spec.basis.parities,
+                                *(t.constants for _, t in spec.products()), diagonal, diagonal)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 from constraint_oracle import oracle_space, span_intersection
-from generators import two_step
+from generators import dsum_singular, dual2_twisted_plus_grassmann2, nil3_odd_scaled, two_step
 from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
@@ -730,7 +730,7 @@ def test_battery_pattern_survives_rational_conjugation(koszul):
 class TestBatteryPlan:
     @pytest.mark.parametrize(
         "name, max_power, builds, solves",
-        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 6, 3), ("dual2-twisted", 2, 6, 5),
+        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 6, 1), ("dual2-twisted", 2, 6, 1),
          ("two-step-0-n4-bumped", 1, 41, 4), ("two-step-0-n4-bumped", 2, 110, 9),
          ("two-step-0-n3-bumped", 1, 41, 3), ("two-step-0-n3-bumped", 2, 110, 5)],
     )
@@ -739,10 +739,11 @@ class TestBatteryPlan:
         all, and GD is read only at the base powers.  D intersect C is
         intersected once per distinct pair of D and C operands, and no build
         solves it from constraint rows: each build solves its own kind's two
-        graded pieces.  dual2-twisted is regular, so each kind is solved
-        once, at T = id, and carried to the other twists; the bumped two-step
-        inputs are not multiplicative, so each distinct T is solved, and on
-        n = 3 distinct T give equal D and C, intersected once."""
+        graded pieces.  dual2-twisted is regular and its claims hold at
+        T = id, so each kind is solved once, there, and D and C are
+        intersected once; the bumped two-step inputs are not multiplicative,
+        so each distinct T is solved, and on n = 3 distinct T give equal D
+        and C, intersected once."""
         spec = _BATTERY_INPUTS[name]()
         built, intersected, systems = [], [], []
         real_build, real_intersect, real_solve = spaces._build_space, spaces._intersection_space, spaces._solve_kind
@@ -937,6 +938,9 @@ _BATTERY_INPUTS = {
     "zero2-sheared+idem1": lambda: direct_sum(_sheared_zero2(), builtin("idem1")),
     "two-step-0-n4-bumped": lambda: _bumped(two_step(0, 4)),
     "two-step-0-n3-bumped": lambda: _bumped(two_step(0, 3)),
+    "nil3-odd-scaled": nil3_odd_scaled,
+    "dual2-twisted+grassmann2": dual2_twisted_plus_grassmann2,
+    "dsum-zero2-idem1-singular": dsum_singular,
 }
 
 
@@ -953,16 +957,16 @@ class TestBatterySharing:
         assert lines == _reference_battery(spec, 2, koszul)
 
     def test_each_product_and_target_span_once(self, monkeypatch):
-        """On dual2-twisted at max_power 1 and 2 the battery multiplies each
-        pair of basis maps at most once, and reduces each distinct target
-        span of every relation exactly once: the targets of brackets and
-        compositions at the summed powers, and the outer spans of contain and
-        eq-dc (GD, QD, D intersect C and ZD) at the base powers.  The
-        Zassenhaus echelons of D intersect C, and the products and echelons
-        that carry a space from T = id to another twist, are not targets."""
+        """On dual2-twisted at max_power 1 and 2, decided line by line (not
+        settled at T = id), the battery multiplies each pair of basis maps at
+        most once, and reduces each distinct target span of every relation
+        exactly once: the targets of brackets and compositions at the summed
+        powers, and the outer spans of contain and eq-dc (GD, QD, D
+        intersect C and ZD) at the base powers.  The Zassenhaus echelons of
+        D intersect C are not targets."""
         spec = builtin("dual2-twisted")
         products, targets, inside = [], [], []
-        real_product, real_intersect, real_carry = spaces.integer_product, spaces._intersection_space, spaces._transported
+        real_product, real_intersect = spaces.integer_product, spaces._intersection_space
 
         def spy_product(x, y, *shape):
             if not inside:
@@ -988,7 +992,7 @@ class TestBatterySharing:
         monkeypatch.setattr(spaces, "integer_product", spy_product)
         monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
         monkeypatch.setattr(spaces, "_intersection_space", left_out(real_intersect))
-        monkeypatch.setattr(spaces, "_transported", left_out(real_carry))
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
         for max_power in (1, 2):
             base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
             sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
@@ -1031,6 +1035,8 @@ _TRANSPORT_BATTERIES = {**_BATTERY_INPUTS, **{f"two-step-{s}-n{n}": functools.pa
 
 _TRANSPORTED_KINDS = [(kind, koszul) for kind, koszul in KINDS_AND_KOSZUL_D if kind != "ZD"]
 
+_REGULAR_BATTERIES = sorted(name for name, make in _TRANSPORT_BATTERIES.items() if spaces._is_regular(make(), 1))
+
 
 def _invertible(m):
     try:
@@ -1045,6 +1051,13 @@ def _pieces(space):
     return tuple(tuple(m.matrix for m in maps) for maps in (space.even_basis, space.odd_basis))
 
 
+def _carried(space, twist):
+    """The graded pieces of twist . X over X in space: the canonical span of twist @ m per piece."""
+    n = space.ambient_dim
+    return tuple(tuple(Matrix(n, n, v) for v in canonical_span([(twist @ m.matrix).entries for m in maps], n * n))
+                 for maps in (space.even_basis, space.odd_basis))
+
+
 def _carry_errors(spec):
     """The (kind, koszul, s, r) up to gamma^2 xi^2 whose space T . X(id) differs from a solve at T."""
     errors = []
@@ -1052,36 +1065,39 @@ def _carry_errors(spec):
         base = _build_space(kind, spec, T00, koszul)
         for s, r in itertools.product(range(3), repeat=2):
             t = TwistPower(s, r)
-            carried = spaces._transported(base, t.matrix(spec), t, spec.basis)
-            solved = _build_space(kind, spec, t, koszul)
-            if _pieces(carried) != _pieces(solved):  # the pieces fix vectorized() too
+            if _carried(base, t.matrix(spec)) != _pieces(_build_space(kind, spec, t, koszul)):
                 errors.append((kind, koszul, s, r))
     return errors
 
 
+def _every_distinct_twist(spec, max_power):
+    """Each (kind, T) a battery decided line by line reads: GD at the base powers only, ZD once."""
+    sums = list(itertools.product(range(2 * max_power + 1), repeat=2))
+    expected = {(kind, TwistPower(*power).matrix(spec)) for kind in ("D", "QD", "C", "QC") for power in sums}
+    expected |= {("GD", TwistPower(*power).matrix(spec)) for power in sums if max(power) <= max_power}
+    expected.add(("ZD", Matrix.identity(spec.dimension)))
+    return expected
+
+
 def _battery_plan(monkeypatch, spec, max_power):
-    """The (kind, T) the battery solves and the (kind, T) it carries a space to."""
-    solved, carried = [], []
-    real_build, real_carry = spaces._build_space, spaces._transported
+    """The (kind, T) the battery solves, in build order."""
+    solved = []
+    real_build = spaces._build_space
 
     def spy_build(kind, spec, t, *rest):
         solved.append((kind, t.matrix(spec)))
         return real_build(kind, spec, t, *rest)
 
-    def spy_carry(space, twist, *rest):
-        carried.append((space.kind, twist))
-        return real_carry(space, twist, *rest)
-
     monkeypatch.setattr(spaces, "_build_space", spy_build)
-    monkeypatch.setattr(spaces, "_transported", spy_carry)
     proposition_battery(spec, max_power)
-    return solved, carried
+    return solved
 
 
 class TestTransport:
     """On a regular input (gamma and xi invertible, commuting and multiplicative
     for all three products) X(gamma^s xi^r) = gamma^s xi^r . X(id) for every
-    kind but ZD, and the battery solves each kind at T = id only."""
+    kind but ZD, so no battery verdict depends on the powers, and a battery
+    whose claims hold at T = id solves each kind there only."""
 
     @pytest.mark.parametrize("seed, n", [(None, None)] + TWO_STEP)
     def test_carried_space_equals_a_solve(self, seed, n):
@@ -1091,8 +1107,9 @@ class TestTransport:
 
     @pytest.mark.parametrize("name", sorted(NOT_REGULAR))
     def test_each_guard_refuses_an_input_the_transport_gets_wrong(self, monkeypatch, name):
-        """Each input fails exactly one guard, carrying its spaces would give
-        wrong ones, and the battery solves each distinct (kind, T) it reads."""
+        """Each input fails exactly one guard, carrying its spaces from T = id
+        would give wrong ones, and the battery solves each distinct (kind, T)
+        it reads."""
         spec = NOT_REGULAR[name]()
         gamma, xi = spec.gamma.matrix, spec.xi.matrix
         guards = {
@@ -1105,21 +1122,59 @@ class TestTransport:
         assert not any(spaces._is_regular(spec, max_power) for max_power in range(3))
         assert _carry_errors(spec)
         for max_power in (1, 2):
-            solved, carried = _battery_plan(monkeypatch, spec, max_power)
-            sums = list(itertools.product(range(2 * max_power + 1), repeat=2))
-            expected = {(kind, TwistPower(*power).matrix(spec)) for kind in ("D", "QD", "C", "QC") for power in sums}
-            expected |= {("GD", TwistPower(*power).matrix(spec)) for power in sums if max(power) <= max_power}
-            expected.add(("ZD", Matrix.identity(spec.dimension)))
-            assert carried == []
-            assert len(solved) == len(set(solved)) and set(solved) == expected
+            solved = _battery_plan(monkeypatch, spec, max_power)
+            assert len(solved) == len(set(solved)) and set(solved) == _every_distinct_twist(spec, max_power)
 
     def test_a_regular_battery_solves_at_the_identity_only(self, monkeypatch):
         spec = builtin("dual2-twisted")
         identity = Matrix.identity(2)
-        solved, carried = _battery_plan(monkeypatch, spec, 2)
+        solved = _battery_plan(monkeypatch, spec, 2)
         assert sorted(kind for kind, _ in solved) == ["C", "D", "GD", "QC", "QD", "ZD"]
         assert all(twist == identity for _, twist in solved)
-        assert carried and all(twist != identity for _, twist in carried)
+
+    @pytest.mark.parametrize("max_power", [1, 2])
+    def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
+        """nil3-odd-scaled is regular but fails at T = id, so after the pass at
+        power 0 the battery solves each distinct (kind, T) it reads."""
+        spec = nil3_odd_scaled()
+        identity = Matrix.identity(3)
+        solved = _battery_plan(monkeypatch, spec, max_power)
+        assert sorted(kind for kind, _ in solved[:6]) == ["C", "D", "GD", "QC", "QD", "ZD"]
+        assert all(twist == identity for _, twist in solved[:6])
+        rest = solved[6:]
+        assert len(rest) == len(set(rest)) and set(rest) == _every_distinct_twist(spec, max_power)
+
+    def test_the_named_inputs_reach_each_outcome(self):
+        """nil3-odd-scaled in both modes and dual2-twisted+grassmann2 in the
+        Koszul mode are regular and fail one claim on every line, so the
+        battery decides them line by line.  dsum-zero2-idem1-singular is
+        valid and multiplicative but singular: it passes at power 0 and fails
+        at power 1, where only a regular input may be settled at (0, 0)."""
+        for make, koszul, claim in [(nil3_odd_scaled, False, "zd-eq-d-cap-c"), (nil3_odd_scaled, True, "zd-eq-d-cap-c"),
+                                    (dual2_twisted_plus_grassmann2, True, "chain-d-in-qd")]:
+            spec = make()
+            assert check_bihom(spec).passed and spaces._is_regular(spec, 1)
+            for max_power in (1, 2):
+                failed = proposition_battery(spec, max_power, koszul).failed_lines()
+                assert len(failed) == (max_power + 1) ** 2 and {ln.claim_id for ln in failed} == {claim}
+        spec = dsum_singular()
+        assert check_bihom(spec).passed and check_multiplicative(spec).passed
+        assert not spaces._is_regular(spec, 1)
+        assert proposition_battery(spec, 0).passed
+        failed = proposition_battery(spec, 1).failed_lines()
+        assert len(failed) == 15 and {ln.claim_id for ln in failed} == {"bracket-d-zd-in-zd", "zd-eq-d-cap-c"}
+
+    @pytest.mark.parametrize("name", _REGULAR_BATTERIES)
+    def test_every_line_has_the_verdict_of_its_identity_line(self, monkeypatch, name):
+        """The lemma of proposition_battery, checked line by line with the
+        settling at T = id switched off: on a regular input each claim passes
+        or fails at every power as it does at (0, 0)."""
+        spec = _TRANSPORT_BATTERIES[name]()
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
+        for max_power, koszul in itertools.product((1, 2), (False, True)):
+            lines = proposition_battery(spec, max_power, koszul).lines
+            at_identity = {ln.claim_id: ln.passed for ln in lines if (ln.s, ln.r, ln.s2 or 0, ln.r2 or 0) == (0, 0, 0, 0)}
+            assert [(ln.claim_id, ln.passed) for ln in lines] == [(ln.claim_id, at_identity[ln.claim_id]) for ln in lines]
 
     @pytest.mark.parametrize("name", ["idem1", "grassmann2"])
     def test_identity_maps_never_reach_the_multiplicativity_check(self, monkeypatch, name):

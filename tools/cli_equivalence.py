@@ -14,7 +14,10 @@ handful of malformed documents.  It then runs every subcommand on them,
 with and without ``--json`` and with ``-o`` where the subcommand takes it,
 ``spaces`` for every kind at (0, 0), (1, 0) and (0, 1) and ``--koszul`` on
 D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
-twists up to gamma^4 xi^4), and a few usage errors.
+twists up to gamma^4 xi^4), and a few usage errors.  One more document,
+``nil3-odd`` with gamma = xi = diag(1, 2, 2), is written from a literal: it
+is regular and fails ``zd-eq-d-cap-c`` at every power, so its ``verify``
+runs reach the battery's line-by-line fallback.
 
 Each tree runs the whole list once, in one fresh interpreter whose path
 holds only that tree's ``src`` and with ``PYTHONDONTWRITEBYTECODE`` set;
@@ -38,6 +41,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
 SHOWN = 10
+
+# e0 o e1 = e2 in all three products on parities (0, 1, 1), gamma = xi = diag(1, 2, 2).
+_NIL3_PRODUCT = [{"i": 0, "j": 1, "k": 2, "v": "1"}]
+_NIL3_MAP = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]
+NIL3_ODD = {"name": "nil3-odd", "dim": 3, "parity": [0, 1, 1], "left": _NIL3_PRODUCT, "right": _NIL3_PRODUCT,
+            "perp": _NIL3_PRODUCT, "gamma": _NIL3_MAP, "xi": _NIL3_MAP}
 
 # Runs inside each tree's interpreter: reads the runs as JSON on stdin and
 # writes one result per run as JSON on stdout.
@@ -148,6 +157,7 @@ def write_inputs(fixtures: dict[str, dict], inputs: Path) -> dict:
         for d in dims
     }
     roles["rect"] = {(r, c): put(f"zero{r}x{c}.json", _map(r, c, lambda i, j: 0)) for r in dims for c in dims}
+    roles["nil3"] = put("nil3-odd.json", NIL3_ODD)
     grassmann = fixtures.get("grassmann2") or next(iter(fixtures.values()))
     roles["malformed"] = [
         put("not-json.json", "{"),
@@ -214,6 +224,11 @@ def invocations(roles: dict) -> list[dict]:
                         for m in maps[dims[a]][:3]:
                             add(command, a, b, "--map", m)
     add("dsum", roles["fixtures"][0], roles["hom"][0])
+    for power in ("0", "1", "2"):
+        add("verify", roles["nil3"], "--max-power", power)
+    for kind in ("ZD", "D", "C"):
+        for s, r in ((0, 0), (1, 0)):
+            add("spaces", roles["nil3"], "--space", kind, "--s", str(s), "--r", str(r))
     for alg in roles["fixtures"] + roles["hom"]:
         for m in maps[dims[alg]][1:]:
             for weight in ("--weight=1", "--weight=-1/2"):
