@@ -1079,7 +1079,7 @@ def _every_distinct_twist(spec, max_power):
     return expected
 
 
-def _battery_plan(monkeypatch, spec, max_power):
+def _battery_plan(monkeypatch, spec, max_power, koszul=False):
     """The (kind, T) the battery solves, in build order."""
     solved = []
     real_build = spaces._build_space
@@ -1089,7 +1089,7 @@ def _battery_plan(monkeypatch, spec, max_power):
         return real_build(kind, spec, t, *rest)
 
     monkeypatch.setattr(spaces, "_build_space", spy_build)
-    proposition_battery(spec, max_power)
+    proposition_battery(spec, max_power, koszul)
     return solved
 
 
@@ -1134,11 +1134,12 @@ class TestTransport:
 
     @pytest.mark.parametrize("max_power", [1, 2])
     def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
-        """nil3-odd-scaled is regular but fails at T = id, so after the pass at
-        power 0 the battery solves each distinct (kind, T) it reads."""
-        spec = nil3_odd_scaled()
-        identity = Matrix.identity(3)
-        solved = _battery_plan(monkeypatch, spec, max_power)
+        """dual2-twisted+grassmann2 is regular but its Koszul battery fails at
+        T = id, so after the pass at power 0 the battery solves each distinct
+        (kind, T) it reads."""
+        spec = dual2_twisted_plus_grassmann2()
+        identity = Matrix.identity(4)
+        solved = _battery_plan(monkeypatch, spec, max_power, koszul=True)
         assert sorted(kind for kind, _ in solved[:6]) == ["C", "D", "GD", "QC", "QD", "ZD"]
         assert all(twist == identity for _, twist in solved[:6])
         rest = solved[6:]
