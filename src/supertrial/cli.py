@@ -425,11 +425,37 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative rational such as ``-1/2`` as a value, as it
     reads ``-1``; argparse takes any other dash-led word for a flag.  Its subparsers are
-    of this class too."""
+    of this class too, each built on first use (``_Deferred``)."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(rf"{self._negative_number_matcher.pattern}|^-[0-9]+/[0-9]+$")
+
+
+class _Deferred:
+    """A subcommand parser that records its ``add_argument`` and ``set_defaults`` calls and
+    builds the real ``_Parser`` from them on first use of anything else (parsing, help or
+    usage), so a run builds the one subcommand parser it reads, not all of them; argparse
+    makes it through the public ``parser_class`` of ``add_subparsers``."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        self._kwargs, self._calls = kwargs, []
+
+    def add_argument(self, *args: Any, **kwargs: Any) -> None:
+        self._calls.append((_Parser.add_argument, args, kwargs))
+
+    def set_defaults(self, **kwargs: Any) -> None:
+        self._calls.append((_Parser.set_defaults, (), kwargs))
+
+    @functools.cached_property
+    def _built(self) -> _Parser:
+        parser = _Parser(**self._kwargs)
+        for method, args, kwargs in self._calls:
+            method(parser, *args, **kwargs)
+        return parser
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._built, name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for BiHom-associative supertrialgebras.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Deferred)
 
     for command in _COMMANDS:
         p = sub.add_parser(command.name, help=command.help)

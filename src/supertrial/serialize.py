@@ -6,6 +6,9 @@ booleans are rejected.
 Tensors are sparse lists of {i, j, k, v} triples with 0-based indices;
 omitted triples are zero and duplicates are an error.  Parsing enforces
 every structural invariant and reports the offending field and index.
+A product list equal to an earlier one, by value and by the type of each
+entry's values (``true == 1`` and ``1.0 == 1`` in Python, yet only ``1``
+reads as a rational), is read once, and the spec holds one shared tensor.
 It reads each document in one pass: every distinct string literal is
 converted once, through a memo that lives for that one parse call
 (``_Literals``), and tensors and maps are built straight from the values
@@ -15,8 +18,8 @@ names in ``TENSORS``, gamma, then xi.  ``to_json`` lays out every
 report and document byte for byte as the standard library's indented JSON, but
 with one C-level ``str.join`` per container of one scalar type, not per token,
 and a list of records with one key tuple (tensor entries, violations, battery
-lines) with its key prefixes built once per list (``_write_records``), and each
-inline list that its records share, such as a violation side, written once.
+lines) with its key prefixes built once per list (``_write_records``), and the
+text of each value object written once per column.
 """
 
 from __future__ import annotations
@@ -109,28 +112,30 @@ def _write_records(records: list | tuple, newline: str, parts: list[str]) -> Non
     """Append the opening bracket and the records, each at ``newline``, of a list of dicts
     with one non-empty key tuple; the key prefixes are built once per list, a scalar or a
     non-empty list of one scalar type is written inline, any other value through ``_write``.
-    An inline list's text is kept by ``id`` for the call, so a list that several records
-    share is written once; the records keep every item alive, so no ``id`` is reused."""
+    Each column keeps, by ``id``, the text of each value object it wrote with its prefix, so
+    a value that several records share is written once per column; the records keep every
+    value alive, so no ``id`` is reused, and a ``True`` never finds the text of a ``1``."""
     inner = newline + "  "
     heads = ["," + inner + encode_basestring_ascii(key) + ": " for key in records[0]]
-    lead = "{" + heads[0][1:]
-    first, rest, sep = "[" + newline + lead, "," + newline + lead, "," + inner + "  "
+    heads[0] = heads[0][1:]
+    first, rest, sep = "[" + newline + "{", "," + newline + "{", "," + inner + "  "
     opening, closing, scalars = "[" + sep[1:], inner + "]", _SCALARS
-    inline: dict[int, str] = {}
+    columns: list[dict[int, str]] = [{} for _ in heads]
     for n, record in enumerate(records):
-        heads[0] = rest if n else first
-        for head, item in zip(heads, record.values()):
-            kind = type(item)
-            if write := scalars.get(kind):
-                parts.append(head + write(item))
-            elif (text := inline.get(id(item))) is not None:
-                parts.append(head + text)
-            elif (kind is list or kind is tuple) and len(kinds := set(map(type, item))) == 1 and (write := scalars.get(kinds.pop())):
-                text = inline[id(item)] = opening + sep.join(map(write, item)) + closing
-                parts.append(head + text)
-            else:
-                parts.append(head)
-                _write(item, inner, parts)
+        parts.append(rest if n else first)
+        for head, item, texts in zip(heads, record.values(), columns):
+            if (text := texts.get(id(item))) is None:
+                kind = type(item)
+                if write := scalars.get(kind):
+                    text = head + write(item)
+                elif (kind is list or kind is tuple) and len(kinds := set(map(type, item))) == 1 and (write := scalars.get(kinds.pop())):
+                    text = head + opening + sep.join(map(write, item)) + closing
+                else:
+                    nested = [head]
+                    _write(item, inner, nested)
+                    text = "".join(nested)
+                texts[id(item)] = text
+            parts.append(text)
         parts.append(newline + "}")
 
 
@@ -213,6 +218,12 @@ def _parse_structure_map(data: Mapping[str, Any], key: str, basis: SuperBasis, w
     return LinearMap.square(basis, Matrix(dim, dim, tuple(flat)))
 
 
+def _same_list(raw: Any, earlier: list) -> bool:
+    """Whether raw, a product list, reads as an earlier list that parsed: equal by value and
+    each entry's values of the same types, since ``True == 1`` and ``1.0 == 1``."""
+    return raw == earlier and all([*map(type, a.values())] == [*map(type, b.values())] for a, b in zip(raw, earlier))
+
+
 def _parse_spec(cls: type[_Spec], text: str, where: str) -> _Spec:
     """The graded spec of class ``cls`` a document holds, read in one order:
     the object, name, dim, parity, xi's presence where the kind needs it, each tensor
@@ -228,8 +239,10 @@ def _parse_spec(cls: type[_Spec], text: str, where: str) -> _Spec:
     has_xi = data.get("xi") is not None
     if not has_xi and not cls._xi_optional():
         raise InputError(f"{where}.xi: required for {where} documents")
-    literals = _Literals()
-    tensors = {key: _parse_tensor(data, key, dim, where, literals) for key in cls.TENSORS}
+    literals, tensors = _Literals(), {}
+    for key in cls.TENSORS:  # a list that reads as an earlier one shares its tensor
+        same = next((k for k in tensors if _same_list(data.get(key, []), data.get(k, []))), None)
+        tensors[key] = tensors[same] if same else _parse_tensor(data, key, dim, where, literals)
     gamma = _parse_structure_map(data, "gamma", basis, where, literals)
     xi = _parse_structure_map(data, "xi", basis, where, literals) if has_xi else None
     return cls(name=name, basis=basis, **tensors, gamma=gamma, xi=xi)

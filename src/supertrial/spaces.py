@@ -16,12 +16,14 @@ The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and builds GD only at the base powers,
 the only ones its claims read; on a regular input whose claims all hold
-at T = id it builds nothing at any other twist (see proposition_battery).
+at T = id, and on any input with gamma = xi = id, it decides each claim at
+T = id alone (see proposition_battery).
 It keeps one object per distinct space and intersects D and C ("DC") once
 per distinct pair of built spaces, with one Zassenhaus echelon per graded
-piece.  Every space is solved separately on the even-map and odd-map
-unknown patterns (sound because all products and both structure maps are
-even, so the constraint systems are parity-homogeneous).
+piece, and reads the center only when some D intersect C is nonzero.
+Every space is solved separately on the even-map and odd-map unknown
+patterns (sound because all products and both structure maps are even, so
+the constraint systems are parity-homogeneous).
 Constraint rows are sparse integers, each read from one operator's table
 at its lcm of denominators, per distinct product and distinct non-identity
 structure map (equal operators give equal rows, and the identity commutes
@@ -496,20 +498,28 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         M1 M2 [X, Y] and M1 X . M2 Y = M1 M2 . XY, and the summed target
         is M1 M2 . Z(id).
     Any other input, and a regular one with a failing claim, is decided
-    line by line (``_witnesses``), which gives each failure its witness.
+    line by line (``_witnesses``), which gives each failure its witness and
+    reuses the power-0 pass's builds and verdicts.  When gamma and xi are
+    both the identity, so is every T: each line gets its claim's (0, 0)
+    witness, the one the line-by-line pass gives it.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
-    grid = _grid(max_power)
-    settled = _is_regular(spec, max_power) and all(w is None for w in _witnesses(spec, 0, koszul, _grid(0)))
-    witnesses = [None] * len(grid) if settled else _witnesses(spec, max_power, koszul, grid)
+    grid, memo = _grid(max_power), {}
+    identity = spec.gamma.matrix.is_identity and spec.require_xi().matrix.is_identity
+    settle = identity or _is_regular(spec, max_power)
+    first = dict(zip(_CLAIMS, _witnesses(spec, 0, koszul, _grid(0), memo))) if settle else {}
+    if settle and (identity or all(w is None for w in first.values())):
+        witnesses = [first[claim] for claim, *_ in grid]
+    else:
+        witnesses = _witnesses(spec, max_power, koszul, grid, memo)
     return BatteryReport(tuple(
         BatteryLine(claim[0], s, r, s2, r2, witness is None, witness)
         for (claim, s, r, s2, r2), witness in zip(grid, witnesses)
     ))
 
 
-def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tuple]) -> list[LinearMap | None]:
+def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tuple], memo: dict) -> list[LinearMap | None]:
     """The witness of each line of grid, a battery at max_power, or None where the line passes.
 
     Each space is solved once per distinct T = gamma^s xi^r (ZD once, GD only
@@ -517,16 +527,15 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
     of D and C objects).  Equal spaces are kept as one object (the first
     built), so each claim, target span, graded basis and product of basis
     maps is worked out once, and membership reduces each target span once.
+    memo keeps the tables, builds and verdicts for a later call on the same
+    spec and mode; the center is computed once, and only if some D
+    intersect C is nonzero, since only then does a verdict read it.
     """
     n = spec.dimension
     kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
     read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
-
-    tables: dict[Matrix, tuple[_TermTables, ...]] = {}
-    commutation: dict[int, list[dict[int, int]]] = {}
-    built: dict[tuple, OperatorSpace] = {}
-    by_value: dict[tuple[Vector, ...], OperatorSpace] = {}
-    spaces: dict[tuple, OperatorSpace] = {}
+    names = "tables", "commutation", "built", "by_value", "spaces", "echelons", "products", "graded", "verdicts"
+    tables, commutation, built, by_value, spaces, echelons, products, graded, verdicts = (memo.setdefault(k, {}) for k in names)
     gammas, xis = ([m.matrix.power(k) for k in range(2 * max_power + 1)] for m in (spec.gamma, spec.require_xi()))
     for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
         t = TwistPower(s, r)
@@ -549,10 +558,6 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
                     space = _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation)
                 built[key] = by_value.setdefault(space.vectorized(), space)
             spaces[(kind, s, r)] = built[key]
-
-    echelons: dict[int, Echelon] = {}
-    products: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-    graded: dict[int, tuple[GradedOperator, ...]] = {}
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product, once per pair of values."""
@@ -578,11 +583,10 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
         found = (outsider(outer, zip(inner.basis)) for inner in reversed(inners) if inner is not outer)
         return next((w for w in found if w is not None), None)
 
-    center_trivial = not center(spec)
     decide = {
         "contain": contain,
         "eq-dc": lambda zd, dc: contain(dc, zd) or contain(zd, dc),  # a witness map is never falsy
-        "trivial": lambda dc: dc.basis[0] if center_trivial and dc.basis else None,
+        "trivial": lambda dc: dc.basis[0] if dc.basis and not _once(memo, "center", lambda: center(spec)) else None,
         "bracket": lambda left, right, target: outsider(
             target, itertools.product(graded_elements(left), graded_elements(right)), bracket, supercommutator
         ),
@@ -590,7 +594,6 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
             target, itertools.product(left.basis, right.basis), product, LinearMap.compose
         ),
     }
-    verdicts: dict[tuple, LinearMap | None] = {}
     witnesses: list[LinearMap | None] = []
     for (_, relation, kinds, _), s, r, s2, r2 in grid:
         at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import supertrial
+from supertrial import cli
 from supertrial.cli import _violations_json, build_parser, main
 from supertrial.constructions import direct_sum, sum_product_construct, yau_twist
 from supertrial.core import LinearMap
@@ -637,6 +638,27 @@ class TestSurface:
 
     def test_subcommand_order(self):
         assert list(_surface(build_parser())) == list(SURFACE)
+
+    def test_subcommand_parsers_are_built_on_first_use(self, monkeypatch):
+        """build_parser builds the top-level parser only; each subcommand's
+        parser is built when a run first reads it, once, with its arguments."""
+        made = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        parser = build_parser()
+        assert made == ["supertrial"]
+        for _ in range(2):
+            args = parser.parse_args(["rb", "a.json", "--map", "m.json", "--weight", "-1/2"])
+            assert made == ["supertrial", "supertrial rb"]
+            assert (args.subcommand, args.weight, args.induce, args.json) == ("rb", "-1/2", False, False)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--max-power"])
+        assert made == ["supertrial", "supertrial rb", "supertrial verify"]
 
 
 class TestHumanOutput:

@@ -217,6 +217,68 @@ def tiny(left, gamma=(("1", "0"), ("0", "1"))):
     return json.dumps({"name": "t", "dim": 2, "parity": [0, 0], "left": entries, "gamma": gamma})
 
 
+def shared(right_entry=None, xi=True):
+    """A two-dimensional even algebra document whose three product lists are equal, or whose
+    right list has right_entry's fields in place of its first entry's."""
+    entries = [{"i": 1, "j": 0, "k": 0, "v": 1}, {"i": 1, "j": 1, "k": 1, "v": "1/2"}]
+    doc = {"name": "t", "dim": 2, "parity": [0, 0], "left": entries, "right": json.loads(json.dumps(entries)),
+           "perp": json.loads(json.dumps(entries)), "gamma": ID2, "xi": ID2 if xi else None}
+    doc["right"][0].update(right_entry or {})
+    return json.dumps(doc)
+
+
+class TestSharedProducts:
+    """A product list that equals an earlier one, by value and by the type of
+    each value, is read once, and the spec holds that list's tensor."""
+
+    def test_equal_lists_give_one_tensor(self):
+        spec = parse_algebra(shared())
+        assert spec.left is spec.right is spec.perp
+        assert spec.left.constants == {(1, 0, 0): F(1), (1, 1, 1): F(1, 2)}
+        assert parse_algebra(shared()) == spec
+
+    def test_unequal_lists_give_their_own_tensors(self):
+        spec = parse_algebra(shared({"v": "2"}))
+        assert spec.left is spec.perp and spec.right is not spec.left
+        assert spec.right.constants == {(1, 0, 0): F(2), (1, 1, 1): F(1, 2)}
+
+    def test_an_absent_list_equals_an_empty_one(self):
+        doc = json.loads(shared())
+        doc["left"] = []
+        del doc["right"], doc["perp"]
+        spec = parse_algebra(json.dumps(doc))
+        assert spec.left is spec.right is spec.perp and not spec.left.constants
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"v": True}, "algebra.right[0].v: booleans are not rational literals"),
+        ({"v": 1.0}, "algebra.right[0].v: expected an integer or rational string, got float"),
+        ({"i": True}, "algebra.right[0].i: expected an integer index"),
+        ({"i": 1.0}, "algebra.right[0].i: expected an integer index"),
+        ({"k": False}, "algebra.right[0].k: expected an integer index"),
+    ])
+    def test_a_list_equal_only_up_to_type_is_rejected(self, entry, message):
+        """true == 1, 1.0 == 1 and false == 0, so the right list equals the
+        left by value, yet it is read on its own and rejected as before."""
+        doc = json.loads(shared(entry))
+        assert doc["right"] == doc["left"]
+        with pytest.raises(InputError) as info:
+            parse_algebra(shared(entry))
+        assert str(info.value) == message
+
+    def test_the_battery_reads_a_shared_spec_as_an_unshared_one(self):
+        """Sharing changes no verdict: the products of a shared spec are matched by identity,
+        those of a spec built from three equal mappings by value."""
+        from supertrial.spaces import proposition_battery
+        for name in FIXTURE_NAMES:
+            spec = builtin(name)
+            doc = json.loads(emit_algebra(spec))
+            doc["right"] = doc["perp"] = doc["left"]
+            read = parse_algebra(json.dumps(doc))
+            apart = TrialgebraSpec.build(name, spec.basis.parities, *[spec.left.constants] * 3, spec.gamma.matrix, spec.xi.matrix)
+            assert read.left is read.right and apart.left is not apart.right and read == apart
+            assert proposition_battery(read, 1) == proposition_battery(apart, 1)
+
+
 class TestLiteralMemo:
     """Each distinct string literal of a document is converted once, and every
     rejection reads as it would without the memo, even where a bad value
@@ -412,15 +474,32 @@ class TestToJson:
         value = _SHARED[name]()
         assert to_json(value) == json.dumps(value, indent=2)
 
-    def test_a_shared_mixed_list_is_written_at_each_use(self, monkeypatch):
-        """A list of mixed scalar types is not written inline, so the memo
-        never holds it: each record writes it again through ``_write``."""
+    def test_a_shared_mixed_list_is_written_once_per_column(self, monkeypatch):
+        """A list of mixed scalar types is not written inline but through
+        ``_write``, and each column's memo keeps its text: the three uses of
+        one object, two in one column and one in another, write it twice."""
         mixed = [1, "a", None, True]
         value = [{"a": mixed, "b": mixed}, {"a": mixed, "b": ["x"]}]
         calls, real = [], serialize._write
         monkeypatch.setattr(serialize, "_write", lambda item, *rest: calls.append(item) or real(item, *rest))
         assert to_json(value) == json.dumps(value, indent=2)
-        assert sum(item is mixed for item in calls) == 3
+        assert sum(item is mixed for item in calls) == 2
+
+    def test_record_text_is_kept_by_object_not_by_value(self):
+        """The writer keeps each value's text by ``id``: equal ints past the
+        interpreter's small-int cache are distinct objects, ``True`` and
+        ``False`` sit beside ``1`` and ``0`` in one column, ``None`` and the
+        booleans are shared, and one list and one nested list each fill two
+        columns; the text is the standard library's."""
+        big = [int(str(1000 + k % 2)) for k in range(4)]
+        assert big[0] == big[2] and big[0] is not big[2]
+        row, rows = ["1", "-1/2"], [["1", "0"], ["0", "1"]]
+        value = [
+            {"n": big[k], "b": k % 2 == 0, "one": True if k % 2 else 1, "zero": 0 if k % 2 else False,
+             "none": None, "x": row, "y": row if k else rows, "z": rows}
+            for k in range(4)
+        ]
+        assert to_json(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
         "value",

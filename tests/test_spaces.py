@@ -1136,14 +1136,28 @@ class TestTransport:
     def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
         """dual2-twisted+grassmann2 is regular but its Koszul battery fails at
         T = id, so after the pass at power 0 the battery solves each distinct
-        (kind, T) it reads."""
+        (kind, T) it reads, and the line-by-line pass reuses the builds at T = id."""
         spec = dual2_twisted_plus_grassmann2()
         identity = Matrix.identity(4)
         solved = _battery_plan(monkeypatch, spec, max_power, koszul=True)
         assert sorted(kind for kind, _ in solved[:6]) == ["C", "D", "GD", "QC", "QD", "ZD"]
         assert all(twist == identity for _, twist in solved[:6])
-        rest = solved[6:]
-        assert len(rest) == len(set(rest)) and set(rest) == _every_distinct_twist(spec, max_power)
+        assert len(solved) == len(set(solved)) and set(solved) == _every_distinct_twist(spec, max_power)
+
+    @pytest.mark.parametrize("max_power", [1, 2])
+    @pytest.mark.parametrize("koszul", [False, True])
+    @pytest.mark.parametrize("make", [nil3_odd_scaled, dual2_twisted_plus_grassmann2])
+    def test_the_two_passes_build_each_space_once(self, monkeypatch, make, koszul, max_power):
+        """The power-0 pass and the line-by-line pass share their builds, term
+        tables and commutation rows: each distinct (kind, T) is built once in
+        the battery call, and the report is the reference's."""
+        spec = make()
+        solved = _battery_plan(monkeypatch, spec, max_power, koszul)
+        assert len(solved) == len(set(solved))
+        monkeypatch.undo()
+        lines = [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2, ln.passed, ln.witness)
+                 for ln in proposition_battery(spec, max_power, koszul).lines]
+        assert lines == _reference_battery(spec, max_power, koszul)
 
     def test_the_named_inputs_reach_each_outcome(self):
         """nil3-odd-scaled in both modes and dual2-twisted+grassmann2 in the
@@ -1192,6 +1206,77 @@ class TestTransport:
         carried = [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases]
         monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
         assert [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases] == carried
+
+
+_IDENTITY_BATTERIES = sorted(name for name, make in _BATTERY_INPUTS.items()
+                             if make().gamma.matrix.is_identity and make().xi.matrix.is_identity)
+
+
+def _nil3_odd_xi_scaled():
+    """nil3-odd with gamma = id and xi = diag(1, 2, 2): valid and regular, and it fails
+    ``zd-eq-d-cap-c`` at every power, with the same ZD witness on every line."""
+    constants = {(0, 1, 2): 1}
+    return TrialgebraSpec.build("nil3-odd-xi-scaled", [0, 1, 1], constants, constants, constants,
+                                Matrix.identity(3), Matrix.diagonal([1, 2, 2]))
+
+
+def _two_step_xi_singular():
+    """two_step(0, 3) with gamma = id and xi = diag(1, 0, 0): valid but singular, so its
+    battery passes at power 0 and fails two lines at power 1."""
+    spec = two_step(0, 3)
+    return TrialgebraSpec.build("two-step-0-n3-xi-singular", spec.basis.parities,
+                                *(t.constants for _, t in spec.products()), Matrix.identity(3), Matrix.diagonal([1, 0, 0]))
+
+
+class TestIdentityMaps:
+    """With gamma = xi = id every twist is the identity, so the battery decides
+    each claim once, at T = id, and reads the center only when D cap C is nonzero."""
+
+    @pytest.mark.parametrize("koszul", [False, True])
+    @pytest.mark.parametrize("name", _IDENTITY_BATTERIES)
+    def test_each_line_gets_its_line_by_line_witness(self, name, koszul):
+        spec = _BATTERY_INPUTS[name]()
+        for max_power in range(3):
+            grid = spaces._grid(max_power)
+            witnesses = spaces._witnesses(spec, max_power, koszul, grid, {})
+            report = proposition_battery(spec, max_power, koszul)
+            assert [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2) for ln in report.lines] == [(c[0], *at) for c, *at in grid]
+            assert [(ln.passed, ln.witness) for ln in report.lines] == [(w is None, w) for w in witnesses]
+
+    def test_the_identity_inputs_include_failing_batteries(self):
+        assert {"dsum-zero2-idem1", "dual2", "grassmann2", "idem1", "zero2"} <= set(_IDENTITY_BATTERIES)
+        assert not proposition_battery(builtin("grassmann2"), 2, koszul=True).passed
+
+    @pytest.mark.parametrize("make", [_nil3_odd_xi_scaled, _two_step_xi_singular])
+    def test_one_identity_map_is_decided_line_by_line(self, make):
+        """Only gamma is the identity, so the twists xi^r differ, and each line gets the
+        witness of the reference battery, not its claim's witness at (0, 0)."""
+        spec = make()
+        assert spec.gamma.matrix.is_identity and not spec.xi.matrix.is_identity
+        assert check_bihom(spec).passed
+        for max_power, koszul in itertools.product((0, 1, 2), (False, True)):
+            lines = [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2, ln.passed, ln.witness)
+                     for ln in proposition_battery(spec, max_power, koszul).lines]
+            assert lines == _reference_battery(spec, max_power, koszul)
+            assert not all(line[5] for line in lines) or make is _two_step_xi_singular and max_power == 0
+
+    @pytest.mark.parametrize(
+        "name, max_power, calls",
+        [("dual2", 1, 0), ("grassmann2", 2, 0), ("dual2-twisted+grassmann2", 2, 0),
+         ("two-step-0-n4-bumped", 1, 0), ("zero2", 1, 1), ("dsum-zero2-idem1", 2, 1),
+         ("zero2-sheared", 2, 1), ("nil3-odd-scaled", 2, 1), ("dsum-zero2-idem1-singular", 2, 1)],
+    )
+    def test_the_center_is_read_once_and_only_when_d_cap_c_is_nonzero(self, monkeypatch, name, max_power, calls):
+        spec = _BATTERY_INPUTS[name]()
+        caps = {_built(("D", "C"), spec, TwistPower(s, r)).dimension
+                for s, r in itertools.product(range(max_power + 1), repeat=2)}
+        assert (caps != {0}) == bool(calls)
+        seen = []
+        monkeypatch.setattr(spaces, "center", lambda spec: seen.append(spec) or center(spec))
+        for koszul in (False, True):
+            seen.clear()
+            proposition_battery(spec, max_power, koszul)
+            assert len(seen) == calls
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -14,7 +14,10 @@ handful of malformed documents.  It then runs every subcommand on them,
 with and without ``--json`` and with ``-o`` where the subcommand takes it,
 ``spaces`` for every kind at (0, 0), (1, 0) and (0, 1) and ``--koszul`` on
 D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
-twists up to gamma^4 xi^4), and a few usage errors.  One more document,
+twists up to gamma^4 xi^4), ``--help`` and an unknown flag on every
+subcommand, and a few usage errors.  Among the malformed documents, two
+have a ``right`` list equal to ``left`` by value but not by type (``true``
+for a ``1``, ``false`` for an index ``0``).  One more document,
 ``nil3-odd`` with gamma = xi = diag(1, 2, 2), is written from a literal: it
 is regular and fails ``zd-eq-d-cap-c`` at every power, so its ``verify``
 runs reach the battery's line-by-line fallback.
@@ -40,10 +43,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
+SUBCOMMANDS = ("check", "spaces", "verify", "twist", "dsum", "graph", "morphism", "rb", "avg",
+               "sum-product", "commutator", "total-product", "swap", "fixtures")
 SHOWN = 10
 
 # e0 o e1 = e2 in all three products on parities (0, 1, 1), gamma = xi = diag(1, 2, 2).
-_NIL3_PRODUCT = [{"i": 0, "j": 1, "k": 2, "v": "1"}]
+_NIL3_ONE = {"i": 0, "j": 1, "k": 2, "v": "1"}
+_NIL3_PRODUCT = [_NIL3_ONE]
 _NIL3_MAP = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]
 NIL3_ODD = {"name": "nil3-odd", "dim": 3, "parity": [0, 1, 1], "left": _NIL3_PRODUCT, "right": _NIL3_PRODUCT,
             "perp": _NIL3_PRODUCT, "gamma": _NIL3_MAP, "xi": _NIL3_MAP}
@@ -174,6 +180,8 @@ def write_inputs(fixtures: dict[str, dict], inputs: Path) -> dict:
         put("odd-gamma.json", {**grassmann, "gamma": [["0", "1"], ["1", "0"]]}),
         put("short-gamma.json", {**grassmann, "gamma": [["1", "0"]]}),
         put("zero-denominator.json", {**grassmann, "left": [{"i": 0, "j": 0, "k": 0, "v": "1/0"}]}),
+        put("true-for-one.json", {**NIL3_ODD, "left": [{**_NIL3_ONE, "v": 1}], "right": [{**_NIL3_ONE, "v": True}]}),
+        put("false-for-zero.json", {**NIL3_ODD, "left": [{**_NIL3_ONE, "i": 0}], "right": [{**_NIL3_ONE, "i": False}]}),
         put("not-utf8.json", b"\xff\xfe{}"),
         put("deep.json", "[" * 100000 + "]" * 100000),
         str(inputs / "missing.json"),
@@ -251,7 +259,8 @@ def invocations(roles: dict) -> list[dict]:
     first = roles["fixtures"][0]
     names = [Path(p).name.removesuffix("-fixtures.json") for p in roles["fixtures"]]
     runs.extend({"argv": argv} for argv in (
-        [], ["--version"], ["--help"], ["check", "--help"], ["nonsense"], ["check"],
+        [], ["--version"], ["--help"], ["nonsense"], ["check"],
+        *([name, extra] for name in SUBCOMMANDS for extra in ("--help", "--no-such-flag")),
         ["fixtures"], ["fixtures", "--json"], ["fixtures", "unknown"], ["fixtures", "-o", "out.json"],
         *(["fixtures", name, *extra] for name in names for extra in ([], ["-o", "out.json"], ["--json"])),
         ["spaces", first, "--space", "C", "--s", "0", "--r", "0", "--koszul"],
