@@ -5,9 +5,8 @@ entries 0 or 1 on at most ``support`` parity-even cells (a product of
 homogeneous vectors lands in their summed parity), shared as the object of all
 three products, and gamma = xi = id.  ``candidates`` lists every member, the
 supports by size and then in ``itertools.combinations`` order; ``valid`` keeps
-those that pass ``check_bihom``.  Run it as a script for the counts:
-
-    PYTHONPATH=src python tests/census.py [SUPPORT]
+those that pass ``check_bihom``.  ``test_census.py`` pins the battery's
+verdicts on it.
 
 Standard library and the package under test only.
 """
@@ -15,7 +14,6 @@ Standard library and the package under test only.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Iterator
 
 from supertrial.core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, check_bihom
@@ -41,16 +39,3 @@ def valid(support: int) -> list[TrialgebraSpec]:
     """The members that pass ``check_bihom``, in ``candidates`` order."""
     return [spec for spec in candidates(support) if check_bihom(spec).passed]
 
-
-if __name__ == "__main__":
-    from collections import Counter
-
-    from supertrial.spaces import proposition_battery
-
-    support = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    kept = valid(support)
-    print(f"support <= {support}: {sum(1 for _ in candidates(support))} candidates, {len(kept)} valid")
-    for koszul in (False, True):
-        failing = Counter(claim for spec in kept
-                          for claim in {ln.claim_id for ln in proposition_battery(spec, 0, koszul).failed_lines()})
-        print(f"{'Koszul' if koszul else 'default'} mode: {dict(sorted(failing.items()))}")

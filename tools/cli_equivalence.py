@@ -181,7 +181,7 @@ def write_inputs(fixtures: dict[str, dict], inputs: Path) -> dict:
         put("short-gamma.json", {**grassmann, "gamma": [["1", "0"]]}),
         put("zero-denominator.json", {**grassmann, "left": [{"i": 0, "j": 0, "k": 0, "v": "1/0"}]}),
         put("true-for-one.json", {**NIL3_ODD, "left": [{**_NIL3_ONE, "v": 1}], "right": [{**_NIL3_ONE, "v": True}]}),
-        put("false-for-zero.json", {**NIL3_ODD, "left": [{**_NIL3_ONE, "i": 0}], "right": [{**_NIL3_ONE, "i": False}]}),
+        put("false-for-zero.json", {**NIL3_ODD, "right": [{**_NIL3_ONE, "i": False}]}),
         put("not-utf8.json", b"\xff\xfe{}"),
         put("deep.json", "[" * 100000 + "]" * 100000),
         str(inputs / "missing.json"),
