@@ -106,9 +106,12 @@ class Constructed:
 
 def _tensors(n: int, ops: dict, terms: list) -> list[StructureTensor]:
     """The tensor of each term: its product of e_i and e_j is the term at
-    slots (i, j), tabulated by ``_tabulate``."""
+    slots (i, j), tabulated by ``_tabulate``.  Terms that share their values
+    share one tensor."""
+    tensors: dict[int, StructureTensor] = {}
     return [
-        StructureTensor.build(n, {(i, j, k): Fraction(v, d) for (i, j), value in values.items() for k, v in value})
+        tensors.get(id(values)) or tensors.setdefault(id(values), StructureTensor.build(
+            n, {(i, j, k): Fraction(v, d) for (i, j), value in values.items() for k, v in value}))
         for d, values in _tabulate(n, 2, ops, terms)
     ]
 
@@ -164,25 +167,23 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
 
 def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     n, m = a.rows, b.rows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + [_ZERO] * m)
-    for i in range(m):
-        rows.append([_ZERO] * n + list(b.row(i)))
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows([list(a.row(i)) + [_ZERO] * m for i in range(n)] + [[_ZERO] * n + list(b.row(i)) for i in range(m)])
 
 
 def direct_sum(a: TrialgebraSpec, b: TrialgebraSpec) -> TrialgebraSpec:
     """Block sum: componentwise products, block-diagonal structure maps."""
     if (a.xi is None) != (b.xi is None):
         raise InputError("both summands must agree on whether xi is present")
-    m = a.dimension
+    m, basis = a.dimension, SuperBasis(a.basis.parities + b.basis.parities)
+    sums: dict[tuple[int, int], StructureTensor] = {}  # one block sum per distinct pair of tensor objects
     tensors = [
-        dict(ta.items()) | {(i + m, j + m, k + m): v for (i, j, k), v in tb.items()}
+        sums.get((id(ta), id(tb))) or sums.setdefault((id(ta), id(tb)), StructureTensor.build(
+            basis.dimension, dict(ta.items()) | {(i + m, j + m, k + m): v for (i, j, k), v in tb.items()}))
         for (_, ta), (_, tb) in zip(a.products(), b.products())
     ]
-    maps = [None if x is None else _block_diagonal(x.matrix, y.matrix) for x, y in ((a.gamma, b.gamma), (a.xi, b.xi))]
-    return TrialgebraSpec.build(f"dsum({a.name},{b.name})", a.basis.parities + b.basis.parities, *tensors, *maps)
+    maps = [None if x is None else LinearMap.square(basis, _block_diagonal(x.matrix, y.matrix))
+            for x, y in ((a.gamma, b.gamma), (a.xi, b.xi))]
+    return TrialgebraSpec(f"dsum({a.name},{b.name})", basis, *tensors, *maps)
 
 
 def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearMap) -> GraphCheckResult:

@@ -14,10 +14,10 @@ projected away):
 
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
-solve each distinct space once, and builds GD only at the base powers,
-the only ones its claims read; on a regular input whose claims all hold
-at T = id, and on any input with gamma = xi = id, it decides each claim at
-T = id alone (see proposition_battery).
+solve each distinct space once, and only the (kind, s, r) its lines read.
+It has one rule (see proposition_battery): the claims' lines at (0, 0)
+come first; on a regular input a claim that holds there holds on every
+line and is built at no other T; every other line is decided once.
 It keeps one object per distinct space and intersects D and C ("DC") once
 per distinct pair of built spaces, with one Zassenhaus echelon per graded
 piece, and reads the center only when some D intersect C is nonzero.
@@ -31,8 +31,8 @@ with every map).  The parity-p piece assembles product rows only at the
 cells (a, b, k) with p(k) = p(a) + p(b) + p, the only ones with any.  Its
 commutation rows do not depend on T or the kind: one build, or one battery
 call across its builds, assembles them once per parity and reads them at
-each partner block's offset; the battery also takes each T from one table
-of the powers of gamma and xi.  Each graded piece is one elimination,
+each partner block's offset; the battery also computes each T once per
+(s, r).  Each graded piece is one elimination,
 ``linalg.projected_kernel``, which drops repeated rows, relabels the
 partner blocks of QD and GD before the map's own, feeds the rows by
 descending leading column and reads the piece's canonical basis off the
@@ -220,6 +220,9 @@ _KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
     "GD": (((1, 2, 1), (2, 0, -1), (3, 1, -1)),),
 }
 
+# Whether a kind's rows read T (terms 2 and 3); a kind whose rows do not is one space at every T.
+_READS_TWIST = {kind: any(term > 1 for terms in rows for term, _, _ in terms) for kind, rows in _KIND_ROWS.items()}
+
 
 def _product_rows(
     kind: str,
@@ -317,12 +320,14 @@ def _intersection_space(a: OperatorSpace, b: OperatorSpace, basis: SuperBasis) -
     return _graded_space(a.kind + b.kind, a.twist, basis, *pieces, a.koszul)
 
 
-def _is_regular(spec: TrialgebraSpec, max_power: int) -> bool:
-    """Whether the battery may decide its claims at T = id alone: some twist is not the
-    identity, and gamma and xi commute, are invertible and are multiplicative for all three
-    products (see proposition_battery)."""
+def _is_regular(spec: TrialgebraSpec) -> bool:
+    """Whether no battery verdict depends on the twist powers: gamma = xi = id, or gamma and
+    xi commute, are invertible and are multiplicative for all three products (see
+    proposition_battery)."""
     gamma, xi = spec.gamma.matrix, spec.require_xi().matrix
-    if max_power < 1 or (gamma.is_identity and xi.is_identity) or gamma @ xi != xi @ gamma:
+    if gamma.is_identity and xi.is_identity:
+        return True
+    if gamma @ xi != xi @ gamma:
         return False
     try:
         invert(gamma), invert(xi)
@@ -482,10 +487,13 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     basis maps, and the composition C after D, for membership at the summed
     exponents.
 
-    On a regular input (``_is_regular``) M = gamma^s xi^r is an even
+    One rule decides the lines: the claims' lines at (0, 0) come first; on a
+    regular input (``_is_regular``) a claim that holds there passes on every
+    line, with nothing built for it at another T; every other line is
+    decided once, line by line (``_witnesses``), sharing the first lines'
+    builds and verdicts.  On a regular input M = gamma^s xi^r is an even
     automorphism that is multiplicative and commutes with gamma and xi, so
-    no verdict depends on the powers: each claim is decided at (0, 0), and
-    if all hold there every line passes and nothing is built at another T.
+    no verdict depends on the powers:
       - Spaces move with M: it carries each row at T, partner blocks and
         commutation rows included, to the same row at MT, and M^-1 carries
         it back, so X(M) = M . X(id) for every kind but ZD; containments,
@@ -497,34 +505,30 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
       - Every space's maps commute with gamma and xi, so [M1 X, M2 Y] =
         M1 M2 [X, Y] and M1 X . M2 Y = M1 M2 . XY, and the summed target
         is M1 M2 . Z(id).
-    Any other input, and a regular one with a failing claim, is decided
-    line by line (``_witnesses``), which gives each failure its witness and
-    reuses the power-0 pass's builds and verdicts.  When gamma and xi are
-    both the identity, so is every T: each line gets its claim's (0, 0)
-    witness, the one the line-by-line pass gives it.
+    When gamma and xi are both the identity, so is every T, and a failing
+    claim's later lines read its spaces and verdict at (0, 0) again.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
-    grid, memo = _grid(max_power), {}
-    identity = spec.gamma.matrix.is_identity and spec.require_xi().matrix.is_identity
-    settle = identity or _is_regular(spec, max_power)
-    first = dict(zip(_CLAIMS, _witnesses(spec, 0, koszul, _grid(0), memo))) if settle else {}
-    if settle and (identity or all(w is None for w in first.values())):
-        witnesses = [first[claim] for claim, *_ in grid]
-    else:
-        witnesses = _witnesses(spec, max_power, koszul, grid, memo)
+    memo: dict = {}
+    first = dict(zip(_CLAIMS, _witnesses(spec, koszul, _grid(0), memo)))
+    held = {claim for claim, w in first.items() if w is None} if max_power and _is_regular(spec) else ()
+    grid = _grid(max_power)
+    rest = [line for line in grid if line[0] not in held and any(line[1:])]  # any: not a line at (0, 0)
+    later = iter(_witnesses(spec, koszul, rest, memo))
     return BatteryReport(tuple(
-        BatteryLine(claim[0], s, r, s2, r2, witness is None, witness)
-        for (claim, s, r, s2, r2), witness in zip(grid, witnesses)
+        BatteryLine(claim[0], s, r, s2, r2, w is None, w) for claim, s, r, s2, r2 in grid
+        for w in [first[claim] if claim in held or not any((s, r, s2, r2)) else next(later)]
     ))
 
 
-def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tuple], memo: dict) -> list[LinearMap | None]:
-    """The witness of each line of grid, a battery at max_power, or None where the line passes.
+def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dict) -> list[LinearMap | None]:
+    """The witness of each of lines, lines of a battery grid, or None where the line passes.
 
-    Each space is solved once per distinct T = gamma^s xi^r (ZD once, GD only
-    at the base powers, the only ones read, and D intersect C once per pair
-    of D and C objects).  Equal spaces are kept as one object (the first
+    Each line reads its claim's kinds at its own powers, and each (kind, s, r)
+    is looked up once and built on its first read: a kind whose rows read T
+    once per distinct T = gamma^s xi^r, ZD once, and D intersect C once per
+    pair of D and C objects.  Equal spaces are kept as one object (the first
     built), so each claim, target span, graded basis and product of basis
     maps is worked out once, and membership reduces each target span once.
     memo keeps the tables, builds and verdicts for a later call on the same
@@ -532,32 +536,25 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
     intersect C is nonzero, since only then does a verdict read it.
     """
     n = spec.dimension
-    kinds_read = dict.fromkeys(kind for _, _, kinds, _ in _CLAIMS for kind in kinds)
-    read_at_sums = {kinds[2] for _, _, kinds, rule in _CLAIMS if rule == "summed"}
-    names = "tables", "commutation", "built", "by_value", "spaces", "echelons", "products", "graded", "verdicts"
-    tables, commutation, built, by_value, spaces, echelons, products, graded, verdicts = (memo.setdefault(k, {}) for k in names)
-    gammas, xis = ([m.matrix.power(k) for k in range(2 * max_power + 1)] for m in (spec.gamma, spec.require_xi()))
-    for s, r in itertools.product(range(2 * max_power + 1), repeat=2):
-        t = TwistPower(s, r)
-        twist = gammas[s] @ xis[r]
-        if twist not in tables:  # a new T always builds D
-            tables[twist] = _twist_tables(spec, twist)
-        for kind in kinds_read:
-            if max(s, r) > max_power and kind not in read_at_sums:
-                continue
-            if isinstance(kind, tuple):  # D cap C by its operands, which ``built`` keeps alive
-                operands = [spaces[(k, s, r)] for k in kind]
-                key = (kind, *map(id, operands))
+    names = "twists", "tables", "commutation", "built", "by_value", "spaces", "echelons", "products", "graded", "verdicts"
+    twists, tables, commutation, built, by_value, spaces, echelons, products, graded, verdicts = (memo.setdefault(k, {}) for k in names)
+
+    def space(kind, s: int, r: int) -> OperatorSpace:
+        """kind at (s, r); D cap C first reads its operands there, without a call to itself."""
+        for part in [p for p in ((*kind, kind) if isinstance(kind, tuple) else (kind,)) if (p, s, r) not in spaces]:
+            if isinstance(part, tuple):  # D cap C by its operands, which ``built`` keeps alive
+                operands = [spaces[(k, s, r)] for k in part]
+                key, make = (part, *map(id, operands)), lambda: _intersection_space(*operands, spec.basis)
             else:
-                reads_twist = any(term > 1 for terms in _KIND_ROWS[kind] for term, _, _ in terms)
-                key = (kind, twist) if reads_twist else (kind,)
+                twist = _once(twists, (s, r), lambda: TwistPower(s, r).matrix(spec))
+                key = (part, twist) if _READS_TWIST[part] else (part,)
+                make = lambda: _build_space(part, spec, TwistPower(s, r), koszul and part == "D",
+                                            _once(tables, twist, lambda: _twist_tables(spec, twist)), commutation)
             if key not in built:
-                if isinstance(kind, tuple):
-                    space = _intersection_space(*operands, spec.basis)
-                else:
-                    space = _build_space(kind, spec, t, koszul and kind == "D", tables[twist], commutation)
-                built[key] = by_value.setdefault(space.vectorized(), space)
-            spaces[(kind, s, r)] = built[key]
+                made = make()
+                built[key] = by_value.setdefault(made.vectorized(), made)
+            spaces[(part, s, r)] = built[key]
+        return spaces[(kind, s, r)]
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product, once per pair of values."""
@@ -595,8 +592,8 @@ def _witnesses(spec: TrialgebraSpec, max_power: int, koszul: bool, grid: list[tu
         ),
     }
     witnesses: list[LinearMap | None] = []
-    for (_, relation, kinds, _), s, r, s2, r2 in grid:
+    for (_, relation, kinds, _), s, r, s2, r2 in lines:
         at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
-        operands = [spaces[(kind, *power)] for kind, power in zip(kinds, at)]
+        operands = [space(kind, *power) for kind, power in zip(kinds, at)]
         witnesses.append(_once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands)))
     return witnesses

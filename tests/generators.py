@@ -11,7 +11,9 @@ So every seed is a valid BiHom-supertrialgebra, and in general its three
 products differ, gamma differs from xi, and no product is supercommutative.
 
 A named set follows: three valid, multiplicative inputs, each reaching one
-outcome of the proposition battery that the fixtures do not.
+outcome of the proposition battery that the fixtures do not.  Then the
+first input of ``census.py``'s slice in each class of failing verdicts, all
+with gamma = xi = id.
 
 Standard library and the package under test only; nothing here is a
 fixture of the CLI or of the benchmark.
@@ -67,3 +69,28 @@ def dsum_singular() -> TrialgebraSpec:
     spec, diagonal = builtin("dsum-zero2-idem1"), Matrix.diagonal([1, 0, 0])
     return TrialgebraSpec.build("dsum-zero2-idem1-singular", spec.basis.parities,
                                 *(t.constants for _, t in spec.products()), diagonal, diagonal)
+
+
+def _census(parities: list[int], cells: list[tuple[int, int, int]]) -> TrialgebraSpec:
+    """The census input with these parities and unit cells, one tensor for all three
+    products, gamma = xi = id, named as ``census.py`` names it."""
+    name = "census-" + "".join(map(str, parities)) + "".join(f"-{i}{j}{k}" for i, j, k in cells)
+    constants, identity = dict.fromkeys(cells, 1), Matrix.identity(len(parities))
+    return TrialgebraSpec.build(name, parities, constants, constants, constants, identity, identity)
+
+
+def census_000_012() -> TrialgebraSpec:
+    """e0 o e1 = e2 on even e0, e1, e2: it fails ``zd-eq-d-cap-c`` in both modes."""
+    return _census([0, 0, 0], [(0, 1, 2)])
+
+
+def census_001_001_221() -> TrialgebraSpec:
+    """e0 o e0 = e2 o e2 = e1 on parities (0, 0, 1): it fails ``bracket-d-d-in-d`` in the
+    default mode."""
+    return _census([0, 0, 1], [(0, 0, 1), (2, 2, 1)])
+
+
+def census_011_012_102() -> TrialgebraSpec:
+    """e0 o e1 = e1 o e0 = e2 on parities (0, 1, 1): it fails ``chain-d-in-qd`` in the
+    Koszul mode."""
+    return _census([0, 1, 1], [(0, 1, 2), (1, 0, 2)])

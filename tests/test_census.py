@@ -8,6 +8,7 @@ from collections import Counter
 
 import census
 import pytest
+from generators import census_000_012, census_001_001_221, census_011_012_102
 
 from supertrial import spaces
 from supertrial.spaces import proposition_battery
@@ -53,5 +54,17 @@ def test_each_battery_at_power_one_is_the_line_by_line_one():
     same verdict and witness."""
     grid = spaces._grid(1)
     for spec, report in zip(_valid(), _reports(False)):
-        witnesses = spaces._witnesses(spec, 1, False, grid, {})
+        witnesses = spaces._witnesses(spec, False, grid, {})
         assert [(ln.passed, ln.witness) for ln in report.lines] == [(w is None, w) for w in witnesses]
+
+
+@pytest.mark.parametrize("koszul", [False, True])
+def test_the_named_inputs_are_the_first_of_each_failing_class(koszul):
+    """tests/generators.py names the first input of the slice that fails each claim."""
+    named = {False: {"zd-eq-d-cap-c": census_000_012, "bracket-d-d-in-d": census_001_001_221},
+             True: {"zd-eq-d-cap-c": census_000_012, "chain-d-in-qd": census_011_012_102}}[koszul]
+    first = {}
+    for spec, report in zip(_valid(), _reports(koszul)):
+        for claim in {ln.claim_id for ln in report.failed_lines()}:
+            first.setdefault(claim, spec)
+    assert first == {claim: make() for claim, make in named.items()}

@@ -1,12 +1,14 @@
 """Derived algebras and hypothesis checks built on top of the core model."""
 
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
+from generators import two_step
 from test_axiom_oracle import random_spec
 from tridendriform import rota_baxter_split
 
@@ -43,6 +45,7 @@ from supertrial.errors import (
 )
 from supertrial.fixtures import FIXTURE_NAMES, builtin
 from supertrial.linalg import Echelon, Matrix, invert
+from supertrial.serialize import emit_algebra, parse_algebra
 
 F = Fraction
 
@@ -206,6 +209,43 @@ class TestDirectSum:
         total = direct_sum(a, a)
         assert total.xi is None
         assert total.dimension == 2
+
+
+def _shared(name):
+    """The fixture read from a document whose three product lists are one list."""
+    doc = json.loads(emit_algebra(builtin(name)))
+    doc["right"] = doc["perp"] = doc["left"]
+    return parse_algebra(json.dumps(doc))
+
+
+def _apart(name):
+    """The fixture's left product as three equal tensors, built apart."""
+    spec = builtin(name)
+    return TrialgebraSpec.build(name, spec.basis.parities, *[spec.left.constants] * 3, spec.gamma.matrix, spec.xi.matrix)
+
+
+class TestSharedTensors:
+    """The Yau twist and the direct sum build one tensor per distinct input tensor object
+    (per distinct pair, for the sum), so the products of a shared spec stay one object, and
+    the documents they emit are those of the same spec built apart."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_a_shared_spec_stays_shared(self, name):
+        shared, apart = _shared(name), _apart(name)
+        assert shared.left is shared.right is shared.perp and shared == apart
+        l = LinearMap.square(shared.basis, Matrix.diagonal(list(range(1, shared.dimension + 1))))
+        for build in (lambda s: yau_twist(s, l).twisted, lambda s: direct_sum(s, s)):
+            made = build(shared)
+            assert made.left is made.right is made.perp
+            assert emit_algebra(made) == emit_algebra(build(apart))
+
+    def test_inputs_that_do_not_share_stay_apart(self):
+        distinct = two_step(0, 4)
+        assert distinct.left != distinct.right != distinct.perp != distinct.left
+        l = LinearMap.square(distinct.basis, Matrix.diagonal([1, 2, 3, 4]))
+        for made in (yau_twist(distinct, l).twisted, direct_sum(distinct, _shared("dual2")),
+                     direct_sum(_shared("dual2"), builtin("dual2")), direct_sum(_apart("dual2"), _apart("dual2"))):
+            assert len({id(t) for _, t in made.products()}) == 3
 
 
 def fraction_graph_closure(a, b, f) -> bool:

@@ -31,6 +31,7 @@ from supertrial.core import (
 from supertrial.errors import InputError, ModeError, ParityError
 from supertrial.fixtures import builtin, inject_violation
 from supertrial.linalg import Matrix, canonical_span
+from supertrial.spaces import proposition_battery
 
 F = Fraction
 
@@ -348,7 +349,9 @@ def test_steps_of_dropped_rows_do_not_run(monkeypatch):
 def test_sweeps_leave_no_cyclic_garbage():
     """A sweep's plan and tables, and a tabulation's, are freed by reference
     counting alone: with the collector paused, nothing is left for it on a
-    dimension-6 algebra."""
+    dimension-6 algebra.  So are a battery's memo and helpers: the algebra is
+    regular and its Koszul battery fails chain-d-in-qd, so that run also
+    decides lines one by one past (0, 0)."""
     spec = direct_sum(builtin("dual2-twisted"), direct_sum(builtin("grassmann2"), builtin("dual2")))
     assert spec.dimension == 6
     l = LinearMap.square(spec.basis, Matrix.diagonal([1, 2, "1/2", 3, 1, 5]))
@@ -360,6 +363,8 @@ def test_sweeps_leave_no_cyclic_garbage():
         "yau_twist": lambda s: yau_twist(s, l),
         "center": center,
         "centralizer": lambda s: centralizer(s, subset),
+        "battery": lambda s: proposition_battery(s, 1),
+        "koszul_battery": lambda s: proposition_battery(s, 1, koszul=True),
     }
     gc.collect()
     gc.disable()

@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import pytest
 from constraint_oracle import oracle_space, span_intersection
-from generators import dsum_singular, dual2_twisted_plus_grassmann2, nil3_odd_scaled, two_step
+from generators import (
+    census_000_012,
+    census_001_001_221,
+    census_011_012_102,
+    dsum_singular,
+    dual2_twisted_plus_grassmann2,
+    nil3_odd_scaled,
+    two_step,
+)
 from test_axiom_oracle import random_spec, twisted_fixture
 
 from supertrial.constructions import direct_sum, yau_twist
@@ -930,7 +938,8 @@ def _reference_battery(spec, max_power, koszul):
     return lines
 
 
-# The fixtures and inputs whose xi is neither the identity nor gamma.
+# The fixtures, inputs whose xi is neither the identity nor gamma, and the census
+# inputs that fail a claim with gamma = xi = id.
 _BATTERY_INPUTS = {
     **{name: functools.partial(builtin, name) for name in FIXTURE_NAMES},
     "zero2-sheared": _sheared_zero2,
@@ -941,6 +950,7 @@ _BATTERY_INPUTS = {
     "nil3-odd-scaled": nil3_odd_scaled,
     "dual2-twisted+grassmann2": dual2_twisted_plus_grassmann2,
     "dsum-zero2-idem1-singular": dsum_singular,
+    **{make().name: make for make in (census_000_012, census_001_001_221, census_011_012_102)},
 }
 
 
@@ -992,7 +1002,7 @@ class TestBatterySharing:
         monkeypatch.setattr(spaces, "integer_product", spy_product)
         monkeypatch.setattr(spaces, "Echelon", SpyEchelon)
         monkeypatch.setattr(spaces, "_intersection_space", left_out(real_intersect))
-        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec: False)
         for max_power in (1, 2):
             base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
             sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
@@ -1035,7 +1045,7 @@ _TRANSPORT_BATTERIES = {**_BATTERY_INPUTS, **{f"two-step-{s}-n{n}": functools.pa
 
 _TRANSPORTED_KINDS = [(kind, koszul) for kind, koszul in KINDS_AND_KOSZUL_D if kind != "ZD"]
 
-_REGULAR_BATTERIES = sorted(name for name, make in _TRANSPORT_BATTERIES.items() if spaces._is_regular(make(), 1))
+_REGULAR_BATTERIES = sorted(name for name, make in _TRANSPORT_BATTERIES.items() if spaces._is_regular(make()))
 
 
 def _invertible(m):
@@ -1102,7 +1112,7 @@ class TestTransport:
     @pytest.mark.parametrize("seed, n", [(None, None)] + TWO_STEP)
     def test_carried_space_equals_a_solve(self, seed, n):
         spec = builtin("dual2-twisted") if seed is None else two_step(seed, n)
-        assert spaces._is_regular(spec, 1)
+        assert spaces._is_regular(spec)
         assert _carry_errors(spec) == []
 
     @pytest.mark.parametrize("name", sorted(NOT_REGULAR))
@@ -1119,7 +1129,7 @@ class TestTransport:
         }
         assert [failed for failed, holds in guards.items() if not holds] == [name]
         assert name == "not-commuting" or check_bihom(spec).passed
-        assert not any(spaces._is_regular(spec, max_power) for max_power in range(3))
+        assert not spaces._is_regular(spec)
         assert _carry_errors(spec)
         for max_power in (1, 2):
             solved = _battery_plan(monkeypatch, spec, max_power)
@@ -1134,15 +1144,16 @@ class TestTransport:
 
     @pytest.mark.parametrize("max_power", [1, 2])
     def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
-        """dual2-twisted+grassmann2 is regular but its Koszul battery fails at
-        T = id, so after the pass at power 0 the battery solves each distinct
-        (kind, T) it reads, and the line-by-line pass reuses the builds at T = id."""
+        """dual2-twisted+grassmann2 is regular, with gamma = xi = diag(1, 2, 1, 1), and its
+        Koszul battery fails only chain-d-in-qd at T = id.  So after the six builds at T = id
+        the battery builds that claim's QD and D at each distinct base twist
+        diag(1, 2^k, 1, 1), k = s + r, and nothing more for the claims that hold."""
         spec = dual2_twisted_plus_grassmann2()
-        identity = Matrix.identity(4)
-        solved = _battery_plan(monkeypatch, spec, max_power, koszul=True)
-        assert sorted(kind for kind, _ in solved[:6]) == ["C", "D", "GD", "QC", "QD", "ZD"]
-        assert all(twist == identity for _, twist in solved[:6])
-        assert len(solved) == len(set(solved)) and set(solved) == _every_distinct_twist(spec, max_power)
+        assert spec.gamma.matrix == spec.xi.matrix == Matrix.diagonal([1, 2, 1, 1])
+        twist = [Matrix.diagonal([1, 2 ** k, 1, 1]) for k in range(2 * max_power + 1)]
+        expected = [(kind, twist[0]) for kind in ("D", "C", "ZD", "QC", "QD", "GD")]
+        expected += [(kind, twist[k]) for k in range(1, 2 * max_power + 1) for kind in ("QD", "D")]
+        assert _battery_plan(monkeypatch, spec, max_power, koszul=True) == expected
 
     @pytest.mark.parametrize("max_power", [1, 2])
     @pytest.mark.parametrize("koszul", [False, True])
@@ -1168,13 +1179,13 @@ class TestTransport:
         for make, koszul, claim in [(nil3_odd_scaled, False, "zd-eq-d-cap-c"), (nil3_odd_scaled, True, "zd-eq-d-cap-c"),
                                     (dual2_twisted_plus_grassmann2, True, "chain-d-in-qd")]:
             spec = make()
-            assert check_bihom(spec).passed and spaces._is_regular(spec, 1)
+            assert check_bihom(spec).passed and spaces._is_regular(spec)
             for max_power in (1, 2):
                 failed = proposition_battery(spec, max_power, koszul).failed_lines()
                 assert len(failed) == (max_power + 1) ** 2 and {ln.claim_id for ln in failed} == {claim}
         spec = dsum_singular()
         assert check_bihom(spec).passed and check_multiplicative(spec).passed
-        assert not spaces._is_regular(spec, 1)
+        assert not spaces._is_regular(spec)
         assert proposition_battery(spec, 0).passed
         failed = proposition_battery(spec, 1).failed_lines()
         assert len(failed) == 15 and {ln.claim_id for ln in failed} == {"bracket-d-zd-in-zd", "zd-eq-d-cap-c"}
@@ -1185,7 +1196,7 @@ class TestTransport:
         settling at T = id switched off: on a regular input each claim passes
         or fails at every power as it does at (0, 0)."""
         spec = _TRANSPORT_BATTERIES[name]()
-        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec: False)
         for max_power, koszul in itertools.product((1, 2), (False, True)):
             lines = proposition_battery(spec, max_power, koszul).lines
             at_identity = {ln.claim_id: ln.passed for ln in lines if (ln.s, ln.r, ln.s2 or 0, ln.r2 or 0) == (0, 0, 0, 0)}
@@ -1204,7 +1215,7 @@ class TestTransport:
         spec = _TRANSPORT_BATTERIES[name]()
         cases = list(itertools.product(range(3), (False, True)))
         carried = [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases]
-        monkeypatch.setattr(spaces, "_is_regular", lambda spec, max_power: False)
+        monkeypatch.setattr(spaces, "_is_regular", lambda spec: False)
         assert [proposition_battery(spec, max_power, koszul) for max_power, koszul in cases] == carried
 
 
@@ -1238,7 +1249,7 @@ class TestIdentityMaps:
         spec = _BATTERY_INPUTS[name]()
         for max_power in range(3):
             grid = spaces._grid(max_power)
-            witnesses = spaces._witnesses(spec, max_power, koszul, grid, {})
+            witnesses = spaces._witnesses(spec, koszul, grid, {})
             report = proposition_battery(spec, max_power, koszul)
             assert [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2) for ln in report.lines] == [(c[0], *at) for c, *at in grid]
             assert [(ln.passed, ln.witness) for ln in report.lines] == [(w is None, w) for w in witnesses]
@@ -1259,6 +1270,18 @@ class TestIdentityMaps:
                      for ln in proposition_battery(spec, max_power, koszul).lines]
             assert lines == _reference_battery(spec, max_power, koszul)
             assert not all(line[5] for line in lines) or make is _two_step_xi_singular and max_power == 0
+
+    def test_a_failing_identity_battery_builds_at_the_identity_only(self, monkeypatch):
+        """census-001-001-221 fails bracket-d-d-in-d on every line.  Every T is the identity,
+        so the claim's later lines read the spaces built for the lines at (0, 0), and the
+        battery builds each kind once, at T = id."""
+        spec = census_001_001_221()
+        solved = _battery_plan(monkeypatch, spec, 2)
+        assert sorted(kind for kind, _ in solved) == ["C", "D", "GD", "QC", "QD", "ZD"]
+        assert all(twist == Matrix.identity(3) for _, twist in solved)
+        monkeypatch.undo()
+        failed = proposition_battery(spec, 2).failed_lines()
+        assert len(failed) == 81 and {ln.claim_id for ln in failed} == {"bracket-d-d-in-d"}
 
     @pytest.mark.parametrize(
         "name, max_power, calls",

@@ -17,10 +17,12 @@ D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
 twists up to gamma^4 xi^4), ``--help`` and an unknown flag on every
 subcommand, and a few usage errors.  Among the malformed documents, two
 have a ``right`` list equal to ``left`` by value but not by type (``true``
-for a ``1``, ``false`` for an index ``0``).  One more document,
-``nil3-odd`` with gamma = xi = diag(1, 2, 2), is written from a literal: it
-is regular and fails ``zd-eq-d-cap-c`` at every power, so its ``verify``
-runs reach the battery's line-by-line fallback.
+for a ``1``, ``false`` for an index ``0``).  Two more documents are
+written from literals, and ``verify`` runs decide a failing claim of each
+line by line: ``nil3-odd`` with gamma = xi = diag(1, 2, 2) is regular and
+fails ``zd-eq-d-cap-c`` at every power, and ``census-001-001-221`` with
+gamma = xi = id fails ``bracket-d-d-in-d`` at every power, where every
+twist is the identity.
 
 Each tree runs the whole list once, in one fresh interpreter whose path
 holds only that tree's ``src`` and with ``PYTHONDONTWRITEBYTECODE`` set;
@@ -53,6 +55,12 @@ _NIL3_PRODUCT = [_NIL3_ONE]
 _NIL3_MAP = [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]]
 NIL3_ODD = {"name": "nil3-odd", "dim": 3, "parity": [0, 1, 1], "left": _NIL3_PRODUCT, "right": _NIL3_PRODUCT,
             "perp": _NIL3_PRODUCT, "gamma": _NIL3_MAP, "xi": _NIL3_MAP}
+
+# e0 o e0 = e2 o e2 = e1 in all three products on parities (0, 0, 1), gamma = xi = id.
+_CENSUS_PRODUCT = [{"i": 0, "j": 0, "k": 1, "v": "1"}, {"i": 2, "j": 2, "k": 1, "v": "1"}]
+_IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+CENSUS_001_001_221 = {"name": "census-001-001-221", "dim": 3, "parity": [0, 0, 1], "left": _CENSUS_PRODUCT,
+                      "right": _CENSUS_PRODUCT, "perp": _CENSUS_PRODUCT, "gamma": _IDENTITY3, "xi": _IDENTITY3}
 
 # Runs inside each tree's interpreter: reads the runs as JSON on stdin and
 # writes one result per run as JSON on stdout.
@@ -164,6 +172,7 @@ def write_inputs(fixtures: dict[str, dict], inputs: Path) -> dict:
     }
     roles["rect"] = {(r, c): put(f"zero{r}x{c}.json", _map(r, c, lambda i, j: 0)) for r in dims for c in dims}
     roles["nil3"] = put("nil3-odd.json", NIL3_ODD)
+    roles["census"] = put("census-001-001-221.json", CENSUS_001_001_221)
     grassmann = fixtures.get("grassmann2") or next(iter(fixtures.values()))
     roles["malformed"] = [
         put("not-json.json", "{"),
@@ -234,6 +243,7 @@ def invocations(roles: dict) -> list[dict]:
     add("dsum", roles["fixtures"][0], roles["hom"][0])
     for power in ("0", "1", "2"):
         add("verify", roles["nil3"], "--max-power", power)
+        add("verify", roles["census"], "--max-power", power)
     for kind in ("ZD", "D", "C"):
         for s, r in ((0, 0), (1, 0)):
             add("spaces", roles["nil3"], "--space", kind, "--s", str(s), "--r", str(r))
