@@ -167,7 +167,8 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
 
 def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     n, m = a.rows, b.rows
-    return Matrix.from_rows([list(a.row(i)) + [_ZERO] * m for i in range(n)] + [[_ZERO] * n + list(b.row(i)) for i in range(m)])
+    return Matrix.from_rows([list(a.row(i)) + [_ZERO] * m for i in range(n)]
+                            + [[_ZERO] * n + list(b.row(i)) for i in range(m)])
 
 
 def direct_sum(a: TrialgebraSpec, b: TrialgebraSpec) -> TrialgebraSpec:

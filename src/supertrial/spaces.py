@@ -505,8 +505,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
       - Every space's maps commute with gamma and xi, so [M1 X, M2 Y] =
         M1 M2 [X, Y] and M1 X . M2 Y = M1 M2 . XY, and the summed target
         is M1 M2 . Z(id).
-    When gamma and xi are both the identity, so is every T, and a failing
-    claim's later lines read its spaces and verdict at (0, 0) again.
+    With gamma = xi = id every T is the identity: later lines reuse the (0, 0) builds and verdicts.
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
@@ -515,7 +514,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     held = {claim for claim, w in first.items() if w is None} if max_power and _is_regular(spec) else ()
     grid = _grid(max_power)
     rest = [line for line in grid if line[0] not in held and any(line[1:])]  # any: not a line at (0, 0)
-    later = iter(_witnesses(spec, koszul, rest, memo))
+    later = iter(_witnesses(spec, koszul, rest, memo) if rest else ())
     return BatteryReport(tuple(
         BatteryLine(claim[0], s, r, s2, r2, w is None, w) for claim, s, r, s2, r2 in grid
         for w in [first[claim] if claim in held or not any((s, r, s2, r2)) else next(later)]
@@ -540,20 +539,21 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dic
     twists, tables, commutation, built, by_value, spaces, echelons, products, graded, verdicts = (memo.setdefault(k, {}) for k in names)
 
     def space(kind, s: int, r: int) -> OperatorSpace:
-        """kind at (s, r); D cap C first reads its operands there, without a call to itself."""
-        for part in [p for p in ((*kind, kind) if isinstance(kind, tuple) else (kind,)) if (p, s, r) not in spaces]:
-            if isinstance(part, tuple):  # D cap C by its operands, which ``built`` keeps alive
-                operands = [spaces[(k, s, r)] for k in part]
-                key, make = (part, *map(id, operands)), lambda: _intersection_space(*operands, spec.basis)
-            else:
-                twist = _once(twists, (s, r), lambda: TwistPower(s, r).matrix(spec))
-                key = (part, twist) if _READS_TWIST[part] else (part,)
-                make = lambda: _build_space(part, spec, TwistPower(s, r), koszul and part == "D",
-                                            _once(tables, twist, lambda: _twist_tables(spec, twist)), commutation)
-            if key not in built:
-                made = make()
-                built[key] = by_value.setdefault(made.vectorized(), made)
-            spaces[(part, s, r)] = built[key]
+        """kind at (s, r), on its first read; D cap C reads its operands in this loop (a self-call is a cycle)."""
+        for part in (*kind, kind) if isinstance(kind, tuple) else (kind,):
+            if (part, s, r) not in spaces:
+                if isinstance(part, tuple):  # D cap C by its operands, which ``built`` keeps alive
+                    operands = [spaces[(k, s, r)] for k in part]
+                    key, make = (part, *map(id, operands)), lambda: _intersection_space(*operands, spec.basis)
+                else:
+                    t, twist = _once(twists, (s, r), lambda: (TwistPower(s, r), TwistPower(s, r).matrix(spec)))
+                    key = (part, twist) if _READS_TWIST[part] else (part,)
+                    make = lambda: _build_space(part, spec, t, koszul and part == "D",
+                                                _once(tables, twist, lambda: _twist_tables(spec, twist)), commutation)
+                if key not in built:
+                    made = make()
+                    built[key] = by_value.setdefault(made.vectorized(), made)
+                spaces[(part, s, r)] = built[key]
         return spaces[(kind, s, r)]
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
@@ -594,6 +594,6 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dic
     witnesses: list[LinearMap | None] = []
     for (_, relation, kinds, _), s, r, s2, r2 in lines:
         at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
-        operands = [space(kind, *power) for kind, power in zip(kinds, at)]
+        operands = [spaces.get((kind, *power)) or space(kind, *power) for kind, power in zip(kinds, at)]
         witnesses.append(_once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands)))
     return witnesses
