@@ -495,6 +495,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

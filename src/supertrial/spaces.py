@@ -15,12 +15,12 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and only the (kind, s, r) its lines read.
-It has one rule (see proposition_battery): the claims' lines at (0, 0)
-come first; on a regular input a claim that holds there holds on every
-line and is built at no other T; every other line is decided once.
-It keeps one object per distinct space and intersects D and C ("DC") once
-per distinct pair of built spaces, with one Zassenhaus echelon per graded
-piece, and reads the center only when some D intersect C is nonzero.
+It walks its grid once (see proposition_battery): on a regular input a
+claim that holds at (0, 0) holds on every line and is built at no other T;
+every other line is decided once.  It keeps one object per distinct space,
+intersects D and C ("DC") once per pair of them, with one Zassenhaus
+echelon per graded piece, and reads the center only when some D intersect
+C is nonzero.
 Every space is solved separately on the even-map and odd-map unknown
 patterns (sound because all products and both structure maps are even, so
 the constraint systems are parity-homogeneous).
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import LinearMap, StructureTensor, SuperBasis, TrialgebraSpec, center, check_multiplicative
 from .errors import InputError, ParityError, SingularMapError
@@ -435,11 +435,10 @@ class BatteryReport:
 
 
 # The battery claims in report order: (claim id, relation, kinds read,
-# power rule).  ("D", "C") is D intersect C, intersected from the built D
-# and C at the same powers.  Relations:
+# power rule).  Relations:
 #   contain   every later kind lies in the first; the witness is the first
 #             outsider of the last failing kind
-#   eq-dc     ZD equals D intersect C; ZD's outsiders come first
+#   eq-dc     ZD equals the intersection of D and C; ZD's outsiders come first
 #   trivial   D intersect C is zero, when the center is trivial
 #   bracket   supercommutators of the first two kinds' graded bases lie in
 #             the third
@@ -457,8 +456,8 @@ _CLAIMS = (
     ("chain-qd-in-gd", "contain", ("GD", "QD"), "base"),
     ("compose-c-d-in-d", "compose", ("C", "D", "D"), "summed"),
     ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC"), "base"),
-    ("trivial-center-d-cap-c", "trivial", (("D", "C"),), "base"),
-    ("zd-eq-d-cap-c", "eq-dc", ("ZD", ("D", "C")), "base"),
+    ("trivial-center-d-cap-c", "trivial", ("D", "C"), "base"),
+    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "D", "C"), "base"),
 )
 
 
@@ -471,7 +470,7 @@ def _once(cache: dict, key, make):
 
 def _grid(max_power: int) -> list[tuple]:
     """Every battery line as (claim, s, r, s2, r2) in report order, claim an entry of _CLAIMS;
-    s2 and r2 are None on a base claim."""
+    s2 and r2 are None on a base claim.  Claim-major: each claim's first line is at (0, 0)."""
     base = [(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
     return [(claim, s, r, s2, r2) for claim in _CLAIMS
             for (s, r), (s2, r2) in itertools.product(base, base if claim[3] == "summed" else [(None, None)])]
@@ -487,11 +486,12 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     basis maps, and the composition C after D, for membership at the summed
     exponents.
 
-    One rule decides the lines: the claims' lines at (0, 0) come first; on a
-    regular input (``_is_regular``) a claim that holds there passes on every
-    line, with nothing built for it at another T; every other line is
-    decided once, line by line (``_witnesses``), sharing the first lines'
-    builds and verdicts.  On a regular input M = gamma^s xi^r is an even
+    One walk over ``_grid`` decides the lines, with one decider
+    (``_witnesses``) that shares builds and verdicts across the walk.  Each
+    claim's first line, at (0, 0), is decided; on a regular input
+    (``_is_regular``, asked at most once) a claim that held there passes
+    every later line, with nothing built for it at another T; every other
+    line is decided once.  On a regular input M = gamma^s xi^r is an even
     automorphism that is multiplicative and commutes with gamma and xi, so
     no verdict depends on the powers:
       - Spaces move with M: it carries each row at T, partner blocks and
@@ -509,52 +509,49 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     """
     if max_power < 0:
         raise InputError("max_power must be non-negative")
-    memo: dict = {}
-    first = dict(zip(_CLAIMS, _witnesses(spec, koszul, _grid(0), memo)))
-    held = {claim for claim, w in first.items() if w is None} if max_power and _is_regular(spec) else ()
-    grid = _grid(max_power)
-    rest = [line for line in grid if line[0] not in held and any(line[1:])]  # any: not a line at (0, 0)
-    later = iter(_witnesses(spec, koszul, rest, memo) if rest else ())
-    return BatteryReport(tuple(
-        BatteryLine(claim[0], s, r, s2, r2, w is None, w) for claim, s, r, s2, r2 in grid
-        for w in [first[claim] if claim in held or not any((s, r, s2, r2)) else next(later)]
-    ))
+    decide, first, regular, lines = _witnesses(spec, koszul), {}, {}, []
+    for line in _grid(max_power):
+        (claim, _, _, _), s, r, s2, r2 = line
+        if claim not in first:
+            w = first[claim] = decide(line)
+        else:
+            w = None if first[claim] is None and _once(regular, 0, lambda: _is_regular(spec)) else decide(line)
+        lines.append(BatteryLine(claim, s, r, s2, r2, w is None, w))
+    return BatteryReport(tuple(lines))
 
 
-def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dict) -> list[LinearMap | None]:
-    """The witness of each of lines, lines of a battery grid, or None where the line passes.
+def _witnesses(spec: TrialgebraSpec, koszul: bool) -> Callable[[tuple], LinearMap | None]:
+    """The decider of spec's battery lines in this mode: it maps a line of ``_grid`` to its
+    witness, or to None where the line passes.
 
     Each line reads its claim's kinds at its own powers, and each (kind, s, r)
     is looked up once and built on its first read: a kind whose rows read T
-    once per distinct T = gamma^s xi^r, ZD once, and D intersect C once per
-    pair of D and C objects.  Equal spaces are kept as one object (the first
-    built), so each claim, target span, graded basis and product of basis
-    maps is worked out once, and membership reduces each target span once.
-    memo keeps the tables, builds and verdicts for a later call on the same
-    spec and mode; the center is computed once, and only if some D
-    intersect C is nonzero, since only then does a verdict read it.
+    once per distinct T = gamma^s xi^r, ZD once.  Equal spaces are kept as
+    one object (the first built), so D intersect C is intersected once per
+    pair of D and C objects, and each claim, target span, graded basis and
+    product of basis maps is worked out once; membership reduces each target
+    span once.  The memos live as long as the decider.  The center is
+    computed once, and only if some D intersect C is nonzero.
     """
     n = spec.dimension
-    names = "twists", "tables", "commutation", "built", "by_value", "spaces", "echelons", "products", "graded", "verdicts"
-    twists, tables, commutation, built, by_value, spaces, echelons, products, graded, verdicts = (memo.setdefault(k, {}) for k in names)
+    twists, tables, commutation, built, by_value, caps, spaces, echelons, products, graded, verdicts = ({} for _ in range(11))
 
-    def space(kind, s: int, r: int) -> OperatorSpace:
-        """kind at (s, r), on its first read; D cap C reads its operands in this loop (a self-call is a cycle)."""
-        for part in (*kind, kind) if isinstance(kind, tuple) else (kind,):
-            if (part, s, r) not in spaces:
-                if isinstance(part, tuple):  # D cap C by its operands, which ``built`` keeps alive
-                    operands = [spaces[(k, s, r)] for k in part]
-                    key, make = (part, *map(id, operands)), lambda: _intersection_space(*operands, spec.basis)
-                else:
-                    t, twist = _once(twists, (s, r), lambda: (TwistPower(s, r), TwistPower(s, r).matrix(spec)))
-                    key = (part, twist) if _READS_TWIST[part] else (part,)
-                    make = lambda: _build_space(part, spec, t, koszul and part == "D",
-                                                _once(tables, twist, lambda: _twist_tables(spec, twist)), commutation)
-                if key not in built:
-                    made = make()
-                    built[key] = by_value.setdefault(made.vectorized(), made)
-                spaces[(part, s, r)] = built[key]
-        return spaces[(kind, s, r)]
+    def unique(made: OperatorSpace) -> OperatorSpace:
+        return by_value.setdefault(made.vectorized(), made)
+
+    def space(kind: str, s: int, r: int) -> OperatorSpace:
+        """kind at (s, r), on its first read."""
+        t, twist = _once(twists, (s, r), lambda: (TwistPower(s, r), TwistPower(s, r).matrix(spec)))
+        key = (kind, twist) if _READS_TWIST[kind] else (kind,)
+        if key not in built:
+            built[key] = unique(_build_space(kind, spec, t, koszul and kind == "D",
+                                             _once(tables, twist, lambda: _twist_tables(spec, twist)), commutation))
+        spaces[(kind, s, r)] = built[key]
+        return built[key]
+
+    def cap(d: OperatorSpace, c: OperatorSpace) -> OperatorSpace:
+        """D intersect C, once per pair of operand objects, which ``built`` keeps alive."""
+        return _once(caps, (id(d), id(c)), lambda: unique(_intersection_space(d, c, spec.basis)))
 
     def product(f: LinearMap, g: LinearMap) -> list[int]:
         """f @ g on integer numerators: a nonzero multiple of the exact product, once per pair of values."""
@@ -580,10 +577,11 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dic
         found = (outsider(outer, zip(inner.basis)) for inner in reversed(inners) if inner is not outer)
         return next((w for w in found if w is not None), None)
 
-    decide = {
+    relations = {
         "contain": contain,
-        "eq-dc": lambda zd, dc: contain(dc, zd) or contain(zd, dc),  # a witness map is never falsy
-        "trivial": lambda dc: dc.basis[0] if dc.basis and not _once(memo, "center", lambda: center(spec)) else None,
+        "eq-dc": lambda zd, d, c: contain(cap(d, c), zd) or contain(zd, cap(d, c)),  # a witness map is never falsy
+        "trivial": lambda d, c: (
+            cap(d, c).basis[0] if cap(d, c).basis and not _once(verdicts, "center", lambda: center(spec)) else None),
         "bracket": lambda left, right, target: outsider(
             target, itertools.product(graded_elements(left), graded_elements(right)), bracket, supercommutator
         ),
@@ -591,9 +589,11 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool, lines: list[tuple], memo: dic
             target, itertools.product(left.basis, right.basis), product, LinearMap.compose
         ),
     }
-    witnesses: list[LinearMap | None] = []
-    for (_, relation, kinds, _), s, r, s2, r2 in lines:
+
+    def decide(line: tuple) -> LinearMap | None:
+        (_, relation, kinds, _), s, r, s2, r2 = line
         at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
         operands = [spaces.get((kind, *power)) or space(kind, *power) for kind, power in zip(kinds, at)]
-        witnesses.append(_once(verdicts, (relation, *map(id, operands)), lambda: decide[relation](*operands)))
-    return witnesses
+        return _once(verdicts, (relation, *map(id, operands)), lambda: relations[relation](*operands))
+
+    return decide

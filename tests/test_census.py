@@ -54,7 +54,8 @@ def test_each_battery_at_power_one_is_the_line_by_line_one():
     same verdict and witness."""
     grid = spaces._grid(1)
     for spec, report in zip(_valid(), _reports(False)):
-        witnesses = spaces._witnesses(spec, False, grid, {})
+        decide = spaces._witnesses(spec, False)
+        witnesses = [decide(line) for line in grid]
         assert [(ln.passed, ln.witness) for ln in report.lines] == [(w is None, w) for w in witnesses]
 
 

@@ -292,6 +292,26 @@ class TestVerifyCommand:
             assert captured.out == ""
             assert captured.err == "error: max_power must be non-negative\n"
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        """A battery that runs out of memory (its grid at --max-power 40 holds
+        millions of lines) exits 2 with one error line, no traceback and
+        nothing on stdout; a construction that runs out writes no -o file."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "proposition_battery", exhausted)
+        monkeypatch.setattr(cli, "yau_twist", exhausted)
+        path = fixture_file(tmp_path, "dual2")
+        out_path = tmp_path / "out.json"
+        runs = [["verify", path, "--max-power", "40"], ["verify", path, "--max-power", "40", "--json"],
+                ["twist", path, "--map", map_file(tmp_path, [[1, 0], [0, 1]]), "-o", str(out_path)]]
+        for argv in runs:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: out of memory\n"
+            assert not out_path.exists()
+
 
 class TestConstructiveCommands:
     def test_twist_writes_library_result(self, tmp_path, capsys):

@@ -1103,7 +1103,7 @@ def _battery_plan(monkeypatch, spec, max_power, koszul=False):
     return solved
 
 
-class TestTransport:
+class TestRegularity:
     """On a regular input (gamma and xi invertible, commuting and multiplicative
     for all three products) X(gamma^s xi^r) = gamma^s xi^r . X(id) for every
     kind but ZD, so no battery verdict depends on the powers, and a battery
@@ -1145,23 +1145,25 @@ class TestTransport:
     @pytest.mark.parametrize("max_power", [1, 2])
     def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
         """dual2-twisted+grassmann2 is regular, with gamma = xi = diag(1, 2, 1, 1), and its
-        Koszul battery fails only chain-d-in-qd at T = id.  So after the six builds at T = id
-        the battery builds that claim's QD and D at each distinct base twist
-        diag(1, 2^k, 1, 1), k = s + r, and nothing more for the claims that hold."""
+        Koszul battery fails only chain-d-in-qd at T = id.  The walk builds D, C, ZD, QC and
+        QD at T = id for the claims before it, then that claim's QD and D at each distinct base
+        twist diag(1, 2^k, 1, 1), k = s + r, then GD at T = id for chain-qd-in-gd, and nothing
+        more for the claims that hold."""
         spec = dual2_twisted_plus_grassmann2()
         assert spec.gamma.matrix == spec.xi.matrix == Matrix.diagonal([1, 2, 1, 1])
         twist = [Matrix.diagonal([1, 2 ** k, 1, 1]) for k in range(2 * max_power + 1)]
-        expected = [(kind, twist[0]) for kind in ("D", "C", "ZD", "QC", "QD", "GD")]
+        expected = [(kind, twist[0]) for kind in ("D", "C", "ZD", "QC", "QD")]
         expected += [(kind, twist[k]) for k in range(1, 2 * max_power + 1) for kind in ("QD", "D")]
+        expected += [("GD", twist[0])]
         assert _battery_plan(monkeypatch, spec, max_power, koszul=True) == expected
 
     @pytest.mark.parametrize("max_power", [1, 2])
     @pytest.mark.parametrize("koszul", [False, True])
     @pytest.mark.parametrize("make", [nil3_odd_scaled, dual2_twisted_plus_grassmann2])
-    def test_the_two_passes_build_each_space_once(self, monkeypatch, make, koszul, max_power):
-        """The power-0 pass and the line-by-line pass share their builds, term
-        tables and commutation rows: each distinct (kind, T) is built once in
-        the battery call, and the report is the reference's."""
+    def test_the_walk_builds_each_space_once(self, monkeypatch, make, koszul, max_power):
+        """The lines at (0, 0) and the lines decided after them share their
+        builds, term tables and commutation rows: each distinct (kind, T) is
+        built once in the battery's walk, and the report is the reference's."""
         spec = make()
         solved = _battery_plan(monkeypatch, spec, max_power, koszul)
         assert len(solved) == len(set(solved))
@@ -1239,7 +1241,7 @@ def _two_step_xi_singular():
                                 *(t.constants for _, t in spec.products()), Matrix.identity(3), Matrix.diagonal([1, 0, 0]))
 
 
-class TestIdentityMaps:
+class TestInputsWithIdentityMaps:
     """With gamma = xi = id every twist is the identity, so the battery decides
     each claim once, at T = id, and reads the center only when D cap C is nonzero."""
 
@@ -1248,8 +1250,8 @@ class TestIdentityMaps:
     def test_each_line_gets_its_line_by_line_witness(self, name, koszul):
         spec = _BATTERY_INPUTS[name]()
         for max_power in range(3):
-            grid = spaces._grid(max_power)
-            witnesses = spaces._witnesses(spec, koszul, grid, {})
+            grid, decide = spaces._grid(max_power), spaces._witnesses(spec, koszul)
+            witnesses = [decide(line) for line in grid]
             report = proposition_battery(spec, max_power, koszul)
             assert [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2) for ln in report.lines] == [(c[0], *at) for c, *at in grid]
             assert [(ln.passed, ln.witness) for ln in report.lines] == [(w is None, w) for w in witnesses]

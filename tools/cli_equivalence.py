@@ -22,7 +22,9 @@ written from literals, and ``verify`` runs decide a failing claim of each
 line by line: ``nil3-odd`` with gamma = xi = diag(1, 2, 2) is regular and
 fails ``zd-eq-d-cap-c`` at every power, and ``census-001-001-221`` with
 gamma = xi = id fails ``bracket-d-d-in-d`` at every power, where every
-twist is the identity.
+twist is the identity.  A third, ``dsum-zero2-idem1-singular`` with
+gamma = xi = diag(1, 0, 0), is not regular, so ``verify`` decides its lines
+at distinct twists: it passes at power 0 and fails 15 lines at power 1.
 
 Each tree runs the whole list once, in one fresh interpreter whose path
 holds only that tree's ``src`` and with ``PYTHONDONTWRITEBYTECODE`` set;
@@ -61,6 +63,12 @@ _CENSUS_PRODUCT = [{"i": 0, "j": 0, "k": 1, "v": "1"}, {"i": 2, "j": 2, "k": 1, 
 _IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 CENSUS_001_001_221 = {"name": "census-001-001-221", "dim": 3, "parity": [0, 0, 1], "left": _CENSUS_PRODUCT,
                       "right": _CENSUS_PRODUCT, "perp": _CENSUS_PRODUCT, "gamma": _IDENTITY3, "xi": _IDENTITY3}
+
+# e2 o e2 = e2 in all three products on parities (0, 1, 0), gamma = xi = diag(1, 0, 0): valid but singular.
+_SINGULAR_PRODUCT = [{"i": 2, "j": 2, "k": 2, "v": "1"}]
+_SINGULAR_MAP = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+DSUM_SINGULAR = {"name": "dsum-zero2-idem1-singular", "dim": 3, "parity": [0, 1, 0], "left": _SINGULAR_PRODUCT,
+                 "right": _SINGULAR_PRODUCT, "perp": _SINGULAR_PRODUCT, "gamma": _SINGULAR_MAP, "xi": _SINGULAR_MAP}
 
 # Runs inside each tree's interpreter: reads the runs as JSON on stdin and
 # writes one result per run as JSON on stdout.
@@ -173,6 +181,7 @@ def write_inputs(fixtures: dict[str, dict], inputs: Path) -> dict:
     roles["rect"] = {(r, c): put(f"zero{r}x{c}.json", _map(r, c, lambda i, j: 0)) for r in dims for c in dims}
     roles["nil3"] = put("nil3-odd.json", NIL3_ODD)
     roles["census"] = put("census-001-001-221.json", CENSUS_001_001_221)
+    roles["singular"] = put("dsum-zero2-idem1-singular.json", DSUM_SINGULAR)
     grassmann = fixtures.get("grassmann2") or next(iter(fixtures.values()))
     roles["malformed"] = [
         put("not-json.json", "{"),
@@ -244,6 +253,7 @@ def invocations(roles: dict) -> list[dict]:
     for power in ("0", "1", "2"):
         add("verify", roles["nil3"], "--max-power", power)
         add("verify", roles["census"], "--max-power", power)
+        add("verify", roles["singular"], "--max-power", power)
     for kind in ("ZD", "D", "C"):
         for s, r in ((0, 0), (1, 0)):
             add("spaces", roles["nil3"], "--space", kind, "--s", str(s), "--r", str(r))
