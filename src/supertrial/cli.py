@@ -5,6 +5,10 @@ input), runs the corresponding library operation, and prints either a
 short human summary or, with ``--json``, a deterministic report document.
 Exit codes: 0 all checks passed, 1 the run completed but found violations
 or failed battery lines, 2 usage or input errors.
+
+``main`` reads a plain argv (a subcommand, its documents, then exact option
+strings with plain values; see ``_read_plain``) straight from ``_COMMANDS``;
+argparse reads every other argv, and writes all help and usage text.
 """
 
 from __future__ import annotations
@@ -209,6 +213,8 @@ def _check(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
 def _spaces_usage(args: argparse.Namespace) -> None:
     if args.koszul and args.space != "D":
         raise InputError(f"--koszul applies only to --space D, not {args.space}")
+    if args.s < 0 or args.r < 0:
+        raise InputError("twist exponents must be non-negative")
 
 
 def _spaces(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
@@ -387,11 +393,21 @@ _COMMANDS = (
 )
 
 
+def _arguments(command: _Command) -> tuple[_Argument, ...]:
+    """The command's arguments in declaration order: documents, its own, ``--json``, then ``-o``."""
+    return command.documents + command.arguments + ((_JSON, _OUTPUT) if command.output else (_JSON,))
+
+
+def _dest(flags: tuple[str, ...], kwargs: dict[str, Any]) -> str:
+    """The attribute argparse stores an argument under: ``dest``, else its first long flag or its name."""
+    return kwargs.get("dest") or next((f for f in flags if f.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+
+
 def _drive(command: _Command, args: argparse.Namespace) -> int:
     """Read the documents, run the subcommand, build the report, write ``-o`` and print."""
     if command.usage is not None:
         command.usage(args)
-    names = [flags[0].lstrip("-") for flags, _ in command.documents]
+    names = [_dest(*document) for document in command.documents]
     texts = {name: _read_input(getattr(args, name)) for name in names}
     result = command.run(args, texts)
     inputs = {name: _digest(text) for name, text in texts.items()}
@@ -422,40 +438,60 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMAND_NAMED = {command.name: command for command in _COMMANDS}
+
+
+def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read straight from
+    ``_COMMANDS`` when argv is plain: a subcommand of the table, its positional documents in
+    order (a path, or ``-``), then exact option strings, each at most once, with values that do
+    not start with ``-``.  Each value goes through its argument's ``type`` and ``choices``.
+    None for any other argv: help, version, ``fixtures``, abbreviations, ``--x=v``,
+    repeats, dash-led values and every usage error are argparse's to read and report."""
+    command = _COMMAND_NAMED.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    arguments = _arguments(command)
+    positionals = [argument for argument in arguments if not argument[0][0].startswith("-")]
+    options = {flag: argument for argument in arguments for flag in argument[0] if flag.startswith("-")}
+    paths = argv[1 : 1 + len(positionals)]
+    if len(paths) < len(positionals) or any(path.startswith("-") and path != "-" for path in paths):
+        return None
+    given = {_dest(*positional): path for positional, path in zip(positionals, paths)}
+    words = iter(argv[1 + len(paths) :])
+    for word in words:
+        if word not in options or _dest(*options[word]) in given:
+            return None
+        flags, kwargs = options[word]
+        value: Any = True
+        if kwargs.get("action") != "store_true":
+            value = next(words, "-")  # a missing value reads as a dash-led one
+            if value.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        given[_dest(flags, kwargs)] = value
+    values: dict[str, Any] = {"subcommand": command.name, "func": functools.partial(_drive, command)}
+    for flags, kwargs in arguments:
+        dest = _dest(flags, kwargs)
+        if dest not in given and kwargs.get("required"):
+            return None
+        values[dest] = given.get(dest, kwargs.get("default", False if kwargs.get("action") == "store_true" else None))
+    return argparse.Namespace(**values)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative rational such as ``-1/2`` as a value, as it
     reads ``-1``; argparse takes any other dash-led word for a flag.  Its subparsers are
-    of this class too, each built on first use (``_Deferred``)."""
+    of this class too."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(rf"{self._negative_number_matcher.pattern}|^-[0-9]+/[0-9]+$")
-
-
-class _Deferred:
-    """A subcommand parser that records its ``add_argument`` and ``set_defaults`` calls and
-    builds the real ``_Parser`` from them on first use of anything else (parsing, help or
-    usage), so a run builds the one subcommand parser it reads, not all of them; argparse
-    makes it through the public ``parser_class`` of ``add_subparsers``."""
-
-    def __init__(self, **kwargs: Any) -> None:
-        self._kwargs, self._calls = kwargs, []
-
-    def add_argument(self, *args: Any, **kwargs: Any) -> None:
-        self._calls.append((_Parser.add_argument, args, kwargs))
-
-    def set_defaults(self, **kwargs: Any) -> None:
-        self._calls.append((_Parser.set_defaults, (), kwargs))
-
-    @functools.cached_property
-    def _built(self) -> _Parser:
-        parser = _Parser(**self._kwargs)
-        for method, args, kwargs in self._calls:
-            method(parser, *args, **kwargs)
-        return parser
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._built, name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,12 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for BiHom-associative supertrialgebras.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Deferred)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     for command in _COMMANDS:
         p = sub.add_parser(command.name, help=command.help)
-        common = (_JSON, _OUTPUT) if command.output else (_JSON,)
-        for flags, kwargs in command.documents + command.arguments + common:
+        for flags, kwargs in _arguments(command):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=functools.partial(_drive, command))
 
@@ -486,10 +521,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
     except (AlgebraError, OSError) as exc:

@@ -220,8 +220,9 @@ def _parse_structure_map(data: Mapping[str, Any], key: str, basis: SuperBasis, w
 
 def _same_list(raw: Any, earlier: list) -> bool:
     """Whether raw, a product list, reads as an earlier list that parsed: equal by value and
-    each entry's values of the same types, since ``True == 1`` and ``1.0 == 1``."""
-    return raw == earlier and all([*map(type, a.values())] == [*map(type, b.values())] for a, b in zip(raw, earlier))
+    each entry's value under each key of the same type, since ``True == 1`` and ``1.0 == 1``
+    (compared key by key: an entry may list its keys in another order)."""
+    return raw == earlier and all(type(v) is type(b[k]) for a, b in zip(raw, earlier) for k, v in a.items())
 
 
 def _parse_spec(cls: type[_Spec], text: str, where: str) -> _Spec:

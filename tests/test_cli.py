@@ -1,14 +1,19 @@
 """Command surface: exit codes, report wiring, and output documents."""
 
 import argparse
+import contextlib
+import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supertrial
 from supertrial import cli
@@ -236,6 +241,19 @@ class TestSpacesCommand:
     def test_negative_power_is_input_error(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "dual2")
         assert main(["spaces", path, "--space", "D", "--s", "-1", "--r", "0"]) == 2
+
+    @pytest.mark.parametrize("s, r", [("-1", "0"), ("0", "-2")])
+    def test_negative_power_is_rejected_before_reading(self, tmp_path, capsys, monkeypatch, s, r):
+        """A negative exponent is a usage error, as --max-power -1 is for verify: a
+        missing file and standard input are never read."""
+        class Unread(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        for path in (str(tmp_path / "missing.json"), "-"):
+            assert main(["spaces", path, "--space", "D", "--s", s, "--r", r]) == 2
+            assert capsys.readouterr() == ("", "error: twist exponents must be non-negative\n")
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "dual2")
@@ -659,9 +677,9 @@ class TestSurface:
     def test_subcommand_order(self):
         assert list(_surface(build_parser())) == list(SURFACE)
 
-    def test_subcommand_parsers_are_built_on_first_use(self, monkeypatch):
-        """build_parser builds the top-level parser only; each subcommand's
-        parser is built when a run first reads it, once, with its arguments."""
+    def test_plain_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        """main reads plain argv straight from the command table and builds no
+        argparse parser; any other argv builds the one parser, once."""
         made = []
 
         class Counting(cli._Parser):
@@ -670,15 +688,124 @@ class TestSurface:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_Parser", Counting)
-        parser = build_parser()
-        assert made == ["supertrial"]
-        for _ in range(2):
-            args = parser.parse_args(["rb", "a.json", "--map", "m.json", "--weight", "-1/2"])
-            assert made == ["supertrial", "supertrial rb"]
-            assert (args.subcommand, args.weight, args.induce, args.json) == ("rb", "-1/2", False, False)
-        with pytest.raises(SystemExit):
-            parser.parse_args(["verify", "--max-power"])
-        assert made == ["supertrial", "supertrial rb", "supertrial verify"]
+        monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
+        path = fixture_file(tmp_path, "dual2")
+        for argv in (["check", path, "--json"], ["verify", path, "--max-power", "0"],
+                     ["spaces", path, "--space", "QD", "--s", "1", "--r", "0", "--grade", "even"]):
+            assert main(argv) == 0
+        assert made == []
+        assert main(["verify", path, "--max-power=0"]) == 0
+        assert main(["fixtures"]) == 0
+        assert made[0] == "supertrial" and made.count("supertrial") == 1
+
+    def test_a_dash_led_rational_is_read_by_argparse(self):
+        argv = ["rb", "a.json", "--map", "m.json", "--weight", "-1/2"]
+        assert cli._read_plain(argv) is None
+        args = build_parser().parse_args(argv)
+        assert (args.subcommand, args.weight, args.induce, args.json) == ("rb", "-1/2", False, False)
+
+
+def _readme_argv():
+    """The argv of each ``supertrial ...`` line of the README's CLI section."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    lines = [line.split("#")[0] for line in section.split("\n## ")[0].splitlines() if line.startswith("supertrial ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+# The job shapes of the benchmark's three workloads, written out.
+PERFBENCH_ARGV = [
+    ["verify", "idem1.json", "--json", "--max-power", "1"],
+    ["verify", "dual2-twisted.json", "--json", "--max-power", "2"],
+    ["spaces", "tw3-0.json", "--space", "GD", "--s", "1", "--r", "1", "--json"],
+    ["spaces", "tw3-2.json", "--space", "D", "--s", "1", "--r", "0", "--koszul", "--json"],
+    ["check", "tw3.json", "--json"],
+    ["check", "tw3.json", "--hom", "--json"],
+    ["check", "tw4-0.json", "--multiplicative", "--json"],
+    ["twist", "ds3.json", "--map", "l3.json", "--json", "-o", "out-twist.json"],
+    ["dsum", "tw3.json", "idem1.json", "--json", "-o", "out-dsum.json"],
+    ["morphism", "ds3.json", "tw3.json", "--map", "l3.json", "--json"],
+    ["graph", "ds3.json", "tw3.json", "--map", "l3.json", "--json"],
+    *([command, "tw3.json", "--json", "-o", f"out-{command}.json"]
+      for command in ("sum-product", "total-product", "commutator", "swap")),
+    ["rb", "tw3.json", "--map", "negid3.json", "--weight", "1", "--json"],
+    ["avg", "tw3.json", "--map", "twoid3.json", "--json"],
+]
+
+
+def _argparse_reads(argv):
+    """What argparse makes of argv: its namespace without func, or None for a usage exit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    return {key: value for key, value in vars(args).items() if key != "func"}
+
+
+def _table_reads(argv):
+    args = cli._read_plain(argv)
+    return None if args is None else {key: value for key, value in vars(args).items() if key != "func"}
+
+
+_FLAGS = sorted({flag for command in cli._COMMANDS for flags, _ in cli._arguments(command) for flag in flags})
+_WORDS = ["a.json", "b.json", "-", "", "0", "1", "2", "-1", "-1/2", "1/2", "x", "D", "QD", "XX", "odd", "all",
+          "--", "-h", "--help", "--version", "--max-p", "--max-power=2", "--json=1", "-oout.json", "--nope"]
+
+
+class TestTablePath:
+    """The table path reads an argv as argparse does, or leaves it to argparse."""
+
+    def check(self, argv):
+        table = _table_reads(argv)
+        if table is not None:
+            assert table == _argparse_reads(argv), argv
+            assert cli._read_plain(argv).func.args == (cli._COMMAND_NAMED[argv[0]],)
+        return table
+
+    @pytest.mark.parametrize("argv", _readme_argv(), ids=" ".join)
+    def test_readme_examples(self, argv):
+        assert (self.check(argv) is None) == (argv[0] == "fixtures")
+
+    @pytest.mark.parametrize("argv", PERFBENCH_ARGV, ids=" ".join)
+    def test_benchmark_job_shapes(self, argv):
+        assert self.check(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "a.json", "--max-power=2"], ["verify", "a.json", "--max-p", "2"],
+        ["check", "a.json", "--json", "--json"], ["check", "--json", "a.json"],
+        ["dsum", "a.json", "--json", "b.json"], ["spaces", "a.json", "--space=D", "--s", "0", "--r", "0"],
+        ["check", "--", "a.json"], ["spaces", "a.json", "--space", "D", "--s", "-1", "--r", "0"],
+        ["twist", "a.json", "--map", "m.json", "-o", "x.json", "--output", "y.json"],
+        ["spaces", "a.json", "--space", "XX", "--s", "0", "--r", "0"], ["verify", "a.json", "--max-power", "1.5"],
+        ["verify", "a.json", "--max-power"], ["check"], [], ["--version"], ["fixtures"], ["check", "a.json", "-h"],
+    ], ids=" ".join)
+    def test_boundary_forms_go_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from([command.name for command in cli._COMMANDS] + ["fixtures", "--json"]),
+        st.lists(st.sampled_from(_FLAGS + _WORDS), max_size=12),
+    )
+    def test_generated_argv(self, command, words):
+        self.check([command, *words])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_generated_plain_argv(self, data):
+        """Argv built the plain way, from one command's own arguments in any order,
+        each given at most once, reads as argparse reads it."""
+        command = data.draw(st.sampled_from(cli._COMMANDS))
+        arguments = cli._arguments(command)
+        argv = [command.name] + [data.draw(st.sampled_from(["a.json", "b.json", "-"]))
+                                 for flags, _ in arguments if not flags[0].startswith("-")]
+        options = [a for a in arguments if a[0][0].startswith("-")]
+        for flags, kwargs in data.draw(st.permutations(options)):
+            if kwargs.get("required") or data.draw(st.booleans()):
+                argv.append(data.draw(st.sampled_from(flags)))
+                if kwargs.get("action") != "store_true":
+                    argv.append(data.draw(st.sampled_from([*kwargs.get("choices", ()), "0", "3", "x", "1/2"])))
+        self.check(argv)
 
 
 class TestHumanOutput:

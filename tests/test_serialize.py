@@ -265,6 +265,21 @@ class TestSharedProducts:
             parse_algebra(shared(entry))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("holder", ["left", "right"])
+    def test_a_reordered_entry_is_compared_key_by_key(self, holder):
+        """The two entries are equal by value and hold the same value types in key
+        order, but `true` sits under i in one and under x in the other: the list
+        with the boolean index is rejected, in either order of the two lists."""
+        good = [{"i": 1, "j": 0, "k": 0, "v": "0", "x": True}]
+        bad = [{"x": 1, "j": 0, "k": 0, "v": "0", "i": True}]
+        assert good == bad
+        left, right = (bad, good) if holder == "left" else (good, bad)
+        doc = {"name": "reordered", "dim": 2, "parity": [0, 0], "left": left, "right": right, "perp": left,
+               "gamma": ID2, "xi": ID2}
+        with pytest.raises(InputError) as info:
+            parse_algebra(json.dumps(doc))
+        assert str(info.value) == f"algebra.{holder}[0].i: expected an integer index"
+
     def test_the_battery_reads_a_shared_spec_as_an_unshared_one(self):
         """Sharing changes no verdict: the products of a shared spec are matched by identity,
         those of a spec built from three equal mappings by value."""

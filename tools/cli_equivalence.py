@@ -15,16 +15,20 @@ with and without ``--json`` and with ``-o`` where the subcommand takes it,
 ``spaces`` for every kind at (0, 0), (1, 0) and (0, 1) and ``--koszul`` on
 D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
 twists up to gamma^4 xi^4), ``--help`` and an unknown flag on every
-subcommand, and a few usage errors.  Among the malformed documents, two
-have a ``right`` list equal to ``left`` by value but not by type (``true``
-for a ``1``, ``false`` for an index ``0``).  Two more documents are
-written from literals, and ``verify`` runs decide a failing claim of each
-line by line: ``nil3-odd`` with gamma = xi = diag(1, 2, 2) is regular and
-fails ``zd-eq-d-cap-c`` at every power, and ``census-001-001-221`` with
-gamma = xi = id fails ``bracket-d-d-in-d`` at every power, where every
-twist is the identity.  A third, ``dsum-zero2-idem1-singular`` with
-gamma = xi = diag(1, 0, 0), is not regular, so ``verify`` decides its lines
-at distinct twists: it passes at power 0 and fails 15 lines at power 1.
+subcommand, a few usage errors, and the argv forms next to the plain ones
+the CLI reads from its command table (``--max-power=2``, ``--max-p 2``, a
+repeated ``--json``, an option before a document, ``--space=D``, a ``--``
+separator and a negative ``--s`` or ``--r``), which argparse reads.  Among
+the malformed documents, two have a ``right`` list equal to ``left`` by
+value but not by type (``true`` for a ``1``, ``false`` for an index ``0``).
+Two more documents are written from literals, and ``verify`` runs decide a
+failing claim of each line by line: ``nil3-odd`` with gamma = xi =
+diag(1, 2, 2) is regular and fails ``zd-eq-d-cap-c`` at every power, and
+``census-001-001-221`` with gamma = xi = id fails ``bracket-d-d-in-d`` at
+every power, where every twist is the identity.  A third,
+``dsum-zero2-idem1-singular`` with gamma = xi = diag(1, 0, 0), is not
+regular, so ``verify`` decides its lines at distinct twists: it passes at
+power 0 and fails 15 lines at power 1.
 
 Each tree runs the whole list once, in one fresh interpreter whose path
 holds only that tree's ``src`` and with ``PYTHONDONTWRITEBYTECODE`` set;
@@ -287,13 +291,20 @@ def invocations(roles: dict) -> list[dict]:
         ["spaces", first, "--space", "X", "--s", "0", "--r", "0"],
         ["spaces", first, "--space", "D", "--s", "-1", "--r", "0"],
         ["verify", first, "--max-power", "-1"],
+        # Forms at the edge of the plain argv the command table reads; argparse reads these.
+        ["verify", first, "--max-power=2"], ["verify", first, "--max-p", "2"],
+        ["check", first, "--json", "--json"], ["check", "--json", first],
+        ["dsum", first, "--json", roles["hom"][0]], ["spaces", first, "--space=D", "--s", "0", "--r", "0"],
+        ["check", "--", first], ["spaces", first, "--space", "D", "--s", "0", "--r", "-1"],
+        *(["spaces", bad, "--space", "D", "--s", "-1", "--r", "0"] for bad in roles["malformed"][:1] + roles["malformed"][-1:]),
         ["rb", first, "--map", maps[dims[first]][0], "--weight", "1", "--induce", "--literal"],
         ["rb", first, "--map", maps[dims[first]][0], "--weight", "1", "-o", "out.json"],
         ["rb", first, "--map", maps[dims[first]][0], "--weight", "1.5"],
         ["twist", first, "--map", maps[dims[first]][0], "-o", str(Path(first).parent / "no-such-dir" / "out.json")],
     ))
     for text in (Path(first).read_text(encoding="utf-8"), "{", ""):
-        runs.extend({"argv": argv, "stdin": text} for argv in (["check", "-"], ["check", "-", "--json"]))
+        runs.extend({"argv": argv, "stdin": text} for argv in (["check", "-"], ["check", "-", "--json"],
+                                                               ["spaces", "-", "--space", "D", "--s", "-1", "--r", "0"]))
     return runs
 
 
