@@ -736,7 +736,7 @@ def _argparse_reads(argv):
     """What argparse makes of argv: its namespace without func, or None for a usage exit."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = build_parser().parse_args(argv)
+            args = cli._parser().parse_args(argv)
         except SystemExit:
             return None
     return {key: value for key, value in vars(args).items() if key != "func"}
