@@ -6,9 +6,10 @@ short human summary or, with ``--json``, a deterministic report document.
 Exit codes: 0 all checks passed, 1 the run completed but found violations
 or failed battery lines, 2 usage or input errors.
 
-``main`` reads a plain argv (a subcommand, its documents, then exact option
-strings with plain values; see ``_read_plain``) straight from ``_COMMANDS``;
-argparse reads every other argv, and writes all help and usage text.
+Every subcommand is one entry of ``_COMMANDS``.  ``main`` reads a plain argv
+(a subcommand, its positionals, then exact option strings with plain values;
+see ``_read_plain``) straight from that table; argparse, built from the same
+table, reads every other argv and writes all help and usage text.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -210,22 +212,10 @@ def _check(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     return _Result(report, {"details": {"checks": checks}})
 
 
-def _spaces_usage(args: argparse.Namespace) -> None:
-    if args.koszul and args.space != "D":
-        raise InputError(f"--koszul applies only to --space D, not {args.space}")
-    if args.s < 0 or args.r < 0:
-        raise InputError("twist exponents must be non-negative")
-
-
 def _spaces(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     spec = parse_algebra(texts["algebra"])
     space = _build_space(args.space, spec, TwistPower(args.s, args.r), args.koszul)
     return _Result(CheckReport(), {"spaces": [_space_json(space, args.grade)]})
-
-
-def _verify_usage(args: argparse.Namespace) -> None:
-    if args.max_power < 0:
-        raise InputError("max_power must be non-negative")
 
 
 def _verify(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
@@ -265,13 +255,6 @@ def _morphism(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     return _Result(check_morphism(*_algebras_and_map(texts)))
 
 
-def _rb_usage(args: argparse.Namespace) -> None:
-    if args.induce and args.literal:
-        raise InputError("--literal applies only without --induce")
-    if args.output is not None and not args.induce:
-        raise InputError("-o applies only with --induce")
-
-
 def _rb(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     weight = parse_rational(args.weight, "weight")
     matrix = parse_map(texts["map"])
@@ -308,6 +291,19 @@ def _swap(args: argparse.Namespace, texts: dict[str, str]) -> _Result:
     return _Result(result.report, {"details": details}, emit_algebra(result.swapped))
 
 
+def _fixtures(args: argparse.Namespace, texts: dict[str, str]) -> int:
+    """List the fixture names, or write one fixture's raw document to stdout or ``-o``."""
+    if args.name is None and args.json:
+        print(to_json(_assemble("fixtures", {}, [], {"details": {"fixtures": list(FIXTURE_NAMES)}})))
+    elif args.name is None:
+        print(*FIXTURE_NAMES, sep="\n")
+    elif args.output is None:
+        sys.stdout.write(emit_algebra(builtin(args.name)))
+    else:
+        Path(args.output).write_text(emit_algebra(builtin(args.name)), encoding="utf-8")
+    return 0
+
+
 _Argument = tuple[tuple[str, ...], dict[str, Any]]
 
 
@@ -325,16 +321,18 @@ _OUTPUT = _arg("-o", "--output", metavar="FILE", help="write the constructed alg
 
 class _Command(NamedTuple):
     """One subcommand: the run function, the documents it reads (in reading
-    order), its other arguments, whether it takes ``-o``, and a check that
-    rejects flag values and combinations before any document is read."""
+    order), its other arguments, whether it takes ``-o``, and its usage rules:
+    ``(broken, message)`` pairs, each message formatted with the arguments.
+    The run function returns a ``_Result``, or the exit code once it has
+    written its own output."""
 
     name: str
     help: str
-    run: Callable[[argparse.Namespace, dict[str, str]], _Result]
+    run: Callable[[argparse.Namespace, dict[str, str]], _Result | int]
     documents: tuple[_Argument, ...] = (_ALGEBRA,)
     arguments: tuple[_Argument, ...] = ()
     output: bool = False
-    usage: Callable[[argparse.Namespace], None] | None = None
+    rules: tuple[tuple[Callable[[argparse.Namespace], bool], str], ...] = ()
 
 
 _COMMANDS = (
@@ -359,14 +357,17 @@ _COMMANDS = (
             _arg("--koszul", action="store_true", help="signed Leibniz rule for odd maps"),
             _arg("--grade", choices=("even", "odd", "all"), default="all"),
         ),
-        usage=_spaces_usage,
+        rules=(
+            (lambda args: args.koszul and args.space != "D", "--koszul applies only to --space D, not {space}"),
+            (lambda args: args.s < 0 or args.r < 0, "twist exponents must be non-negative"),
+        ),
     ),
     _Command(
         "verify",
         "run the proposition battery",
         _verify,
         arguments=(_arg("--max-power", type=int, default=1, dest="max_power"),),
-        usage=_verify_usage,
+        rules=((lambda args: args.max_power < 0, "max_power must be non-negative"),),
     ),
     _Command("twist", "conjugate by an invertible even map", _twist, (_ALGEBRA, _MAP), output=True),
     _Command("dsum", "direct sum of two algebras", _dsum, (_ALGEBRA, _ALGEBRA_B), output=True),
@@ -383,13 +384,24 @@ _COMMANDS = (
             _arg("--induce", action="store_true", help="treat input as a superalgebra and induce"),
         ),
         output=True,
-        usage=_rb_usage,
+        rules=(
+            (lambda args: args.induce and args.literal, "--literal applies only without --induce"),
+            (lambda args: args.output is not None and not args.induce, "-o applies only with --induce"),
+        ),
     ),
     _Command("avg", "averaging-operator check", _avg, (_ALGEBRA, _MAP)),
     _Command("sum-product", "replace right with right + perp", _construct, output=True),
     _Command("commutator", "skew star and bracket with Leibniz check", _construct, output=True),
     _Command("total-product", "sum all three products into one", _construct, output=True),
     _Command("swap", "exchange the two structure maps", _swap, output=True),
+    _Command(
+        "fixtures", "list fixtures or export one", _fixtures, (), (_arg("name", nargs="?", default=None),),
+        output=True,
+        rules=(
+            (lambda args: args.name is None and args.output is not None, "-o applies only with a fixture name"),
+            (lambda args: args.name is not None and args.json, "--json applies only without a fixture name"),
+        ),
+    ),
 )
 
 
@@ -404,12 +416,16 @@ def _dest(flags: tuple[str, ...], kwargs: dict[str, Any]) -> str:
 
 
 def _drive(command: _Command, args: argparse.Namespace) -> int:
-    """Read the documents, run the subcommand, build the report, write ``-o`` and print."""
-    if command.usage is not None:
-        command.usage(args)
+    """Check the usage rules, read the documents, run the subcommand, then pass on
+    its exit code or build the report, write ``-o`` and print."""
+    for broken, message in command.rules:
+        if broken(args):
+            raise InputError(message.format_map(vars(args)))
     names = [_dest(*document) for document in command.documents]
     texts = {name: _read_input(getattr(args, name)) for name in names}
     result = command.run(args, texts)
+    if isinstance(result, int):
+        return result
     inputs = {name: _digest(text) for name, text in texts.items()}
     doc = _assemble(command.name, inputs, _violations_json(result.report), result.sections)
     if result.document is not None and args.output is not None:
@@ -417,48 +433,26 @@ def _drive(command: _Command, args: argparse.Namespace) -> int:
     return _emit_report(doc, args.json)
 
 
-def _cmd_fixtures(args: argparse.Namespace) -> int:
-    if args.name is None:
-        if args.output is not None:
-            raise InputError("-o applies only with a fixture name")
-        if args.json:
-            doc = _assemble("fixtures", {}, [], {"details": {"fixtures": list(FIXTURE_NAMES)}})
-            print(to_json(doc))
-        else:
-            for name in FIXTURE_NAMES:
-                print(name)
-        return 0
-    if args.json:
-        raise InputError("--json applies only without a fixture name")
-    document = emit_algebra(builtin(args.name))
-    if args.output is not None:
-        Path(args.output).write_text(document, encoding="utf-8")
-    else:
-        sys.stdout.write(document)
-    return 0
-
-
 _COMMAND_NAMED = {command.name: command for command in _COMMANDS}
 
 
 def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace ``build_parser().parse_args(argv)`` gives, read straight from
-    ``_COMMANDS`` when argv is plain: a subcommand of the table, its positional documents in
-    order (a path, or ``-``), then exact option strings, each at most once, with values that do
-    not start with ``-``.  Each value goes through its argument's ``type`` and ``choices``.
-    None for any other argv: help, version, ``fixtures``, abbreviations, ``--x=v``,
-    repeats, dash-led values and every usage error are argparse's to read and report."""
+    ``_COMMANDS`` when argv is plain: a subcommand of the table, its positionals in order
+    (each a word that is ``-`` or does not start with ``-``; one with ``nargs`` may be left
+    out), then exact option strings, each at most once, with values that do not start with
+    ``-``.  Each value goes through its argument's ``type`` and ``choices``.  None for any
+    other argv: help, version, abbreviations, ``--x=v``, ``--``, repeats, dash-led values
+    and every usage error are argparse's to read and report."""
     command = _COMMAND_NAMED.get(argv[0]) if argv else None
     if command is None:
         return None
     arguments = _arguments(command)
     positionals = [argument for argument in arguments if not argument[0][0].startswith("-")]
     options = {flag: argument for argument in arguments for flag in argument[0] if flag.startswith("-")}
-    paths = argv[1 : 1 + len(positionals)]
-    if len(paths) < len(positionals) or any(path.startswith("-") and path != "-" for path in paths):
-        return None
-    given = {_dest(*positional): path for positional, path in zip(positionals, paths)}
-    words = iter(argv[1 + len(paths) :])
+    leading = list(itertools.takewhile(lambda w: w == "-" or not w.startswith("-"), argv[1 : 1 + len(positionals)]))
+    given = {_dest(*positional): word for positional, word in zip(positionals, leading)}
+    words = iter(argv[1 + len(leading) :])
     for word in words:
         if word not in options or _dest(*options[word]) in given:
             return None
@@ -478,7 +472,7 @@ def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     values: dict[str, Any] = {"subcommand": command.name, "func": functools.partial(_drive, command)}
     for flags, kwargs in arguments:
         dest = _dest(flags, kwargs)
-        if dest not in given and kwargs.get("required"):
+        if dest not in given and kwargs.get("required", not flags[0].startswith("-") and "nargs" not in kwargs):
             return None
         values[dest] = given.get(dest, kwargs.get("default", False if kwargs.get("action") == "store_true" else None))
     return argparse.Namespace(**values)
@@ -507,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flags, kwargs in _arguments(command):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=functools.partial(_drive, command))
-
-    p = sub.add_parser("fixtures", help="list fixtures or export one")
-    for flags, kwargs in (_arg("name", nargs="?", default=None), _JSON, _OUTPUT):
-        p.add_argument(*flags, **kwargs)
-    p.set_defaults(func=_cmd_fixtures)
 
     return parser
 

@@ -242,19 +242,6 @@ class TestSpacesCommand:
         path = fixture_file(tmp_path, "dual2")
         assert main(["spaces", path, "--space", "D", "--s", "-1", "--r", "0"]) == 2
 
-    @pytest.mark.parametrize("s, r", [("-1", "0"), ("0", "-2")])
-    def test_negative_power_is_rejected_before_reading(self, tmp_path, capsys, monkeypatch, s, r):
-        """A negative exponent is a usage error, as --max-power -1 is for verify: a
-        missing file and standard input are never read."""
-        class Unread(io.StringIO):
-            def read(self, *args):
-                raise AssertionError("stdin was read")
-
-        monkeypatch.setattr(sys, "stdin", Unread())
-        for path in (str(tmp_path / "missing.json"), "-"):
-            assert main(["spaces", path, "--space", "D", "--s", s, "--r", r]) == 2
-            assert capsys.readouterr() == ("", "error: twist exponents must be non-negative\n")
-
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
         path = fixture_file(tmp_path, "dual2")
         assert main(["spaces", path, "--space", "XX", "--s", "0", "--r", "0"]) == 2
@@ -517,6 +504,44 @@ class TestIgnoredFlagCombinations:
         assert not out.exists()
 
 
+# One case per usage rule of the command table, in table order (the twist rule has two):
+# the argv, with {doc} for a document path and {out} for an -o file, and the rule's message.
+RULE_CASES = [
+    (["spaces", "{doc}", "--space", "C", "--s", "0", "--r", "0", "--koszul"],
+     "--koszul applies only to --space D, not {space}"),
+    (["spaces", "{doc}", "--space", "D", "--s", "-1", "--r", "0"], "twist exponents must be non-negative"),
+    (["spaces", "{doc}", "--space", "D", "--s", "0", "--r", "-2"], "twist exponents must be non-negative"),
+    (["verify", "{doc}", "--max-power", "-1"], "max_power must be non-negative"),
+    (["rb", "{doc}", "--map", "{doc}", "--weight", "1", "--induce", "--literal", "-o", "{out}"],
+     "--literal applies only without --induce"),
+    (["rb", "{doc}", "--map", "{doc}", "--weight", "1", "-o", "{out}"], "-o applies only with --induce"),
+    (["fixtures", "-o", "{out}"], "-o applies only with a fixture name"),
+    (["fixtures", "{doc}", "--json"], "--json applies only without a fixture name"),
+]
+
+
+class TestUsageRules:
+    """Every usage rule of the command table exits 2 with its message before any
+    document is read: a missing file and standard input are never opened."""
+
+    def test_every_rule_has_a_case(self):
+        table = [message for command in cli._COMMANDS for _, message in command.rules]
+        assert table == list(dict.fromkeys(message for _, message in RULE_CASES))
+
+    @pytest.mark.parametrize("argv, message", RULE_CASES, ids=[" ".join(argv) for argv, _ in RULE_CASES])
+    def test_rule_fires_before_any_document_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
+        class Unread(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        out = tmp_path / "out.json"
+        for doc in (str(tmp_path / "missing.json"), "-"):
+            assert main([word.format(doc=doc, out=out) for word in argv]) == 2
+            assert capsys.readouterr() == ("", f"error: {message.format(space='C')}\n")
+            assert not out.exists()
+
+
 class TestArgumentHandling:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -677,6 +702,12 @@ class TestSurface:
     def test_subcommand_order(self):
         assert list(_surface(build_parser())) == list(SURFACE)
 
+    def test_every_subcommand_drives_its_table_entry(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in cli._COMMANDS:
+            func = sub.choices[command.name].get_default("func")
+            assert (func.func, func.args) == (cli._drive, (command,))
+
     def test_plain_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch):
         """main reads plain argv straight from the command table and builds no
         argparse parser; any other argv builds the one parser, once."""
@@ -691,11 +722,12 @@ class TestSurface:
         monkeypatch.setattr(cli, "_parser", functools.cache(build_parser))
         path = fixture_file(tmp_path, "dual2")
         for argv in (["check", path, "--json"], ["verify", path, "--max-power", "0"],
-                     ["spaces", path, "--space", "QD", "--s", "1", "--r", "0", "--grade", "even"]):
+                     ["spaces", path, "--space", "QD", "--s", "1", "--r", "0", "--grade", "even"],
+                     ["fixtures"], ["fixtures", "--json"], ["fixtures", "idem1"]):
             assert main(argv) == 0
         assert made == []
         assert main(["verify", path, "--max-power=0"]) == 0
-        assert main(["fixtures"]) == 0
+        assert main(["verify", path, "--max-p", "0"]) == 0
         assert made[0] == "supertrial" and made.count("supertrial") == 1
 
     def test_a_dash_led_rational_is_read_by_argparse(self):
@@ -748,7 +780,7 @@ def _table_reads(argv):
 
 
 _FLAGS = sorted({flag for command in cli._COMMANDS for flags, _ in cli._arguments(command) for flag in flags})
-_WORDS = ["a.json", "b.json", "-", "", "0", "1", "2", "-1", "-1/2", "1/2", "x", "D", "QD", "XX", "odd", "all",
+_WORDS = ["a.json", "b.json", "idem1", "-", "", "0", "1", "2", "-1", "-1/2", "1/2", "x", "D", "QD", "XX", "odd", "all",
           "--", "-h", "--help", "--version", "--max-p", "--max-power=2", "--json=1", "-oout.json", "--nope"]
 
 
@@ -764,7 +796,7 @@ class TestTablePath:
 
     @pytest.mark.parametrize("argv", _readme_argv(), ids=" ".join)
     def test_readme_examples(self, argv):
-        assert (self.check(argv) is None) == (argv[0] == "fixtures")
+        assert self.check(argv) is not None
 
     @pytest.mark.parametrize("argv", PERFBENCH_ARGV, ids=" ".join)
     def test_benchmark_job_shapes(self, argv):
@@ -777,14 +809,16 @@ class TestTablePath:
         ["check", "--", "a.json"], ["spaces", "a.json", "--space", "D", "--s", "-1", "--r", "0"],
         ["twist", "a.json", "--map", "m.json", "-o", "x.json", "--output", "y.json"],
         ["spaces", "a.json", "--space", "XX", "--s", "0", "--r", "0"], ["verify", "a.json", "--max-power", "1.5"],
-        ["verify", "a.json", "--max-power"], ["check"], [], ["--version"], ["fixtures"], ["check", "a.json", "-h"],
+        ["verify", "a.json", "--max-power"], ["check"], [], ["--version"], ["check", "a.json", "-h"],
+        ["fixtures", "idem1", "extra"], ["fixtures", "--json", "idem1"], ["fixtures", "--", "idem1"],
+        ["fixtures", "-h"], ["spaces", "a.json", "--space", "D", "--s", "0"],
     ], ids=" ".join)
     def test_boundary_forms_go_to_argparse(self, argv):
         assert cli._read_plain(argv) is None
 
     @settings(max_examples=400, deadline=None)
     @given(
-        st.sampled_from([command.name for command in cli._COMMANDS] + ["fixtures", "--json"]),
+        st.sampled_from([command.name for command in cli._COMMANDS] + ["--json"]),
         st.lists(st.sampled_from(_FLAGS + _WORDS), max_size=12),
     )
     def test_generated_argv(self, command, words):
@@ -798,7 +832,8 @@ class TestTablePath:
         command = data.draw(st.sampled_from(cli._COMMANDS))
         arguments = cli._arguments(command)
         argv = [command.name] + [data.draw(st.sampled_from(["a.json", "b.json", "-"]))
-                                 for flags, _ in arguments if not flags[0].startswith("-")]
+                                 for flags, kwargs in arguments if not flags[0].startswith("-")
+                                 and ("nargs" not in kwargs or data.draw(st.booleans()))]
         options = [a for a in arguments if a[0][0].startswith("-")]
         for flags, kwargs in data.draw(st.permutations(options)):
             if kwargs.get("required") or data.draw(st.booleans()):

@@ -15,10 +15,13 @@ with and without ``--json`` and with ``-o`` where the subcommand takes it,
 ``spaces`` for every kind at (0, 0), (1, 0) and (0, 1) and ``--koszul`` on
 D, ``verify`` at ``--max-power`` 0, 1 and 2 (at 2 the battery reads
 twists up to gamma^4 xi^4), ``--help`` and an unknown flag on every
-subcommand, a few usage errors, and the argv forms next to the plain ones
-the CLI reads from its command table (``--max-power=2``, ``--max-p 2``, a
-repeated ``--json``, an option before a document, ``--space=D``, a ``--``
-separator and a negative ``--s`` or ``--r``), which argparse reads.  Among
+subcommand, each usage rule of the command table against a missing
+document (the rules fire before any document is read), and the argv forms
+next to the plain ones the CLI reads from its command table, which argparse
+reads: ``--max-power=2``, ``--max-p 2``, a repeated ``--json``, an option
+before a document, ``--space=D``, a ``--`` separator, a negative ``--s`` or
+``--r``, and ``fixtures`` with ``--json`` before its name, an extra word or
+a ``--`` before its name.  Among
 the malformed documents, two have a ``right`` list equal to ``left`` by
 value but not by type (``true`` for a ``1``, ``false`` for an index ``0``).
 Two more documents are written from literals, and ``verify`` runs decide a
@@ -280,12 +283,14 @@ def invocations(roles: dict) -> list[dict]:
             pair = [two, two] if command in ("graph", "morphism") else [two]
             extra = ["--weight", "1"] if command == "rb" else []
             add(command, *pair, "--map", bad, *extra)
-    first = roles["fixtures"][0]
+    first, missing = roles["fixtures"][0], roles["malformed"][-1]
     names = [Path(p).name.removesuffix("-fixtures.json") for p in roles["fixtures"]]
     runs.extend({"argv": argv} for argv in (
         [], ["--version"], ["--help"], ["nonsense"], ["check"],
         *([name, extra] for name in SUBCOMMANDS for extra in ("--help", "--no-such-flag")),
         ["fixtures"], ["fixtures", "--json"], ["fixtures", "unknown"], ["fixtures", "-o", "out.json"],
+        ["fixtures", "--json", "idem1"], ["fixtures", "idem1", "extra"], ["fixtures", "-"],
+        ["fixtures", "--output", "out.json"], ["fixtures", "idem1", "-o", "out.json", "--json"], ["fixtures", "--", "idem1"],
         *(["fixtures", name, *extra] for name in names for extra in ([], ["-o", "out.json"], ["--json"])),
         ["spaces", first, "--space", "C", "--s", "0", "--r", "0", "--koszul"],
         ["spaces", first, "--space", "X", "--s", "0", "--r", "0"],
@@ -301,6 +306,14 @@ def invocations(roles: dict) -> list[dict]:
         ["rb", first, "--map", maps[dims[first]][0], "--weight", "1", "-o", "out.json"],
         ["rb", first, "--map", maps[dims[first]][0], "--weight", "1.5"],
         ["twist", first, "--map", maps[dims[first]][0], "-o", str(Path(first).parent / "no-such-dir" / "out.json")],
+        # Each usage rule against a missing document.
+        ["spaces", missing, "--space", "C", "--koszul", "--s", "0", "--r", "0"],
+        ["spaces", missing, "--space", "D", "--s", "0", "--r", "-1"],
+        ["verify", missing, "--max-power", "-1"],
+        ["rb", missing, "--map", missing, "--weight", "1", "--induce", "--literal"],
+        ["rb", missing, "--map", missing, "--weight", "1", "-o", "out.json"],
+        ["fixtures", missing, "-o", "out.json", "--json"],
+        ["fixtures", "--json", "-o", "out.json"],
     ))
     for text in (Path(first).read_text(encoding="utf-8"), "{", ""):
         runs.extend({"argv": argv, "stdin": text} for argv in (["check", "-"], ["check", "-", "--json"],
