@@ -443,7 +443,7 @@ def _read_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     out), then exact option strings, each at most once, with values that do not start with
     ``-``.  Each value goes through its argument's ``type`` and ``choices``.  None for any
     other argv: help, version, abbreviations, ``--x=v``, ``--``, repeats, dash-led values
-    and every usage error are argparse's to read and report."""
+    and the usage errors argparse finds are argparse's to read and report."""
     command = _COMMAND_NAMED.get(argv[0]) if argv else None
     if command is None:
         return None
