@@ -154,10 +154,11 @@ class StructureTensor:
     def by_pair(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """``(d, index)``: the constants as integers over one denominator d, the
         lcm of theirs, indexed by argument pair; index[i][j] holds the
-        (k, d * c(i, j, k)) of e_i * e_j."""
+        (k, d * c(i, j, k)) of e_i * e_j in order of k, so equal tensors have
+        equal ``by_pair``."""
         d, nums = numerators(self.constants.values())
         index = [[[] for _ in range(self.dim)] for _ in range(self.dim)]
-        for (i, j, k), c in zip(self.constants, nums):
+        for (i, j, k), c in sorted(zip(self.constants, nums)):
             index[i][j].append((k, c))
         return d, tuple(tuple(map(tuple, line)) for line in index)
 
@@ -168,15 +169,10 @@ class StructureTensor:
         out = _bilinear_into([_ZERO] * self.dim, index, _support(x), _support(y))
         return tuple(out) if d == 1 else tuple(v / d for v in out)
 
-    @cached_property
-    def _exact(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        """The constants as integer pairs, which compare without a Python call each."""
-        return {key: (c.numerator, c.denominator) for key, c in self.constants.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructureTensor):
             return NotImplemented
-        return self.dim == other.dim and self._exact == other._exact
+        return self.dim == other.dim and self.by_pair == other.by_pair
 
 
 def _require_shape(m: LinearMap, n: int, label: str) -> None:

@@ -54,8 +54,6 @@ from .errors import InputError, ParityError, SingularMapError
 from .linalg import Echelon, Matrix, Vector, integer_product, invert, projected_kernel
 from .sweep import _distinct
 
-SPACE_KINDS = ("D", "QD", "GD", "ZD", "C", "QC")
-
 _ZERO = Fraction(0)
 
 
@@ -170,8 +168,8 @@ def _commutation_rows(other: Matrix, var_of: list[list[int | None]]) -> Iterator
                 yield row
 
 
-class _TermTables:
-    """Per-product sparse integer coefficient tables for the Leibniz-style terms at one twist.
+def _term_tables(tensor: StructureTensor, twist: Matrix) -> tuple:
+    """One product's sparse integer coefficient tables for the Leibniz-style terms at one twist.
 
     With X the unknown map, c the structure tensor, and every coefficient
     scaled by d_c * d_T (the lcms of the denominators of c and of T):
@@ -180,45 +178,44 @@ class _TermTables:
       term 2: X(e_a) o T(e_b)     coefficient at var (i, a) is (e_i o T(e_b))_k
       term 3: T(e_a) o X(e_b)     coefficient at var (i, b) is (T(e_a) o e_i)_k
     A term reads two of (a, b, k): (b, k) for terms 0 and 2, (a, b) for 1
-    and (a, k) for 3.  ``terms[t][u][v]`` lists the nonzero (i or m,
+    and (a, k) for 3.  Table t at [u][v] lists the nonzero (i or m,
     coefficient) pairs of term t at those two slots, so n^2 lists per term.
     Each constraint row reads one table, so it is one equation at one scale.
     Terms 0 and 1 read only the tensor, so a kind built from them alone does
     not depend on T.
     """
-
-    def __init__(self, tensor: StructureTensor, twist: Matrix) -> None:
-        n = tensor.dim
-        _, index = tensor.by_pair
-        d_t, t = twist.integral
-        dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(4)]
-        for i, line in enumerate(index):
-            for j, cell in enumerate(line):
-                for k, c in cell:
-                    dense[0][j][k][i] = dense[1][i][j][k] = c * d_t
-                    for b in range(n):
-                        dense[2][b][k][i] += c * t[j * n + b]
-                        dense[3][b][k][j] += t[i * n + b] * c
-        self.terms = tuple([[[(i, c) for i, c in enumerate(cell) if c] for cell in line] for line in table] for table in dense)
+    n = tensor.dim
+    _, index = tensor.by_pair
+    d_t, t = twist.integral
+    dense = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(4)]
+    for i, line in enumerate(index):
+        for j, cell in enumerate(line):
+            for k, c in cell:
+                dense[0][j][k][i] = dense[1][i][j][k] = c * d_t
+                for b in range(n):
+                    dense[2][b][k][i] += c * t[j * n + b]
+                    dense[3][b][k][j] += t[i * n + b] * c
+    return tuple([[[(i, c) for i, c in enumerate(cell) if c] for cell in line] for line in table] for table in dense)
 
 
-def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[_TermTables, ...]:
+def _twist_tables(spec: TrialgebraSpec, twist: Matrix) -> tuple[tuple, ...]:
     """The term tables of each distinct product of spec at one twist matrix."""
-    return tuple(_TermTables(tensor, twist) for tensor in _distinct([t for _, t in spec.products()]))
+    return tuple(_term_tables(tensor, twist) for tensor in _distinct([t for _, t in spec.products()]))
 
 
 # The constraint rows of each kind at one (pair, coordinate) cell, each a
-# list of (term, block, sign): terms as in _TermTables; block 1 or 2 is a
+# list of (term, block, sign): terms as in _term_tables; block 1 or 2 is a
 # partner map of QD or GD.  Sign None is the third sign of the D rule, +1
 # for an odd map on odd e_a under the Koszul rule and -1 otherwise.
 _KIND_ROWS: dict[str, tuple[tuple[tuple[int, int, int | None], ...], ...]] = {
     "D": (((1, 0, 1), (2, 0, -1), (3, 0, None)),),
-    "C": (((1, 0, 1), (2, 0, -1)), ((1, 0, 1), (3, 0, -1))),
-    "QC": (((2, 0, 1), (3, 0, -1)),),
-    "ZD": (((1, 0, 1),), ((0, 0, 1),)),
     "QD": (((1, 1, 1), (2, 0, -1), (3, 0, -1)),),
     "GD": (((1, 2, 1), (2, 0, -1), (3, 1, -1)),),
+    "ZD": (((1, 0, 1),), ((0, 0, 1),)),
+    "C": (((1, 0, 1), (2, 0, -1)), ((1, 0, 1), (3, 0, -1))),
+    "QC": (((2, 0, 1), (3, 0, -1)),),
 }
+SPACE_KINDS = tuple(_KIND_ROWS)
 
 # Whether a kind's rows read T (terms 2 and 3); a kind whose rows do not is one space at every T.
 _READS_TWIST = {kind: any(term > 1 for terms in rows for term, _, _ in terms) for kind, rows in _KIND_ROWS.items()}
@@ -227,7 +224,7 @@ _READS_TWIST = {kind: any(term > 1 for terms in rows for term, _, _ in terms) fo
 def _product_rows(
     kind: str,
     spec: TrialgebraSpec,
-    tables: Sequence[_TermTables],
+    tables: Sequence[tuple],
     parity: int,
     var_of: list[list[int | None]],
     koszul: bool,
@@ -241,8 +238,7 @@ def _product_rows(
     by_col = list(zip(*var_of))
     parities = spec.basis.parities
     coordinates = [[k for k in range(n) if parities[k] == p] for p in (0, 1)]
-    for table in tables:
-        zero, one, two, three = table.terms
+    for zero, one, two, three in tables:
         for a, b in itertools.product(range(n), repeat=2):
             third = 1 if koszul and parity == 1 and parities[a] == 1 else -1
             for k in coordinates[(parities[a] + parities[b] + parity) % 2]:
@@ -262,7 +258,7 @@ def _product_rows(
 def _solve_kind(
     kind: str,
     spec: TrialgebraSpec,
-    tables: Sequence[_TermTables],
+    tables: Sequence[tuple],
     parity: int,
     koszul: bool,
     commutation: dict[int, list[dict[int, int]]],
@@ -337,7 +333,7 @@ def _is_regular(spec: TrialgebraSpec) -> bool:
 
 
 def _build_space(
-    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[_TermTables] | None = None,
+    kind: str, spec: TrialgebraSpec, t: TwistPower, koszul: bool = False, tables: Sequence[tuple] | None = None,
     commutation: dict[int, list[dict[int, int]]] | None = None,
 ) -> OperatorSpace:
     """Solve one kind at T; tables, when given, are _twist_tables at T, and commutation holds

@@ -695,6 +695,25 @@ SURFACE = {
 }
 
 
+# One plain argv per subcommand; the files are never read.
+PLAIN_ARGV = {
+    "check": ["check", "a.json"],
+    "spaces": ["spaces", "a.json", "--space", "QD", "--s", "1", "--r", "0"],
+    "verify": ["verify", "a.json"],
+    "twist": ["twist", "a.json", "--map", "m.json"],
+    "dsum": ["dsum", "a.json", "b.json"],
+    "graph": ["graph", "a.json", "b.json", "--map", "m.json"],
+    "morphism": ["morphism", "a.json", "b.json", "--map", "m.json"],
+    "rb": ["rb", "a.json", "--map", "m.json", "--weight", "1"],
+    "avg": ["avg", "a.json", "--map", "m.json"],
+    "sum-product": ["sum-product", "a.json"],
+    "commutator": ["commutator", "a.json"],
+    "total-product": ["total-product", "a.json"],
+    "swap": ["swap", "a.json"],
+    "fixtures": ["fixtures"],
+}
+
+
 class TestSurface:
     def test_subcommands_and_arguments(self):
         assert _surface(build_parser()) == SURFACE
@@ -702,11 +721,16 @@ class TestSurface:
     def test_subcommand_order(self):
         assert list(_surface(build_parser())) == list(SURFACE)
 
-    def test_every_subcommand_drives_its_table_entry(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    def test_every_subcommand_drives_its_table_entry(self, monkeypatch):
+        """main drives the table entry the argv names, on the table path and on argparse's
+        (``--js`` is an abbreviation of ``--json``, which only argparse reads)."""
+        given = []
+        monkeypatch.setattr(cli, "_drive", lambda command, args: given.append((command, args.subcommand)) or 0)
         for command in cli._COMMANDS:
-            func = sub.choices[command.name].get_default("func")
-            assert (func.func, func.args) == (cli._drive, (command,))
+            argv = PLAIN_ARGV[command.name]
+            assert cli._read_plain(argv) is not None and cli._read_plain([*argv, "--js"]) is None
+            assert main(argv) == main([*argv, "--js"]) == 0
+        assert given == [(command, command.name) for command in cli._COMMANDS for _ in range(2)]
 
     def test_plain_argv_builds_no_parser(self, tmp_path, capsys, monkeypatch):
         """main reads plain argv straight from the command table and builds no
@@ -765,18 +789,18 @@ PERFBENCH_ARGV = [
 
 
 def _argparse_reads(argv):
-    """What argparse makes of argv: its namespace without func, or None for a usage exit."""
+    """What argparse makes of argv: its namespace, or None for a usage exit."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             args = cli._parser().parse_args(argv)
         except SystemExit:
             return None
-    return {key: value for key, value in vars(args).items() if key != "func"}
+    return vars(args)
 
 
 def _table_reads(argv):
     args = cli._read_plain(argv)
-    return None if args is None else {key: value for key, value in vars(args).items() if key != "func"}
+    return None if args is None else vars(args)
 
 
 _FLAGS = sorted({flag for command in cli._COMMANDS for flags, _ in cli._arguments(command) for flag in flags})
@@ -791,7 +815,6 @@ class TestTablePath:
         table = _table_reads(argv)
         if table is not None:
             assert table == _argparse_reads(argv), argv
-            assert cli._read_plain(argv).func.args == (cli._COMMAND_NAMED[argv[0]],)
         return table
 
     @pytest.mark.parametrize("argv", _readme_argv(), ids=" ".join)

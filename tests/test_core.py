@@ -117,6 +117,17 @@ class TestStructureTensor:
         assert out == (F(3), F(-1)) and all(type(c) is F for c in out)
 
 
+    def test_insertion_order_does_not_matter(self):
+        """Equal constants in either order give equal tensors with equal by_pair."""
+        entries = {(0, 0, 0): 1, (0, 0, 1): 2}
+        first = StructureTensor.build(2, entries)
+        second = StructureTensor.build(2, dict(reversed(entries.items())))
+        assert first == second
+        assert first.by_pair == second.by_pair == (1, ((((0, 1), (1, 2)), ()), ((), ())))
+        assert first != StructureTensor.build(2, {(0, 0, 0): 1, (0, 0, 1): 3})
+        assert first != StructureTensor.build(1, {(0, 0, 0): 1})
+
+
 class TestSpecValidation:
     def test_tensor_dimension_mismatch(self):
         basis = SuperBasis((0, 0))

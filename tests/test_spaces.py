@@ -305,8 +305,7 @@ def _dense_product_rows(kind, spec, tables, parity, var_of, koszul):
     n = spec.dimension
     nv = sum(col is not None for line in var_of for col in line)
     column = [[line[a] for line in var_of] for a in range(n)]
-    for table in tables:
-        zero, one, two, three = table.terms
+    for zero, one, two, three in tables:
         for a, b, k in itertools.product(range(n), repeat=3):
             cell = ((zero[b][k], column[a]), (one[a][b], var_of[k]), (two[b][k], column[a]), (three[a][k], column[b]))
             third = 1 if koszul and parity == 1 and spec.basis.parities[a] == 1 else -1
