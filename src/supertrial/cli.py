@@ -139,17 +139,14 @@ def _assemble(
     sections: Mapping[str, Any],
 ) -> dict[str, Any]:
     battery_ok = all(line["passed"] for line in sections.get("battery", []))
-    doc: dict[str, Any] = {
+    return {
         "tool_version": __version__,
         "command": command,
         "inputs": inputs,
         "passed": not violations and battery_ok,
         "violations": violations,
+        **sections,
     }
-    for key in ("spaces", "battery", "details"):
-        if key in sections:
-            doc[key] = sections[key]
-    return doc
 
 
 def _emit_report(doc: dict[str, Any], as_json: bool) -> int:
@@ -183,9 +180,9 @@ def _emit_report(doc: dict[str, Any], as_json: bool) -> int:
 
 
 class _Result(NamedTuple):
-    """What a subcommand found: the report whose violations are listed, the
-    extra report sections (``spaces``, ``battery``, ``details``) and the
-    document ``-o`` writes, if the subcommand builds one."""
+    """What a subcommand found: the report whose violations are listed, at
+    most one extra report section (``spaces``, ``battery`` or ``details``)
+    and the document ``-o`` writes, if the subcommand builds one."""
 
     report: CheckReport
     sections: Mapping[str, Any] = MappingProxyType({})

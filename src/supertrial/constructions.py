@@ -9,8 +9,10 @@ total constructions return one shape, ``Constructed(spec, report)``, whose
 spec is a trialgebra, the commutator's ``BracketPairSpec`` or a
 superalgebra; the twist, graph and swap results add only their own verdicts.
 The direct sum and the Yau twist read the tensors off a spec's declared
-shape (``products()`` and ``TENSORS``), and every map a construction takes
-goes through the specs' own structure-map check, ``core._require_even``.
+shape (``products()`` and ``TENSORS``).  Every map a construction takes
+has its shape checked by ``linalg._require_shape``; the maps it twists or
+splits by (the twist map and every ``lambda``) also go through the specs'
+own structure-map check, ``core._require_even``.
 
 The tensors a construction builds (the Yau twist, the Rota-Baxter split,
 the sum and total products and the commutator's skew products) are sweep
@@ -36,7 +38,6 @@ from .core import (
     _GradedSpec,
     _named,
     _require_even,
-    _require_shape,
     check_bihom,
     check_morphism,
     check_superalgebra,
@@ -47,7 +48,7 @@ from .errors import (
     NotAutomorphismError,
     SingularMapError,
 )
-from .linalg import Matrix, RationalLike, frac, invert
+from .linalg import Matrix, RationalLike, _require_shape, frac, invert
 from .sweep import CheckReport, _sweep, _tabulate
 
 _ZERO = Fraction(0)
@@ -153,7 +154,7 @@ def conjugate_automorphism(spec: TrialgebraSpec, l: LinearMap, phi: LinearMap) -
     """Verify that conjugating an automorphism by the twist map yields an
     automorphism of the twisted algebra."""
     n = spec.dimension
-    _require_shape(phi, n, "phi")
+    _require_shape(phi.matrix, n, n, "phi")
     if not check_morphism(spec, spec, phi).passed:
         raise NotAutomorphismError("phi is not a morphism of the spec onto itself")
     try:
@@ -191,11 +192,7 @@ def graph_subalgebra_check(a: TrialgebraSpec, b: TrialgebraSpec, xi_map: LinearM
     """Test whether the graph {(x, f(x))} is closed inside the direct sum,
     and independently whether f is a morphism; the two verdicts coincide
     exactly when the closure proposition holds."""
-    if xi_map.matrix.cols != a.dimension or xi_map.matrix.rows != b.dimension:
-        raise InputError(
-            f"graph map must be {b.dimension}x{a.dimension}, "
-            f"got {xi_map.matrix.rows}x{xi_map.matrix.cols}"
-        )
+    _require_shape(xi_map.matrix, b.dimension, a.dimension, "graph map")
     total = direct_sum(a, b)
     n, m = a.dimension, b.dimension
     # g(e_i) = (e_i, f(e_i)) spans the graph, and a sum vector v lies in it

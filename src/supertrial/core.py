@@ -9,12 +9,12 @@ the even tensors its class names in ``TENSORS``, an even gamma and an even
 xi that only a kind whose ``xi`` defaults to ``None`` may omit.  The
 trialgebra (``left``, ``right``, ``perp``), the superalgebra (``star``) and
 the commutator's bracket pair inherit its one constructor ``build``, its
-checks (``_require_even`` is the one structure-map check, which the
-constructions reuse for the maps they take), ``dimension`` and
-``products``, and ``_named`` gives any of them to the sweep by row name.
-The checkers write each axiom as a row of two terms and sweep it
-over basis tuples, which suffices by multilinearity, through the engine in
-``sweep``; the reports' violation sides are Fractions that
+checks (every shape goes through ``linalg._require_shape``, and the
+constructions reuse ``_require_even`` for the maps they twist or split by),
+``dimension`` and ``products``, and ``_named`` gives any of them to the
+sweep by row name.  The checkers write each axiom as a row of two terms
+and sweep it over basis tuples, which suffices by multilinearity, through
+the engine in ``sweep``; the reports' violation sides are Fractions that
 ``product_eval`` replays.  ``center`` and ``centralizer`` read their
 constraint rows off the same engine's tabulated terms.
 
@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterator, Literal, Mapping, Sequence, TypeVar
 
 from .errors import InputError, ModeError, ParityError
-from .linalg import Echelon, Matrix, RationalLike, Vector, canonical_span, frac, numerators
+from .linalg import Echelon, Matrix, RationalLike, Vector, _require_shape, canonical_span, frac, numerators
 from .sweep import CheckReport, _bilinear_into, _distinct, _Ops, _Row, _support, _sweep, _tabulate
 
 ProductTag = Literal["left", "right", "perp"]
@@ -89,18 +89,11 @@ class LinearMap:
 
     @classmethod
     def square(cls, basis: SuperBasis, matrix: Matrix) -> "LinearMap":
-        if matrix.rows != basis.dimension or matrix.cols != basis.dimension:
-            raise InputError(
-                f"map must be {basis.dimension}x{basis.dimension}, got {matrix.rows}x{matrix.cols}"
-            )
-        return cls(matrix, basis.parities, basis.parities)
+        return cls.between(basis, basis, matrix)
 
     @classmethod
     def between(cls, src: SuperBasis, dst: SuperBasis, matrix: Matrix) -> "LinearMap":
-        if matrix.rows != dst.dimension or matrix.cols != src.dimension:
-            raise InputError(
-                f"map must be {dst.dimension}x{src.dimension}, got {matrix.rows}x{matrix.cols}"
-            )
+        _require_shape(matrix, dst.dimension, src.dimension, "map")
         return cls(matrix, dst.parities, src.parities)
 
     @property
@@ -175,14 +168,9 @@ class StructureTensor:
         return self.dim == other.dim and self.by_pair == other.by_pair
 
 
-def _require_shape(m: LinearMap, n: int, label: str) -> None:
-    if m.matrix.rows != n or m.matrix.cols != n:
-        raise InputError(f"{label} must be {n}x{n}, got {m.matrix.rows}x{m.matrix.cols}")
-
-
 def _require_even(m: LinearMap, n: int, label: str) -> None:
     """Raise unless ``m`` is an n x n even map."""
-    _require_shape(m, n, label)
+    _require_shape(m.matrix, n, n, label)
     if not m.is_even:
         raise ParityError(f"{label} must be an even map")
 
@@ -387,11 +375,7 @@ def check_morphism(src: TrialgebraSpec, dst: TrialgebraSpec, pi: LinearMap) -> C
     The map may be rectangular; its columns must match the source basis and
     its rows the target basis.
     """
-    if pi.matrix.cols != src.dimension or pi.matrix.rows != dst.dimension:
-        raise InputError(
-            f"morphism matrix must be {dst.dimension}x{src.dimension}, "
-            f"got {pi.matrix.rows}x{pi.matrix.cols}"
-        )
+    _require_shape(pi.matrix, dst.dimension, src.dimension, "morphism matrix")
     if (src.xi is None) != (dst.xi is None):
         raise InputError("source and target must agree on whether xi is present")
     # Primed names belong to the target algebra.

@@ -62,12 +62,7 @@ def inject_violation(
     d = frac(delta)
     if d == 0:
         raise InputError("delta must be nonzero")
-    tensor = spec.tensor(op)  # type: ignore[arg-type]
-    i, j, k = triple
-    n = spec.dimension
-    for idx in triple:
-        if not 0 <= idx < n:
-            raise InputError(f"triple {triple} out of range for dimension {n}")
-    table = dict(tensor.constants)
-    table[(i, j, k)] = table.get((i, j, k), frac(0)) + d
-    return replace(spec, **{op: StructureTensor.build(n, table)})
+    table = dict(spec.tensor(op).constants)  # type: ignore[arg-type]
+    key = tuple(triple)
+    table[key] = table.get(key, frac(0)) + d
+    return replace(spec, **{op: StructureTensor.build(spec.dimension, table)})

@@ -98,6 +98,12 @@ def _fractions(nums: Iterable[int], d: int) -> Vector:
     return tuple(Fraction(v, d) if v else _ZERO for v in nums)
 
 
+def _require_shape(matrix: "Matrix", rows: int, cols: int, label: str) -> None:
+    """The one shape check of a matrix or map: raise unless it is rows x cols."""
+    if matrix.rows != rows or matrix.cols != cols:
+        raise InputError(f"{label} must be {rows}x{cols}, got {matrix.rows}x{matrix.cols}")
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix with row-major exact rational entries."""
@@ -155,11 +161,11 @@ class Matrix:
         return Matrix(self.rows, other.cols, _fractions(integer_product(x, y, self.rows, self.cols, other.cols), d * e))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
+        _require_shape(self, other.rows, other.cols, "operand")
         return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
+        _require_shape(self, other.rows, other.cols, "operand")
         return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def power(self, k: int) -> "Matrix":
@@ -206,12 +212,6 @@ class Matrix:
                 raise InputError(f"matrix entry {v!r} is not an exact rational")
         d, nums = numerators(self.entries)
         return d, tuple(nums)
-
-    def _require_same_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
 
 class Echelon:

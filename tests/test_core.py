@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from supertrial import sweep
-from supertrial.constructions import commutator_construct, direct_sum, yau_twist
+from supertrial.constructions import (
+    averaging_check,
+    commutator_construct,
+    conjugate_automorphism,
+    direct_sum,
+    graph_subalgebra_check,
+    rota_baxter_check,
+    yau_twist,
+)
 from supertrial.core import (
     LinearMap,
     StructureTensor,
@@ -91,6 +99,47 @@ class TestLinearMap:
         f = LinearMap.square(b, Matrix.from_rows([[0, 1], [0, 0]]))
         g = LinearMap.square(b, Matrix.from_rows([[0, 0], [1, 0]]))
         assert f.compose(g).matrix == Matrix.diagonal([1, 0])
+
+
+def _transposed_projection():
+    """A 2x1 map from idem1's basis to dual2's, given where a 1x2 one is due."""
+    return LinearMap(Matrix.from_rows([[1], [0]]), (0, 0), (0,))
+
+
+_ID3 = identity_map(SuperBasis((0, 0, 0)))
+
+# Every entry point that checks a map's or a matrix's shape, and its message.
+_SHAPE_CASES = {
+    "square": (lambda: LinearMap.square(SuperBasis((0, 0)), Matrix.identity(3)), "map must be 2x2, got 3x3"),
+    "between": (
+        lambda: LinearMap.between(SuperBasis((0, 0)), SuperBasis((0,)), Matrix.from_rows([[1], [0]])),
+        "map must be 1x2, got 2x1",
+    ),
+    "morphism": (
+        lambda: check_morphism(builtin("dual2"), builtin("idem1"), _transposed_projection()),
+        "morphism matrix must be 1x2, got 2x1",
+    ),
+    "graph": (
+        lambda: graph_subalgebra_check(builtin("dual2"), builtin("idem1"), _transposed_projection()),
+        "graph map must be 1x2, got 2x1",
+    ),
+    "phi": (
+        lambda: conjugate_automorphism(builtin("dual2"), identity_map(SuperBasis((0, 0))), _ID3),
+        "phi must be 2x2, got 3x3",
+    ),
+    "yau-twist": (lambda: yau_twist(builtin("dual2"), _ID3), "twist map must be 2x2, got 3x3"),
+    "rota-baxter": (lambda: rota_baxter_check(builtin("dual2"), _ID3, 1), "lambda must be 2x2, got 3x3"),
+    "averaging": (lambda: averaging_check(builtin("dual2"), _ID3), "lambda must be 2x2, got 3x3"),
+    "add": (lambda: Matrix.identity(2) + Matrix.identity(3), "operand must be 3x3, got 2x2"),
+    "sub": (lambda: Matrix.identity(2) - Matrix.identity(3), "operand must be 3x3, got 2x2"),
+}
+
+
+@pytest.mark.parametrize("call, message", _SHAPE_CASES.values(), ids=_SHAPE_CASES)
+def test_each_shape_check_names_its_label_and_both_sizes(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestStructureTensor:

@@ -70,6 +70,13 @@ class TestInjectViolation:
         with pytest.raises(InputError):
             inject_violation(builtin("dual2"), "left", (0, 0, 2), 1)
 
+    def test_triple_given_as_a_list(self):
+        spec = builtin("dual2")
+        assert inject_violation(spec, "perp", [1, 1, 0], 1) == inject_violation(spec, "perp", (1, 1, 0), 1)
+        with pytest.raises(InputError) as info:
+            inject_violation(spec, "left", [0, 0, 2], 1)
+        assert str(info.value) == "structure constant index (0, 0, 2) out of range for dim 2"
+
     def test_parity_breaking_injection_rejected(self):
         with pytest.raises(ParityError):
             inject_violation(builtin("grassmann2"), "left", (0, 0, 1), 1)
