@@ -2,12 +2,14 @@
 refactor that moves a row's line must update the row."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "mutants.py"
+sys.path.insert(0, str(TOOL.parent))  # the tool imports its git export from bench_pairs
 spec = importlib.util.spec_from_file_location("mutants", TOOL)
 mutants = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mutants)

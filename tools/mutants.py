@@ -9,9 +9,10 @@ For each row, one at a time, the script exports ``git archive HEAD`` into
 a new temporary directory and replaces the row's old text with its new
 text there; it refuses the row unless the old text occurs exactly once.
 It then runs the row's recorded killing test and, if that test passes,
-tier-1 with ``-x``.  Each child runs under a timeout (its whole process
-group is killed) and an address-space cap set with ``resource.setrlimit``
-in the child, since a mutant may loop or grow memory without end.
+tier-1 with ``-x``, less ``tests/test_mutants.py``, which fails on every
+mutant.  Each child runs under a timeout (its whole process group is
+killed) and an address-space cap set with ``resource.setrlimit`` in the
+child, since a mutant may loop or grow memory without end.
 
 The output file holds, per row, whether the mutant was killed, the first
 failing test, which run failed it (``recorded`` or ``tier-1``) and the
@@ -24,7 +25,6 @@ runs only those rows.  The script exits 0 when every row run was killed,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -33,14 +33,15 @@ import resource
 import signal
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ("--continue-on-collection-errors",)
+from bench_pairs import export, git
+
+# tests/test_mutants.py checks that each row's old text is present, so every mutant fails it.
+TIER1 = ("--continue-on-collection-errors", "--ignore=tests/test_mutants.py")
 # A summary line's node id; a parametrized id may hold blanks and " - ".
 _FAILED = re.compile(r"^(?:FAILED|ERROR) ([^\s\[]+\[.*?\](?= - |$)|\S+)", re.MULTILINE)
 
@@ -66,14 +67,14 @@ ROWS = (
         '        _require_shape(matrix, dst.dimension, src.dimension, "map")\n',
         "",
         "LinearMap.between (and so square) skips the shape check",
-        "tests/test_cli.py::TestConstructiveCommands::test_wrong_size_map",
+        "tests/test_core.py::test_each_shape_check_names_its_label_and_both_sizes[square]",
     ),
     Mutant(
         "src/supertrial/cli.py",
         "        **sections,\n",
         "",
         "_assemble drops the report's extra section",
-        "tests/test_acceptance.py::test_8_determinism_roundtrip",
+        "tests/test_cli.py::TestFixturesCommand::test_json_listing",
     ),
     Mutant(
         "src/supertrial/core.py",
@@ -82,7 +83,7 @@ ROWS = (
         '                    raise InputError(f"structure constant index {(i, j, k)} out of range for dim {dim}")\n',
         "",
         "StructureTensor.build drops its range check",
-        "tests/test_fixtures.py::TestInjectViolation::test_out_of_range_triple",
+        "tests/test_core.py::TestStructureTensor::test_range_check",
     ),
     Mutant(
         "src/supertrial/cli.py",
@@ -137,13 +138,6 @@ def refuse(message: str) -> None:
     raise SystemExit(2)
 
 
-def export(dest: Path) -> None:
-    """Write the committed files of HEAD into ``dest``."""
-    archive = subprocess.run(["git", "archive", "HEAD"], cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-
-
 def apply(tree: Path, row: Mutant) -> None:
     path = tree / row.file
     text = path.read_text()
@@ -176,17 +170,19 @@ def run(row: Mutant, timeout: float, memory: int) -> dict:
     """Apply one mutant to a fresh export and run its tests: the row's record."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        tree = Path(tmp)
-        export(tree)
+        tree = Path(tmp) / "tree"
+        export("HEAD", tree)
         apply(tree, row)
         for stage, args in (("recorded", (row.test,)), ("tier-1", TIER1)):
             code, out = pytest(tree, args, timeout, memory)
             if code != 0:
                 break
-    if code in (0, 1, None):
-        failed = _FAILED.search(out)
-        first = "timeout" if code is None else failed.group(1) if failed else None
-    else:  # 2-5: interrupted, internal error, usage error or nothing collected
+    failed = _FAILED.search(out)
+    if code is None:
+        first = "timeout"
+    elif code == 0 or code == 1 and failed:
+        first = failed and failed.group(1)
+    else:  # no test failed: interrupted, internal or usage error, nothing collected, no interpreter
         refuse(f"pytest exited {code} on {row.reason!r} at the {stage} run:\n{out[-2000:]}")
     return {
         "file": row.file,
@@ -207,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--memory-mb", type=int, default=2048, help="address-space cap per pytest run")
     args = parser.parse_args(argv)
     picked = args.row if args.row is not None else range(len(ROWS))
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
     records = []
     for index in picked:
         record = {"row": index, **run(ROWS[index], args.timeout, args.memory_mb << 20)}
@@ -215,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         records.append(record)
     killed = sum(r["killed"] for r in records)
     doc = {
-        "commit": head.stdout.strip(),
+        "commit": git("rev-parse", "HEAD").decode().strip(),
         "python": platform.python_version(),
         "timeout_s": args.timeout,
         "memory_mb": args.memory_mb,
