@@ -82,10 +82,7 @@ class LinearMap:
     col_parities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.matrix.rows != len(self.row_parities):
-            raise InputError("row parity list does not match the matrix height")
-        if self.matrix.cols != len(self.col_parities):
-            raise InputError("column parity list does not match the matrix width")
+        _require_shape(self.matrix, len(self.row_parities), len(self.col_parities), "map")
 
     @classmethod
     def square(cls, basis: SuperBasis, matrix: Matrix) -> "LinearMap":
@@ -93,7 +90,6 @@ class LinearMap:
 
     @classmethod
     def between(cls, src: SuperBasis, dst: SuperBasis, matrix: Matrix) -> "LinearMap":
-        _require_shape(matrix, dst.dimension, src.dimension, "map")
         return cls(matrix, dst.parities, src.parities)
 
     @property

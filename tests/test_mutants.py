@@ -30,3 +30,15 @@ def test_first_failing_node_id_is_read_whole():
     )
     assert mutants._FAILED.search(out).group(1) == "tests/test_cli.py::T::t[spaces - --space D]"
     assert mutants._FAILED.search("ERROR tests/test_core.py - ImportError\n").group(1) == "tests/test_core.py"
+
+
+def test_a_mutant_that_breaks_an_import_is_killed_by_its_collection_error(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "m.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "tests" / "test_m.py").write_text("from m import f\n\n\ndef test_f():\n    assert f() == 1\n")
+    row = mutants.Mutant("src/m.py", "    return 1\n", "", "f loses its body", "tests/test_m.py::test_f")
+    path = tmp_path / row.file
+    path.write_text(mutants.apply(path.read_text(), row))
+    verdict = mutants.judge(tmp_path, row)
+    assert verdict == {"killed": True, "stage": "recorded", "first_failing": "tests/test_m.py"}

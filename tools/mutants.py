@@ -1,25 +1,27 @@
 """Run hand-written one-line mutants of ``src/`` against the tests that should kill them.
 
-    python3 tools/mutants.py --out MUTANTS_<n>.json [--row N ...] \
-        [--timeout SECONDS] [--memory-mb MB]
+    python3 tools/mutants.py --out MUTANTS_<n>.json
 
 Run from the root of a checkout.  ``ROWS`` is the reviewed list of
 mutants, each ``(file, old text, new text, reason, first killing test)``.
-For each row, one at a time, the script exports ``git archive HEAD`` into
-a new temporary directory and replaces the row's old text with its new
-text there; it refuses the row unless the old text occurs exactly once.
-It then runs the row's recorded killing test and, if that test passes,
-tier-1 with ``-x``, less ``tests/test_mutants.py``, which fails on every
-mutant.  Each child runs under a timeout (its whole process group is
-killed) and an address-space cap set with ``resource.setrlimit`` in the
-child, since a mutant may loop or grow memory without end.
+The script first refuses the whole run unless every row's old text occurs
+exactly once in its file at HEAD.  Then, for each row, one at a time, it
+exports ``git archive HEAD`` into a new temporary directory, replaces the
+row's old text with its new text there, and runs the row's recorded
+killing test and, if that test passes, tier-1 with ``-x``, less
+``tests/test_mutants.py``, which fails on every mutant.  A run with a
+FAILED or ERROR line kills the mutant whatever pytest's exit code, so a
+mutant that breaks an import is killed by the collection ERROR it causes.
+Each child runs under ``TIMEOUT_S`` (its whole process group is killed)
+and an address-space cap of ``MEMORY_MB`` set with ``resource.setrlimit``
+in the child, since a mutant may loop or grow memory without end.
 
 The output file holds, per row, whether the mutant was killed, the first
 failing test, which run failed it (``recorded`` or ``tier-1``) and the
 seconds taken, plus the kill count.  A run that times out counts as
-killed, with ``timeout`` as its test.  ``--row`` (0-based, repeatable)
-runs only those rows.  The script exits 0 when every row run was killed,
-1 when one survived and 2 when a row is refused.  Standard library only.
+killed, with ``timeout`` as its test.  The script exits 0 when every row
+was killed, 1 when one survived and 2 when it refuses; a refusal after
+some rows ran still writes their records.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from bench_pairs import export, git
 
 # tests/test_mutants.py checks that each row's old text is present, so every mutant fails it.
 TIER1 = ("--continue-on-collection-errors", "--ignore=tests/test_mutants.py")
+TIMEOUT_S = 900.0
+MEMORY_MB = 2048
 # A summary line's node id; a parametrized id may hold blanks and " - ".
 _FAILED = re.compile(r"^(?:FAILED|ERROR) ([^\s\[]+\[.*?\](?= - |$)|\S+)", re.MULTILINE)
 
@@ -64,9 +68,9 @@ ROWS = (
     ),
     Mutant(
         "src/supertrial/core.py",
-        '        _require_shape(matrix, dst.dimension, src.dimension, "map")\n',
-        "",
-        "LinearMap.between (and so square) skips the shape check",
+        '        _require_shape(self.matrix, len(self.row_parities), len(self.col_parities), "map")\n',
+        "        pass\n",
+        "LinearMap skips its shape check",
         "tests/test_core.py::test_each_shape_check_names_its_label_and_both_sizes[square]",
     ),
     Mutant(
@@ -138,27 +142,26 @@ def refuse(message: str) -> None:
     raise SystemExit(2)
 
 
-def apply(tree: Path, row: Mutant) -> None:
-    path = tree / row.file
-    text = path.read_text()
+def apply(text: str, row: Mutant) -> str:
+    """``text`` with the row's old text replaced; refuse unless it occurs exactly once."""
     count = text.count(row.old)
     if count != 1:
         refuse(f"the old text of {row.reason!r} occurs {count} times in {row.file}")
-    path.write_text(text.replace(row.old, row.new))
+    return text.replace(row.old, row.new)
 
 
-def pytest(tree: Path, args: tuple[str, ...], timeout: float, memory: int) -> tuple[int | None, str]:
+def pytest(tree: Path, args: tuple[str, ...]) -> tuple[int | None, str]:
     """Run pytest in ``tree``: its exit code (None on timeout) and stdout."""
 
     def limit() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_MB << 20, MEMORY_MB << 20))
 
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", *args]
     child = subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                              text=True, preexec_fn=limit, start_new_session=True)
     try:
-        out, _ = child.communicate(timeout=timeout)
+        out, _ = child.communicate(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         os.killpg(child.pid, signal.SIGKILL)
         child.communicate()
@@ -166,31 +169,36 @@ def pytest(tree: Path, args: tuple[str, ...], timeout: float, memory: int) -> tu
     return child.returncode, out
 
 
-def run(row: Mutant, timeout: float, memory: int) -> dict:
+def judge(tree: Path, row: Mutant) -> dict:
+    """Run the row's recorded test, then tier-1, in a mutated ``tree``: the verdict."""
+    for stage, args in (("recorded", (row.test,)), ("tier-1", TIER1)):
+        code, out = pytest(tree, args)
+        if code != 0:
+            break
+    failed = _FAILED.search(out)
+    if code is None:
+        first = "timeout"
+    elif code == 0 or failed:  # a collection ERROR exits 2, or 4 under a node id: still a kill
+        first = failed and failed.group(1)
+    else:  # no test failed: internal or usage error, nothing collected, no interpreter
+        refuse(f"pytest exited {code} on {row.reason!r} at the {stage} run:\n{out[-2000:]}")
+    return {"killed": code != 0, "stage": stage if code != 0 else None, "first_failing": first}
+
+
+def run(row: Mutant) -> dict:
     """Apply one mutant to a fresh export and run its tests: the row's record."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         export("HEAD", tree)
-        apply(tree, row)
-        for stage, args in (("recorded", (row.test,)), ("tier-1", TIER1)):
-            code, out = pytest(tree, args, timeout, memory)
-            if code != 0:
-                break
-    failed = _FAILED.search(out)
-    if code is None:
-        first = "timeout"
-    elif code == 0 or code == 1 and failed:
-        first = failed and failed.group(1)
-    else:  # no test failed: interrupted, internal or usage error, nothing collected, no interpreter
-        refuse(f"pytest exited {code} on {row.reason!r} at the {stage} run:\n{out[-2000:]}")
+        path = tree / row.file
+        path.write_text(apply(path.read_text(), row))
+        verdict = judge(tree, row)
     return {
         "file": row.file,
         "reason": row.reason,
         "recorded_test": row.test,
-        "killed": code != 0,
-        "stage": stage if code != 0 else None,
-        "first_failing": first,
+        **verdict,
         "seconds": round(time.perf_counter() - start, 1),
     }
 
@@ -198,27 +206,27 @@ def run(row: Mutant, timeout: float, memory: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--row", type=int, action="append", help="0-based row index (repeatable)")
-    parser.add_argument("--timeout", type=float, default=900.0, help="seconds per pytest run")
-    parser.add_argument("--memory-mb", type=int, default=2048, help="address-space cap per pytest run")
     args = parser.parse_args(argv)
-    picked = args.row if args.row is not None else range(len(ROWS))
+    for row in ROWS:
+        apply(git("show", f"HEAD:{row.file}").decode(), row)
     records = []
-    for index in picked:
-        record = {"row": index, **run(ROWS[index], args.timeout, args.memory_mb << 20)}
-        print(json.dumps(record), flush=True)
-        records.append(record)
-    killed = sum(r["killed"] for r in records)
-    doc = {
-        "commit": git("rev-parse", "HEAD").decode().strip(),
-        "python": platform.python_version(),
-        "timeout_s": args.timeout,
-        "memory_mb": args.memory_mb,
-        "killed": killed,
-        "run": len(records),
-        "rows": records,
-    }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    try:
+        for index, row in enumerate(ROWS):
+            record = {"row": index, **run(row)}
+            print(json.dumps(record), flush=True)
+            records.append(record)
+    finally:
+        killed = sum(r["killed"] for r in records)
+        doc = {
+            "commit": git("rev-parse", "HEAD").decode().strip(),
+            "python": platform.python_version(),
+            "timeout_s": TIMEOUT_S,
+            "memory_mb": MEMORY_MB,
+            "killed": killed,
+            "run": len(records),
+            "rows": records,
+        }
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"{killed} of {len(records)} mutants killed")
     return 0 if killed == len(records) else 1
 
