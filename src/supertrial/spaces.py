@@ -15,12 +15,17 @@ projected away):
 The twist is T = gamma^s xi^r, and a space depends on (s, r) only through
 T; ZD does not depend on it at all.  The proposition battery uses this to
 solve each distinct space once, and only the (kind, s, r) its lines read.
-It walks its grid once (see proposition_battery): on a regular input a
-claim that holds at (0, 0) holds on every line and is built at no other T;
-every other line is decided once.  It keeps one object per distinct space,
-intersects D and C ("DC") once per pair of them, with one Zassenhaus
-echelon per graded piece, and reads the center only when some D intersect
-C is nonzero.
+It walks its grid once (see proposition_battery).  A line whose claim the
+rows make a theorem under a hypothesis that holds there (the lemma column
+of _CLAIMS) is decided by proof, with nothing built: every containment
+(chain-d-in-qd only in the default mode), bracket-d-zd-in-zd where T is
+invertible, and, in the default mode when gamma and xi commute, every
+composition and every bracket of a pair with an even map.  So GD is never
+built.  On a regular input a claim that holds at (0, 0) holds on every
+line and is built at no other T; every other line is decided once.  It
+keeps one object per distinct space, intersects D and C ("DC") once per
+pair of them, with one Zassenhaus echelon per graded piece, and reads the
+center only when some D intersect C is nonzero.
 Every space is solved separately on the even-map and odd-map unknown
 patterns (sound because all products and both structure maps are even, so
 the constraint systems are parity-homogeneous).
@@ -323,13 +328,15 @@ def _is_regular(spec: TrialgebraSpec) -> bool:
     gamma, xi = spec.gamma.matrix, spec.require_xi().matrix
     if gamma.is_identity and xi.is_identity:
         return True
-    if gamma @ xi != xi @ gamma:
-        return False
+    return gamma @ xi == xi @ gamma and _invertible(gamma) and _invertible(xi) and check_multiplicative(spec).passed
+
+
+def _invertible(m: Matrix) -> bool:
     try:
-        invert(gamma), invert(xi)
+        invert(m)
     except SingularMapError:
         return False
-    return check_multiplicative(spec).passed
+    return True
 
 
 def _build_space(
@@ -431,29 +438,38 @@ class BatteryReport:
 
 
 # The battery claims in report order: (claim id, relation, kinds read,
-# power rule).  Relations:
-#   contain   every later kind lies in the first; the witness is the first
-#             outsider of the last failing kind
+# power rule, lemma).  Relations:
+#   contain   every later kind lies in the first; the witness is the second
+#             kind's first outsider (a claim with a third kind is a theorem)
 #   eq-dc     ZD equals the intersection of D and C; ZD's outsiders come first
 #   trivial   D intersect C is zero, when the center is trivial
 #   bracket   supercommutators of the first two kinds' graded bases lie in
 #             the third
 #   compose   compositions of the first two kinds' bases lie in the third
 # Rule "base" reads every kind at (s, r); rule "summed" reads the first two
-# at (s, r) and (s2, r2) and the third at (s + s2, r + r2).
+# at (s, r) and (s2, r2) and the third at (s + s2, r + r2).  The lemma names
+# the hypothesis under which the claim is a theorem (proposition_battery
+# proves each), so that a line where it holds is decided with nothing built:
+#   always      on every input, in both modes
+#   default     in the default mode
+#   commuting   in the default mode when gamma xi = xi gamma
+#   odd-pairs   as commuting, for the pairs with an even map: only the odd x
+#               odd pairs are tested
+#   onto        when T1 = gamma^s xi^r is invertible, in both modes
+# A claim with no lemma, or whose lemma does not hold, is decided in full.
 _CLAIMS = (
-    ("bracket-d-c-in-c", "bracket", ("D", "C", "C"), "summed"),
-    ("bracket-d-d-in-d", "bracket", ("D", "D", "D"), "summed"),
-    ("bracket-d-zd-in-zd", "bracket", ("D", "ZD", "ZD"), "summed"),
-    ("bracket-qc-qc-in-qd", "bracket", ("QC", "QC", "QD"), "summed"),
-    ("bracket-qd-qc-in-qc", "bracket", ("QD", "QC", "QC"), "summed"),
-    ("c-in-qd", "contain", ("QD", "C"), "base"),
-    ("chain-d-in-qd", "contain", ("QD", "D"), "base"),
-    ("chain-qd-in-gd", "contain", ("GD", "QD"), "base"),
-    ("compose-c-d-in-d", "compose", ("C", "D", "D"), "summed"),
-    ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC"), "base"),
-    ("trivial-center-d-cap-c", "trivial", ("D", "C"), "base"),
-    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "D", "C"), "base"),
+    ("bracket-d-c-in-c", "bracket", ("D", "C", "C"), "summed", "odd-pairs"),
+    ("bracket-d-d-in-d", "bracket", ("D", "D", "D"), "summed", "odd-pairs"),
+    ("bracket-d-zd-in-zd", "bracket", ("D", "ZD", "ZD"), "summed", "onto"),
+    ("bracket-qc-qc-in-qd", "bracket", ("QC", "QC", "QD"), "summed", "odd-pairs"),
+    ("bracket-qd-qc-in-qc", "bracket", ("QD", "QC", "QC"), "summed", "odd-pairs"),
+    ("c-in-qd", "contain", ("QD", "C"), "base", "always"),
+    ("chain-d-in-qd", "contain", ("QD", "D"), "base", "default"),
+    ("chain-qd-in-gd", "contain", ("GD", "QD"), "base", "always"),
+    ("compose-c-d-in-d", "compose", ("C", "D", "D"), "summed", "commuting"),
+    ("sum-qd-qc-in-gd", "contain", ("GD", "QD", "QC"), "base", "always"),
+    ("trivial-center-d-cap-c", "trivial", ("D", "C"), "base", None),
+    ("zd-eq-d-cap-c", "eq-dc", ("ZD", "D", "C"), "base", None),
 )
 
 
@@ -482,6 +498,37 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
     basis maps, and the composition C after D, for membership at the summed
     exponents.
 
+    The rows of _KIND_ROWS, with the commutation rows every kind carries,
+    make most claims theorems; a line whose claim's lemma (the last column
+    of _CLAIMS) holds there is decided without building or multiplying
+    anything.  With T = gamma^s xi^r, T1 and T2 the left and right operands'
+    twists, and o any of the three products:
+      - always, in both modes (the Koszul mode signs D only): c-in-qd,
+        chain-qd-in-gd and sum-qd-qc-in-gd; in the default mode also
+        chain-d-in-qd.  Partner maps: X' = X for X in D (its rule is QD's),
+        X' = 2X for X in C (the sum of C's two rows), (X1, X2) = (X, P) in
+        GD for X in QD with partner P, and (-Y, 0) for Y in QC; each
+        commutes with gamma and xi, and GD is a space.
+      - compose-c-d-in-d, in the default mode when gamma xi = xi gamma: for
+        Y in C at T1 and X in D at T2, YX(a o b) = Y(X(a) o T2(b)) +
+        Y(T2(a) o X(b)) = YX(a) o T1T2(b) + T1T2(a) o YX(b) term by term, by
+        C's two rows, and T1T2 = gamma^(s+s2) xi^(r+r2).
+      - the other four brackets, under the same hypothesis, on every pair
+        with an even map: its supercommutator is XY - YX, and expanding both
+        maps' rules, the terms of XY and YX not of the target's form agree,
+        since every space's maps commute with gamma and xi, so with T1 and
+        T2, and cancel.  Only the odd x odd pairs are tested, in product
+        order, so the first failing pair and its witness do not move.
+      - bracket-d-zd-in-zd, when T1 is invertible, in both modes, on every
+        pair: Z in ZD kills products and every Z(u) o v, so [X, Z](a o b)
+        = 0 and ZX(a) o b = 0; X(Z(a) o c) = 0 gives XZ(a) o T1(c) = 0,
+        which is XZ(a) o b = 0 when T1 is onto; and [X, Z] commutes with
+        gamma and xi.  The same steps give c o XZ(b) = 0 for a two-sided
+        untwisted ZD.  At (0, 0), T1 = id.
+    The other lines are decided in full: the claims with no lemma, and every
+    claim whose hypothesis fails (the Koszul mode, maps that do not commute,
+    a singular T1).
+
     One walk over ``_grid`` decides the lines, with one decider
     (``_witnesses``) that shares builds and verdicts across the walk.  Each
     claim's first line, at (0, 0), is decided; on a regular input
@@ -507,7 +554,7 @@ def proposition_battery(spec: TrialgebraSpec, max_power: int = 1, koszul: bool =
         raise InputError("max_power must be non-negative")
     decide, first, regular, lines = _witnesses(spec, koszul), {}, {}, []
     for line in _grid(max_power):
-        (claim, _, _, _), s, r, s2, r2 = line
+        (claim, *_), s, r, s2, r2 = line
         if claim not in first:
             w = first[claim] = decide(line)
         else:
@@ -527,17 +574,22 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool) -> Callable[[tuple], LinearMa
     pair of D and C objects, and each claim, target span, graded basis and
     product of basis maps is worked out once; membership reduces each target
     span once.  The memos live as long as the decider.  The center is
-    computed once, and only if some D intersect C is nonzero.
+    computed once, and only if some D intersect C is nonzero.  A line whose
+    claim's lemma holds is decided first, with nothing built, and a bracket
+    claim under "odd-pairs" tests its odd x odd pairs only.
     """
-    n = spec.dimension
+    n, gamma, xi = spec.dimension, spec.gamma.matrix, spec.require_xi().matrix
     twists, tables, commutation, built, by_value, caps, spaces, echelons, products, graded, verdicts = ({} for _ in range(11))
 
     def unique(made: OperatorSpace) -> OperatorSpace:
         return by_value.setdefault(made.vectorized(), made)
 
+    def power(s: int, r: int) -> tuple[TwistPower, Matrix]:
+        return _once(twists, (s, r), lambda: (TwistPower(s, r), TwistPower(s, r).matrix(spec)))
+
     def space(kind: str, s: int, r: int) -> OperatorSpace:
         """kind at (s, r), on its first read."""
-        t, twist = _once(twists, (s, r), lambda: (TwistPower(s, r), TwistPower(s, r).matrix(spec)))
+        t, twist = power(s, r)
         key = (kind, twist) if _READS_TWIST[kind] else (kind,)
         if key not in built:
             built[key] = unique(_build_space(kind, spec, t, koszul and kind == "D",
@@ -554,8 +606,9 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool) -> Callable[[tuple], LinearMa
         key = (f.matrix.integral[1], g.matrix.integral[1])
         return _once(products, key, lambda: integer_product(*key, n, n, n))
 
-    def graded_elements(space: OperatorSpace) -> tuple[GradedOperator, ...]:
-        return _once(graded, id(space), space.graded_elements)
+    def graded_elements(space: OperatorSpace, odd: bool) -> tuple[GradedOperator, ...]:
+        """space's graded basis, or its odd maps only."""
+        return _once(graded, id(space), space.graded_elements)[space.even_dimension if odd else 0:]
 
     def bracket(f: GradedOperator, g: GradedOperator) -> list[int]:
         sign = 1 if f.parity and g.parity else -1
@@ -568,26 +621,40 @@ def _witnesses(spec: TrialgebraSpec, koszul: bool) -> Callable[[tuple], LinearMa
         outside = next((item for item in items if not span.contains(row(*item))), None)
         return None if outside is None else witness(*outside)
 
-    def contain(outer, *inners):
-        """The first outsider of the last inner space that is not inside outer, or None."""
-        found = (outsider(outer, zip(inner.basis)) for inner in reversed(inners) if inner is not outer)
-        return next((w for w in found if w is not None), None)
+    def contain(outer: OperatorSpace, inner: OperatorSpace) -> LinearMap | None:
+        return None if inner is outer else outsider(outer, zip(inner.basis))
 
+    def brackets(odd: bool) -> Callable[..., LinearMap | None]:
+        pairs = lambda left, right: itertools.product(graded_elements(left, odd), graded_elements(right, odd))
+        return lambda left, right, target: outsider(target, pairs(left, right), bracket, supercommutator)
+
+    commuting = lambda s, r: not koszul and _once(verdicts, "commuting", lambda: gamma @ xi == xi @ gamma)
+    holds = {
+        None: lambda s, r: False,
+        "always": lambda s, r: True,
+        "default": lambda s, r: not koszul,
+        "commuting": commuting,
+        "odd-pairs": commuting,
+        "onto": lambda s, r: _once(verdicts, ("onto", s, r), lambda: _invertible(power(s, r)[1])),
+    }
     relations = {
         "contain": contain,
         "eq-dc": lambda zd, d, c: contain(cap(d, c), zd) or contain(zd, cap(d, c)),  # a witness map is never falsy
         "trivial": lambda d, c: (
             cap(d, c).basis[0] if cap(d, c).basis and not _once(verdicts, "center", lambda: center(spec)) else None),
-        "bracket": lambda left, right, target: outsider(
-            target, itertools.product(graded_elements(left), graded_elements(right)), bracket, supercommutator
-        ),
+        "bracket": brackets(False),
+        "odd-bracket": brackets(True),
         "compose": lambda left, right, target: outsider(
             target, itertools.product(left.basis, right.basis), product, LinearMap.compose
         ),
     }
 
     def decide(line: tuple) -> LinearMap | None:
-        (_, relation, kinds, _), s, r, s2, r2 = line
+        (_, relation, kinds, _, lemma), s, r, s2, r2 = line
+        if holds[lemma](s, r):
+            if lemma != "odd-pairs":
+                return None
+            relation = "odd-bracket"
         at = [(s, r)] * len(kinds) if s2 is None else [(s, r), (s2, r2), (s + s2, r + r2)]
         operands = [spaces.get((kind, *power)) or space(kind, *power) for kind, power in zip(kinds, at)]
         return _once(verdicts, (relation, *map(id, operands)), lambda: relations[relation](*operands))

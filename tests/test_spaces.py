@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import census
 import pytest
 from constraint_oracle import oracle_space, span_intersection
 from generators import (
@@ -737,13 +738,13 @@ def test_battery_pattern_survives_rational_conjugation(koszul):
 class TestBatteryPlan:
     @pytest.mark.parametrize(
         "name, max_power, builds, solves",
-        [("idem1", 1, 6, 1), ("dual2-twisted", 1, 6, 1), ("dual2-twisted", 2, 6, 1),
-         ("two-step-0-n4-bumped", 1, 41, 4), ("two-step-0-n4-bumped", 2, 110, 9),
-         ("two-step-0-n3-bumped", 1, 41, 3), ("two-step-0-n3-bumped", 2, 110, 5)],
+        [("idem1", 1, 5, 1), ("dual2-twisted", 1, 5, 1), ("dual2-twisted", 2, 5, 1),
+         ("two-step-0-n4-bumped", 1, 37, 4), ("two-step-0-n4-bumped", 2, 101, 9),
+         ("two-step-0-n3-bumped", 1, 37, 3), ("two-step-0-n3-bumped", 2, 101, 5)],
     )
     def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
         """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
-        all, and GD is read only at the base powers.  D intersect C is
+        all, and GD is never read: every containment of GD is a theorem.  D intersect C is
         intersected once per distinct pair of D and C operands, and no build
         solves it from constraint rows: each build solves its own kind's two
         graded pieces.  dual2-twisted is regular and its claims hold at
@@ -777,7 +778,7 @@ class TestBatteryPlan:
         keys = [(kind, t.matrix(spec)) for kind, t in built]
         assert len(set(keys)) == len(keys) == builds
         assert [kind for kind, _ in built].count("ZD") == 1
-        assert all(t.s <= max_power and t.r <= max_power for kind, t in built if kind == "GD")
+        assert "GD" not in [kind for kind, _ in built]
         assert len(set(intersected)) == len(intersected) == solves
 
     @pytest.mark.parametrize(
@@ -810,8 +811,9 @@ class TestBatteryPlan:
             assert set(calls) == expected
 
     def test_witness_order_on_failing_relations(self, monkeypatch):
-        """sum-qd-qc-in-gd reports QC's witness when QD fails too, and
-        zd-eq-d-cap-c reports a ZD map outside D cap C before the converse."""
+        """zd-eq-d-cap-c reports a ZD map outside D cap C before the converse.
+        The faked GD does not hold the faked QD, but the containments are
+        theorems, decided with nothing built, so only zd-eq-d-cap-c fails."""
         spec = builtin("zero2")
         e00, e11 = Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])
         spans = {"GD": [e00], "QD": [e11], "QC": [Matrix.identity(2)], "ZD": [e00], "D": [e11], "C": [e11]}
@@ -822,11 +824,7 @@ class TestBatteryPlan:
 
         monkeypatch.setattr(spaces, "_build_space", fake_build)
         report = proposition_battery(spec, 0)
-        assert [(ln.claim_id, ln.witness.matrix) for ln in report.failed_lines()] == [
-            ("chain-qd-in-gd", e11),
-            ("sum-qd-qc-in-gd", Matrix.identity(2)),
-            ("zd-eq-d-cap-c", e00),
-        ]
+        assert [(ln.claim_id, ln.witness.matrix) for ln in report.failed_lines()] == [("zd-eq-d-cap-c", e00)]
 
     def test_eq_dc_fails_when_d_cap_c_exceeds_zd(self, monkeypatch):
         """zd-eq-d-cap-c also tests D cap C inside ZD: with ZD inside a
@@ -849,7 +847,8 @@ class TestBatteryPlan:
     def test_bracket_and_compose_witnesses_are_exact(self, monkeypatch):
         """Membership is decided on integer numerators; the witness is the
         exact Fraction supercommutator or composition of the first pair
-        outside the target, not a scaled copy of it."""
+        outside the target, not a scaled copy of it.  The battery runs in the
+        Koszul mode, where no lemma decides a bracket or a composition."""
         spec = builtin("zero2")
         a, b = Matrix.from_rows([[F(1, 3), 0], [0, 0]]), Matrix.from_rows([[0, F(1, 2)], [0, 0]])
         p, q = Matrix.from_rows([[F(1, 2), 0], [0, F(1, 5)]]), Matrix.from_rows([[0, 0], [1, 0]])
@@ -864,7 +863,7 @@ class TestBatteryPlan:
         # [a, p] = 0 and [a, q] = -q/3 lie in C, and p a = a/2 and p b = b/2 in D.
         assert solve_in_span([p.entries, q.entries], (a @ q - q @ a).entries) is not None
         assert solve_in_span([a.entries, b.entries], (p @ b).entries) is not None
-        witnesses = {ln.claim_id: ln.witness.matrix for ln in proposition_battery(spec, 0).failed_lines()}
+        witnesses = {ln.claim_id: ln.witness.matrix for ln in proposition_battery(spec, 0, koszul=True).failed_lines()}
         assert witnesses["bracket-d-c-in-c"] == b @ p - p @ b == Matrix.from_rows([[0, F(-3, 20)], [0, 0]])
         assert witnesses["compose-c-d-in-d"] == q @ a == Matrix.from_rows([[0, 0], [F(1, 3), 0]])
 
@@ -967,12 +966,17 @@ class TestBatterySharing:
 
     def test_each_product_and_target_span_once(self, monkeypatch):
         """On dual2-twisted at max_power 1 and 2, decided line by line (not
-        settled at T = id), the battery multiplies each pair of basis maps at
-        most once, and reduces each distinct target span of every relation
-        exactly once: the targets of brackets and compositions at the summed
-        powers, and the outer spans of contain and eq-dc (GD, QD, D
-        intersect C and ZD) at the base powers.  The Zassenhaus echelons of
-        D intersect C are not targets."""
+        settled at T = id), the Koszul battery multiplies each pair of basis
+        maps at most once, and reduces each distinct target span of every
+        relation it computes exactly once: the targets of brackets and
+        compositions at the summed powers, and QD, the outer span of
+        chain-d-in-qd, at the base powers.  The Koszul mode computes brackets
+        and compositions in full (dual2-twisted has no odd map, so the default
+        mode would form no product); its other containments are theorems, so
+        GD is no target, and so is bracket-d-zd-in-zd at an invertible T, so
+        ZD is none.  D intersect C and ZD are both zero, one space, so eq-dc
+        reduces no span, and the Zassenhaus echelons of D intersect C are not
+        targets."""
         spec = builtin("dual2-twisted")
         products, targets, inside = [], [], []
         real_product, real_intersect = spaces.integer_product, spaces._intersection_space
@@ -1005,11 +1009,11 @@ class TestBatterySharing:
         for max_power in (1, 2):
             base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
             sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
-            expected = {_build_space(kind, spec, t).vectorized() for kind in ("C", "D", "ZD", "QD", "QC") for t in sums}
-            expected |= {_built(kind, spec, t).vectorized() for kind in ("GD", ("D", "C")) for t in base}
+            assert {_built(("D", "C"), spec, t, True).vectorized() for t in base} == {_build_space("ZD", spec, T00).vectorized()} == {()}
+            expected = {_build_space(kind, spec, t, kind == "D").vectorized() for kind in ("C", "D", "QD", "QC") for t in sums}
             products.clear()
             targets.clear()
-            assert proposition_battery(spec, max_power).passed
+            assert proposition_battery(spec, max_power, koszul=True).passed
             assert products and len(set(products)) == len(products)
             assert len(set(targets)) == len(targets) == len(expected)
             assert set(targets) == expected
@@ -1080,10 +1084,11 @@ def _carry_errors(spec):
 
 
 def _every_distinct_twist(spec, max_power):
-    """Each (kind, T) a battery decided line by line reads: GD at the base powers only, ZD once."""
+    """Each (kind, T) a battery decided line by line reads: D, QD, C and QC at every summed
+    power (the bracket claims read them whether or not any odd pair is tested), ZD once, and
+    never GD, whose claims are theorems."""
     sums = list(itertools.product(range(2 * max_power + 1), repeat=2))
     expected = {(kind, TwistPower(*power).matrix(spec)) for kind in ("D", "QD", "C", "QC") for power in sums}
-    expected |= {("GD", TwistPower(*power).matrix(spec)) for power in sums if max(power) <= max_power}
     expected.add(("ZD", Matrix.identity(spec.dimension)))
     return expected
 
@@ -1138,22 +1143,23 @@ class TestRegularity:
         spec = builtin("dual2-twisted")
         identity = Matrix.identity(2)
         solved = _battery_plan(monkeypatch, spec, 2)
-        assert sorted(kind for kind, _ in solved) == ["C", "D", "GD", "QC", "QD", "ZD"]
+        assert sorted(kind for kind, _ in solved) == ["C", "D", "QC", "QD", "ZD"]
         assert all(twist == identity for _, twist in solved)
 
     @pytest.mark.parametrize("max_power", [1, 2])
     def test_a_failing_regular_battery_solves_every_distinct_twist(self, monkeypatch, max_power):
         """dual2-twisted+grassmann2 is regular, with gamma = xi = diag(1, 2, 1, 1), and its
-        Koszul battery fails only chain-d-in-qd at T = id.  The walk builds D, C, ZD, QC and
-        QD at T = id for the claims before it, then that claim's QD and D at each distinct base
-        twist diag(1, 2^k, 1, 1), k = s + r, then GD at T = id for chain-qd-in-gd, and nothing
-        more for the claims that hold."""
+        Koszul battery fails only chain-d-in-qd at T = id.  The walk builds D, C, QC and QD
+        at T = id for the brackets before it (bracket-d-zd-in-zd is a theorem at T = id), then
+        that claim's QD and D at each distinct base twist diag(1, 2^k, 1, 1), k = s + r, then
+        ZD at T = id for zd-eq-d-cap-c, and nothing more: the claims that hold are carried
+        from T = id, and GD is never read."""
         spec = dual2_twisted_plus_grassmann2()
         assert spec.gamma.matrix == spec.xi.matrix == Matrix.diagonal([1, 2, 1, 1])
         twist = [Matrix.diagonal([1, 2 ** k, 1, 1]) for k in range(2 * max_power + 1)]
-        expected = [(kind, twist[0]) for kind in ("D", "C", "ZD", "QC", "QD")]
+        expected = [(kind, twist[0]) for kind in ("D", "C", "QC", "QD")]
         expected += [(kind, twist[k]) for k in range(1, 2 * max_power + 1) for kind in ("QD", "D")]
-        expected += [("GD", twist[0])]
+        expected += [("ZD", twist[0])]
         assert _battery_plan(monkeypatch, spec, max_power, koszul=True) == expected
 
     @pytest.mark.parametrize("max_power", [1, 2])
@@ -1278,7 +1284,7 @@ class TestInputsWithIdentityMaps:
         battery builds each kind once, at T = id."""
         spec = census_001_001_221()
         solved = _battery_plan(monkeypatch, spec, 2)
-        assert sorted(kind for kind, _ in solved) == ["C", "D", "GD", "QC", "QD", "ZD"]
+        assert sorted(kind for kind, _ in solved) == ["C", "D", "QC", "QD", "ZD"]
         assert all(twist == Matrix.identity(3) for _, twist in solved)
         monkeypatch.undo()
         failed = proposition_battery(spec, 2).failed_lines()
@@ -1301,6 +1307,41 @@ class TestInputsWithIdentityMaps:
             seen.clear()
             proposition_battery(spec, max_power, koszul)
             assert len(seen) == calls
+
+
+def _lines(report):
+    return [(ln.claim_id, ln.s, ln.r, ln.s2, ln.r2, ln.passed, ln.witness) for ln in report.lines]
+
+
+class TestLemmas:
+    """The claims the battery decides by proof (the lemma column of
+    spaces._CLAIMS) give the lines of the reference battery, which builds
+    every space and decides every pair, witnesses included."""
+
+    @pytest.mark.parametrize("koszul", [False, True])
+    def test_the_census_slice_gives_the_reference_lines(self, koszul):
+        """gamma = xi = id, so every lemma's hypothesis on the maps holds and
+        each T is the identity; the slice holds failing brackets (default
+        mode) and failing chains (Koszul mode)."""
+        reports = [(spec, proposition_battery(spec, 0, koszul)) for spec in census.valid(2)]
+        assert {ln.claim_id for _, report in reports for ln in report.failed_lines()} >= {
+            "zd-eq-d-cap-c", "chain-d-in-qd" if koszul else "bracket-d-d-in-d"}
+        for spec, report in reports:
+            assert _lines(report) == _reference_battery(spec, 0, koszul)
+
+    @pytest.mark.parametrize("koszul", [False, True])
+    @pytest.mark.parametrize("seed, n", [(seed, n) for seed in range(10) for n in (2, 3)])
+    def test_two_step_inputs_give_the_reference_lines(self, seed, n, koszul):
+        spec = two_step(seed, n)
+        assert _lines(proposition_battery(spec, 1, koszul)) == _reference_battery(spec, 1, koszul)
+
+    @pytest.mark.parametrize("koszul", [False, True])
+    @pytest.mark.parametrize("name", sorted({**_BATTERY_INPUTS, **NOT_REGULAR}))
+    def test_the_battery_builds_no_gd(self, monkeypatch, name, koszul):
+        """Every claim that reads GD is a containment that holds in both modes."""
+        spec = {**_BATTERY_INPUTS, **NOT_REGULAR}[name]()
+        solved = _battery_plan(monkeypatch, spec, 1, koszul)
+        assert solved and "GD" not in {kind for kind, _ in solved}
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -134,6 +134,35 @@ ROWS = (
         "_KIND_ROWS is listed in the order D, C, QC, ZD, QD, GD",
         "tests/test_cli.py::TestSurface::test_subcommands_and_arguments",
     ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '    ("chain-d-in-qd", "contain", ("QD", "D"), "base", "default"),\n',
+        '    ("chain-d-in-qd", "contain", ("QD", "D"), "base", "always"),\n',
+        "the battery takes chain-d-in-qd as a theorem in the Koszul mode too",
+        "tests/test_acceptance.py::test_6_proposition_battery",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '        "onto": lambda s, r: _once(verdicts, ("onto", s, r), lambda: _invertible(power(s, r)[1])),\n',
+        '        "onto": lambda s, r: True,\n',
+        "the battery takes bracket-d-zd-in-zd as a theorem at a singular T1",
+        "tests/test_spaces.py::TestBatterySharing::test_battery_equals_reference_without_sharing"
+        "[dsum-zero2-idem1-singular-False]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '    "QD": (((1, 1, 1), (2, 0, -1), (3, 0, -1)),),\n',
+        '    "QD": (((1, 1, 1), (2, 0, -1), (3, 0, 1)),),\n',
+        "QD's T(e_a) o X(e_b) term flips its sign",
+        "tests/test_acceptance.py::test_7_oracle_equivalence",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '    "GD": (((1, 2, 1), (2, 0, -1), (3, 1, -1)),),\n',
+        '    "GD": (((1, 2, 1), (2, 0, -1), (3, 0, -1)),),\n',
+        "GD's T(e_a) o X'(e_b) term reads the map itself, not its partner",
+        "tests/test_generators.py::test_solver_matches_oracle[5-power0]",
+    ),
 )
 
 
