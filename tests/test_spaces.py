@@ -1034,6 +1034,15 @@ def _not_commuting():
     return TrialgebraSpec.build("zero3-not-commuting", [0, 0, 0], {}, {}, {}, gamma, xi)
 
 
+def _odd_square_not_commuting():
+    """e1 o e1 = e0 on parities (0, 1, 1) with gamma and xi that do not commute: it
+    fails axiom (i) only, so only a library call hands it to the battery.  Its T1 T2 is
+    not gamma^(s+s2) xi^(r+r2), and compose-c-d-in-d fails at max_power 1."""
+    constants = {(1, 1, 0): 1}
+    gamma, xi = [[0, 0, 0], [0, -1, -1], [0, 1, 0]], Matrix.diagonal([-1, 1, 0])
+    return TrialgebraSpec.build("odd-square-not-commuting", [0, 1, 1], constants, constants, constants, gamma, xi)
+
+
 # Inputs the battery must not carry spaces on, each refused by one guard of _is_regular.
 NOT_REGULAR = {
     "singular": _nil3_odd_singular,
@@ -1334,6 +1343,27 @@ class TestLemmas:
     def test_two_step_inputs_give_the_reference_lines(self, seed, n, koszul):
         spec = two_step(seed, n)
         assert _lines(proposition_battery(spec, 1, koszul)) == _reference_battery(spec, 1, koszul)
+
+    def test_maps_that_do_not_commute_decide_compose_in_full(self):
+        """The commuting lemma needs gamma xi = xi gamma: without it the
+        composition claim is computed, and here it fails."""
+        spec = _odd_square_not_commuting()
+        assert {v.axiom_id for v in check_bihom(spec).violations} == {"i"}
+        lines = _lines(proposition_battery(spec, 1))
+        assert lines == _reference_battery(spec, 1, False)
+        assert {line[0] for line in lines if not line[5]} == {"compose-c-d-in-d"}
+
+    def test_the_koszul_mode_decides_compose_in_full(self):
+        """The Koszul mode signs D but not C, so an odd map of C after a signed
+        derivation can leave D: the commuting lemma holds in the default mode
+        only.  This support-3 census input, with gamma = xi = id, fails
+        compose-c-d-in-d in the Koszul mode."""
+        constants, identity = dict.fromkeys([(0, 1, 2), (1, 0, 2), (1, 1, 0)], 1), Matrix.identity(3)
+        spec = TrialgebraSpec.build("census-011-012-102-110", [0, 1, 1], constants, constants, constants, identity, identity)
+        assert check_bihom(spec).passed
+        lines = _lines(proposition_battery(spec, 0, koszul=True))
+        assert lines == _reference_battery(spec, 0, True)
+        assert "compose-c-d-in-d" in {line[0] for line in lines if not line[5]}
 
     @pytest.mark.parametrize("koszul", [False, True])
     @pytest.mark.parametrize("name", sorted({**_BATTERY_INPUTS, **NOT_REGULAR}))

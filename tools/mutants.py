@@ -163,6 +163,105 @@ ROWS = (
         "GD's T(e_a) o X'(e_b) term reads the map itself, not its partner",
         "tests/test_generators.py::test_solver_matches_oracle[5-power0]",
     ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '    "QC": (((2, 0, 1), (3, 0, -1)),),\n',
+        '    "QC": (((2, 0, 1), (3, 0, 1)),),\n',
+        "QC's T(e_a) o X(e_b) term flips its sign",
+        "tests/test_acceptance.py::test_5_operator_space_regression",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "contain(cap(d, c), zd) or contain(zd, cap(d, c)),",
+        "contain(cap(d, c), zd),",
+        "eq-dc tests only ZD inside D cap C",
+        "tests/test_spaces.py::TestBatteryPlan::test_eq_dc_fails_when_d_cap_c_exceeds_zd",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "(s + s2, r + r2)]\n",
+        "(s + s2, r + s2)]\n",
+        "a summed claim reads its target at (s + s2, r + s2)",
+        "tests/test_spaces.py::TestBatteryPlan::test_each_distinct_space_solved_once[two-step-0-n4-bumped-1-37-4]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "    return gamma @ xi == xi @ gamma and _invertible(gamma) and _invertible(xi) and "
+        "check_multiplicative(spec).passed\n",
+        "    return gamma @ xi == xi @ gamma and _invertible(gamma) and _invertible(xi) and "
+        "(check_multiplicative(spec).passed or True)\n",
+        "_is_regular drops its multiplicativity guard",
+        "tests/test_spaces.py::TestBatteryPlan::test_each_distinct_space_solved_once[two-step-0-n4-bumped-1-37-4]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "    return gamma @ xi == xi @ gamma and _invertible(gamma) and _invertible(xi) and "
+        "check_multiplicative(spec).passed\n",
+        "    return gamma @ xi == xi @ gamma and check_multiplicative(spec).passed\n",
+        "_is_regular drops its invertibility guard",
+        "tests/test_spaces.py::TestBatterySharing::test_battery_equals_reference_without_sharing"
+        "[dsum-zero2-idem1-singular-False]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "    return gamma @ xi == xi @ gamma and _invertible(gamma) and _invertible(xi) and "
+        "check_multiplicative(spec).passed\n",
+        "    return _invertible(gamma) and _invertible(xi) and check_multiplicative(spec).passed\n",
+        "_is_regular drops its commutation guard",
+        "tests/test_spaces.py::TestRegularity::test_each_guard_refuses_an_input_the_transport_gets_wrong"
+        "[not-commuting]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "_once(regular, 0, lambda: _is_regular(spec))",
+        "(_once(regular, 0, lambda: _is_regular(spec)) or True)",
+        "the battery carries a claim that held at (0, 0) without asking _is_regular",
+        "tests/test_spaces.py::TestBatteryPlan::test_each_distinct_space_solved_once[two-step-0-n4-bumped-1-37-4]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "    if gamma.is_identity and xi.is_identity:\n",
+        "    if gamma.is_identity:\n",
+        "_is_regular holds when gamma alone is the identity",
+        "tests/test_spaces.py::TestInputsWithIdentityMaps::test_one_identity_map_is_decided_line_by_line"
+        "[_two_step_xi_singular]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "for term, _, _ in terms) for kind, rows in _KIND_ROWS.items()}\n",
+        'for term, _, _ in terms) and kind != "QC" for kind, rows in _KIND_ROWS.items()}\n',
+        "_READS_TWIST drops QC, so QC is built once",
+        "tests/test_spaces.py::TestBatteryPlan::test_each_distinct_space_solved_once[two-step-0-n4-bumped-1-37-4]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        'cap(d, c).basis[0] if cap(d, c).basis and not _once(verdicts, "center", lambda: center(spec)) else None),',
+        'cap(d, c).basis[0] if not _once(verdicts, "center", lambda: center(spec)) and cap(d, c).basis else None),',
+        "the battery computes the center eagerly",
+        "tests/test_spaces.py::TestInputsWithIdentityMaps::"
+        "test_the_center_is_read_once_and_only_when_d_cap_c_is_nonzero[dual2-1-0]",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "    commuting = lambda s, r: not koszul and _once(",
+        "    commuting = lambda s, r: _once(",
+        "the commuting lemma holds in the Koszul mode too",
+        "tests/test_spaces.py::TestBatteryPlan::test_bracket_and_compose_witnesses_are_exact",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        '_once(verdicts, "commuting", lambda: gamma @ xi == xi @ gamma)',
+        '_once(verdicts, "commuting", lambda: True)',
+        "the commuting lemma skips its gamma xi = xi gamma test",
+        "tests/test_spaces.py::TestLemmas::test_maps_that_do_not_commute_decide_compose_in_full",
+    ),
+    Mutant(
+        "src/supertrial/spaces.py",
+        "space.graded_elements)[space.even_dimension if odd else 0:]",
+        "space.graded_elements)[:space.even_dimension if odd else None]",
+        "odd-pairs brackets test the even maps in place of the odd ones",
+        "tests/test_census.py::test_failing_claims_per_mode[False]",
+    ),
 )
 
 
