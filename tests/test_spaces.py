@@ -744,14 +744,14 @@ class TestBatteryPlan:
     )
     def test_each_distinct_space_solved_once(self, monkeypatch, name, max_power, builds, solves):
         """Spaces depend on (s, r) only through T = gamma^s xi^r, ZD not at
-        all, and GD is never read: every containment of GD is a theorem.  D intersect C is
-        intersected once per distinct pair of D and C operands, and no build
-        solves it from constraint rows: each build solves its own kind's two
-        graded pieces.  dual2-twisted is regular and its claims hold at
-        T = id, so each kind is solved once, there, and D and C are
-        intersected once; the bumped two-step inputs are not multiplicative,
-        so each distinct T is solved, and on n = 3 distinct T give equal D
-        and C, intersected once."""
+        all, and GD is never read: every containment of GD is a theorem.  D
+        intersect C is intersected once per distinct pair of D and C operands,
+        and no build solves it from constraint rows: each build solves its own
+        kind's two graded pieces.  dual2-twisted is regular and its claims hold
+        at T = id, so each kind is solved once, there, and D and C are
+        intersected once; the bumped two-step inputs are not multiplicative, so
+        each distinct T is solved, and on n = 3 distinct T give equal D and C,
+        intersected once."""
         spec = _BATTERY_INPUTS[name]()
         built, intersected, systems = [], [], []
         real_build, real_intersect, real_solve = spaces._build_space, spaces._intersection_space, spaces._solve_kind
@@ -1009,8 +1009,10 @@ class TestBatterySharing:
         for max_power in (1, 2):
             base = [TwistPower(s, r) for s in range(max_power + 1) for r in range(max_power + 1)]
             sums = [TwistPower(s, r) for s in range(2 * max_power + 1) for r in range(2 * max_power + 1)]
-            assert {_built(("D", "C"), spec, t, True).vectorized() for t in base} == {_build_space("ZD", spec, T00).vectorized()} == {()}
-            expected = {_build_space(kind, spec, t, kind == "D").vectorized() for kind in ("C", "D", "QD", "QC") for t in sums}
+            zero = {_build_space("ZD", spec, T00).vectorized()}
+            assert {_built(("D", "C"), spec, t, True).vectorized() for t in base} == zero == {()}
+            expected = {_build_space(kind, spec, t, kind == "D").vectorized()
+                        for kind in ("C", "D", "QD", "QC") for t in sums}
             products.clear()
             targets.clear()
             assert proposition_battery(spec, max_power, koszul=True).passed
