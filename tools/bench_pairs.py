@@ -39,9 +39,13 @@ import sys
 import tarfile
 import tempfile
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+HOST = (f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
+        f"{platform.python_implementation()} {platform.python_version()}")
 
 
 def git(*args: str) -> bytes:
@@ -56,6 +60,30 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+
+
+def open_record(parent: str, change: str, out: Path) -> tuple[dict[str, str], dict] | None:
+    """The short hashes of parent and change by role, and the record in out (empty if
+    there is none) with both commits set; None, after a message, if out is not empty
+    and records other commits."""
+    commits = {role: git("rev-parse", "--short", rev).decode().strip()
+               for role, rev in (("parent", parent), ("change", change))}
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    if doc and (doc.get("parent_commit"), doc.get("change_commit")) != (commits["parent"], commits["change"]):
+        print(f"{out} records other commits; use another file", file=sys.stderr)
+        return None
+    doc.update(parent_commit=commits["parent"], change_commit=commits["change"])
+    return commits, doc
+
+
+@contextmanager
+def exported(commits: dict[str, str], prefix: str) -> Iterator[dict[str, Path]]:
+    """Each role's commit exported into a temporary directory, by role; removed on exit."""
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        trees = {role: Path(tmp) / role for role in commits}
+        for role, tree in trees.items():
+            export(commits[role], tree)
+        yield trees
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -151,24 +179,16 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    commits = {role: git("rev-parse", "--short", rev).decode().strip()
-               for role, rev in (("parent", args.parent), ("change", args.change))}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if doc and (doc.get("parent_commit"), doc.get("change_commit")) != (commits["parent"], commits["change"]):
-        print(f"{args.out} records other commits; use another file", file=sys.stderr)
+    opened = open_record(args.parent, args.change, args.out)
+    if opened is None:
         return 2
+    commits, doc = opened
     doc.update(
-        parent_commit=commits["parent"],
-        change_commit=commits["change"],
         command="python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <seconds> --trace <trace>",
-        host=f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
-             f"{platform.python_implementation()} {platform.python_version()}",
+        host=HOST,
     )
     runs = doc.setdefault("runs", [])
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {role: Path(tmp) / role for role in commits}
-        for role, tree in trees.items():
-            export(commits[role], tree)
+    with exported(commits, "bench-pairs-") as trees:
         for workload in args.workload:
             done = [r["pair"] for r in runs if (r["workload"], r["seed"], r["trace"]) == (workload, args.seed, args.trace)]
             first = max(done, default=-1) + 1

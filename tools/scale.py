@@ -1,26 +1,29 @@
 """Time the proposition battery at scale on two commits, alternating, with a digest per job.
 
-    python3 tools/scale.py --parent REV --change REV [--runs 3] --out BENCH_<n>.json
+    python3 tools/scale.py --parent REV --change REV --out BENCH_<n>.json
 
 Run from the root of a checkout.  Each job is ``proposition_battery(spec,
-1)`` on one input of ``JOBS``: ``tw(k, 1, 0)`` from ``perfbench/ladder.py``
-or ``two_step(seed, n)`` from ``tests/generators.py``.  Both commits are
+1)`` on one input of ``JOBS``: ``tw(k, 1, 0)`` from ``perfbench/ladder.py``,
+or from ``tests/generators.py`` ``two_step(seed, n)`` or
+``direct_sum(two_step(seed, n), dsum_singular())``.  Both commits are
 exported with ``git archive``.  Each run is a fresh interpreter on one
 tree that builds the input, times the battery in process time, and prints
 the seconds and a sha256 of the report's lines with their witnesses.  Per
-job, run i runs the parent first when i is even and the change first when
-it is odd.  Each child runs under ``TIMEOUT_S`` and an address-space cap
-of ``MEMORY_MB``.
+job, the ``RUNS`` runs alternate: run i runs the parent first when i is
+even and the change first when it is odd.  Each child runs under
+``TIMEOUT_S`` and an address-space cap of ``MEMORY_MB``.
 
 The script writes a ``scale`` key into the output file, and the two
 commits at its top level as ``tools/bench_pairs.py`` does, keeping every
 other key, so either script may write the file first; it refuses (exit 2)
-a file that records other commits.  The key holds, per job and side, the
+a non-empty file that does not record these two commits.  The key holds, per job and side, the
 seconds of every run and their median, the one digest, and the parent
 median over the change median.  It exits 1 when a job's digests differ
 between runs or sides, and writes nothing then.  A battery whose lines
-all pass has the digest of its claims and powers alone.  Standard library
-only.
+all pass has the digest of its claims and powers alone, so only the
+``dsum_singular`` job, whose battery fails 15 lines, checks output: its
+witnesses come from the spaces and products the battery computes.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -28,18 +31,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import export, git
+from bench_pairs import HOST, exported, open_record
 
 # Each job is a family and its arguments, named by joining them with "-".
-JOBS = ("tw-4", "tw-5", "two_step-2-12", "two_step-2-14")
+JOBS = ("tw-4", "tw-5", "two_step-2-12", "two_step-2-14", "dsum_singular-2-9")
+RUNS = 5
 TIMEOUT_S = 600
 MEMORY_MB = 2048
 
@@ -49,16 +51,19 @@ def child(job: str) -> None:
     import hashlib
     import time
 
-    from generators import two_step
+    from generators import dsum_singular, two_step
     from perfbench import ladder
+    from supertrial.constructions import direct_sum
     from supertrial.serialize import parse_algebra
     from supertrial.spaces import proposition_battery
 
     family, *numbers = job.split("-")
     if family == "tw":
         spec = parse_algebra(ladder.render(ladder.tw(*map(int, numbers), 1, 0)))
-    else:
+    elif family == "two_step":
         spec = two_step(*map(int, numbers))
+    else:
+        spec = direct_sum(two_step(*map(int, numbers)), dsum_singular())
     start = time.process_time()
     report = proposition_battery(spec, 1)
     seconds = time.process_time() - start
@@ -79,34 +84,25 @@ def run_once(tree: Path, job: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--child")
-    parser.add_argument("--parent")
-    parser.add_argument("--change")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    if args.child:
-        child(args.child)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:  # one run of run_once, on the tree that sys.path points at
+        child(argv[1])
         return 0
-    commits = {role: git("rev-parse", "--short", rev).decode().strip()
-               for role, rev in (("parent", args.parent), ("change", args.change))}
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if (doc.setdefault("parent_commit", commits["parent"]), doc.setdefault("change_commit", commits["change"])) != (
-            commits["parent"], commits["change"]):
-        print(f"{args.out} records other commits; use another file", file=sys.stderr)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    opened = open_record(args.parent, args.change, args.out)
+    if opened is None:
         return 2
+    commits, doc = opened
     record: dict = {"command": "proposition_battery(spec, 1), process time, one fresh interpreter per run",
-                    "host": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs, "
-                            f"{platform.python_implementation()} {platform.python_version()}",
-                    "jobs": {}}
-    with tempfile.TemporaryDirectory(prefix="scale-") as tmp:
-        trees = {role: Path(tmp) / role for role in commits}
-        for role, tree in trees.items():
-            export(commits[role], tree)
+                    "host": HOST, "jobs": {}}
+    with exported(commits, "scale-") as trees:
         for job in JOBS:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for role in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     runs[role].append(run_once(trees[role], job))
                     print(f"{job} run {i} {role}: {runs[role][-1]}", flush=True)
